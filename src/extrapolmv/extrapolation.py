@@ -9,8 +9,11 @@ index and a relative (value / cutoff) score.
 
 Determinants are computed and compared in log space throughout; exact
 ties at -inf are broken by the trace. All operations are pure given the
-posterior draws, and per-location scoring is chunked so it can be
-parallelized or streamed.
+posterior draws. Every measure is a quadratic form in the location: with
+C the across-draw covariance of vec(B), V_i = (I_n kron x_i)' C (I_n kron x_i),
+and CMVPV is z_i' Cov(c) z_i for per-draw coefficient rows c_a and
+z_i = [x_i; y_g]. C is built once, so the cost per location does not
+depend on the number of draws.
 """
 
 from __future__ import annotations
@@ -22,7 +25,7 @@ from typing import TYPE_CHECKING
 import numpy as np
 from scipy.linalg import cho_factor, cho_solve
 
-from extrapolmv.dataset import Dataset, row_status
+from extrapolmv.dataset import Dataset, _fmt, row_status
 from extrapolmv.diagnostics import HighLeverageRule, high_leverage_set, ivh_values
 
 if TYPE_CHECKING:  # pragma: no cover
@@ -66,16 +69,14 @@ def _check_symmetric(V: np.ndarray) -> np.ndarray:
     return 0.5 * (V + V.T)
 
 
-def _logdet_psd(V: np.ndarray) -> float:
-    """Log-determinant of a PSD matrix; -inf when semidefinite."""
+def _logdet_psd(V: np.ndarray):
+    """Log-determinant of a PSD matrix or a stack of them; -inf when semidefinite."""
     lam = np.linalg.eigvalsh(V)
-    floor = -_PSD_TOL * max(float(np.trace(V)), 1.0)
-    if lam.min() < floor:
+    floor = -_PSD_TOL * np.maximum(np.trace(V, axis1=-2, axis2=-1), 1.0)
+    if np.any(lam.min(axis=-1) < floor):
         raise ValueError("matrix is not positive semidefinite within tolerance")
-    lam = np.maximum(lam, 0.0)
-    if np.any(lam == 0.0):
-        return float("-inf")
-    return float(np.log(lam).sum())
+    with np.errstate(divide="ignore"):
+        return np.log(np.maximum(lam, 0.0)).sum(axis=-1)
 
 
 def predictive_variance(draws: np.ndarray, ddof: int = 0,
@@ -97,7 +98,7 @@ def predictive_variance(draws: np.ndarray, ddof: int = 0,
     dev = draws - draws.mean(axis=0)
     V = dev.T @ dev / (A - ddof)
     V = 0.5 * (V + V.T)
-    logdet = _logdet_psd(V)
+    logdet = float(_logdet_psd(V))
     return PredictiveVariance(V=V, trace=float(np.trace(V)), logdet=logdet,
                               det=float(np.exp(logdet)), location_id=location_id)
 
@@ -117,7 +118,7 @@ def mvpv_trace(V) -> float:
 def mvpv_logdet(V) -> float:
     """Log-determinant scalarization; -inf for semidefinite matrices."""
     M = _check_symmetric(_as_matrix(V))
-    return _logdet_psd(M)
+    return float(_logdet_psd(M))
 
 
 # ---------------------------------------------------------------------------
@@ -287,26 +288,36 @@ class CutoffSpec:
         return f"q{label}"
 
 
+def _cutoff_pool(n_obs: int, spec: CutoffSpec,
+                 leverage: np.ndarray | None) -> np.ndarray:
+    """Indices of the observed values a max-type cutoff is taken over.
+
+    All of them for "max"; those outside the high-leverage set for the
+    leverage-informed maximum.
+    """
+    if spec.kind != "leverage_informed_max":
+        return np.arange(n_obs)
+    if leverage is None:
+        raise ValueError("leverage-informed cutoff needs a leverage vector")
+    leverage = np.asarray(leverage, dtype=float).ravel()
+    if leverage.size != n_obs:
+        raise ValueError("leverage vector must align with observed values")
+    flagged = high_leverage_set(leverage, spec.rule or HighLeverageRule())
+    keep = np.setdiff1d(np.arange(n_obs), flagged)
+    if keep.size == 0:
+        raise ValueError("leverage rule removed every observed row")
+    return keep
+
+
 def compute_cutoff(v_obs: np.ndarray, spec: CutoffSpec,
                    leverage: np.ndarray | None = None) -> float:
     """Cutoff value k derived from the observed-location measure values."""
     v = np.asarray(v_obs, dtype=float).ravel()
     if v.size == 0:
         raise ValueError("no observed values to derive a cutoff from")
-    if spec.kind == "max":
-        return float(v.max())
-    if spec.kind == "leverage_informed_max":
-        if leverage is None:
-            raise ValueError("leverage-informed cutoff needs a leverage vector")
-        leverage = np.asarray(leverage, dtype=float).ravel()
-        if leverage.size != v.size:
-            raise ValueError("leverage vector must align with observed values")
-        flagged = high_leverage_set(leverage, spec.rule or HighLeverageRule())
-        keep = np.setdiff1d(np.arange(v.size), flagged)
-        if keep.size == 0:
-            raise ValueError("leverage rule removed every observed row")
-        return float(v[keep].max())
-    return float(np.quantile(v, spec.level))
+    if spec.kind == "quantile":
+        return float(np.quantile(v, spec.level))
+    return float(v[_cutoff_pool(v.size, spec, leverage)].max())
 
 
 def extrapolation_index(v: float, k: float) -> int:
@@ -398,95 +409,58 @@ def _parse_cutoffs(cutoffs) -> list[CutoffSpec]:
     return specs
 
 
+def _draw_cov(c: np.ndarray) -> np.ndarray:
+    """Across-draw covariance (divisor A) of per-draw coefficient rows c (A, m)."""
+    dev = c - c.mean(axis=0)
+    return dev.T @ dev / c.shape[0]
+
+
 def _mvpv_arrays(B_draws: np.ndarray, X_rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Per-row (trace, logdet) of the across-draw covariance of B_a x."""
-    A, n, _ = B_draws.shape
-    Bc = B_draws - B_draws.mean(axis=0)
-    L = X_rows.shape[0]
-    traces = np.empty(L)
-    logdets = np.empty(L)
-    chunk = max(1, int(8_000_000 // max(A * n, 1)))
-    for s in range(0, L, chunk):
-        Xc = X_rows[s:s + chunk]
-        dev = np.einsum("anq,lq->lan", Bc, Xc)
-        V = np.einsum("lan,lam->lnm", dev, dev) / A
-        traces[s:s + chunk] = np.trace(V, axis1=1, axis2=2)
-        lam = np.linalg.eigvalsh(0.5 * (V + V.transpose(0, 2, 1)))
-        lam = np.maximum(lam, 0.0)
-        with np.errstate(divide="ignore"):
-            ld = np.where(np.any(lam == 0.0, axis=1), -np.inf,
-                          np.sum(np.log(np.maximum(lam, 1e-300)), axis=1))
-        logdets[s:s + chunk] = ld
-    return traces, logdets
+    A, n, q = B_draws.shape
+    C = _draw_cov(B_draws.reshape(A, n * q)).reshape(n, q, n, q)
+    V = np.einsum("lq,jqkr,lr->ljk", X_rows, C, X_rows, optimize=True)
+    return np.trace(V, axis1=1, axis2=2), _logdet_psd(V)
 
 
-def _cmvpv_array(p: "PosteriorDraws", d: Dataset, target: int,
-                 method: str = "total") -> np.ndarray:
-    """CMVPV for every location, conditioning on its observed siblings."""
+def _cmvpv_array(p: "PosteriorDraws", d: Dataset, target: int) -> np.ndarray:
+    """CMVPV for every location, conditioning on its observed siblings.
+
+    For sibling set g each draw's conditional mean is c_a' z with
+    c_a = [B_a[t] - G_a B_a[g], G_a] and z = [x; y_g], so the measure is
+    z' Cov(c) z plus the mean Schur complement; g may be empty.
+    """
     B = p.B_draws
     S = p.Sigma_draws
-    A, n, _ = B.shape
+    others = np.delete(np.arange(B.shape[1]), target)
+    patterns, which = np.unique(d.mask[:, others], axis=0, return_inverse=True)
     vals = np.empty(d.n_rows)
-    others = [j for j in range(n) if j != target]
-    groups: dict[tuple, list[int]] = {}
-    for i in range(d.n_rows):
-        key = tuple(j for j in others if d.mask[i, j])
-        groups.setdefault(key, []).append(i)
-
-    Bt = B[:, target, :]
-    s_tt_mean = float(S[:, target, target].mean())
-    for g_key in sorted(groups):
-        rows = np.asarray(groups[g_key])
-        g = np.asarray(g_key, dtype=int)
-        if g.size == 0:
-            chunk = max(1, int(8_000_000 // A))
-            for s0 in range(0, rows.size, chunk):
-                rr = rows[s0:s0 + chunk]
-                mu_t = d.X[rr] @ Bt.T
-                dev = mu_t - mu_t.mean(axis=1, keepdims=True)
-                vals[rr] = (dev ** 2).mean(axis=1) + s_tt_mean
-            continue
-        S_gg = S[:, g[:, None], g[None, :]]
-        S_tg = S[:, target, :][:, g]
-        G = np.linalg.solve(S_gg, S_tg[..., None])[..., 0]
+    for k, pattern in enumerate(patterns):
+        rows = np.flatnonzero(which.ravel() == k)
+        g = others[pattern]
+        S_tg = S[:, target, g]
+        G = np.linalg.solve(S[:, g[:, None], g[None, :]], S_tg[..., None])[..., 0]
         sbar_mean = float((S[:, target, target]
                            - np.einsum("ag,ag->a", S_tg, G)).mean())
-        Bg = B[:, g, :]
-        chunk = max(1, int(8_000_000 // (A * (g.size + 1))))
-        for s0 in range(0, rows.size, chunk):
-            rr = rows[s0:s0 + chunk]
-            Xg = d.X[rr]
-            mu_t = Xg @ Bt.T
-            mu_g = np.einsum("agq,lq->lag", Bg, Xg)
-            resid = d.Y[rr][:, g][:, None, :] - mu_g
-            mubar = mu_t + np.einsum("lag,ag->la", resid, G)
-            dev = mubar - mubar.mean(axis=1, keepdims=True)
-            vals[rr] = (dev ** 2).mean(axis=1)
-            if method == "total":
-                vals[rr] += sbar_mean
+        c = np.concatenate(
+            [B[:, target, :] - np.einsum("ag,agq->aq", G, B[:, g, :]), G], axis=1)
+        z = np.concatenate([d.X[rows], d.Y[rows][:, g]], axis=1)
+        vals[rows] = np.einsum("lm,mr,lr->l", z, _draw_cov(c), z,
+                               optimize=True) + sbar_mean
     return vals
 
 
 def _cutoff_with_tie(v_obs: np.ndarray, tie_obs: np.ndarray | None,
                      spec: CutoffSpec, leverage: np.ndarray | None):
     """Cutoff plus tie-break value; ties only matter for log-det measures."""
-    if tie_obs is None:
+    if (tie_obs is not None and spec.kind == "quantile"
+            and not np.all(np.isfinite(v_obs))):
+        raise ValueError(
+            "quantile cutoff undefined: some observed predictive "
+            "covariances are singular (log-determinant -inf)")
+    if tie_obs is None or spec.kind == "quantile":
         return compute_cutoff(v_obs, spec, leverage), None
-    if spec.kind == "quantile":
-        if not np.all(np.isfinite(v_obs)):
-            raise ValueError(
-                "quantile cutoff undefined: some observed predictive "
-                "covariances are singular (log-determinant -inf)")
-        return float(np.quantile(v_obs, spec.level)), None
-    if spec.kind == "leverage_informed_max":
-        if leverage is None or leverage.size != v_obs.size:
-            raise ValueError("leverage vector must align with observed values")
-        flagged = high_leverage_set(leverage, spec.rule or HighLeverageRule())
-        keep = np.setdiff1d(np.arange(v_obs.size), flagged)
-        if keep.size == 0:
-            raise ValueError("leverage rule removed every observed row")
-    else:
-        keep = np.arange(v_obs.size)
+    keep = _cutoff_pool(v_obs.size, spec, leverage)
     sel = keep[np.lexsort((tie_obs[keep], v_obs[keep]))[-1]]
     return float(v_obs[sel]), float(tie_obs[sel])
 
@@ -530,14 +504,9 @@ def _assemble_report(d: Dataset, measure_data: list[tuple], cutoff_specs,
         order = sorted(range(len(results)),
                        key=lambda i: (-results[i].k,
                                       -(results[i].k_tie or 0.0), i))
-        first = []
-        for i in range(d.n_rows):
-            hit = ""
-            for j in order:
-                if results[j].e[i]:
-                    hit = results[j].name
-                    break
-            first.append(hit)
+        E = np.stack([results[j].e for j in order]).astype(bool)
+        names = np.array([results[j].name for j in order] + [""])
+        first = names[np.where(E.any(axis=0), E.argmax(axis=0), len(order))].tolist()
         reports.append(MeasureReport(measure=key, values=values,
                                      cutoffs=results, first_flagging=first))
     return ExtrapolationReport(
@@ -550,8 +519,7 @@ def _assemble_report(d: Dataset, measure_data: list[tuple], cutoff_specs,
 
 
 def score_locations(p: "PosteriorDraws", d: Dataset,
-                    measures=DEFAULT_MEASURES, cutoffs=DEFAULT_CUTOFFS,
-                    cmvpv_method: str = "total") -> ExtrapolationReport:
+                    measures=DEFAULT_MEASURES, cutoffs=DEFAULT_CUTOFFS) -> ExtrapolationReport:
     """Score every location of ``d`` against cutoffs from the observed ones.
 
     The first measure listed is the primary one: its flags populate the
@@ -585,7 +553,7 @@ def score_locations(p: "PosteriorDraws", d: Dataset,
         else:
             resp = m.split(":", 1)[1]
             t = d.response_names.index(resp)
-            vals = _cmvpv_array(p, d, t, method=cmvpv_method)
+            vals = _cmvpv_array(p, d, t)
             obs = np.flatnonzero(d.mask[:, t])
             measure_data.append((m, vals, None, obs))
     return _assemble_report(d, measure_data, cutoff_specs, hvals)
@@ -644,10 +612,6 @@ def score_locations_analytic(d: Dataset, measures=DEFAULT_MEASURES,
 # ---------------------------------------------------------------------------
 # CSV export
 # ---------------------------------------------------------------------------
-
-
-def _fmt(x: float) -> str:
-    return repr(float(x))
 
 
 def _canonical_measure_order(measures: list[MeasureReport]) -> list[MeasureReport]:

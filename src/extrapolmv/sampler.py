@@ -31,7 +31,7 @@ import numpy as np
 from scipy.linalg import cho_factor, cho_solve, solve_triangular
 from scipy.special import multigammaln
 
-from extrapolmv.dataset import Dataset
+from extrapolmv.dataset import Dataset, _fmt
 from extrapolmv.extrapolation import _conditional_gain
 
 DRAWS_FILE = "draws.csv"
@@ -514,10 +514,6 @@ def convergence_summary(p: PosteriorDraws) -> ConvergenceSummary:
 # ---------------------------------------------------------------------------
 # Persistence: draws.csv + meta.json
 # ---------------------------------------------------------------------------
-
-
-def _fmt(x: float) -> str:
-    return repr(float(x))
 
 
 def save_fit(p: PosteriorDraws, outdir, extra_meta: dict | None = None,

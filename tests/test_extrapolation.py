@@ -370,24 +370,27 @@ def test_trace_values_match_per_location_op(fitted):
     report = score_locations(p, d, measures=("trace", "det"))
     tr = report.measures[0].values
     ld = report.measures[1].values
-    for i in (0, 13, 57, 299):
+    for i in range(d.n_rows):
         pv = predictive_variance(predictive_mean_draws(p, d.X[i]))
         assert tr[i] == pytest.approx(pv.trace, rel=1e-10)
         assert ld[i] == pytest.approx(pv.logdet, rel=1e-8)
 
 
 def test_cmvpv_values_match_per_location_op(fitted):
+    # every row and every target covers every sibling pattern
     d, p = fitted
-    name = d.response_names[0]
-    report = score_locations(p, d, measures=(f"cmvpv:{name}",))
-    vals = report.measures[0].values
-    for i in (0, 5, 142, 277):
-        given = d.Y[i].copy()
-        mask = d.mask[i].copy()
-        mask[0] = False
-        expect = cmvpv(p, d.X[i], 0, np.where(mask, given, np.nan),
-                       given_mask=mask)
-        assert vals[i] == pytest.approx(expect, rel=1e-10)
+    measures = tuple(f"cmvpv:{name}" for name in d.response_names)
+    report = score_locations(p, d, measures=measures)
+    no_sibling = 0
+    for t, m in enumerate(report.measures):
+        for i in range(d.n_rows):
+            mask = d.mask[i].copy()
+            mask[t] = False
+            no_sibling += not mask.any()
+            expect = cmvpv(p, d.X[i], t, np.where(mask, d.Y[i], np.nan),
+                           given_mask=mask)
+            assert m.values[i] == pytest.approx(expect, rel=1e-10)
+    assert no_sibling > 0
 
 
 def test_cmvpv_cutoff_uses_rows_where_target_observed(fitted):
