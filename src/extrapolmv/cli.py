@@ -2,7 +2,8 @@
 
 The pipeline is file-mediated so one expensive fit can back many
 measure/cutoff experiments. Every command writes a manifest.json
-(resolved parameters, input hashes, library versions) alongside its
+(resolved parameters, input hashes, library versions, cores and BLAS
+thread variables; for ``fit`` also per-stage seconds) alongside its
 outputs, and all file writes go through a temp-file rename so partial
 outputs never appear. Exit codes: 0 success, 1 error, 2 success with
 warnings.
@@ -16,6 +17,7 @@ import hashlib
 import json
 import os
 import sys
+import time
 
 import numpy as np
 import scipy
@@ -46,6 +48,8 @@ from extrapolmv.sampler import (
 )
 
 THREADS_ENV = "EXTRAPOLMV_THREADS"
+BLAS_ENV = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS",
+            "BLIS_NUM_THREADS", "VECLIB_MAXIMUM_THREADS")
 RHAT_WARN = 1.1
 
 
@@ -81,7 +85,21 @@ def _atomic_write_text(path, text: str) -> None:
     os.replace(tmp, path)
 
 
-def _write_manifest(outdir, command: str, params: dict, **hashes) -> None:
+def _cores() -> int:
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:  # platforms without CPU affinity
+        return os.cpu_count() or 1
+
+
+def _write_manifest(outdir, command: str, params: dict,
+                    timings: dict | None = None, **hashes) -> None:
+    """Write manifest.json: parameters, versions, environment and hashes.
+
+    The manifest is the one output that is not byte-deterministic: it
+    records the machine (cores, BLAS thread variables) and, for ``fit``,
+    the seconds each stage took.
+    """
     manifest = {
         "command": command,
         "params": params,
@@ -92,7 +110,13 @@ def _write_manifest(outdir, command: str, params: dict, **hashes) -> None:
             "scipy": scipy.__version__,
             "python": ".".join(map(str, sys.version_info[:3])),
         },
+        "environment": {
+            "cores": _cores(),
+            "blas_env": {name: os.environ.get(name) for name in BLAS_ENV},
+        },
     }
+    if timings is not None:
+        manifest["timings"] = {stage: round(float(s), 6) for stage, s in timings.items()}
     manifest.update(hashes)
     _atomic_write_text(os.path.join(outdir, "manifest.json"),
                        json.dumps(manifest, indent=1, sort_keys=True) + "\n")
@@ -125,16 +149,20 @@ def _load_transformed(data_path, config: IngestConfig):
 
 
 def _cmd_fit(args) -> int:
+    marks = [time.perf_counter()]
     config = IngestConfig.from_json(args.config)
     d, t = _load_transformed(args.data, config)
+    dataset_hash = _sha256_file(args.data)
     spec = ModelSpec(iterations=args.iters, burn_in=args.burnin, thin=args.thin,
                      chains=args.chains, seed=args.seed,
                      coef_prior_var=args.prior_var)
+    marks.append(time.perf_counter())
     draws = gibbs_fit(d, spec, threads=args.threads)
+    marks.append(time.perf_counter())
     conv = convergence_summary(draws)
+    marks.append(time.perf_counter())
 
     os.makedirs(args.out, exist_ok=True)
-    dataset_hash = _sha256_file(args.data)
     save_fit(draws, args.out, binary_cache=args.cache, extra_meta={
         "dataset_hash": dataset_hash,
         "ingest_config": config.to_jsonable(),
@@ -144,12 +172,14 @@ def _cmd_fit(args) -> int:
         },
         "convergence": conv.to_jsonable(),
     })
+    marks.append(time.perf_counter())
+    timings = dict(zip(("ingest", "sweep", "diagnostics", "write"), np.diff(marks)))
     params = {"data": str(args.data), "config": str(args.config),
               "iters": args.iters, "burnin": args.burnin, "thin": args.thin,
               "chains": args.chains, "seed": args.seed,
               "prior_var": args.prior_var, "threads": args.threads,
               "cache": bool(args.cache)}
-    _write_manifest(args.out, "fit", params,
+    _write_manifest(args.out, "fit", params, timings=timings,
                     dataset_hash=dataset_hash,
                     config_hash=_sha256_json(config.to_jsonable()))
     if conv.max_rhat > RHAT_WARN:

@@ -8,6 +8,18 @@ missing response entries from their conditional normal, draw the whole
 coefficient matrix from its Gaussian full conditional, then draw Sigma
 from its inverse-Wishart full conditional.
 
+The fit rows are sorted once by missingness pattern, so each pattern's
+rows form one contiguous slice. Imputation works in precision form:
+Sigma is factored once per sweep into Q = Sigma^-1, and for the missing
+set m and observed set o of a pattern the conditional of y_m given y_o
+has gain -Q_mm^-1 Q_mo and covariance Q_mm^-1, so each pattern needs
+only the Cholesky factor of its small block Q_mm. The coefficient draw
+uses eigendecompositions X'X = W D W' and Sigma^-1 = U Lambda U', which
+diagonalise the precision of vec(Theta):
+P = (U kron W)(Lambda kron D + I/coef_prior_var)(U kron W)'. The mean
+and the noise are then elementwise in the rotated basis, with no
+(nq) x (nq) factorisation.
+
 Inverse-Wishart convention used throughout: IW(scale, df) has density
 proportional to |S|^-(df+n+1)/2 * exp(-tr(scale S^-1)/2), giving the
 full conditional IW(prior_scale + E'E, prior_df + l_fit) and prior mean
@@ -16,7 +28,7 @@ scale/(df-n-1).
 Reproducibility: each chain gets its own generator spawned from
 numpy's SeedSequence(seed), so chains are bit-identical whether run
 serially or in parallel. Within an iteration the draw order is fixed:
-imputation groups in sorted pattern order, then B, then Sigma.
+the pattern slices in sorted pattern order, then B, then Sigma.
 """
 
 from __future__ import annotations
@@ -28,15 +40,15 @@ from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.linalg import cho_factor, cho_solve, solve_triangular
+from scipy.linalg import lapack
 from scipy.special import multigammaln
 
 from extrapolmv.dataset import Dataset, _fmt
-from extrapolmv.extrapolation import _conditional_gain
 
 DRAWS_FILE = "draws.csv"
 CACHE_FILE = "draws.npz"
 META_FILE = "meta.json"
+_EPS = np.finfo(float).eps
 
 
 @dataclass
@@ -123,6 +135,57 @@ class PosteriorDraws:
 
 
 # ---------------------------------------------------------------------------
+# Factorisations
+# ---------------------------------------------------------------------------
+
+
+def _chol(a: np.ndarray, what: str) -> np.ndarray:
+    """Lower Cholesky factor of a symmetric matrix; LinAlgError unless PD."""
+    c, info = lapack.dpotrf(a, lower=1, clean=1)
+    if info != 0:
+        raise np.linalg.LinAlgError(f"{what} is not positive definite")
+    return c
+
+
+def _eigh(a: np.ndarray, what: str) -> tuple[np.ndarray, np.ndarray]:
+    """Ascending eigenvalues and eigenvectors of a symmetric matrix."""
+    w, v, info = lapack.dsyev(a)
+    if info != 0:
+        raise np.linalg.LinAlgError(f"eigendecomposition of {what} did not converge")
+    return w, v
+
+
+def _precision(sigma: np.ndarray) -> np.ndarray:
+    """Q = Sigma^-1 from one Cholesky factorisation of Sigma."""
+    # dpotri fills the lower triangle; the upper one stays zero from _chol
+    q_low, info = lapack.dpotri(_chol(sigma, "Sigma"), lower=1)
+    if info != 0:
+        raise np.linalg.LinAlgError("Sigma is singular")
+    Q = q_low + q_low.T
+    Q.flat[::Q.shape[0] + 1] *= 0.5
+    return Q
+
+
+def _precision_gain(Q_m: np.ndarray, m_idx: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Gain and noise factor of y_m given the rest, from rows Q_m = Q[m_idx].
+
+    With Q = Sigma^-1 and o the other responses, y_m given y_o has mean
+    mu_m - Q_mm^-1 Q_mo (y_o - mu_o) and covariance Q_mm^-1. Returns
+    G = -Q_mm^-1 Q_m (n columns: the gain in the o columns, -I in the m
+    columns) and the upper-triangular T = L^-T with Q_mm = L L', so that
+    T T' = Q_mm^-1.
+    """
+    L = _chol(Q_m[:, m_idx], "precision block Q_mm")
+    G, info = lapack.dpotrs(L, -Q_m, lower=1)
+    if info != 0:
+        raise np.linalg.LinAlgError("precision block Q_mm is singular")
+    L_inv, info = lapack.dtrtri(L, lower=1)
+    if info != 0:
+        raise np.linalg.LinAlgError("precision block Q_mm is singular")
+    return G, L_inv.T
+
+
+# ---------------------------------------------------------------------------
 # Inverse-Wishart primitives
 # ---------------------------------------------------------------------------
 
@@ -133,12 +196,14 @@ def invwishart_rvs(df: float, scale: np.ndarray, rng: np.random.Generator) -> np
     p = scale.shape[0]
     if df <= p - 1:
         raise ValueError("inverse-Wishart df must exceed dimension - 1")
-    C = np.linalg.cholesky(scale)
-    A = np.zeros((p, p))
-    A[np.diag_indices(p)] = np.sqrt(rng.chisquare(df - np.arange(p)))
-    lower = np.tril_indices(p, -1)
-    A[lower] = rng.standard_normal(lower[0].size)
-    U = solve_triangular(A, C.T, lower=True)
+    C = _chol(scale, "inverse-Wishart scale")
+    A = np.diag(np.sqrt(rng.chisquare(df - np.arange(p))))
+    below = rng.standard_normal(p * (p - 1) // 2)
+    for i in range(1, p):  # row-major strictly lower triangle
+        A[i, :i] = below[i * (i - 1) // 2:i * (i + 1) // 2]
+    U, info = lapack.dtrtrs(A, C.T, lower=1)
+    if info != 0:
+        raise np.linalg.LinAlgError("Bartlett factor is singular")
     return U.T @ U
 
 
@@ -169,40 +234,31 @@ def draw_coefficients(XtX: np.ndarray, XtY: np.ndarray, sigma: np.ndarray,
     """Draw the q x n coefficient block from its Gaussian full conditional.
 
     With the row-wise model Y = X Theta + E (Theta = B'), the vectorized
-    coefficients have precision Sigma^-1 kron X'X + I/prior_var and mean
-    solving P mu = vec(X'Y Sigma^-1).
+    coefficients have precision P = Sigma^-1 kron X'X + I/prior_var and
+    mean solving P mu = vec(X'Y Sigma^-1). With X'X = W D W' and
+    Sigma = U S U' (so Sigma^-1 = U Lambda U', Lambda = S^-1),
+    P = (U kron W)(Lambda kron D + I/prior_var)(U kron W)', so in the
+    rotated basis W' Theta U the mean and the noise are elementwise. The
+    noise map is the symmetric square root of P^-1, so the draw does not
+    depend on the signs or order the eigensolver gives the eigenvectors.
     """
     n = sigma.shape[0]
     q = XtX.shape[0]
-    sig_inv = cho_solve(cho_factor(sigma, lower=True), np.eye(n))
-    P = np.kron(sig_inv, XtX)
-    P[np.diag_indices(n * q)] += 1.0 / prior_var
-    L = np.linalg.cholesky(P)
-    b = (XtY @ sig_inv).ravel(order="F")
-    mean = solve_triangular(L.T, solve_triangular(L, b, lower=True), lower=False)
-    z = rng.standard_normal(n * q)
-    theta = mean + solve_triangular(L.T, z, lower=False)
-    return theta.reshape((q, n), order="F")
+    D, W = _eigh(XtX, "X'X")
+    S, U = _eigh(sigma, "Sigma")
+    if not S[0] > n * _EPS * S[-1]:
+        raise np.linalg.LinAlgError("Sigma is singular")
+    lam = 1.0 / S
+    prec = D[:, None] * lam[None, :] + 1.0 / prior_var
+    b = (W.T @ XtY @ U) * lam
+    z = rng.standard_normal(n * q).reshape((q, n), order="F")
+    return W @ (b / prec + (W.T @ z @ U) / np.sqrt(prec)) @ U.T
 
 
-def _missing_groups(mask: np.ndarray):
-    """Group row indices by missingness pattern, sorted for a fixed order."""
-    groups: dict[tuple, list[int]] = {}
-    for i in range(mask.shape[0]):
-        row = mask[i]
-        if row.all():
-            continue
-        groups.setdefault(tuple(row.tolist()), []).append(i)
-    out = []
-    for key in sorted(groups):
-        pattern = np.asarray(key, dtype=bool)
-        out.append((np.flatnonzero(~pattern), np.flatnonzero(pattern),
-                    np.asarray(groups[key], dtype=int)))
-    return out
-
-
-def _run_chain(seedseq, X, Y_init, groups, Theta0, Sigma0, spec: ModelSpec,
-               iw_scale, iw_df, impute_missing: bool):
+def _run_chain(chain, seedseq, X, Y_init, groups, cells, Theta0, Sigma0,
+               spec: ModelSpec, iw_scale, iw_df, impute_missing: bool):
+    """One chain on pattern-sorted rows; ``cells`` indexes the missing
+    cells of Y in the row-major order of the unsorted fit rows."""
     rng = np.random.default_rng(seedseq)
     l, q = X.shape
     n = Y_init.shape[1]
@@ -210,38 +266,46 @@ def _run_chain(seedseq, X, Y_init, groups, Theta0, Sigma0, spec: ModelSpec,
     Yc = Y_init.copy()
     Theta = Theta0.copy()
     Sigma = Sigma0.copy()
+    impute = impute_missing and bool(groups)
+    # preallocated: fresh l x n temporaries cost page faults on every sweep
+    fitted = X @ Theta
+    E = Yc - fitted
 
     n_keep = (spec.iterations - spec.burn_in + spec.thin - 1) // spec.thin
     B_out = np.empty((n_keep, n, q))
     S_out = np.empty((n_keep, n, n))
-    miss_pos = [(g_rows, m_idx) for m_idx, _o, g_rows in groups]
     z_keep = []
     z_idx = []
 
     r = 0
     for t in range(spec.iterations):
-        if groups and impute_missing:
-            mu = X @ Theta
-            for m_idx, o_idx, rows in groups:
-                G, S_bar = _conditional_gain(Sigma, m_idx, o_idx)
-                L_bar = np.linalg.cholesky(S_bar)
-                resid = Yc[np.ix_(rows, o_idx)] - mu[np.ix_(rows, o_idx)]
-                z = rng.standard_normal((rows.size, m_idx.size))
-                Yc[np.ix_(rows, m_idx)] = (mu[np.ix_(rows, m_idx)]
-                                           + resid @ G.T + z @ L_bar.T)
+        try:
+            if impute:
+                Q = _precision(Sigma)
+                for m_idx, rows in groups:
+                    try:
+                        G, T = _precision_gain(Q[m_idx], m_idx)
+                    except np.linalg.LinAlgError as exc:
+                        raise np.linalg.LinAlgError(
+                            f"imputing missing responses {m_idx.tolist()}: {exc}") from exc
+                    # E holds Y - X Theta for the current Y and Theta, and the
+                    # -I block of G cancels the stale residual E_m, so this
+                    # sets y_m = mu_m + gain (y_o - mu_o) + noise.
+                    z = rng.standard_normal((rows.stop - rows.start, m_idx.size))
+                    Yc[rows, m_idx] += E[rows] @ G.T + z @ T.T
 
-        Theta = draw_coefficients(XtX, X.T @ Yc, Sigma, spec.coef_prior_var, rng)
-        E = Yc - X @ Theta
-        Sigma = invwishart_rvs(iw_df + l, iw_scale + E.T @ E, rng)
+            Theta = draw_coefficients(XtX, X.T @ Yc, Sigma, spec.coef_prior_var, rng)
+            np.subtract(Yc, np.matmul(X, Theta, out=fitted), out=E)
+            Sigma = invwishart_rvs(iw_df + l, iw_scale + E.T @ E, rng)
+        except np.linalg.LinAlgError as exc:
+            raise np.linalg.LinAlgError(
+                f"chain {chain}, iteration {t + 1}: {exc}") from exc
 
         if t >= spec.burn_in and (t - spec.burn_in) % spec.thin == 0:
             B_out[r] = Theta.T
             S_out[r] = Sigma
             if spec.store_z and groups and r % spec.z_thin == 0:
-                snap = np.concatenate(
-                    [Yc[np.ix_(rows, m_idx)].ravel() for rows, m_idx in miss_pos]) \
-                    if miss_pos else np.empty(0)
-                z_keep.append(snap)
+                z_keep.append(Yc.take(cells))
                 z_idx.append(r)
             r += 1
 
@@ -262,10 +326,8 @@ def gibbs_fit(d: Dataset, spec: ModelSpec, threads: int = 1,
     fit_rows = np.flatnonzero(d.mask.any(axis=1))
     if fit_rows.size == 0:
         raise ValueError("no rows with observed responses to fit on")
-    X = d.X[fit_rows]
-    Yobs = d.Y[fit_rows]
     M = d.mask[fit_rows]
-    l, q = X.shape
+    l, q = fit_rows.size, d.X.shape[1]
     n = d.n_responses
 
     iw_scale = np.eye(n) if spec.iw_scale is None else np.asarray(spec.iw_scale, float)
@@ -276,30 +338,43 @@ def gibbs_fit(d: Dataset, spec: ModelSpec, threads: int = 1,
     if iw_df <= n - 1:
         raise ValueError("IW degrees of freedom must exceed n - 1 for a proper prior")
 
+    # Sort the rows by missingness pattern (lexicographic, so the fully
+    # observed pattern comes last); each pattern is then one slice.
+    patterns, pattern_of = np.unique(M, axis=0, return_inverse=True)
+    pattern_of = pattern_of.ravel()
+    order = np.argsort(pattern_of, kind="stable")
+    bounds = np.concatenate([[0], np.cumsum(np.bincount(pattern_of))])
+    groups = [(np.flatnonzero(~pattern), slice(int(bounds[g]), int(bounds[g + 1])))
+              for g, pattern in enumerate(patterns) if not pattern.all()]
+    X = d.X[fit_rows[order]]
+    Yobs = d.Y[fit_rows[order]]
+    M_sorted = M[order]
+
+    miss_row, miss_col = np.nonzero(~M)
+    missing_cells = np.column_stack([fit_rows[miss_row], miss_col])
+    sorted_pos = np.empty(l, dtype=int)
+    sorted_pos[order] = np.arange(l)
+    cells = sorted_pos[miss_row] * n + miss_col
+
     XtX = X.T @ X
     try:
-        cho_factor(XtX, lower=True)
+        _chol(XtX, "X'X")
     except np.linalg.LinAlgError:
         raise np.linalg.LinAlgError("X'X is singular on the fitted rows") from None
 
     # Deterministic, scale-safe initialization: column-mean completion,
     # ridge coefficients, residual covariance plus an identity floor.
-    col_means = np.array([Yobs[M[:, j], j].mean() if M[:, j].any() else 0.0
+    col_means = np.array([Yobs[M_sorted[:, j], j].mean() if M_sorted[:, j].any() else 0.0
                           for j in range(n)])
-    Y0 = np.where(M, Yobs, col_means[None, :])
+    Y0 = np.where(M_sorted, Yobs, col_means[None, :])
     A0 = XtX + np.eye(q) / spec.coef_prior_var
     Theta0 = np.linalg.solve(A0, X.T @ Y0)
     E0 = Y0 - X @ Theta0
     Sigma0 = E0.T @ E0 / l + np.eye(n)
 
-    groups = _missing_groups(M)
-    missing_cells = np.array([(int(fit_rows[i]), j)
-                              for i in range(l) for j in range(n) if not M[i, j]],
-                             dtype=int).reshape(-1, 2)
-
     children = np.random.SeedSequence(spec.seed).spawn(spec.chains)
-    args = [(children[c], X, Y0, groups, Theta0, Sigma0, spec, iw_scale, iw_df,
-             impute_missing) for c in range(spec.chains)]
+    args = [(c, children[c], X, Y0, groups, cells, Theta0, Sigma0, spec, iw_scale,
+             iw_df, impute_missing) for c in range(spec.chains)]
     if threads > 1 and spec.chains > 1:
         with ThreadPoolExecutor(max_workers=min(threads, spec.chains)) as ex:
             results = list(ex.map(lambda a: _run_chain(*a), args))
@@ -322,15 +397,6 @@ def gibbs_fit(d: Dataset, spec: ModelSpec, threads: int = 1,
         Z_all = np.empty((0, missing_cells.shape[0]))
         Z_chain = np.empty(0, dtype=int)
         Z_draw = np.empty(0, dtype=int)
-
-    # stored snapshot order follows the grouped layout; remap to the
-    # row-major missing_cells order
-    if Z_all.size:
-        order = [(int(fit_rows[i]), int(j))
-                 for m_idx, _o, rows in groups for i in rows for j in m_idx]
-        lookup = {cell: pos for pos, cell in enumerate(order)}
-        perm = np.array([lookup[(int(rr), int(jj))] for rr, jj in missing_cells])
-        Z_all = Z_all[:, perm]
 
     return PosteriorDraws(
         B_draws=B_all, Sigma_draws=S_all, chain=chain_ids, draw=draw_ids,
@@ -521,8 +587,13 @@ def save_fit(p: PosteriorDraws, outdir, extra_meta: dict | None = None,
     """Write draws.csv (draw,chain,param,value) and meta.json into outdir.
 
     The CSV is the interchange contract; ``binary_cache`` additionally
-    writes a compact draws.npz that load_fit prefers when present.
+    writes a compact draws.npz that load_fit prefers when present. Draws
+    holding any non-finite value raise ValueError before a file is made.
     """
+    for name, values in (("B", p.B_draws), ("Sigma", p.Sigma_draws), ("Z", p.Z_draws)):
+        bad = values.size - np.count_nonzero(np.isfinite(values))
+        if bad:
+            raise ValueError(f"{bad} non-finite {name} draw values; nothing written")
     os.makedirs(outdir, exist_ok=True)
     draws_path = os.path.join(outdir, DRAWS_FILE)
     A, n, q = p.B_draws.shape

@@ -49,6 +49,13 @@ def test_outputs_and_manifests_exist(pipeline):
         outdir = pipeline[key]
         for name in files + ["manifest.json"]:
             assert (outdir / name).exists(), f"{key}/{name} missing"
+    manifest = json.loads((pipeline["fit"] / "manifest.json").read_text())
+    assert set(manifest["timings"]) == {"ingest", "sweep", "diagnostics", "write"}
+    assert all(s >= 0 for s in manifest["timings"].values())
+    assert manifest["environment"]["cores"] >= 1
+    assert "OPENBLAS_NUM_THREADS" in manifest["environment"]["blas_env"]
+    meta = (pipeline["fit"] / "meta.json").read_text()
+    assert "timings" not in meta and "environment" not in meta
 
 
 def test_scores_columns_and_monotone_counts(pipeline):

@@ -1,8 +1,12 @@
+import itertools
+
 import numpy as np
 import pytest
 import scipy.stats
 
+import extrapolmv.sampler as sampler
 from extrapolmv.dataset import SynthSpec, synthesize
+from extrapolmv.extrapolation import _conditional_gain, conditional_mvn
 from extrapolmv.sampler import (
     ModelSpec,
     convergence_summary,
@@ -101,6 +105,71 @@ def test_coefficient_update_matches_closed_form_full_conditional():
     sample_cov = np.cov(draws.T)
     se_cov = np.sqrt((np.outer(np.diag(cov), np.diag(cov)) + cov ** 2) / N)
     assert np.all(np.abs(sample_cov - cov) <= 3 * se_cov)
+
+
+class _StubNormals:
+    """Generator stand-in whose standard_normal returns a fixed vector."""
+
+    def __init__(self, z):
+        self.z = z
+
+    def standard_normal(self, size):
+        assert size == self.z.size
+        return self.z.copy()
+
+
+def test_coefficient_draw_is_the_dense_kronecker_form_exactly():
+    # the eigen-form draw is mean + M z; zero noise gives the mean, unit
+    # vectors give the columns of M, and M M' must be P^-1
+    rng = np.random.default_rng(31)
+    l, q, n = 30, 4, 3
+    X = np.column_stack([np.ones(l), rng.standard_normal((l, q - 1))])
+    XtX, XtY = X.T @ X, X.T @ rng.standard_normal((l, n))
+    A = rng.standard_normal((n, n))
+    Sigma = A @ A.T + 0.5 * np.eye(n)
+    prior_var = 10.0
+
+    P = np.kron(np.linalg.inv(Sigma), XtX) + np.eye(n * q) / prior_var
+    mean = np.linalg.solve(P, (XtY @ np.linalg.inv(Sigma)).ravel(order="F"))
+    cov = np.linalg.inv(P)
+
+    def draw(z):
+        return draw_coefficients(XtX, XtY, Sigma, prior_var,
+                                 _StubNormals(z)).ravel(order="F")
+
+    got_mean = draw(np.zeros(n * q))
+    M = np.column_stack([draw(e) - got_mean for e in np.eye(n * q)])
+    np.testing.assert_allclose(got_mean, mean, rtol=1e-12, atol=1e-12)
+    np.testing.assert_allclose(M @ M.T, cov, rtol=1e-12, atol=1e-12 * np.abs(cov).max())
+    # the symmetric square root: no dependence on eigenvector signs
+    np.testing.assert_allclose(M, M.T, atol=1e-12 * np.abs(M).max())
+
+
+def test_precision_form_conditional_matches_conditional_mvn_for_every_pattern():
+    rng = np.random.default_rng(32)
+    n = 4
+    A = rng.standard_normal((n, n))
+    Sigma = A @ A.T + 0.3 * np.eye(n)
+    Q = sampler._precision(Sigma)
+    np.testing.assert_allclose(Q @ Sigma, np.eye(n), atol=1e-12)
+    mu = rng.standard_normal(n)
+    y = rng.standard_normal(n)  # y[m] plays the stale imputed values
+    patterns = 0
+    for size in range(1, n):
+        for m in itertools.combinations(range(n), size):
+            m = np.array(m)
+            o = np.setdiff1d(np.arange(n), m)
+            G, T = sampler._precision_gain(Q[m], m)
+            G_ref, S_ref = _conditional_gain(Sigma, m, o)
+            np.testing.assert_allclose(G[:, o], G_ref, rtol=1e-12, atol=1e-12)
+            np.testing.assert_allclose(G[:, m], -np.eye(m.size), atol=1e-12)
+            np.testing.assert_allclose(np.triu(T), T, atol=0)
+            np.testing.assert_allclose(T @ T.T, S_ref, rtol=1e-12, atol=1e-12)
+            # the sweep's update y_m += (y - mu) G' lands on the conditional mean
+            mu_bar, _ = conditional_mvn(mu, Sigma, m, o, y[o])
+            np.testing.assert_allclose(y[m] + G @ (y - mu), mu_bar, rtol=1e-12, atol=1e-12)
+            patterns += 1
+    assert patterns == 2 ** n - 2
 
 
 def _joint_functionals(Theta, Sigma, Y):
@@ -216,6 +285,25 @@ def test_missing_cells_complement_mask(missing_dataset):
     assert np.all(np.isfinite(p.Z_draws))
 
 
+def test_imputation_snapshots_follow_missing_cells_order():
+    # y1 and y2 correlate at 0.98 and y2 is always observed, so the mean
+    # imputed y1 at a cell tracks that row's conditional mean under the
+    # truth; a Z column mapped to the wrong row would not
+    Sigma = np.array([[1.0, 0.98, 0.0], [0.98, 1.0, 0.0], [0.0, 0.0, 1.0]])
+    d, truth = synthesize(SynthSpec(l=150, n=3, q=3, Sigma=Sigma,
+                                    missing_prob=[0.3, 0.0, 0.2]), seed=4)
+    p = gibbs_fit(d, ModelSpec(iterations=400, burn_in=100, chains=1, seed=2,
+                               z_thin=5))
+    rows, resp = p.missing_cells.T
+    z_mean = p.Z_draws.mean(axis=0)
+    mu = d.X @ np.asarray(truth["B"]).T
+    y1 = resp == 0
+    cond = mu[rows[y1], 0] + 0.98 * (d.Y[rows[y1], 1] - mu[rows[y1], 1])
+    assert np.corrcoef(z_mean[y1], cond)[0, 1] > 0.99
+    y3 = resp == 2
+    assert np.corrcoef(z_mean[y3], mu[rows[y3], 2])[0, 1] > 0.95
+
+
 def test_no_missing_data_skips_imputation():
     d, _ = synthesize(SynthSpec(l=100, n=2, q=3, missing_prob=0.0), seed=8)
     spec = ModelSpec(iterations=150, burn_in=50, chains=2, seed=21)
@@ -225,6 +313,37 @@ def test_no_missing_data_skips_imputation():
     assert with_step.missing_cells.shape == (0, 2)
     np.testing.assert_array_equal(with_step.B_draws, without.B_draws)
     np.testing.assert_array_equal(with_step.Sigma_draws, without.Sigma_draws)
+
+
+@pytest.mark.parametrize("missing", [True, False])
+def test_chain_failure_names_chain_and_iteration(monkeypatch, missing_dataset,
+                                                 missing):
+    # chain 1's 4th Sigma draw is singular; the 5th sweep fails on it
+    # (in the imputation step with missing data, else in the B draw)
+    if missing:
+        d, _ = missing_dataset
+    else:
+        d, _ = synthesize(SynthSpec(l=60, n=3, q=3, missing_prob=0.0), seed=2)
+    iters = 12
+    calls = []
+    real = sampler.invwishart_rvs
+
+    def singular_once(df, scale, rng):
+        calls.append(1)
+        S = real(df, scale, rng)
+        return np.ones_like(S) if len(calls) == iters + 4 else S
+
+    monkeypatch.setattr(sampler, "invwishart_rvs", singular_once)
+    with pytest.raises(np.linalg.LinAlgError, match=r"chain 1, iteration 5: .*Sigma"):
+        gibbs_fit(d, ModelSpec(iterations=iters, burn_in=2, chains=2, seed=1))
+
+
+def test_imputation_failure_names_the_pattern(monkeypatch, missing_dataset):
+    d, _ = missing_dataset
+    monkeypatch.setattr(sampler, "_precision", lambda sigma: -np.eye(sigma.shape[0]))
+    with pytest.raises(np.linalg.LinAlgError,
+                       match=r"chain 0, iteration 1: imputing missing responses \[0"):
+        gibbs_fit(d, ModelSpec(iterations=5, burn_in=0, chains=1, seed=1))
 
 
 def test_fit_requires_observed_rows():
@@ -409,6 +528,18 @@ def test_binary_cache_round_trip(tmp_path, missing_dataset):
     r, _meta = load_fit(tmp_path)
     np.testing.assert_array_equal(r.B_draws, q.B_draws)
     np.testing.assert_array_equal(r.Z_draws, q.Z_draws)
+
+
+@pytest.mark.parametrize("field", ["B_draws", "Sigma_draws", "Z_draws"])
+def test_save_fit_rejects_non_finite_draws(tmp_path, missing_dataset, field):
+    d, _ = missing_dataset
+    p = gibbs_fit(d, ModelSpec(iterations=30, burn_in=10, chains=1, seed=3,
+                               z_thin=5))
+    getattr(p, field)[-1].flat[0] = np.nan
+    with pytest.raises(ValueError, match="non-finite"):
+        save_fit(p, tmp_path, binary_cache=True)
+    for name in ("draws.csv", "draws.npz", "meta.json"):
+        assert not (tmp_path / name).exists()
 
 
 def test_save_load_round_trip(tmp_path, missing_dataset):
