@@ -47,7 +47,6 @@ from extrapolmv.sampler import (
     save_fit,
 )
 
-THREADS_ENV = "EXTRAPOLMV_THREADS"
 BLAS_ENV = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS",
             "BLIS_NUM_THREADS", "VECLIB_MAXIMUM_THREADS")
 RHAT_WARN = 1.1
@@ -122,14 +121,6 @@ def _write_manifest(outdir, command: str, params: dict,
                        json.dumps(manifest, indent=1, sort_keys=True) + "\n")
 
 
-def _default_threads() -> int:
-    raw = os.environ.get(THREADS_ENV, "1")
-    try:
-        return max(1, int(raw))
-    except ValueError:
-        return 1
-
-
 def _load_transformed(data_path, config: IngestConfig):
     """Load a CSV and apply the transforms the config explicitly names."""
     if config.transforms is None:
@@ -157,13 +148,13 @@ def _cmd_fit(args) -> int:
                      chains=args.chains, seed=args.seed,
                      coef_prior_var=args.prior_var)
     marks.append(time.perf_counter())
-    draws = gibbs_fit(d, spec, threads=args.threads)
+    draws = gibbs_fit(d, spec)
     marks.append(time.perf_counter())
     conv = convergence_summary(draws)
     marks.append(time.perf_counter())
 
     os.makedirs(args.out, exist_ok=True)
-    save_fit(draws, args.out, binary_cache=args.cache, extra_meta={
+    save_fit(draws, args.out, extra_meta={
         "dataset_hash": dataset_hash,
         "ingest_config": config.to_jsonable(),
         "transform_constants": {
@@ -177,8 +168,7 @@ def _cmd_fit(args) -> int:
     params = {"data": str(args.data), "config": str(args.config),
               "iters": args.iters, "burnin": args.burnin, "thin": args.thin,
               "chains": args.chains, "seed": args.seed,
-              "prior_var": args.prior_var, "threads": args.threads,
-              "cache": bool(args.cache)}
+              "prior_var": args.prior_var, "threads": 1}
     _write_manifest(args.out, "fit", params, timings=timings,
                     dataset_hash=dataset_hash,
                     config_hash=_sha256_json(config.to_jsonable()))
@@ -203,10 +193,19 @@ def _cmd_score(args) -> int:
             f"dataset hash {dataset_hash[:12]} does not match the hash the "
             f"draws were fitted on ({recorded[:12]}); pass --force to override")
 
+    fitted = meta.get("ingest_config")
     if args.config:
         config = IngestConfig.from_json(args.config)
-    elif meta.get("ingest_config"):
-        config = IngestConfig(**meta["ingest_config"])
+        if fitted:
+            given = config.to_jsonable()
+            differ = sorted(k for k in given.keys() | fitted.keys()
+                            if given.get(k) != fitted.get(k))
+            if differ:
+                raise CliError(
+                    f"--config differs from the ingestion config the draws were "
+                    f"fitted with in {', '.join(differ)}")
+    elif fitted:
+        config = IngestConfig(**fitted)
     else:
         raise CliError("no ingestion config: pass --config or use a fit "
                        "directory whose meta records one")
@@ -419,16 +418,15 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--chains", type=int, default=2)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--prior-var", type=float, default=100.0)
-    p.add_argument("--threads", type=int, default=_default_threads())
-    p.add_argument("--cache", action="store_true",
-                   help="also write a compact binary draws cache (draws.npz)")
     p.add_argument("--out", required=True)
     p.set_defaults(func=_cmd_fit)
 
     p = sub.add_parser("score", help="compute measures, cutoffs and flags")
     p.add_argument("--draws", required=True, help="fit output directory")
     p.add_argument("--data", required=True)
-    p.add_argument("--config", default=None)
+    p.add_argument("--config", default=None,
+                   help="ingestion config JSON (default: the one the fit "
+                        "recorded, which a given config must match)")
     p.add_argument("--measure", action="append",
                    help="trace, det or cmvpv:<response>; repeatable "
                         "(default: det trace; the first is primary)")

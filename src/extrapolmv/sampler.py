@@ -26,27 +26,27 @@ full conditional IW(prior_scale + E'E, prior_df + l_fit) and prior mean
 scale/(df-n-1).
 
 Reproducibility: each chain gets its own generator spawned from
-numpy's SeedSequence(seed), so chains are bit-identical whether run
-serially or in parallel. Within an iteration the draw order is fixed:
-the pattern slices in sorted pattern order, then B, then Sigma.
+numpy's SeedSequence(seed), so a chain's draws do not depend on the
+other chains. Chains run one after another: the sweep holds Python's
+interpreter lock, and running them on threads was measured slower than
+serial. Within an iteration the draw order is fixed: the pattern slices
+in sorted pattern order, then B, then Sigma.
 """
 
 from __future__ import annotations
 
-import csv
 import json
 import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
 from scipy.linalg import lapack
 from scipy.special import multigammaln
 
-from extrapolmv.dataset import Dataset, _fmt
+from extrapolmv.dataset import Dataset
 
 DRAWS_FILE = "draws.csv"
-CACHE_FILE = "draws.npz"
+NPZ_FILE = "draws.npz"
 META_FILE = "meta.json"
 _EPS = np.finfo(float).eps
 
@@ -313,12 +313,12 @@ def _run_chain(chain, seedseq, X, Y_init, groups, cells, Theta0, Sigma0,
     return B_out, S_out, Z, np.asarray(z_idx, dtype=int)
 
 
-def gibbs_fit(d: Dataset, spec: ModelSpec, threads: int = 1,
+def gibbs_fit(d: Dataset, spec: ModelSpec,
               impute_missing: bool = True) -> PosteriorDraws:
     """Fit the joint linear model on the rows with any observed response.
 
-    Deterministic for a fixed spec (chains get independent spawned
-    generators, so serial and parallel execution agree bit for bit).
+    Deterministic for a fixed spec. The chains run one after another,
+    each on its own generator spawned from SeedSequence(spec.seed).
     ``impute_missing=False`` freezes missing cells at their initialization
     values; it exists for verifying that the imputation step is a no-op
     on fully observed data.
@@ -373,13 +373,8 @@ def gibbs_fit(d: Dataset, spec: ModelSpec, threads: int = 1,
     Sigma0 = E0.T @ E0 / l + np.eye(n)
 
     children = np.random.SeedSequence(spec.seed).spawn(spec.chains)
-    args = [(c, children[c], X, Y0, groups, cells, Theta0, Sigma0, spec, iw_scale,
-             iw_df, impute_missing) for c in range(spec.chains)]
-    if threads > 1 and spec.chains > 1:
-        with ThreadPoolExecutor(max_workers=min(threads, spec.chains)) as ex:
-            results = list(ex.map(lambda a: _run_chain(*a), args))
-    else:
-        results = [_run_chain(*a) for a in args]
+    results = [_run_chain(c, children[c], X, Y0, groups, cells, Theta0, Sigma0, spec,
+                          iw_scale, iw_df, impute_missing) for c in range(spec.chains)]
 
     per_chain = results[0][0].shape[0]
     B_all = np.concatenate([r[0] for r in results])
@@ -578,17 +573,38 @@ def convergence_summary(p: PosteriorDraws) -> ConvergenceSummary:
 
 
 # ---------------------------------------------------------------------------
-# Persistence: draws.csv + meta.json
+# Persistence: draws.csv + draws.npz + meta.json
 # ---------------------------------------------------------------------------
 
 
-def save_fit(p: PosteriorDraws, outdir, extra_meta: dict | None = None,
-             binary_cache: bool = False) -> None:
-    """Write draws.csv (draw,chain,param,value) and meta.json into outdir.
+def _write_draws_csv(p: PosteriorDraws, fh) -> None:
+    """draw,chain,param,value rows, quoted and terminated as csv.writer
+    writes them, one draw's lines per write."""
+    n, q = p.B_draws.shape[1:]
+    bs_names = ([f'"B[{r},{c}]"' for r in range(n) for c in range(q)]
+                + [f'"Sigma[{r},{c}]"' for r in range(n) for c in range(n)])
+    z_names = [f'"Z[{r},{c}]"' for r, c in p.missing_cells.tolist()]
 
-    The CSV is the interchange contract; ``binary_cache`` additionally
-    writes a compact draws.npz that load_fit prefers when present. Draws
-    holding any non-finite value raise ValueError before a file is made.
+    def lines(draw, chain, names, values):
+        # repr of a python float is the shortest exact round-trip form
+        prefix = f"{draw},{chain},"
+        return "".join([f"{prefix}{name},{v!r}\r\n" for name, v in zip(names, values)])
+
+    fh.write("draw,chain,param,value\r\n")
+    for a, (dr, ch) in enumerate(zip(p.draw.tolist(), p.chain.tolist())):
+        fh.write(lines(dr, ch, bs_names, p.B_draws[a].ravel().tolist()
+                       + p.Sigma_draws[a].ravel().tolist()))
+    for zi, (dr, ch) in enumerate(zip(p.Z_draw.tolist(), p.Z_chain.tolist())):
+        fh.write(lines(dr, ch, z_names, p.Z_draws[zi].tolist()))
+
+
+def save_fit(p: PosteriorDraws, outdir, extra_meta: dict | None = None) -> None:
+    """Write draws.csv, draws.npz and meta.json into outdir.
+
+    draws.csv (draw,chain,param,value) is the interchange file for other
+    tools; draws.npz holds the same values in binary and is what load_fit
+    reads. Each file goes through a temp-file rename. Draws holding any
+    non-finite value raise ValueError before a file is made.
     """
     for name, values in (("B", p.B_draws), ("Sigma", p.Sigma_draws), ("Z", p.Z_draws)):
         bad = values.size - np.count_nonzero(np.isfinite(values))
@@ -596,33 +612,16 @@ def save_fit(p: PosteriorDraws, outdir, extra_meta: dict | None = None,
             raise ValueError(f"{bad} non-finite {name} draw values; nothing written")
     os.makedirs(outdir, exist_ok=True)
     draws_path = os.path.join(outdir, DRAWS_FILE)
-    A, n, q = p.B_draws.shape
     with open(draws_path + ".tmp", "w", encoding="utf-8", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["draw", "chain", "param", "value"])
-        for a in range(A):
-            dr, ch = int(p.draw[a]), int(p.chain[a])
-            for r in range(n):
-                for c in range(q):
-                    writer.writerow([dr, ch, f"B[{r},{c}]", _fmt(p.B_draws[a, r, c])])
-            for r in range(n):
-                for c in range(n):
-                    writer.writerow([dr, ch, f"Sigma[{r},{c}]",
-                                     _fmt(p.Sigma_draws[a, r, c])])
-        for zi in range(p.Z_draws.shape[0]):
-            dr, ch = int(p.Z_draw[zi]), int(p.Z_chain[zi])
-            for mi, (row, resp) in enumerate(p.missing_cells):
-                writer.writerow([dr, ch, f"Z[{int(row)},{int(resp)}]",
-                                 _fmt(p.Z_draws[zi, mi])])
+        _write_draws_csv(p, fh)
     os.replace(draws_path + ".tmp", draws_path)
 
-    if binary_cache:
-        cache_path = os.path.join(outdir, CACHE_FILE)
-        with open(cache_path + ".tmp", "wb") as fh:
-            np.savez_compressed(fh, B_draws=p.B_draws, Sigma_draws=p.Sigma_draws,
-                                chain=p.chain, draw=p.draw, Z_draws=p.Z_draws,
-                                Z_chain=p.Z_chain, Z_draw=p.Z_draw)
-        os.replace(cache_path + ".tmp", cache_path)
+    npz_path = os.path.join(outdir, NPZ_FILE)
+    with open(npz_path + ".tmp", "wb") as fh:
+        np.savez_compressed(fh, B_draws=p.B_draws, Sigma_draws=p.Sigma_draws,
+                            chain=p.chain, draw=p.draw, Z_draws=p.Z_draws,
+                            Z_chain=p.Z_chain, Z_draw=p.Z_draw)
+    os.replace(npz_path + ".tmp", npz_path)
 
     meta = {
         "spec": p.spec.to_jsonable(),
@@ -631,7 +630,7 @@ def save_fit(p: PosteriorDraws, outdir, extra_meta: dict | None = None,
         "covariate_names": list(p.covariate_names),
         "fit_rows": [int(i) for i in p.fit_rows],
         "missing_cells": [[int(r), int(c)] for r, c in p.missing_cells],
-        "n_draws": int(A),
+        "n_draws": int(p.n_draws),
     }
     if extra_meta:
         meta.update(extra_meta)
@@ -643,74 +642,26 @@ def save_fit(p: PosteriorDraws, outdir, extra_meta: dict | None = None,
 
 
 def load_fit(fitdir) -> tuple[PosteriorDraws, dict]:
-    """Read a save_fit directory back into a PosteriorDraws plus raw meta.
+    """Read a save_fit directory (meta.json and draws.npz) back into a
+    PosteriorDraws plus the raw meta.
 
-    Prefers the binary cache when one exists, falling back to the CSV.
+    draws.csv is never read. A directory without draws.npz, such as one
+    written by an earlier version, raises ValueError.
     """
+    npz_path = os.path.join(fitdir, NPZ_FILE)
+    if not os.path.exists(npz_path):
+        raise ValueError(f"{npz_path} not found; re-run fit to write it")
     with open(os.path.join(fitdir, META_FILE), encoding="utf-8") as fh:
         meta = json.load(fh)
-    spec = ModelSpec.from_jsonable(meta["spec"])
-    resp = meta["response_names"]
-    cov = meta["covariate_names"]
-    n, q = len(resp), len(cov)
-    missing_cells = np.asarray(meta["missing_cells"], dtype=int).reshape(-1, 2)
-
-    cache_path = os.path.join(fitdir, CACHE_FILE)
-    if os.path.exists(cache_path):
-        with np.load(cache_path) as cache:
-            p = PosteriorDraws(
-                B_draws=cache["B_draws"], Sigma_draws=cache["Sigma_draws"],
-                chain=cache["chain"], draw=cache["draw"],
-                fit_rows=np.asarray(meta["fit_rows"], dtype=int),
-                missing_cells=missing_cells, Z_draws=cache["Z_draws"],
-                Z_chain=cache["Z_chain"], Z_draw=cache["Z_draw"],
-                spec=spec, response_names=resp, covariate_names=cov,
-            )
-        return p, meta
-
-    cell_pos = {(int(r), int(c)): i for i, (r, c) in enumerate(missing_cells)}
-
-    b_vals: dict[tuple, np.ndarray] = {}
-    s_vals: dict[tuple, np.ndarray] = {}
-    z_vals: dict[tuple, np.ndarray] = {}
-    with open(os.path.join(fitdir, DRAWS_FILE), encoding="utf-8", newline="") as fh:
-        reader = csv.reader(fh)
-        header = next(reader)
-        if header != ["draw", "chain", "param", "value"]:
-            raise ValueError("unexpected draws file header")
-        for dr, ch, param, value in reader:
-            key = (int(ch), int(dr))
-            v = float(value)
-            kind = param[0]
-            r, c = param[param.index("[") + 1:-1].split(",")
-            r, c = int(r), int(c)
-            if kind == "B":
-                b_vals.setdefault(key, np.empty((n, q)))[r, c] = v
-            elif kind == "S":
-                s_vals.setdefault(key, np.empty((n, n)))[r, c] = v
-            else:
-                z_vals.setdefault(key, np.empty(missing_cells.shape[0]))[
-                    cell_pos[(r, c)]] = v
-
-    keys = sorted(b_vals)
-    B = np.stack([b_vals[k] for k in keys])
-    S = np.stack([s_vals[k] for k in keys])
-    chain = np.array([k[0] for k in keys], dtype=int)
-    draw = np.array([k[1] for k in keys], dtype=int)
-    zkeys = sorted(z_vals)
-    if zkeys:
-        Z = np.stack([z_vals[k] for k in zkeys])
-        Z_chain = np.array([k[0] for k in zkeys], dtype=int)
-        Z_draw = np.array([k[1] for k in zkeys], dtype=int)
-    else:
-        Z = np.empty((0, missing_cells.shape[0]))
-        Z_chain = np.empty(0, dtype=int)
-        Z_draw = np.empty(0, dtype=int)
-
-    p = PosteriorDraws(
-        B_draws=B, Sigma_draws=S, chain=chain, draw=draw,
-        fit_rows=np.asarray(meta["fit_rows"], dtype=int),
-        missing_cells=missing_cells, Z_draws=Z, Z_chain=Z_chain, Z_draw=Z_draw,
-        spec=spec, response_names=resp, covariate_names=cov,
-    )
+    with np.load(npz_path) as npz:
+        p = PosteriorDraws(
+            B_draws=npz["B_draws"], Sigma_draws=npz["Sigma_draws"],
+            chain=npz["chain"], draw=npz["draw"],
+            fit_rows=np.asarray(meta["fit_rows"], dtype=int),
+            missing_cells=np.asarray(meta["missing_cells"], dtype=int).reshape(-1, 2),
+            Z_draws=npz["Z_draws"], Z_chain=npz["Z_chain"], Z_draw=npz["Z_draw"],
+            spec=ModelSpec.from_jsonable(meta["spec"]),
+            response_names=meta["response_names"],
+            covariate_names=meta["covariate_names"],
+        )
     return p, meta

@@ -42,7 +42,7 @@ def pipeline(tmp_path_factory):
 
 def test_outputs_and_manifests_exist(pipeline):
     for key, files in [("sim", ["dataset.csv", "truth.json", "config.json"]),
-                       ("fit", ["draws.csv", "meta.json"]),
+                       ("fit", ["draws.csv", "draws.npz", "meta.json"]),
                        ("scores", ["scores.csv", "plotdata.csv"]),
                        ("tree", ["tree.json", "tree.txt"]),
                        ("rep", ["report.md"])]:
@@ -118,6 +118,8 @@ def test_fit_same_seed_byte_identical(pipeline, tmp_path):
         (out2 / "draws.csv").read_bytes()
     assert (pipeline["fit"] / "meta.json").read_bytes() == \
         (out2 / "meta.json").read_bytes()
+    assert (pipeline["fit"] / "draws.npz").read_bytes() == \
+        (out2 / "draws.npz").read_bytes()
 
 
 def test_burnin_at_least_iterations_is_an_error(pipeline, tmp_path):
@@ -148,6 +150,39 @@ def test_stale_dataset_hash_rejected_unless_forced(pipeline, tmp_path):
     rc = run("score", "--draws", pipeline["fit"], "--data", tampered,
              "--force", "--out", tmp_path / "s2")
     assert rc == 0
+
+
+def test_score_rejects_config_that_differs_from_fit(pipeline, tmp_path, capsys):
+    cfg = json.loads((pipeline["sim"] / "config.json").read_text())
+    same = tmp_path / "same.json"
+    same.write_text(json.dumps(cfg))
+    assert run("score", "--draws", pipeline["fit"],
+               "--data", pipeline["sim"] / "dataset.csv", "--config", same,
+               "--out", tmp_path / "s0") == 0
+    cfg["transforms"] = {"responses": "none", "standardize": False}
+    cfg["missing_token"] = "NaN"
+    other = tmp_path / "other.json"
+    other.write_text(json.dumps(cfg))
+    capsys.readouterr()
+    for extra in ([], ["--force"]):  # --force overrides only the dataset hash
+        rc = run("score", "--draws", pipeline["fit"],
+                 "--data", pipeline["sim"] / "dataset.csv", "--config", other,
+                 *extra, "--out", tmp_path / "s1")
+        assert rc == 1
+        assert "missing_token, transforms" in capsys.readouterr().err
+    assert not (tmp_path / "s1").exists()
+
+
+def test_score_needs_draws_npz(pipeline, tmp_path, capsys):
+    old = tmp_path / "old_fit"
+    old.mkdir()
+    for name in ("draws.csv", "meta.json"):
+        (old / name).write_bytes((pipeline["fit"] / name).read_bytes())
+    capsys.readouterr()
+    rc = run("score", "--draws", old, "--data", pipeline["sim"] / "dataset.csv",
+             "--out", tmp_path / "s")
+    assert rc == 1
+    assert "draws.npz" in capsys.readouterr().err
 
 
 def test_unknown_measure_response_is_error(pipeline, tmp_path):
@@ -229,12 +264,13 @@ def test_missing_transforms_key_is_error(pipeline, tmp_path):
     assert rc == 1
 
 
-def test_fit_cache_written_and_loadable(pipeline, tmp_path):
-    out = tmp_path / "cached"
+def test_fit_npz_written_and_loadable(pipeline, tmp_path):
+    out = tmp_path / "short"
+    # 40 draws per chain: max split-R-hat may exceed 1.1, which exits 2
     assert run("fit", "--data", pipeline["sim"] / "dataset.csv",
                "--config", pipeline["sim"] / "config.json",
-               "--iters", 60, "--burnin", 20, "--seed", 5, "--cache",
-               "--out", out) == 0
+               "--iters", 60, "--burnin", 20, "--seed", 5,
+               "--out", out) in (0, 2)
     assert (out / "draws.npz").exists()
     from extrapolmv.sampler import load_fit
     p, _ = load_fit(out)
@@ -254,11 +290,3 @@ def test_parser_defaults_match_documentation():
                               "--out", "o"])
     assert tree.label == "e_q95"
     assert tree.max_depth == 5 and tree.min_leaf == 20
-
-
-def test_threads_env_fallback(monkeypatch):
-    monkeypatch.setenv("EXTRAPOLMV_THREADS", "7")
-    from extrapolmv.cli import _default_threads
-    assert _default_threads() == 7
-    monkeypatch.setenv("EXTRAPOLMV_THREADS", "junk")
-    assert _default_threads() == 1
