@@ -12,7 +12,6 @@ warnings.
 from __future__ import annotations
 
 import argparse
-import csv
 import hashlib
 import json
 import os
@@ -28,6 +27,7 @@ from extrapolmv.dataset import (
     IngestConfig,
     SynthSpec,
     TransformSpec,
+    _read_table,
     apply_transforms,
     load_csv,
     synthesize,
@@ -216,12 +216,8 @@ def _cmd_score(args) -> int:
     report = score_locations(draws, d, measures=measures, cutoffs=cutoffs)
 
     os.makedirs(args.out, exist_ok=True)
-    scores_path = os.path.join(args.out, "scores.csv")
-    plot_path = os.path.join(args.out, "plotdata.csv")
-    write_scores_csv(report, scores_path + ".tmp")
-    os.replace(scores_path + ".tmp", scores_path)
-    write_plotdata_csv(report, plot_path + ".tmp")
-    os.replace(plot_path + ".tmp", plot_path)
+    write_scores_csv(report, os.path.join(args.out, "scores.csv"))
+    write_plotdata_csv(report, os.path.join(args.out, "plotdata.csv"))
 
     params = {"draws": str(args.draws), "data": str(args.data),
               "measures": list(measures), "cutoffs": cutoffs,
@@ -238,40 +234,48 @@ def _cmd_score(args) -> int:
 # ---------------------------------------------------------------------------
 
 
-def _read_scores_column(path, column: str) -> dict[str, int]:
-    with open(path, encoding="utf-8", newline="") as fh:
-        reader = csv.reader(fh)
-        header = next(reader)
-        if column not in header:
-            raise CliError(f"label column {column!r} not present in {path}")
-        id_i = header.index("id")
-        col_i = header.index(column)
-        out = {}
-        for row in reader:
-            out[row[id_i]] = int(float(row[col_i]))
-    return out
+def _read_scores(scores, columns) -> tuple[list[str], dict, dict | None]:
+    """Read a score output: header, chosen scores.csv columns, manifest.
+
+    ``scores`` is a score output directory or a scores.csv file; only a
+    directory has a manifest (None otherwise). ``columns(header)`` names
+    the columns to keep; each comes back as a list of cells.
+    """
+    path, manifest = scores, None
+    if os.path.isdir(scores):
+        path = os.path.join(scores, "scores.csv")
+        manifest_path = os.path.join(scores, "manifest.json")
+        if os.path.exists(manifest_path):
+            with open(manifest_path, encoding="utf-8") as fh:
+                manifest = json.load(fh)
+    table = _read_table(path)
+    header = next(table)
+    names = columns(header)
+    absent = [name for name in names if name not in header]
+    if absent:
+        raise CliError(f"column {absent[0]!r} not present in {path}")
+    kept = {name: [] for name in names}
+    for _line, rows in table:
+        for name in names:
+            i = header.index(name)
+            kept[name].extend(row[i] for row in rows)
+    return header, kept, manifest
 
 
 def _cmd_tree(args) -> int:
-    scores_path = args.scores
-    scores_dir = None
-    if os.path.isdir(scores_path):
-        scores_dir = scores_path
-        scores_path = os.path.join(scores_path, "scores.csv")
-    labels_by_id = _read_scores_column(scores_path, args.label)
+    _header, cols, manifest = _read_scores(args.scores, lambda _: ["id", args.label])
+    labels = np.array(cols[args.label], dtype=float).astype(int)
+    labels_by_id = dict(zip(cols["id"], labels.tolist()))
 
     if args.config:
         config = IngestConfig.from_json(args.config)
+    elif manifest is not None:
+        stored = manifest.get("ingest_config")
+        if not stored:
+            raise CliError("scores manifest has no ingestion config; pass --config")
+        config = IngestConfig(**stored)
     else:
-        manifest_path = scores_dir and os.path.join(scores_dir, "manifest.json")
-        if manifest_path and os.path.exists(manifest_path):
-            with open(manifest_path, encoding="utf-8") as fh:
-                stored = json.load(fh).get("ingest_config")
-            if not stored:
-                raise CliError("scores manifest has no ingestion config; pass --config")
-            config = IngestConfig(**stored)
-        else:
-            raise CliError("pass --config or point --scores at a score output directory")
+        raise CliError("pass --config or point --scores at a score output directory")
 
     # raw covariates: thresholds stay in original units
     d = load_csv(args.data, config)
@@ -320,8 +324,7 @@ def _cmd_simulate(args) -> int:
         transforms={"responses": "none", "standardize": True},
     )
     data_path = os.path.join(args.out, "dataset.csv")
-    write_csv(d, data_path + ".tmp", config)
-    os.replace(data_path + ".tmp", data_path)
+    write_csv(d, data_path, config)
     _atomic_write_text(os.path.join(args.out, "truth.json"),
                        json.dumps(truth, indent=1, sort_keys=True) + "\n")
     _atomic_write_text(os.path.join(args.out, "config.json"),
@@ -338,31 +341,22 @@ def _cmd_simulate(args) -> int:
 
 
 def _cmd_report(args) -> int:
-    scores_path = args.scores
-    scores_dir = None
-    if os.path.isdir(scores_path):
-        scores_dir = scores_path
-        scores_path = os.path.join(scores_path, "scores.csv")
-    with open(scores_path, encoding="utf-8", newline="") as fh:
-        reader = csv.reader(fh)
-        header = next(reader)
-        rows = list(reader)
-    status_i = header.index("status")
-    e_cols = [(name[2:], i) for i, name in enumerate(header) if name.startswith("e_")]
-    k_cols = {name[2:]: i for i, name in enumerate(header) if name.startswith("k_")}
+    header, cols, manifest = _read_scores(
+        args.scores,
+        lambda h: ["status"] + [name for name in h if name.startswith(("e_", "k_"))])
+    out_of_sample = np.array(cols["status"]) != "full"
+    e_names = [name[2:] for name in header if name.startswith("e_")]
     measure_cols = [name for name in header
                     if name.startswith(("mvpv_", "cmvpv_"))]
 
     primary = None
-    manifest_path = scores_dir and os.path.join(scores_dir, "manifest.json")
-    if manifest_path and os.path.exists(manifest_path):
-        with open(manifest_path, encoding="utf-8") as fh:
-            stored = json.load(fh).get("params", {}).get("measures")
+    if manifest is not None:
+        stored = manifest.get("params", {}).get("measures")
         if stored:
             primary = measure_column(stored[0])
 
     lines = ["# Extrapolation report", ""]
-    lines.append(f"Locations scored: {len(rows)}")
+    lines.append(f"Locations scored: {out_of_sample.size}")
     if measure_cols:
         lines.append(f"Measures: {', '.join(measure_cols)}")
     if primary:
@@ -370,11 +364,10 @@ def _cmd_report(args) -> int:
     lines += ["", "## Flag counts per cutoff", "",
               "| cutoff | cutoff value | flagged | flagged out-of-sample |",
               "|---|---|---|---|"]
-    for name, i in e_cols:
-        flagged = sum(int(float(r[i])) for r in rows)
-        flagged_oos = sum(int(float(r[i])) for r in rows if r[status_i] != "full")
-        k = rows[0][k_cols[name]] if rows and name in k_cols else ""
-        lines.append(f"| {name} | {k} | {flagged} | {flagged_oos} |")
+    for name in e_names:
+        flags = np.array(cols[f"e_{name}"], dtype=float).astype(int)
+        k = (cols.get(f"k_{name}") or [""])[0]
+        lines.append(f"| {name} | {k} | {flags.sum()} | {flags[out_of_sample].sum()} |")
 
     tree_path = args.tree
     if tree_path and os.path.isdir(tree_path):

@@ -4,18 +4,29 @@ A Dataset couples a full-rank design matrix (intercept first) with a
 response matrix that may be only partially observed. Covariates are never
 missing; responses carry an observation mask. All structures are plain
 numpy arrays and are treated as immutable after construction.
+
+Every pipeline table goes through one reader and one writer. _read_table
+hands back the header and then the rows in blocks of _BLOCK_ROWS, and
+load_csv parses each block column by column; _write_table formats and
+writes columns a block at a time through a temp-file rename. Neither
+holds a whole file as strings, so memory stays bounded at survey scale
+(tens of thousands of locations).
 """
 
 from __future__ import annotations
 
 import csv
+import itertools
 import json
+import os
 from dataclasses import dataclass, field
 
 import numpy as np
 
 MISSING_TOKEN = "NA"
 INTERCEPT_NAME = "intercept"
+# Rows per block read or written by _read_table and _write_table.
+_BLOCK_ROWS = 2048
 
 
 class RankDeficientError(ValueError):
@@ -96,29 +107,24 @@ class StatusPartition:
     unobserved: np.ndarray
 
 
+_STATUS_LABELS = np.array(["full", "partial", "missing"])
+
+
+def _status_codes(d: Dataset) -> np.ndarray:
+    """Per-row index into _STATUS_LABELS: 0 full, 1 partial, 2 missing."""
+    n_obs = d.mask.sum(axis=1)
+    return np.where(n_obs == d.n_responses, 0, np.where(n_obs > 0, 1, 2))
+
+
 def partition_by_status(d: Dataset) -> StatusPartition:
     """Split row indices into fully / partially / un-observed sets."""
-    n_obs = d.mask.sum(axis=1)
-    idx = np.arange(d.n_rows)
-    return StatusPartition(
-        fully_observed=idx[n_obs == d.n_responses],
-        partially_observed=idx[(n_obs > 0) & (n_obs < d.n_responses)],
-        unobserved=idx[n_obs == 0],
-    )
+    codes = _status_codes(d)
+    return StatusPartition(*(np.flatnonzero(codes == k) for k in range(3)))
 
 
 def row_status(d: Dataset) -> list[str]:
     """Per-row status label: "full", "partial" or "missing"."""
-    n_obs = d.mask.sum(axis=1)
-    out = []
-    for k in n_obs:
-        if k == d.n_responses:
-            out.append("full")
-        elif k > 0:
-            out.append("partial")
-        else:
-            out.append("missing")
-    return out
+    return _STATUS_LABELS[_status_codes(d)].tolist()
 
 
 # ---------------------------------------------------------------------------
@@ -291,103 +297,123 @@ class IngestConfig:
         }
 
 
-def _is_missing(cell: str, token: str) -> bool:
-    return cell == token or cell.strip() == ""
+def _read_table(path):
+    """Yield a CSV file's header, then (first line, rows) blocks of at
+    most _BLOCK_ROWS rows; the header is line 1. An empty file, duplicate
+    header names or a row with the wrong field count raise ValueError."""
+    with open(path, encoding="utf-8", newline="") as fh:
+        reader = csv.reader(fh)
+        header = next(reader, None)
+        if header is None:
+            raise ValueError(f"{path}: empty file")
+        if len(set(header)) != len(header):
+            raise ValueError(f"{path}: duplicate column names in header")
+        yield header
+        line = 2
+        while rows := list(itertools.islice(reader, _BLOCK_ROWS)):
+            if set(map(len, rows)) != {len(header)}:
+                i = next(i for i, row in enumerate(rows) if len(row) != len(header))
+                raise ValueError(f"{path}:{line + i}: expected {len(header)} "
+                                 f"fields, got {len(rows[i])}")
+            yield line, rows
+            line += len(rows)
+
+
+def _parse_floats(cells, token: str, where: str, line: int,
+                  column: str) -> tuple[np.ndarray, np.ndarray]:
+    """Floats of one column block, NaN where a cell is missing, and the
+    missing mask. A cell is missing when it equals the token or is blank;
+    any other cell that is not a number raises ValueError naming
+    where:line and ``column``."""
+    missing = np.array([c == token or not c.strip() for c in cells], dtype=bool)
+    values = np.full(len(cells), np.nan)
+    try:
+        values[~missing] = list(map(float, itertools.compress(cells, (~missing).tolist())))
+    except ValueError:
+        for i in np.flatnonzero(~missing).tolist():
+            try:
+                float(cells[i])
+            except ValueError:
+                raise ValueError(f"{where}:{line + i}: non-numeric {column}: "
+                                 f"{cells[i]!r}") from None
+    return values, missing
 
 
 def load_csv(path, config: IngestConfig) -> Dataset:
     """Load a dataset from a headered CSV file.
 
-    Response cells equal to the missing token (or empty) become
-    unobserved; missing covariate cells are rejected. An intercept column
-    is prepended to the covariates.
+    Response cells equal to the missing token (or blank) become
+    unobserved; missing covariate and coordinate cells are rejected. An
+    intercept column is prepended to the covariates.
     """
-    with open(path, encoding="utf-8", newline="") as fh:
-        reader = csv.reader(fh)
-        try:
-            header = next(reader)
-        except StopIteration:
-            raise ValueError(f"{path}: empty file") from None
-        if len(set(header)) != len(header):
-            raise ValueError(f"{path}: duplicate column names in header")
-        col = {name: i for i, name in enumerate(header)}
-        needed = [config.id_col] + list(config.covariates) + list(config.responses)
-        if config.lon_col:
-            needed.append(config.lon_col)
-        if config.lat_col:
-            needed.append(config.lat_col)
-        for name in needed:
-            if name not in col:
-                raise ValueError(f"{path}: column {name!r} not in header")
+    table = _read_table(path)
+    header = next(table)
+    want_coords = bool(config.lon_col and config.lat_col)
+    # responses last: the columns before them may not be missing
+    names = list(config.covariates)
+    names += [config.lon_col, config.lat_col] if want_coords else []
+    q, r = len(config.covariates), len(names)
+    names += config.responses
+    kinds = ["covariate"] * q + ["coordinate"] * (r - q) + ["response"] * (len(names) - r)
+    for name in [config.id_col, config.lon_col, config.lat_col] + names:
+        if name and name not in header:
+            raise ValueError(f"{path}: column {name!r} not in header")
 
-        ids: list[str] = []
-        seen: set[str] = set()
-        cov_rows, resp_rows, mask_rows, coord_rows = [], [], [], []
-        want_coords = bool(config.lon_col and config.lat_col)
-        for lineno, row in enumerate(reader, start=2):
-            if len(row) != len(header):
-                raise ValueError(
-                    f"{path}:{lineno}: expected {len(header)} fields, got {len(row)}")
-            rid = row[col[config.id_col]]
-            if rid in seen:
-                raise ValueError(f"{path}:{lineno}: duplicate id {rid!r}")
-            seen.add(rid)
-            ids.append(rid)
+    ids, values, missing = [], [], []
+    for line, rows in table:
+        cells = list(zip(*rows))
+        ids.extend(cells[header.index(config.id_col)])
+        parsed = [_parse_floats(cells[header.index(name)], config.missing_token,
+                                path, line, f"{kind} {name!r}")
+                  for name, kind in zip(names, kinds)]
+        values.append(np.column_stack([v for v, _ in parsed]))
+        missing.append(np.column_stack([m for _, m in parsed]))
+    if not ids:
+        raise ValueError(f"{path}: no data rows")
+    V, M = np.concatenate(values), np.concatenate(missing)
 
-            cov = []
-            for name in config.covariates:
-                cell = row[col[name]]
-                if _is_missing(cell, config.missing_token):
-                    raise ValueError(
-                        f"{path}:{lineno}: missing covariate {name!r} (id {rid!r})")
-                try:
-                    cov.append(float(cell))
-                except ValueError:
-                    raise ValueError(
-                        f"{path}:{lineno}: non-numeric covariate {name!r}: {cell!r}"
-                    ) from None
-            cov_rows.append(cov)
-
-            resp, obs = [], []
-            for name in config.responses:
-                cell = row[col[name]]
-                if _is_missing(cell, config.missing_token):
-                    resp.append(np.nan)
-                    obs.append(False)
-                else:
-                    try:
-                        resp.append(float(cell))
-                    except ValueError:
-                        raise ValueError(
-                            f"{path}:{lineno}: non-numeric response {name!r}: {cell!r}"
-                        ) from None
-                    obs.append(True)
-            resp_rows.append(resp)
-            mask_rows.append(obs)
-
-            if want_coords:
-                try:
-                    coord_rows.append([float(row[col[config.lon_col]]),
-                                       float(row[col[config.lat_col]])])
-                except ValueError:
-                    raise ValueError(f"{path}:{lineno}: non-numeric coordinates") from None
-
-    C = np.asarray(cov_rows, dtype=float)
-    X = np.column_stack([np.ones(len(ids)), C])
+    bad = np.argwhere(M[:, :r])
+    if bad.size:
+        i, j = bad[0]
+        raise ValueError(f"{path}:{i + 2}: missing {kinds[j]} {names[j]!r}")
+    if len(set(ids)) != len(ids):
+        _, first = np.unique(ids, return_index=True)
+        i = int(np.setdiff1d(np.arange(len(ids)), first)[0])
+        raise ValueError(f"{path}:{i + 2}: duplicate id {ids[i]!r}")
     return Dataset(
         ids=ids,
-        X=X,
-        Y=np.asarray(resp_rows, dtype=float),
-        mask=np.asarray(mask_rows, dtype=bool),
+        X=np.column_stack([np.ones(len(ids)), V[:, :q]]),
+        Y=V[:, r:],
+        mask=~M[:, r:],
         response_names=list(config.responses),
         covariate_names=[INTERCEPT_NAME] + list(config.covariates),
-        coords=np.asarray(coord_rows) if want_coords else None,
+        coords=V[:, q:r].copy() if want_coords else None,
     )
 
 
-def _fmt(x: float) -> str:
-    # repr of a python float is the shortest exact round-trip form
-    return repr(float(x))
+def _cells(column, missing: str) -> list:
+    """Text of one column block: repr of each float, the shortest exact
+    round-trip form, with NaN as ``missing``; str of each int; strings
+    as they are."""
+    if not isinstance(column, np.ndarray):
+        return column
+    if column.dtype.kind == "f":
+        return [missing if v != v else repr(v) for v in column.tolist()]  # v != v: NaN
+    return list(map(str, column.tolist()))
+
+
+def _write_table(path, header: list[str], columns: list, missing: str = "nan") -> None:
+    """Write equal-length columns, formatted by _cells _BLOCK_ROWS rows at
+    a time, under ``header``; a temp-file rename keeps partial tables away
+    from ``path``."""
+    tmp = f"{path}.tmp"
+    with open(tmp, "w", encoding="utf-8", newline="") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(header)
+        for lo in range(0, len(columns[0]), _BLOCK_ROWS):
+            writer.writerows(zip(*(_cells(c[lo:lo + _BLOCK_ROWS], missing)
+                                   for c in columns)))
+    os.replace(tmp, path)
 
 
 def write_csv(d: Dataset, path, config: IngestConfig | None = None) -> None:
@@ -397,20 +423,13 @@ def write_csv(d: Dataset, path, config: IngestConfig | None = None) -> None:
     lon_col = (config.lon_col if config else "lon") or "lon"
     lat_col = (config.lat_col if config else "lat") or "lat"
     header = [id_col]
+    columns = [list(d.ids)]
     if d.coords is not None:
         header += [lon_col, lat_col]
+        columns += [d.coords[:, 0], d.coords[:, 1]]
     header += d.covariate_names[1:] + d.response_names
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(header)
-        for i, rid in enumerate(d.ids):
-            row = [rid]
-            if d.coords is not None:
-                row += [_fmt(d.coords[i, 0]), _fmt(d.coords[i, 1])]
-            row += [_fmt(v) for v in d.X[i, 1:]]
-            row += [_fmt(d.Y[i, j]) if d.mask[i, j] else token
-                    for j in range(d.n_responses)]
-            writer.writerow(row)
+    columns += list(d.X[:, 1:].T) + list(d.Y.T)
+    _write_table(path, header, columns, missing=token)
 
 
 # ---------------------------------------------------------------------------

@@ -7,11 +7,12 @@ explicit inverse. All functions are pure and safe to call concurrently.
 
 from __future__ import annotations
 
-import csv
 from dataclasses import dataclass
 
 import numpy as np
 from scipy.linalg import cho_factor, cho_solve
+
+from extrapolmv.dataset import _write_table
 
 # Leverages this far above 1 are treated as roundoff and clamped; anything
 # beyond is a genuine numerical failure.
@@ -85,13 +86,9 @@ def leverage_report(X: np.ndarray, rule: HighLeverageRule | None = None) -> Leve
 
 def write_leverage_csv(report: LeverageReport, ids, path) -> None:
     """Write a leverage report as id, h, flagged rows."""
-    flagged = set(int(i) for i in report.high_leverage)
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["id", "h", "flagged"])
-        for i, rid in enumerate(ids):
-            writer.writerow([rid, repr(float(report.h[i])),
-                             int(i in flagged)])
+    flagged = np.zeros(report.h.size, dtype=int)
+    flagged[report.high_leverage] = 1
+    _write_table(path, ["id", "h", "flagged"], [list(ids), report.h, flagged])
 
 
 def _clamp_near_one(v):
@@ -106,8 +103,7 @@ def ivh_value(X: np.ndarray, x0: np.ndarray) -> float:
     x0 = np.asarray(x0, dtype=float).ravel()
     if x0.shape[0] != X.shape[1]:
         raise ValueError(f"x0 has {x0.shape[0]} entries, expected {X.shape[1]}")
-    c = _gram_cholesky(X)
-    return float(_clamp_near_one(np.einsum("i,i->", x0, cho_solve(c, x0))))
+    return float(ivh_values(X, x0[None])[0])
 
 
 def ivh_values(X: np.ndarray, X0: np.ndarray) -> np.ndarray:

@@ -18,14 +18,13 @@ depend on the number of draws.
 
 from __future__ import annotations
 
-import csv
 from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
 import numpy as np
 from scipy.linalg import cho_factor, cho_solve
 
-from extrapolmv.dataset import Dataset, _fmt, row_status
+from extrapolmv.dataset import Dataset, _write_table, row_status
 from extrapolmv.diagnostics import HighLeverageRule, high_leverage_set, ivh_values
 
 if TYPE_CHECKING:  # pragma: no cover
@@ -130,9 +129,9 @@ def _conditional_gain(sigma: np.ndarray, target: np.ndarray,
                       given: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Gain matrix Sigma_tg Sigma_gg^-1 and the conditional covariance.
 
-    Shared by conditional_mvn and the sampler's imputation step: both the
-    gain and the Schur complement depend on Sigma alone, not on the
-    conditioning values.
+    Used by conditional_mvn. Both depend on Sigma alone, not on the
+    conditioning values. The sampler's imputation does not use this: it
+    works in precision form (sampler._precision_gain).
     """
     S_gg = sigma[np.ix_(given, given)]
     S_tg = sigma[np.ix_(target, given)]
@@ -620,6 +619,13 @@ def _canonical_measure_order(measures: list[MeasureReport]) -> list[MeasureRepor
                                            measures.index(m)))
 
 
+def _coord_columns(report: ExtrapolationReport) -> list:
+    """lon and lat columns, blank when the report has no coordinates."""
+    if report.coords is None:
+        return [[""] * len(report.ids)] * 2
+    return [report.coords[:, 0], report.coords[:, 1]]
+
+
 def write_scores_csv(report: ExtrapolationReport, path) -> None:
     """Write per-location scores; cutoff columns come from the primary measure.
 
@@ -631,36 +637,18 @@ def write_scores_csv(report: ExtrapolationReport, path) -> None:
     ordered = _canonical_measure_order(report.measures)
     header = ["id", "lon", "lat", "status"]
     header += [measure_column(m.measure) for m in ordered]
+    columns = [report.ids, *_coord_columns(report), report.status]
+    columns += [m.values for m in ordered]
     for c in primary.cutoffs:
         header += [f"k_{c.name}", f"e_{c.name}", f"r_{c.name}"]
+        columns += [[repr(float(c.k))] * len(report.ids), c.e, c.r]
     header.append("first_flagging_cutoff")
-
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(header)
-        for i, rid in enumerate(report.ids):
-            row = [rid]
-            if report.coords is None:
-                row += ["", ""]
-            else:
-                row += [_fmt(report.coords[i, 0]), _fmt(report.coords[i, 1])]
-            row.append(report.status[i])
-            row += [_fmt(m.values[i]) for m in ordered]
-            for c in primary.cutoffs:
-                row += [_fmt(c.k), str(int(c.e[i])), _fmt(c.r[i])]
-            row.append(primary.first_flagging[i])
-            writer.writerow(row)
+    columns.append(primary.first_flagging)
+    _write_table(path, header, columns)
 
 
 def write_plotdata_csv(report: ExtrapolationReport, path) -> None:
     """Write the minimal map-plotting file: id, lon, lat, first cutoff hit."""
-    primary = report.primary
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["id", "lon", "lat", "first_flagging_cutoff"])
-        for i, rid in enumerate(report.ids):
-            if report.coords is None:
-                lon = lat = ""
-            else:
-                lon, lat = _fmt(report.coords[i, 0]), _fmt(report.coords[i, 1])
-            writer.writerow([rid, lon, lat, primary.first_flagging[i]])
+    _write_table(path, ["id", "lon", "lat", "first_flagging_cutoff"],
+                 [report.ids, *_coord_columns(report),
+                  report.primary.first_flagging])

@@ -602,9 +602,10 @@ def save_fit(p: PosteriorDraws, outdir, extra_meta: dict | None = None) -> None:
     """Write draws.csv, draws.npz and meta.json into outdir.
 
     draws.csv (draw,chain,param,value) is the interchange file for other
-    tools; draws.npz holds the same values in binary and is what load_fit
-    reads. Each file goes through a temp-file rename. Draws holding any
-    non-finite value raise ValueError before a file is made.
+    tools; draws.npz holds the same values in binary, plus fit_rows and
+    missing_cells, and is what load_fit reads. Each file goes through a
+    temp-file rename. Draws holding any non-finite value raise ValueError
+    before a file is made.
     """
     for name, values in (("B", p.B_draws), ("Sigma", p.Sigma_draws), ("Z", p.Z_draws)):
         bad = values.size - np.count_nonzero(np.isfinite(values))
@@ -620,7 +621,8 @@ def save_fit(p: PosteriorDraws, outdir, extra_meta: dict | None = None) -> None:
     with open(npz_path + ".tmp", "wb") as fh:
         np.savez_compressed(fh, B_draws=p.B_draws, Sigma_draws=p.Sigma_draws,
                             chain=p.chain, draw=p.draw, Z_draws=p.Z_draws,
-                            Z_chain=p.Z_chain, Z_draw=p.Z_draw)
+                            Z_chain=p.Z_chain, Z_draw=p.Z_draw,
+                            fit_rows=p.fit_rows, missing_cells=p.missing_cells)
     os.replace(npz_path + ".tmp", npz_path)
 
     meta = {
@@ -628,8 +630,6 @@ def save_fit(p: PosteriorDraws, outdir, extra_meta: dict | None = None) -> None:
         "seed": int(p.spec.seed),
         "response_names": list(p.response_names),
         "covariate_names": list(p.covariate_names),
-        "fit_rows": [int(i) for i in p.fit_rows],
-        "missing_cells": [[int(r), int(c)] for r, c in p.missing_cells],
         "n_draws": int(p.n_draws),
     }
     if extra_meta:
@@ -645,8 +645,9 @@ def load_fit(fitdir) -> tuple[PosteriorDraws, dict]:
     """Read a save_fit directory (meta.json and draws.npz) back into a
     PosteriorDraws plus the raw meta.
 
-    draws.csv is never read. A directory without draws.npz, such as one
-    written by an earlier version, raises ValueError.
+    draws.csv is never read. A directory without draws.npz, or whose
+    draws.npz lacks fit_rows (both written by earlier versions), raises
+    ValueError.
     """
     npz_path = os.path.join(fitdir, NPZ_FILE)
     if not os.path.exists(npz_path):
@@ -654,11 +655,12 @@ def load_fit(fitdir) -> tuple[PosteriorDraws, dict]:
     with open(os.path.join(fitdir, META_FILE), encoding="utf-8") as fh:
         meta = json.load(fh)
     with np.load(npz_path) as npz:
+        if "fit_rows" not in npz.files:
+            raise ValueError(f"{npz_path} has no fit_rows; re-run fit to rewrite it")
         p = PosteriorDraws(
             B_draws=npz["B_draws"], Sigma_draws=npz["Sigma_draws"],
             chain=npz["chain"], draw=npz["draw"],
-            fit_rows=np.asarray(meta["fit_rows"], dtype=int),
-            missing_cells=np.asarray(meta["missing_cells"], dtype=int).reshape(-1, 2),
+            fit_rows=npz["fit_rows"], missing_cells=npz["missing_cells"],
             Z_draws=npz["Z_draws"], Z_chain=npz["Z_chain"], Z_draw=npz["Z_draw"],
             spec=ModelSpec.from_jsonable(meta["spec"]),
             response_names=meta["response_names"],

@@ -120,6 +120,37 @@ def test_load_csv_rejects_missing_covariate(tmp_path):
         load_csv(f, CONFIG)
 
 
+LOCATED = IngestConfig(id_col="id", covariates=["a", "b"], responses=["u", "v"],
+                       lon_col="lon", lat_col="lat")
+
+
+@pytest.mark.parametrize("line, column, cell, message", [
+    (4, "a", "oops", "non-numeric covariate 'a': 'oops'"),
+    (5, "v", "x1", "non-numeric response 'v': 'x1'"),
+    (3, "lat", "north", "non-numeric coordinate 'lat': 'north'"),
+    (6, "b", "", "missing covariate 'b'"),
+    (8, "lon", "NA", "missing coordinate 'lon'"),
+    (7, None, None, "expected 7 fields, got 6"),
+    # past the first block of rows, so the block's line offset counts
+    (8200, "u", "NaX", "non-numeric response 'u': 'NaX'"),
+    (9001, None, None, "expected 7 fields, got 6"),
+])
+def test_load_csv_error_names_line_and_column(tmp_path, line, column, cell, message):
+    header = ["id", "lon", "lat", "a", "b", "u", "v"]
+    rows = [[f"p{i}", "-80.5", "40.25", str(i % 7), str(i % 5 / 3), "1.5", "NA"]
+            for i in range(9100)]
+    row = rows[line - 2]
+    if column is None:
+        row.pop()
+    else:
+        row[header.index(column)] = cell
+    f = tmp_path / "d.csv"
+    write_lines(f, [",".join(header)] + [",".join(r) for r in rows])
+    with pytest.raises(ValueError) as exc:
+        load_csv(f, LOCATED)
+    assert str(exc.value) == f"{f}:{line}: {message}"
+
+
 def test_csv_round_trip_exact(tmp_path):
     rng = np.random.default_rng(0)
     d, _ = synthesize(SynthSpec(l=40, n=3, q=4, missing_prob=0.2), seed=3)

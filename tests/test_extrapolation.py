@@ -1,3 +1,5 @@
+import csv
+
 import numpy as np
 import pytest
 
@@ -13,8 +15,11 @@ from extrapolmv.extrapolation import (
     mvpv_trace,
     predictive_variance,
     rmvpv,
+    measure_column,
     score_locations,
     score_locations_analytic,
+    write_plotdata_csv,
+    write_scores_csv,
 )
 from extrapolmv.sampler import ModelSpec, gibbs_fit, predictive_mean_draws
 
@@ -545,3 +550,53 @@ def test_sampled_trace_rank_agrees_with_leverage():
     hvals = ivh_values(d.X[np.asarray(p.fit_rows)], d.X)
     rho = scipy.stats.spearmanr(report.measures[0].values, hvals).statistic
     assert rho >= 0.95
+
+
+# -- CSV export ------------------------------------------------------------------
+
+
+def read_columns(path):
+    with open(path, newline="", encoding="utf-8") as fh:
+        header, *rows = list(csv.reader(fh))
+    return header, {name: list(col) for name, col in zip(header, zip(*rows))}
+
+
+def floats(cells):
+    return np.array([float(c) for c in cells])
+
+
+@pytest.mark.parametrize("with_coords", [True, False])
+def test_scores_and_plotdata_round_trip_exactly(tmp_path, with_coords):
+    d, _ = synthesize(SynthSpec(l=150, n=3, q=4, missing_prob=[0.6, 0.5, 0.4],
+                                with_coords=with_coords), seed=12)
+    p = gibbs_fit(d, ModelSpec(iterations=80, burn_in=20, chains=1, seed=4))
+    report = score_locations(p, d, measures=("cmvpv:y2", "det", "trace"))
+    write_scores_csv(report, tmp_path / "scores.csv")
+    write_plotdata_csv(report, tmp_path / "plotdata.csv")
+
+    header, cols = read_columns(tmp_path / "scores.csv")
+    assert header[:4] == ["id", "lon", "lat", "status"]
+    assert cols["id"] == report.ids
+    assert cols["status"] == report.status == [
+        "full" if m.all() else "partial" if m.any() else "missing" for m in d.mask]
+    assert set(report.status) == {"full", "partial", "missing"}
+    for m in report.measures:
+        np.testing.assert_array_equal(floats(cols[measure_column(m.measure)]), m.values)
+    primary = report.primary
+    for c in primary.cutoffs:
+        assert cols[f"k_{c.name}"] == [repr(c.k)] * d.n_rows
+        assert [int(v) for v in cols[f"e_{c.name}"]] == c.e.tolist()
+        np.testing.assert_array_equal(floats(cols[f"r_{c.name}"]), c.r)
+    assert cols["first_flagging_cutoff"] == primary.first_flagging
+
+    plot_header, plot = read_columns(tmp_path / "plotdata.csv")
+    assert plot_header == ["id", "lon", "lat", "first_flagging_cutoff"]
+    assert plot["id"] == report.ids
+    assert plot["first_flagging_cutoff"] == primary.first_flagging
+    for table in (cols, plot):
+        if with_coords:
+            np.testing.assert_array_equal(floats(table["lon"]), d.coords[:, 0])
+            np.testing.assert_array_equal(floats(table["lat"]), d.coords[:, 1])
+        else:
+            assert table["lon"] == table["lat"] == [""] * d.n_rows
+    assert not list(tmp_path.glob("*.tmp"))

@@ -538,6 +538,13 @@ def test_draws_csv_matches_npz(tmp_path, missing_dataset):
     np.testing.assert_array_equal(S, q.Sigma_draws)
     np.testing.assert_array_equal(Z, q.Z_draws)
 
+    # an npz from before fit_rows and missing_cells moved out of meta.json
+    with np.load(tmp_path / "draws.npz") as npz:
+        arrays = {k: npz[k] for k in npz.files if k not in ("fit_rows", "missing_cells")}
+    np.savez_compressed(tmp_path / "draws.npz", **arrays)
+    with pytest.raises(ValueError, match=r"draws\.npz has no fit_rows; re-run fit"):
+        load_fit(tmp_path)
+
     # draws.csv alone, as earlier versions left it, is not loadable
     (tmp_path / "draws.npz").unlink()
     with pytest.raises(ValueError, match=r"draws\.npz.*re-run fit"):
@@ -570,4 +577,7 @@ def test_save_load_round_trip(tmp_path, missing_dataset):
     np.testing.assert_array_equal(q.missing_cells, p.missing_cells)
     assert q.spec == p.spec
     assert meta["dataset_hash"] == "abc"
+    # the row and cell indices live in draws.npz only
+    assert p.missing_cells.size > 0
+    assert "fit_rows" not in meta and "missing_cells" not in meta
     assert q.response_names == p.response_names
