@@ -3,10 +3,10 @@
 The pipeline is file-mediated so one expensive fit can back many
 measure/cutoff experiments. Every command writes a manifest.json
 (resolved parameters, input hashes, library versions, cores and BLAS
-thread variables; for ``fit`` also per-stage seconds) alongside its
-outputs, and all file writes go through a temp-file rename so partial
-outputs never appear. Exit codes: 0 success, 1 error, 2 success with
-warnings.
+thread variables; for ``fit`` and ``score`` also per-stage seconds)
+alongside its outputs, and all file writes go through a temp-file rename
+so partial outputs never appear. Exit codes: 0 success, 1 error, 2
+success with warnings.
 """
 
 from __future__ import annotations
@@ -96,8 +96,8 @@ def _write_manifest(outdir, command: str, params: dict,
     """Write manifest.json: parameters, versions, environment and hashes.
 
     The manifest is the one output that is not byte-deterministic: it
-    records the machine (cores, BLAS thread variables) and, for ``fit``,
-    the seconds each stage took.
+    records the machine (cores, BLAS thread variables) and, for ``fit``
+    and ``score``, the seconds each stage took.
     """
     manifest = {
         "command": command,
@@ -121,8 +121,9 @@ def _write_manifest(outdir, command: str, params: dict,
                        json.dumps(manifest, indent=1, sort_keys=True) + "\n")
 
 
-def _load_transformed(data_path, config: IngestConfig):
-    """Load a CSV and apply the transforms the config explicitly names."""
+def _load_transformed(data_path, config: IngestConfig, constants: dict | None = None):
+    """Load a CSV and apply the transforms the config explicitly names,
+    standardizing with a fit's recorded ``transform_constants`` if given."""
     if config.transforms is None:
         raise CliError(
             "ingestion config must set 'transforms' explicitly (for example "
@@ -131,6 +132,9 @@ def _load_transformed(data_path, config: IngestConfig):
     d = load_csv(data_path, config)
     t = TransformSpec.from_config(config.transforms, d.response_names,
                                   d.covariate_names)
+    if constants and constants.get("centers") is not None:
+        t.centers = np.asarray(constants["centers"], dtype=float)
+        t.scales = np.asarray(constants["scales"], dtype=float)
     return apply_transforms(d, t), t
 
 
@@ -185,6 +189,7 @@ def _cmd_fit(args) -> int:
 
 
 def _cmd_score(args) -> int:
+    start = time.perf_counter()
     draws, meta = load_fit(args.draws)
     dataset_hash = _sha256_file(args.data)
     recorded = meta.get("dataset_hash")
@@ -209,20 +214,23 @@ def _cmd_score(args) -> int:
     else:
         raise CliError("no ingestion config: pass --config or use a fit "
                        "directory whose meta records one")
-    d, _t = _load_transformed(args.data, config)
+    d, _t = _load_transformed(args.data, config, meta.get("transform_constants"))
 
     measures = args.measure or ["det", "trace"]
     cutoffs = [tok.strip() for tok in args.cutoffs.split(",") if tok.strip()]
-    report = score_locations(draws, d, measures=measures, cutoffs=cutoffs)
+    timings = {"load": time.perf_counter() - start}
+    report = score_locations(draws, d, measures=measures, cutoffs=cutoffs, timings=timings)
 
+    start = time.perf_counter()
     os.makedirs(args.out, exist_ok=True)
     write_scores_csv(report, os.path.join(args.out, "scores.csv"))
     write_plotdata_csv(report, os.path.join(args.out, "plotdata.csv"))
+    timings["write"] = time.perf_counter() - start
 
     params = {"draws": str(args.draws), "data": str(args.data),
               "measures": list(measures), "cutoffs": cutoffs,
               "force": bool(args.force)}
-    _write_manifest(args.out, "score", params,
+    _write_manifest(args.out, "score", params, timings=timings,
                     dataset_hash=dataset_hash,
                     config_hash=_sha256_json(config.to_jsonable()),
                     ingest_config=config.to_jsonable())

@@ -179,11 +179,13 @@ class TransformSpec:
 
 
 def apply_transforms(d: Dataset, t: TransformSpec) -> Dataset:
-    """Return a transformed copy of ``d``; fitted constants stored on ``t``.
+    """Return a transformed copy of ``d``.
 
     Log transforms require strictly positive observed values and report
     the first offending cell. Standardization centers each flagged
     covariate and scales it to unit sample variance (intercept excluded).
+    Centers and scales already on ``t`` (those a fit recorded) are applied
+    as given; otherwise they are computed from ``d`` and stored on ``t``.
     """
     if len(t.response) != d.n_responses:
         raise ValueError("transform spec does not match response count")
@@ -214,18 +216,21 @@ def apply_transforms(d: Dataset, t: TransformSpec) -> Dataset:
             col[obs] = np.log1p(col[obs])
 
     X = d.X.copy()
-    centers = np.zeros(d.n_covariates - 1)
-    scales = np.ones(d.n_covariates - 1)
+    given = t.centers is not None and t.scales is not None
+    if given and not len(t.centers) == len(t.scales) == d.n_covariates - 1:
+        raise ValueError("transform constants do not match covariate count")
+    centers = t.centers if given else np.zeros(d.n_covariates - 1)
+    scales = t.scales if given else np.ones(d.n_covariates - 1)
     for j, do_std in enumerate(t.standardize):
         if not do_std:
             continue
         col = X[:, j + 1]
-        centers[j] = col.mean()
-        sd = col.std(ddof=1)
-        if sd == 0:
-            raise ValueError(
-                f"cannot standardize constant covariate {d.covariate_names[j + 1]!r}")
-        scales[j] = sd
+        if not given:
+            centers[j] = col.mean()
+            scales[j] = col.std(ddof=1)
+            if scales[j] == 0:
+                raise ValueError(
+                    f"cannot standardize constant covariate {d.covariate_names[j + 1]!r}")
         X[:, j + 1] = (col - centers[j]) / scales[j]
     t.centers = centers
     t.scales = scales

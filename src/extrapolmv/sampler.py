@@ -2,42 +2,44 @@
 
 Model: y_i = B x_i + e_i with e_i ~ N(0, Sigma) iid across rows, fitted
 on every row with at least one observed response. Priors are independent
-N(0, coef_prior_var) entries on B and an inverse-Wishart on Sigma. All
-three full conditionals are conjugate, so one sweep is: impute the
-missing response entries from their conditional normal, draw the whole
-coefficient matrix from its Gaussian full conditional, then draw Sigma
-from its inverse-Wishart full conditional.
+N(0, coef_prior_var) entries on B and an inverse-Wishart on Sigma.
 
-The fit rows are sorted once by missingness pattern, so each pattern's
-rows form one contiguous slice. Imputation works in precision form:
-Sigma is factored once per sweep into Q = Sigma^-1, and for the missing
-set m and observed set o of a pattern the conditional of y_m given y_o
-has gain -Q_mm^-1 Q_mo and covariance Q_mm^-1, so each pattern needs
-only the Cholesky factor of its small block Q_mm. The coefficient draw
-uses eigendecompositions X'X = W D W' and Sigma^-1 = U Lambda U', which
-diagonalise the precision of vec(Theta):
-P = (U kron W)(Lambda kron D + I/coef_prior_var)(U kron W)'. The mean
-and the noise are then elementwise in the rotated basis, with no
-(nq) x (nq) factorisation.
+The fit rows are grouped once by missingness pattern g (observed
+responses o, missing m, N_g rows) into Gram matrices of [X_g, Y_g] with
+missing cells as 0; no sweep touches a row. A sweep is an exact two-block
+Gibbs sampler over (B, Y_mis) and Sigma, batched over the patterns:
+
+1. B given Sigma and Y_obs, the missing cells integrated out, from the
+   precision sum_g K_g kron X_g'X_g + I/coef_prior_var with K_g the
+   zero-padded Sigma_oo^-1 (see draw_coefficients).
+2. Sigma from IW(prior_df + l, prior_scale + sum_g E_g'E_g), where each
+   residual Gram E_g'E_g is drawn exactly from its law given B as J_g J_g',
+   J_g = V_g R_g + C_g^1/2 T_g: V_g = Sigma K_g (I in rows o, the gain
+   Sigma_mo Sigma_oo^-1 in rows m), C_g the conditional covariance of the
+   missing responses, R_g the residuals of the pattern's r_g virtual rows
+   (see _Patterns), and T_g standard normals against them beside a factor
+   of Wishart(N_g - r_g, I). Few or repeated rows just make r_g small.
+
+The missing cells themselves are drawn row by row, in precision form,
+only for the imputation snapshots and from a generator of their own, so
+the B and Sigma draws do not depend on store_z or z_thin.
 
 Inverse-Wishart convention used throughout: IW(scale, df) has density
 proportional to |S|^-(df+n+1)/2 * exp(-tr(scale S^-1)/2), giving the
 full conditional IW(prior_scale + E'E, prior_df + l_fit) and prior mean
 scale/(df-n-1).
 
-Reproducibility: each chain gets its own generator spawned from
-numpy's SeedSequence(seed), so a chain's draws do not depend on the
-other chains. Chains run one after another: the sweep holds Python's
-interpreter lock, and running them on threads was measured slower than
-serial. Within an iteration the draw order is fixed: the pattern slices
-in sorted pattern order, then B, then Sigma.
+Reproducibility: the chains run one after another, each on its own
+generator spawned from numpy's SeedSequence(seed), so a chain's draws do
+not depend on the other chains. Within an iteration the draw order is
+fixed: B, the pattern normals and chi-squares, then Sigma.
 """
 
 from __future__ import annotations
 
 import json
 import os
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 
 import numpy as np
 from scipy.linalg import lapack
@@ -49,6 +51,9 @@ DRAWS_FILE = "draws.csv"
 NPZ_FILE = "draws.npz"
 META_FILE = "meta.json"
 _EPS = np.finfo(float).eps
+# the draws.npz arrays, in the order they are written
+_NPZ_KEYS = ("B_draws", "Sigma_draws", "chain", "draw", "Z_draws", "Z_chain", "Z_draw",
+            "fit_rows", "missing_cells")
 
 
 @dataclass
@@ -135,7 +140,7 @@ class PosteriorDraws:
 
 
 # ---------------------------------------------------------------------------
-# Factorisations
+# Factorisations and inverse-Wishart primitives
 # ---------------------------------------------------------------------------
 
 
@@ -147,20 +152,10 @@ def _chol(a: np.ndarray, what: str) -> np.ndarray:
     return c
 
 
-def _eigh(a: np.ndarray, what: str) -> tuple[np.ndarray, np.ndarray]:
-    """Ascending eigenvalues and eigenvectors of a symmetric matrix."""
-    w, v, info = lapack.dsyev(a)
-    if info != 0:
-        raise np.linalg.LinAlgError(f"eigendecomposition of {what} did not converge")
-    return w, v
-
-
 def _precision(sigma: np.ndarray) -> np.ndarray:
     """Q = Sigma^-1 from one Cholesky factorisation of Sigma."""
     # dpotri fills the lower triangle; the upper one stays zero from _chol
-    q_low, info = lapack.dpotri(_chol(sigma, "Sigma"), lower=1)
-    if info != 0:
-        raise np.linalg.LinAlgError("Sigma is singular")
+    q_low, _ = lapack.dpotri(_chol(sigma, "Sigma"), lower=1)
     Q = q_low + q_low.T
     Q.flat[::Q.shape[0] + 1] *= 0.5
     return Q
@@ -176,18 +171,9 @@ def _precision_gain(Q_m: np.ndarray, m_idx: np.ndarray) -> tuple[np.ndarray, np.
     T T' = Q_mm^-1.
     """
     L = _chol(Q_m[:, m_idx], "precision block Q_mm")
-    G, info = lapack.dpotrs(L, -Q_m, lower=1)
-    if info != 0:
-        raise np.linalg.LinAlgError("precision block Q_mm is singular")
-    L_inv, info = lapack.dtrtri(L, lower=1)
-    if info != 0:
-        raise np.linalg.LinAlgError("precision block Q_mm is singular")
+    G, _ = lapack.dpotrs(L, -Q_m, lower=1)
+    L_inv, _ = lapack.dtrtri(L, lower=1)  # a PD factor has a nonzero diagonal
     return G, L_inv.T
-
-
-# ---------------------------------------------------------------------------
-# Inverse-Wishart primitives
-# ---------------------------------------------------------------------------
 
 
 def invwishart_rvs(df: float, scale: np.ndarray, rng: np.random.Generator) -> np.ndarray:
@@ -231,104 +217,169 @@ def invwishart_logpdf(X: np.ndarray, df: float, scale: np.ndarray) -> float:
 
 def draw_coefficients(XtX: np.ndarray, XtY: np.ndarray, sigma: np.ndarray,
                       prior_var: float, rng: np.random.Generator) -> np.ndarray:
-    """Draw the q x n coefficient block from its Gaussian full conditional.
+    """Draw the q x n coefficient block Theta = B' given Sigma.
 
-    With the row-wise model Y = X Theta + E (Theta = B'), the vectorized
-    coefficients have precision P = Sigma^-1 kron X'X + I/prior_var and
-    mean solving P mu = vec(X'Y Sigma^-1). With X'X = W D W' and
-    Sigma = U S U' (so Sigma^-1 = U Lambda U', Lambda = S^-1),
-    P = (U kron W)(Lambda kron D + I/prior_var)(U kron W)', so in the
-    rotated basis W' Theta U the mean and the noise are elementwise. The
-    noise map is the symmetric square root of P^-1, so the draw does not
-    depend on the signs or order the eigensolver gives the eigenvectors.
+    Complete data: X'X, X'Y and Sigma give vec(Theta) the precision
+    P = Sigma^-1 kron X'X + I/prior_var and the mean solving
+    P mu = vec(X'Y Sigma^-1). The sweep passes (G, ...) stacks over the
+    missingness patterns instead, with the zero-padded Sigma_oo^-1 of each
+    pattern, K_g, in place of Sigma: P = sum_g K_g kron X_g'X_g + I/prior_var
+    and linear term vec(sum_g X_g'Y_g K_g), the missing cells integrated
+    out. The draw is mu + L'^-1 z with P = L L' and z standard normal.
     """
-    n = sigma.shape[0]
-    q = XtX.shape[0]
-    D, W = _eigh(XtX, "X'X")
-    S, U = _eigh(sigma, "Sigma")
-    if not S[0] > n * _EPS * S[-1]:
-        raise np.linalg.LinAlgError("Sigma is singular")
-    lam = 1.0 / S
-    prec = D[:, None] * lam[None, :] + 1.0 / prior_var
-    b = (W.T @ XtY @ U) * lam
-    z = rng.standard_normal(n * q).reshape((q, n), order="F")
-    return W @ (b / prec + (W.T @ z @ U) / np.sqrt(prec)) @ U.T
+    if sigma.ndim == 2:
+        XtX, XtY, sigma = XtX[None], XtY[None], _precision(sigma)[None]
+    G, q, _ = XtX.shape
+    n = sigma.shape[-1]
+    P = (sigma.reshape(G, n * n).T @ XtX.reshape(G, q * q)).reshape(n, n, q, q)
+    P = P.transpose(0, 2, 1, 3).reshape(n * q, n * q)
+    P.flat[::n * q + 1] += 1.0 / prior_var
+    L = _chol(P, "coefficient precision")
+    mu, _ = lapack.dpotrs(L, (XtY @ sigma).sum(axis=0).T.ravel(), lower=1)
+    noise, _ = lapack.dtrtrs(L, rng.standard_normal(n * q), lower=1, trans=1)
+    return (mu + noise).reshape(n, q).T
 
 
-def _run_chain(chain, seedseq, X, Y_init, groups, cells, Theta0, Sigma0,
-               spec: ModelSpec, iw_scale, iw_df, impute_missing: bool):
-    """One chain on pattern-sorted rows; ``cells`` indexes the missing
-    cells of Y in the row-major order of the unsorted fit rows."""
+class _Patterns:
+    """Constants of the pattern-sorted fit rows, stacked over the G patterns.
+
+    ``patterns`` (G, n) marks each pattern's observed responses, and
+    pattern g owns rows bounds[g]:bounds[g + 1]; the missing cells of ``Y``
+    hold 0. The N_g rows Z_g = [X_g, Y_g] of a pattern are kept only as
+    r_g virtual rows F_g with F_g'F_g = Z_g'Z_g, r_g the rank (at most N_g,
+    and q + |o| as the columns m are 0), so Z_g = U_g F_g for some U_g with
+    orthonormal columns.
+    """
+
+    def __init__(self, X: np.ndarray, Y: np.ndarray, patterns: np.ndarray,
+                 bounds: np.ndarray):
+        (G, n), q = patterns.shape, X.shape[1]
+        w, miss, spans = q + n, ~patterns, list(zip(bounds[:-1], bounds[1:]))
+        self.l = int(bounds[-1])
+        self.XY = np.hstack([X, Y])
+        self.groups = [(np.flatnonzero(m), slice(a, b)) for m, (a, b) in zip(miss, spans)
+                       if m.any()]
+        self.oo, self.mm = (v[:, :, None] & v[:, None, :] for v in (patterns, miss))
+        self.eye_o, self.eye_m = (v[:, :, None] * np.eye(n) for v in (patterns, miss))
+        gram = np.stack([self.XY[a:b].T @ self.XY[a:b] for a, b in spans])
+        self.XtX, self.XtY = gram[:, :q, :q], gram[:, :q, q:]
+        # T_g takes normals in rows m: against the r_g virtual rows (the
+        # imputation noise projected on U_g), then a factor of the part
+        # orthogonal to U_g, Wishart(N_g - r_g, I): Bartlett, chi-squares on
+        # its diagonal, when N_g - r_g >= |m|, else N_g - r_g plain columns
+        self.rows = np.zeros((G, w, w))
+        self.noise = np.zeros((G, n, w), dtype=bool)
+        chi = []
+        for g, (a, b) in enumerate(spans):
+            m = np.flatnonzero(miss[g])
+            lam, vec = np.linalg.eigh(gram[g])
+            r = min(b - a, w - m.size, np.count_nonzero(lam > lam[-1] * w * _EPS))
+            self.rows[g, :r] = np.sqrt(lam[w - r:, None]) * vec[:, w - r:].T
+            d = b - a - r
+            self.noise[g, m, :r + min(d, m.size)] = True
+            if d >= m.size:
+                self.noise[g][np.ix_(m, r + np.arange(m.size))] = np.tri(m.size, k=-1, dtype=bool)
+                chi += [(g, mi, r + i, d - i) for i, mi in enumerate(m)]
+        chi = np.array(chi, dtype=int).reshape(-1, 4)
+        self.chi_at, self.chi_df = tuple(chi[:, :3].T), chi[:, 3].astype(float)
+
+
+def _pattern_chol(A: np.ndarray, pat: _Patterns, what: str) -> np.ndarray:
+    """Lower Cholesky factors of a (G, n, n) stack; the error names the
+    missing responses of the first pattern whose block is not PD."""
+    try:
+        return np.linalg.cholesky(A)
+    except np.linalg.LinAlgError:
+        g = next((g for g, a in enumerate(A) if lapack.dpotrf(a, lower=1)[1]), 0)
+        raise np.linalg.LinAlgError(
+            f"{what} is not positive definite for the pattern with missing "
+            f"responses {np.flatnonzero(pat.mm[g].diagonal()).tolist()}") from None
+
+
+def _residual_gram(pat: _Patterns, Theta: np.ndarray, SK: np.ndarray,
+                   Lc: np.ndarray, T: np.ndarray) -> np.ndarray:
+    """sum_g E_g'E_g as sum_g J_g J_g' with J_g = SK_g R_g + Lc_g T_g, where
+    R_g = (F_g W)' holds the residuals of the virtual rows; SK_g has zero
+    columns m, so their missing cells drop out."""
+    W = np.vstack([-Theta, np.eye(Theta.shape[1])])  # [X, Y] W = Y - X Theta
+    J = SK @ np.swapaxes(pat.rows @ W, 1, 2) + Lc @ T
+    return np.einsum("gij,gkj->ik", J, J)
+
+
+def _sweep(pat: _Patterns, Sigma: np.ndarray, prior_var: float, iw_scale: np.ndarray,
+           iw_df: float, rng: np.random.Generator) -> tuple[np.ndarray, np.ndarray]:
+    """One collapsed sweep: Theta given Sigma, then Sigma given Theta."""
+    M = Sigma * pat.oo + pat.eye_m
+    _pattern_chol(M, pat, "Sigma_oo")
+    K = np.linalg.inv(M) * pat.oo
+    Theta = draw_coefficients(pat.XtX, pat.XtY, K, prior_var, rng)
+    SK = Sigma @ K
+    Lc = _pattern_chol((Sigma - SK @ Sigma) * pat.mm + pat.eye_o, pat,
+                       "conditional covariance of the missing responses")
+    T = np.zeros(pat.noise.shape)
+    T[pat.noise] = rng.standard_normal(np.count_nonzero(pat.noise))
+    T[pat.chi_at] = np.sqrt(rng.chisquare(pat.chi_df))
+    EtE = _residual_gram(pat, Theta, SK, Lc, T)
+    return Theta, invwishart_rvs(iw_df + pat.l, iw_scale + EtE, rng)
+
+
+def _impute(pat: _Patterns, Theta: np.ndarray, Sigma: np.ndarray, cells: np.ndarray,
+            rng: np.random.Generator) -> np.ndarray:
+    """The missing cells, in ``cells`` order, drawn row by row from their
+    conditional normal given Theta, Sigma and the observed responses."""
+    Q, q = _precision(Sigma), Theta.shape[0]
+    Yc = pat.XY[:, q:].copy()
+    for m_idx, rows in pat.groups:
+        try:
+            G, T = _precision_gain(Q[m_idx], m_idx)
+        except np.linalg.LinAlgError as exc:
+            raise np.linalg.LinAlgError(
+                f"imputing missing responses {m_idx.tolist()}: {exc}") from exc
+        # the missing cells hold 0, so the -I block of G adds their mean
+        # back and y_m = mu_m + gain (y_o - mu_o) + noise
+        z = rng.standard_normal((rows.stop - rows.start, m_idx.size))
+        Yc[rows, m_idx] += (Yc[rows] - pat.XY[rows, :q] @ Theta) @ G.T + z @ T.T
+    return Yc.take(cells)
+
+
+def _run_chain(chain, seedseq, pat: _Patterns, cells, Sigma, spec: ModelSpec,
+               iw_scale, iw_df):
+    """One chain's kept B and Sigma draws and imputation snapshots; ``cells``
+    indexes the missing cells of the sorted Y in the order of missing_cells."""
     rng = np.random.default_rng(seedseq)
-    l, q = X.shape
-    n = Y_init.shape[1]
-    XtX = X.T @ X
-    Yc = Y_init.copy()
-    Theta = Theta0.copy()
-    Sigma = Sigma0.copy()
-    impute = impute_missing and bool(groups)
-    # preallocated: fresh l x n temporaries cost page faults on every sweep
-    fitted = X @ Theta
-    E = Yc - fitted
-
+    z_rng = np.random.default_rng(seedseq.spawn(1)[0])
+    n, q = Sigma.shape[0], pat.XtX.shape[1]
     n_keep = (spec.iterations - spec.burn_in + spec.thin - 1) // spec.thin
     B_out = np.empty((n_keep, n, q))
     S_out = np.empty((n_keep, n, n))
-    z_keep = []
-    z_idx = []
-
-    r = 0
+    Z = []
     for t in range(spec.iterations):
+        r, skip = divmod(t - spec.burn_in, spec.thin)
+        keep = r >= 0 and not skip
         try:
-            if impute:
-                Q = _precision(Sigma)
-                for m_idx, rows in groups:
-                    try:
-                        G, T = _precision_gain(Q[m_idx], m_idx)
-                    except np.linalg.LinAlgError as exc:
-                        raise np.linalg.LinAlgError(
-                            f"imputing missing responses {m_idx.tolist()}: {exc}") from exc
-                    # E holds Y - X Theta for the current Y and Theta, and the
-                    # -I block of G cancels the stale residual E_m, so this
-                    # sets y_m = mu_m + gain (y_o - mu_o) + noise.
-                    z = rng.standard_normal((rows.stop - rows.start, m_idx.size))
-                    Yc[rows, m_idx] += E[rows] @ G.T + z @ T.T
-
-            Theta = draw_coefficients(XtX, X.T @ Yc, Sigma, spec.coef_prior_var, rng)
-            np.subtract(Yc, np.matmul(X, Theta, out=fitted), out=E)
-            Sigma = invwishart_rvs(iw_df + l, iw_scale + E.T @ E, rng)
+            Theta, Sigma = _sweep(pat, Sigma, spec.coef_prior_var, iw_scale, iw_df, rng)
+            if keep and spec.store_z and pat.groups and r % spec.z_thin == 0:
+                Z.append(_impute(pat, Theta, Sigma, cells, z_rng))
         except np.linalg.LinAlgError as exc:
             raise np.linalg.LinAlgError(
                 f"chain {chain}, iteration {t + 1}: {exc}") from exc
-
-        if t >= spec.burn_in and (t - spec.burn_in) % spec.thin == 0:
+        if keep:
             B_out[r] = Theta.T
             S_out[r] = Sigma
-            if spec.store_z and groups and r % spec.z_thin == 0:
-                z_keep.append(Yc.take(cells))
-                z_idx.append(r)
-            r += 1
-
-    Z = np.asarray(z_keep) if z_keep else np.empty((0, 0))
-    return B_out, S_out, Z, np.asarray(z_idx, dtype=int)
+    return B_out, S_out, Z
 
 
-def gibbs_fit(d: Dataset, spec: ModelSpec,
-              impute_missing: bool = True) -> PosteriorDraws:
+def gibbs_fit(d: Dataset, spec: ModelSpec) -> PosteriorDraws:
     """Fit the joint linear model on the rows with any observed response.
 
     Deterministic for a fixed spec. The chains run one after another,
     each on its own generator spawned from SeedSequence(spec.seed).
-    ``impute_missing=False`` freezes missing cells at their initialization
-    values; it exists for verifying that the imputation step is a no-op
-    on fully observed data.
     """
     fit_rows = np.flatnonzero(d.mask.any(axis=1))
     if fit_rows.size == 0:
         raise ValueError("no rows with observed responses to fit on")
     M = d.mask[fit_rows]
-    l, q = fit_rows.size, d.X.shape[1]
-    n = d.n_responses
+    q, n = d.X.shape[1], d.n_responses
 
     iw_scale = np.eye(n) if spec.iw_scale is None else np.asarray(spec.iw_scale, float)
     if iw_scale.shape != (n, n):
@@ -340,63 +391,42 @@ def gibbs_fit(d: Dataset, spec: ModelSpec,
 
     # Sort the rows by missingness pattern (lexicographic, so the fully
     # observed pattern comes last); each pattern is then one slice.
-    patterns, pattern_of = np.unique(M, axis=0, return_inverse=True)
-    pattern_of = pattern_of.ravel()
+    bits = 1 << np.arange(n - 1, -1, -1)
+    codes, pattern_of = np.unique(M @ bits, return_inverse=True)
+    patterns = (codes[:, None] & bits) > 0
     order = np.argsort(pattern_of, kind="stable")
     bounds = np.concatenate([[0], np.cumsum(np.bincount(pattern_of))])
-    groups = [(np.flatnonzero(~pattern), slice(int(bounds[g]), int(bounds[g + 1])))
-              for g, pattern in enumerate(patterns) if not pattern.all()]
-    X = d.X[fit_rows[order]]
-    Yobs = d.Y[fit_rows[order]]
     M_sorted = M[order]
+    Yobs = np.where(M_sorted, d.Y[fit_rows[order]], 0.0)
+    pat = _Patterns(d.X[fit_rows[order]], Yobs, patterns, bounds)
 
     miss_row, miss_col = np.nonzero(~M)
     missing_cells = np.column_stack([fit_rows[miss_row], miss_col])
-    sorted_pos = np.empty(l, dtype=int)
-    sorted_pos[order] = np.arange(l)
-    cells = sorted_pos[miss_row] * n + miss_col
+    cells = np.argsort(order)[miss_row] * n + miss_col  # positions in the sorted Y
 
-    XtX = X.T @ X
-    try:
-        _chol(XtX, "X'X")
-    except np.linalg.LinAlgError:
-        raise np.linalg.LinAlgError("X'X is singular on the fitted rows") from None
+    if lapack.dpotrf(pat.XtX.sum(axis=0))[1]:
+        raise np.linalg.LinAlgError("X'X is singular on the fitted rows")
 
-    # Deterministic, scale-safe initialization: column-mean completion,
-    # ridge coefficients, residual covariance plus an identity floor.
-    col_means = np.array([Yobs[M_sorted[:, j], j].mean() if M_sorted[:, j].any() else 0.0
-                          for j in range(n)])
-    Y0 = np.where(M_sorted, Yobs, col_means[None, :])
-    A0 = XtX + np.eye(q) / spec.coef_prior_var
-    Theta0 = np.linalg.solve(A0, X.T @ Y0)
-    E0 = Y0 - X @ Theta0
-    Sigma0 = E0.T @ E0 / l + np.eye(n)
+    # deterministic, scale-safe start: observed response variances plus I
+    Sigma0 = np.diag([Yobs[M_sorted[:, j], j].var() if M_sorted[:, j].any() else 0.0
+                      for j in range(n)]) + np.eye(n)
 
     children = np.random.SeedSequence(spec.seed).spawn(spec.chains)
-    results = [_run_chain(c, children[c], X, Y0, groups, cells, Theta0, Sigma0, spec,
-                          iw_scale, iw_df, impute_missing) for c in range(spec.chains)]
+    results = [_run_chain(c, children[c], pat, cells, Sigma0, spec, iw_scale, iw_df)
+               for c in range(spec.chains)]
 
     per_chain = results[0][0].shape[0]
-    B_all = np.concatenate([r[0] for r in results])
-    S_all = np.concatenate([r[1] for r in results])
-    chain_ids = np.repeat(np.arange(spec.chains), per_chain)
-    draw_ids = np.tile(np.arange(per_chain), spec.chains)
-
-    z_blocks = [r[2] for r in results if r[2].size]
-    if z_blocks:
-        Z_all = np.concatenate(z_blocks)
-        Z_chain = np.concatenate([np.full(r[3].size, c, dtype=int)
-                                  for c, r in enumerate(results)])
-        Z_draw = np.concatenate([r[3] for r in results])
-    else:
-        Z_all = np.empty((0, missing_cells.shape[0]))
-        Z_chain = np.empty(0, dtype=int)
-        Z_draw = np.empty(0, dtype=int)
-
+    Z = [z for r in results for z in r[2]]
+    z_draw = np.arange(0, per_chain, spec.z_thin) if Z else np.empty(0, dtype=int)
     return PosteriorDraws(
-        B_draws=B_all, Sigma_draws=S_all, chain=chain_ids, draw=draw_ids,
+        B_draws=np.concatenate([r[0] for r in results]),
+        Sigma_draws=np.concatenate([r[1] for r in results]),
+        chain=np.repeat(np.arange(spec.chains), per_chain),
+        draw=np.tile(np.arange(per_chain), spec.chains),
         fit_rows=fit_rows, missing_cells=missing_cells,
-        Z_draws=Z_all, Z_chain=Z_chain, Z_draw=Z_draw, spec=spec,
+        Z_draws=np.reshape(Z, (len(Z), cells.size)),
+        Z_chain=np.repeat(np.arange(spec.chains), z_draw.size),
+        Z_draw=np.tile(z_draw, spec.chains), spec=spec,
         response_names=list(d.response_names),
         covariate_names=list(d.covariate_names),
     )
@@ -436,10 +466,22 @@ def posterior_predictive_draw(p: PosteriorDraws, x: np.ndarray, a: int,
 # ---------------------------------------------------------------------------
 
 
-def _split_chains(x: np.ndarray) -> np.ndarray:
-    m, n = x.shape
-    half = n // 2
-    return np.concatenate([x[:, :half], x[:, half:2 * half]], axis=0)
+def _split_moments(chains) -> tuple[np.ndarray, float, float] | None:
+    """Split halves of (n_chains, n_draws) chains, their mean within-half
+    variance W and the pooled variance estimate; None if constant."""
+    x = np.asarray(chains, dtype=float)
+    if x.ndim == 1:
+        x = x[None, :]
+    if x.shape[1] < 4:
+        raise ValueError("need at least 4 draws per chain")
+    if np.all(x == x.flat[0]):
+        return None
+    half = x.shape[1] // 2
+    s = np.concatenate([x[:, :half], x[:, half:2 * half]], axis=0)
+    n = s.shape[1]
+    W = s.var(axis=1, ddof=1).mean()
+    B = n * s.mean(axis=1).var(ddof=1)
+    return s, W, (n - 1) / n * W + B / n
 
 
 def rhat(chains: np.ndarray) -> float:
@@ -449,20 +491,10 @@ def rhat(chains: np.ndarray) -> float:
     fall below 1 through sampling noise are floored at 1 (values under 1
     carry no diagnostic meaning).
     """
-    x = np.asarray(chains, dtype=float)
-    if x.ndim == 1:
-        x = x[None, :]
-    if x.shape[1] < 4:
-        raise ValueError("need at least 4 draws per chain")
-    if np.all(x == x.flat[0]):
+    moments = _split_moments(chains)
+    if moments is None or moments[1] == 0:
         return 1.0
-    s = _split_chains(x)
-    m, n = s.shape
-    W = s.var(axis=1, ddof=1).mean()
-    B = n * s.mean(axis=1).var(ddof=1)
-    if W == 0:
-        return 1.0
-    var_plus = (n - 1) / n * W + B / n
+    _s, W, var_plus = moments
     return float(max(1.0, np.sqrt(var_plus / W)))
 
 
@@ -480,38 +512,23 @@ def ess(chains: np.ndarray) -> float:
     Capped at the total draw count; constant chains report the total
     draw count by convention.
     """
-    x = np.asarray(chains, dtype=float)
-    if x.ndim == 1:
-        x = x[None, :]
-    total = x.size
-    if x.shape[1] < 4:
-        raise ValueError("need at least 4 draws per chain")
-    if np.all(x == x.flat[0]):
+    total = np.size(chains)
+    moments = _split_moments(chains)
+    if moments is None or moments[1] == 0 or moments[2] == 0:
         return float(total)
-    s = _split_chains(x)
-    m, n = s.shape
-    W = s.var(axis=1, ddof=1).mean()
-    B = n * s.mean(axis=1).var(ddof=1)
-    var_plus = (n - 1) / n * W + B / n
-    if var_plus == 0 or W == 0:
-        return float(total)
-    acov = np.mean([_autocov(s[c]) for c in range(m)], axis=0)
+    s, W, var_plus = moments
+    n = s.shape[1]
+    acov = np.mean([_autocov(c) for c in s], axis=0)
     rho = 1.0 - (W - acov) / var_plus
     rho[0] = 1.0
     # Geyer: sum consecutive pairs while they stay positive and decreasing
-    tau = 0.0
-    prev_pair = np.inf
-    t = 1
-    while t + 1 < n:
-        pair = rho[t] + rho[t + 1]
+    tau, pair = 0.0, np.inf
+    for t in range(1, n - 1, 2):
+        pair = min(rho[t] + rho[t + 1], pair)
         if pair <= 0:
             break
-        pair = min(pair, prev_pair)
         tau += pair
-        prev_pair = pair
-        t += 2
-    denom = 1.0 + 2.0 * tau
-    return float(min(total, total / denom))
+    return float(min(total, total / (1.0 + 2.0 * tau)))
 
 
 @dataclass
@@ -539,8 +556,7 @@ class ConvergenceSummary:
         return {
             "max_rhat": self.max_rhat,
             "min_ess": self.min_ess,
-            "params": [{"name": p.name, "rhat": p.rhat, "ess": p.ess,
-                        "mean": p.mean, "sd": p.sd} for p in self.params],
+            "params": [asdict(p) for p in self.params],
         }
 
 
@@ -549,26 +565,14 @@ def convergence_summary(p: PosteriorDraws) -> ConvergenceSummary:
     chains = np.unique(p.chain)
     if chains.size < 2 and p.n_draws < 100:
         raise ValueError("need at least 2 chains or 100 draws for diagnostics")
-    per = p.n_draws // chains.size
-    A, n, q = p.B_draws.shape
-
-    def series(values: np.ndarray) -> np.ndarray:
-        out = np.empty((chains.size, per))
-        for ci, c in enumerate(chains):
-            out[ci] = values[p.chain == c]
-        return out
-
+    _A, n, q = p.B_draws.shape
+    entries = [(f"B[{r},{c}]", p.B_draws[:, r, c]) for r in range(n) for c in range(q)]
+    entries += [(f"Sigma[{r},{c}]", p.Sigma_draws[:, r, c])
+                for r in range(n) for c in range(r, n)]
     params = []
-    for r in range(n):
-        for c in range(q):
-            s = series(p.B_draws[:, r, c])
-            params.append(ParamDiag(f"B[{r},{c}]", rhat(s), ess(s),
-                                    float(s.mean()), float(s.std(ddof=1))))
-    for r in range(n):
-        for c in range(r, n):
-            s = series(p.Sigma_draws[:, r, c])
-            params.append(ParamDiag(f"Sigma[{r},{c}]", rhat(s), ess(s),
-                                    float(s.mean()), float(s.std(ddof=1))))
+    for name, values in entries:
+        s = np.stack([values[p.chain == c] for c in chains])
+        params.append(ParamDiag(name, rhat(s), ess(s), float(s.mean()), float(s.std(ddof=1))))
     return ConvergenceSummary(params=params)
 
 
@@ -619,10 +623,7 @@ def save_fit(p: PosteriorDraws, outdir, extra_meta: dict | None = None) -> None:
 
     npz_path = os.path.join(outdir, NPZ_FILE)
     with open(npz_path + ".tmp", "wb") as fh:
-        np.savez_compressed(fh, B_draws=p.B_draws, Sigma_draws=p.Sigma_draws,
-                            chain=p.chain, draw=p.draw, Z_draws=p.Z_draws,
-                            Z_chain=p.Z_chain, Z_draw=p.Z_draw,
-                            fit_rows=p.fit_rows, missing_cells=p.missing_cells)
+        np.savez_compressed(fh, **{key: getattr(p, key) for key in _NPZ_KEYS})
     os.replace(npz_path + ".tmp", npz_path)
 
     meta = {
@@ -658,10 +659,7 @@ def load_fit(fitdir) -> tuple[PosteriorDraws, dict]:
         if "fit_rows" not in npz.files:
             raise ValueError(f"{npz_path} has no fit_rows; re-run fit to rewrite it")
         p = PosteriorDraws(
-            B_draws=npz["B_draws"], Sigma_draws=npz["Sigma_draws"],
-            chain=npz["chain"], draw=npz["draw"],
-            fit_rows=npz["fit_rows"], missing_cells=npz["missing_cells"],
-            Z_draws=npz["Z_draws"], Z_chain=npz["Z_chain"], Z_draw=npz["Z_draw"],
+            **{key: npz[key] for key in _NPZ_KEYS},
             spec=ModelSpec.from_jsonable(meta["spec"]),
             response_names=meta["response_names"],
             covariate_names=meta["covariate_names"],

@@ -1,8 +1,14 @@
 import csv
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
+import numpy as np
 import pytest
 
+import extrapolmv.cli as cli
 from extrapolmv.cli import main
 
 
@@ -56,6 +62,10 @@ def test_outputs_and_manifests_exist(pipeline):
     assert "OPENBLAS_NUM_THREADS" in manifest["environment"]["blas_env"]
     meta = (pipeline["fit"] / "meta.json").read_text()
     assert "timings" not in meta and "environment" not in meta
+    score_manifest = json.loads((pipeline["scores"] / "manifest.json").read_text())
+    assert set(score_manifest["timings"]) == {"load", "measures", "cutoffs", "write"}
+    assert all(s >= 0 for s in score_manifest["timings"].values())
+    assert "timings" not in (pipeline["scores"] / "scores.csv").read_text()
 
 
 def test_scores_columns_and_monotone_counts(pipeline):
@@ -150,6 +160,32 @@ def test_stale_dataset_hash_rejected_unless_forced(pipeline, tmp_path):
     rc = run("score", "--draws", pipeline["fit"], "--data", tampered,
              "--force", "--out", tmp_path / "s2")
     assert rc == 0
+
+
+def test_score_applies_the_fit_transform_constants(pipeline, tmp_path, monkeypatch):
+    # shift one covariate: --force scores the edited file, but standardizes
+    # it with the centers and scales the fit recorded, not the file's own
+    header, rows = read_csv(pipeline["sim"] / "dataset.csv")
+    col = header.index("x2")
+    raw = np.array([float(r[col]) + 5.0 for r in rows])
+    for r, v in zip(rows, raw):
+        r[col] = repr(float(v))
+    edited = tmp_path / "edited.csv"
+    with open(edited, "w", newline="", encoding="utf-8") as fh:
+        csv.writer(fh).writerows([header] + rows)
+
+    seen = []
+    real = cli.score_locations
+    monkeypatch.setattr(cli, "score_locations",
+                        lambda p, d, **kw: seen.append(d) or real(p, d, **kw))
+    assert run("score", "--draws", pipeline["fit"], "--data", edited, "--force",
+               "--out", tmp_path / "s") == 0
+    meta = json.loads((pipeline["fit"] / "meta.json").read_text())
+    covariates = meta["covariate_names"][1:]
+    j = covariates.index("x2")
+    center = meta["transform_constants"]["centers"][j]
+    scale = meta["transform_constants"]["scales"][j]
+    np.testing.assert_array_equal(seen[0].X[:, j + 1], (raw - center) / scale)
 
 
 def test_score_rejects_config_that_differs_from_fit(pipeline, tmp_path, capsys):
@@ -290,3 +326,35 @@ def test_parser_defaults_match_documentation():
                               "--out", "o"])
     assert tree.label == "e_q95"
     assert tree.max_depth == 5 and tree.min_leaf == 20
+
+
+def test_outputs_do_not_depend_on_blas_threads(tmp_path):
+    # simulate -> fit -> score in fresh interpreters with one and with two
+    # BLAS threads; the batched LAPACK calls of the sweep must not change
+    # a byte
+    spec = tmp_path / "synth.json"
+    spec.write_text(json.dumps({"l": 3000, "n": 4, "q": 8,
+                                "missing_prob": [0.6, 0.4, 0.2, 0.1]}))
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    script = ("import json, sys\n"
+              "from extrapolmv.cli import main\n"
+              "sys.exit(max(main(argv) for argv in json.loads(sys.argv[1])))\n")
+    outputs = []
+    for threads in ("1", "2"):
+        out = tmp_path / threads
+        commands = [
+            ["simulate", "--spec", str(spec), "--seed", "4", "--out", str(out / "sim")],
+            ["fit", "--data", str(out / "sim" / "dataset.csv"),
+             "--config", str(out / "sim" / "config.json"), "--iters", "150",
+             "--burnin", "50", "--seed", "6", "--out", str(out / "fit")],
+            ["score", "--draws", str(out / "fit"), "--data", str(out / "sim" / "dataset.csv"),
+             "--out", str(out / "scores")],
+        ]
+        env = dict(os.environ, OPENBLAS_NUM_THREADS=threads,
+                   PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+        proc = subprocess.run([sys.executable, "-c", script, json.dumps(commands)],
+                              env=env, capture_output=True, text=True, timeout=300)
+        assert proc.returncode in (0, 2), proc.stderr
+        outputs.append([(out / name).read_bytes() for name in
+                        ("fit/draws.npz", "fit/draws.csv", "scores/scores.csv")])
+    assert outputs[0] == outputs[1]

@@ -210,6 +210,20 @@ def test_standardize_simple_column():
                                [-1.0, 0.0, 1.0])
 
 
+def test_standardize_applies_given_constants():
+    # constants already on the spec (a fit's) are used, not the data's own
+    d = base_dataset()
+    t = TransformSpec(response=["none", "none"], standardize=[True, False],
+                      centers=np.array([10.0, 0.0]), scales=np.array([4.0, 1.0]))
+    out = apply_transforms(d, t)
+    np.testing.assert_array_equal(out.X[:, 1], (d.X[:, 1] - 10.0) / 4.0)
+    np.testing.assert_array_equal(out.X[:, 2], d.X[:, 2])
+    t = TransformSpec(response=["none", "none"], standardize=[True, True],
+                      centers=np.zeros(1), scales=np.ones(1))
+    with pytest.raises(ValueError, match="constants do not match covariate count"):
+        apply_transforms(d, t)
+
+
 def test_identity_transform_is_bitwise():
     d = base_dataset()
     t = TransformSpec(response=["none", "none"], standardize=[False, False])

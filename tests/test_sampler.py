@@ -120,8 +120,8 @@ class _StubNormals:
 
 
 def test_coefficient_draw_is_the_dense_kronecker_form_exactly():
-    # the eigen-form draw is mean + M z; zero noise gives the mean, unit
-    # vectors give the columns of M, and M M' must be P^-1
+    # the draw is mean + M z; zero noise gives the mean, unit vectors give
+    # the columns of M, and M M' must be P^-1
     rng = np.random.default_rng(31)
     l, q, n = 30, 4, 3
     X = np.column_stack([np.ones(l), rng.standard_normal((l, q - 1))])
@@ -142,8 +142,6 @@ def test_coefficient_draw_is_the_dense_kronecker_form_exactly():
     M = np.column_stack([draw(e) - got_mean for e in np.eye(n * q)])
     np.testing.assert_allclose(got_mean, mean, rtol=1e-12, atol=1e-12)
     np.testing.assert_allclose(M @ M.T, cov, rtol=1e-12, atol=1e-12 * np.abs(cov).max())
-    # the symmetric square root: no dependence on eigenvector signs
-    np.testing.assert_allclose(M, M.T, atol=1e-12 * np.abs(M).max())
 
 
 def test_precision_form_conditional_matches_conditional_mvn_for_every_pattern():
@@ -228,6 +226,186 @@ def test_gibbs_updates_preserve_joint_distribution():
     assert z_scores(successive_chain(4)).max() > 6.0
 
 
+def _sorted_patterns(masks):
+    """Pattern-sorted rows as gibbs_fit lays them out: (order, patterns, bounds)."""
+    masks = np.asarray(masks, dtype=bool)
+    patterns, pattern_of = np.unique(masks, axis=0, return_inverse=True)
+    order = np.argsort(pattern_of.ravel(), kind="stable")
+    bounds = np.concatenate([[0], np.cumsum(np.bincount(pattern_of.ravel()))])
+    return order, patterns, bounds
+
+
+def _padded_precisions(Sigma, patterns):
+    """K_g: Sigma_oo^-1 of each pattern's observed set, zero elsewhere."""
+    K = np.zeros((len(patterns),) + Sigma.shape)
+    for g, o in enumerate(patterns):
+        K[g][np.ix_(o, o)] = np.linalg.inv(Sigma[np.ix_(o, o)])
+    return K
+
+
+def test_collapsed_coefficient_draw_is_the_dense_per_row_form_exactly():
+    # with missing responses the B draw integrates them out: row i adds
+    # (Sigma_oo^-1 padded) kron x_i x_i' to the precision of vec(Theta)
+    rng = np.random.default_rng(35)
+    n, q, prior_var = 3, 2, 10.0
+    masks = [[1, 1, 1]] * 5 + [[0, 1, 1]] * 4 + [[1, 0, 0]] * 3 + [[0, 1, 0]] * 2
+    order, patterns, bounds = _sorted_patterns(masks)
+    M = np.asarray(masks, dtype=bool)[order]
+    X = np.column_stack([np.ones(M.shape[0]), rng.standard_normal(M.shape[0])])
+    Y = np.where(M, rng.standard_normal(M.shape), 0.0)
+    A = rng.standard_normal((n, n))
+    Sigma = A @ A.T + 0.5 * np.eye(n)
+    pat = sampler._Patterns(X, Y, patterns, bounds)
+    K = _padded_precisions(Sigma, patterns)
+
+    K_row = K[np.repeat(np.arange(len(patterns)), np.diff(bounds))]
+    P = sum(np.kron(k, np.outer(x, x)) for k, x in zip(K_row, X)) + np.eye(n * q) / prior_var
+    b = sum((np.outer(x, y) @ k).ravel(order="F") for k, x, y in zip(K_row, X, Y))
+    mean = np.linalg.solve(P, b)
+    cov = np.linalg.inv(P)
+
+    def draw(z):
+        return draw_coefficients(pat.XtX, pat.XtY, K, prior_var,
+                                 _StubNormals(z)).ravel(order="F")
+
+    got_mean = draw(np.zeros(n * q))
+    M_map = np.column_stack([draw(e) - got_mean for e in np.eye(n * q)])
+    np.testing.assert_allclose(got_mean, mean, rtol=1e-12, atol=1e-12)
+    np.testing.assert_allclose(M_map @ M_map.T, cov, rtol=1e-12,
+                               atol=1e-12 * np.abs(cov).max())
+
+
+def test_pattern_gram_is_the_row_level_residual_gram():
+    # the missing residuals are E_m = E_o A' + W C^1/2' with W standard
+    # normal. With the pattern's rows Z = U F (F its virtual rows, U with
+    # orthonormal columns), the same W gives U'W against the virtual rows
+    # and a factor of W'(I - UU')W beside them, and the J_g J_g' form must
+    # reproduce E'E from those normals
+    rng = np.random.default_rng(34)
+    n, q = 4, 2
+    masks = ([[1, 0, 1, 0]] * 9     # Bartlett remainder
+             + [[0, 1, 1, 1]] * 2   # fewer rows than responses
+             + [[1, 1, 1, 0]] * 5   # two distinct rows: rank below |o|
+             + [[1, 0, 0, 0]] * 4   # one repeated row: plain remainder
+             + [[1, 1, 1, 1]] * 5)
+    order, patterns, bounds = _sorted_patterns(masks)
+    M = np.asarray(masks, dtype=bool)[order]
+    X = np.column_stack([np.ones(M.shape[0]), rng.standard_normal(M.shape[0])])
+    Y = np.where(M, rng.standard_normal(M.shape), 0.0)
+    for g, o in enumerate(patterns):
+        rows = np.arange(bounds[g], bounds[g + 1])
+        if o.tolist() == [1, 1, 1, 0]:
+            X[rows], Y[rows] = X[rows % 2 + rows[0]], Y[rows % 2 + rows[0]]
+        elif o.tolist() == [1, 0, 0, 0]:
+            X[rows[-1]], Y[rows[-1]] = X[rows[0]], Y[rows[0]]
+    Theta = rng.standard_normal((q, n))
+    A = rng.standard_normal((n, n))
+    Sigma = A @ A.T + 0.5 * np.eye(n)
+    pat = sampler._Patterns(X, Y, patterns, bounds)
+    K = _padded_precisions(Sigma, patterns)
+
+    Lc = np.tile(np.eye(n), (len(patterns), 1, 1))
+    T = np.zeros(pat.noise.shape)
+    EtE = np.zeros((n, n))
+    ranks = []
+    for g, o in enumerate(patterns):
+        m = ~o
+        rows = slice(bounds[g], bounds[g + 1])
+        E = Y[rows] - X[rows] @ Theta
+        gain = Sigma[np.ix_(m, o)] @ np.linalg.inv(Sigma[np.ix_(o, o)])
+        C = Sigma[np.ix_(m, m)] - gain @ Sigma[np.ix_(o, m)]
+        Lc[g][np.ix_(m, m)] = np.linalg.cholesky(C) if m.any() else 0.0
+        W = rng.standard_normal((E.shape[0], m.sum()))
+        E[:, m] = E[:, o] @ gain.T + W @ Lc[g][np.ix_(m, m)].T
+        EtE += E.T @ E
+
+        F = pat.rows[g][np.abs(pat.rows[g]).sum(axis=1) > 0]
+        r, d = F.shape[0], E.shape[0] - F.shape[0]
+        ranks.append(r)
+        Z = np.column_stack([X[rows], Y[rows]])
+        U = Z @ np.linalg.pinv(F)
+        np.testing.assert_allclose(U.T @ U, np.eye(r), atol=1e-10)
+        basis = np.linalg.svd(U, full_matrices=True)[0][:, r:]  # orthogonal to U
+        T[g][np.ix_(m, np.arange(r))] = (U.T @ W).T
+        rest = (basis.T @ W).T
+        if d >= m.sum():
+            rest = np.linalg.cholesky(rest @ rest.T)
+        T[g][np.ix_(m, r + np.arange(rest.shape[1]))] = rest
+    assert ranks == [2, 3, 4, 2, 5]  # sorted: 0111, 1000, 1010, 1110, 1111
+    got = sampler._residual_gram(pat, Theta, Sigma @ K, Lc, T)
+    np.testing.assert_allclose(got, EtE, rtol=1e-12, atol=1e-12 * np.abs(EtE).max())
+    # the sweep puts its normals and chi-squares exactly where these went
+    chi = np.zeros(T.shape, dtype=bool)
+    chi[pat.chi_at] = True
+    np.testing.assert_array_equal(pat.noise | chi, T != 0)
+
+
+def test_collapsed_sweep_preserves_joint_distribution_with_missing_data(monkeypatch):
+    # Geweke's check as above on four missingness patterns, one of them
+    # with fewer rows than responses and two with a Wishart remainder:
+    # alternating the collapsed sweep with fresh observed responses must
+    # target the prior-times-likelihood joint
+    rng = np.random.default_rng(13)
+    n, q = 3, 2
+    masks = [[1, 1, 1]] * 4 + [[0, 1, 1]] * 8 + [[1, 1, 0]] * 8 + [[1, 0, 0]] * 2
+    order, patterns, bounds = _sorted_patterns(masks)
+    M = np.asarray(masks, dtype=bool)[order]
+    l = M.shape[0]
+    X = np.column_stack([np.ones(l), rng.standard_normal(l)])
+    # nu > n + 7 keeps fourth moments of Sigma finite, so the z-scores of
+    # squared entries are well defined
+    prior_var, nu, Psi = 4.0, 14.0, 10.0 * np.eye(n)
+    N = 4000  # correct sweep near max|z| ~ 1.5-3; the broken ones (N/2 draws) over 10
+
+    def functionals(Theta, Sigma, Y):
+        return np.array([Theta[0, 0], Theta[1, 2], Theta[0, 1] ** 2,
+                         Sigma[0, 0], Sigma[1, 1], Sigma[2, 2], Sigma[0, 2],
+                         Sigma[1, 2], Sigma[2, 2] ** 2, (Y ** 2).mean()])
+
+    def observed_draw(Theta, Sigma, r):
+        E = r.standard_normal((l, n)) @ np.linalg.cholesky(Sigma).T
+        return np.where(M, X @ Theta + E, 0.0)
+
+    def prior_draw(r):
+        return np.sqrt(prior_var) * r.standard_normal((q, n)), invwishart_rvs(nu, Psi, r)
+
+    r1 = np.random.default_rng(100)
+    mc = np.empty((N, 10))
+    for i in range(N):
+        Theta, Sigma = prior_draw(r1)
+        mc[i] = functionals(Theta, Sigma, observed_draw(Theta, Sigma, r1))
+
+    def max_z(df_offset=None, draws=N):
+        r2 = np.random.default_rng(200)
+        Theta, Sigma = prior_draw(r2)
+        sc = np.empty((draws, 10))
+        for i in range(draws):
+            Y = observed_draw(Theta, Sigma, r2)
+            pat = sampler._Patterns(X, Y, patterns, bounds)
+            if df_offset is not None:
+                pat.chi_df = pat.chi_df + df_offset(pat)
+            Theta, Sigma = sampler._sweep(pat, Sigma, prior_var, Psi, nu, r2)
+            sc[i] = functionals(Theta, Sigma, Y)
+        se1 = mc.std(axis=0, ddof=1) / np.sqrt(N)
+        se2 = sc.std(axis=0, ddof=1) / np.sqrt([ess(c[None, :]) for c in sc.T])
+        return np.max(np.abs(mc.mean(axis=0) - sc.mean(axis=0)) / np.hypot(se1, se2))
+
+    assert max_z() < 4.5
+    # the check has teeth: a Wishart remainder with N_g rather than
+    # N_g - r_g degrees of freedom (r_g = 4 in both patterns that have one)
+    # blows it up
+    assert max_z(lambda pat: 4, N // 2) > 6.0
+    # and so does dropping H'H, the Gram matrix of the imputation noise
+    real = sampler._residual_gram
+
+    def without_noise_gram(pat, Theta, SK, Lc, T):
+        H = Lc @ T
+        return real(pat, Theta, SK, Lc, T) - np.einsum("gij,gkj->ik", H, H)
+
+    monkeypatch.setattr(sampler, "_residual_gram", without_noise_gram)
+    assert max_z(draws=N // 2) > 6.0
+
+
 # -- gibbs_fit ------------------------------------------------------------------------
 
 
@@ -295,15 +473,55 @@ def test_imputation_snapshots_follow_missing_cells_order():
     assert np.corrcoef(z_mean[y3], mu[rows[y3], 2])[0, 1] > 0.95
 
 
-def test_no_missing_data_skips_imputation():
+def test_complete_data_sweep_is_the_complete_data_gibbs_update():
+    # fully observed rows are the one-pattern case: from one generator state
+    # the sweep draws what draw_coefficients and the IW update draw
+    rng = np.random.default_rng(8)
+    l, q, n = 60, 3, 2
+    X = np.column_stack([np.ones(l), rng.standard_normal((l, q - 1))])
+    Y = rng.standard_normal((l, n))
+    Sigma = np.array([[1.0, 0.3], [0.3, 0.8]])
+    pat = sampler._Patterns(X, Y, np.ones((1, n), dtype=bool), np.array([0, l]))
+    Theta, S = sampler._sweep(pat, Sigma, 10.0, np.eye(n), 4.0, np.random.default_rng(21))
+
+    r = np.random.default_rng(21)
+    Theta_ref = draw_coefficients(X.T @ X, X.T @ Y, Sigma, 10.0, r)
+    E = Y - X @ Theta_ref
+    S_ref = invwishart_rvs(4.0 + l, np.eye(n) + E.T @ E, r)
+    np.testing.assert_allclose(Theta, Theta_ref, rtol=1e-10, atol=1e-12)
+    np.testing.assert_allclose(S, S_ref, rtol=1e-10, atol=1e-12)
+
     d, _ = synthesize(SynthSpec(l=100, n=2, q=3, missing_prob=0.0), seed=8)
-    spec = ModelSpec(iterations=150, burn_in=50, chains=2, seed=21)
-    with_step = gibbs_fit(d, spec, impute_missing=True)
-    without = gibbs_fit(d, spec, impute_missing=False)
-    assert with_step.Z_draws.size == 0
-    assert with_step.missing_cells.shape == (0, 2)
-    np.testing.assert_array_equal(with_step.B_draws, without.B_draws)
-    np.testing.assert_array_equal(with_step.Sigma_draws, without.Sigma_draws)
+    p = gibbs_fit(d, ModelSpec(iterations=50, burn_in=10, chains=1, seed=21))
+    assert p.Z_draws.size == 0
+    assert p.missing_cells.shape == (0, 2)
+
+
+def test_draws_do_not_depend_on_imputation_snapshots(missing_dataset):
+    d, _ = missing_dataset
+    runs = [gibbs_fit(d, ModelSpec(iterations=60, burn_in=20, chains=2, seed=7,
+                                   store_z=store_z, z_thin=z_thin))
+            for store_z, z_thin in [(True, 1), (True, 7), (False, 1)]]
+    for p in runs[1:]:
+        np.testing.assert_array_equal(p.B_draws, runs[0].B_draws)
+        np.testing.assert_array_equal(p.Sigma_draws, runs[0].Sigma_draws)
+    assert runs[0].Z_draws.shape[0] == 2 * 40
+    assert runs[1].Z_draws.shape[0] == 2 * 6
+    assert runs[2].Z_draws.size == 0
+    # a snapshot at z_thin 7 is the z_thin 1 snapshot of the same draw
+    np.testing.assert_array_equal(runs[1].Z_draws[:1], runs[0].Z_draws[:1])
+
+
+def test_sweep_failure_names_the_pattern(monkeypatch, missing_dataset):
+    # Sigma_oo fails to be PD exactly for the patterns that observe
+    # response 2; the first of them in sorted order misses response 0
+    d, _ = missing_dataset
+    monkeypatch.setattr(sampler, "invwishart_rvs",
+                        lambda df, scale, rng: np.diag([1.0, 1.0, -1.0]))
+    with pytest.raises(np.linalg.LinAlgError,
+                       match=r"chain 0, iteration 2: Sigma_oo is not positive definite "
+                             r"for the pattern with missing responses \[0"):
+        gibbs_fit(d, ModelSpec(iterations=5, burn_in=0, chains=1, seed=1, store_z=False))
 
 
 @pytest.mark.parametrize("missing", [True, False])
