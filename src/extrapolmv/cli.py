@@ -28,6 +28,7 @@ from extrapolmv.dataset import (
     SynthSpec,
     TransformSpec,
     _read_table,
+    _text_columns,
     apply_transforms,
     load_csv,
     synthesize,
@@ -262,11 +263,11 @@ def _read_scores(scores, columns) -> tuple[list[str], dict, dict | None]:
     absent = [name for name in names if name not in header]
     if absent:
         raise CliError(f"column {absent[0]!r} not present in {path}")
+    cols = [header.index(name) for name in names]
     kept = {name: [] for name in names}
-    for _line, rows in table:
-        for name in names:
-            i = header.index(name)
-            kept[name].extend(row[i] for row in rows)
+    for _line, lines in table:
+        for name, cells in zip(names, _text_columns(lines, cols)):
+            kept[name] += cells
     return header, kept, manifest
 
 

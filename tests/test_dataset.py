@@ -99,6 +99,42 @@ def test_load_csv_rejects_non_numeric(tmp_path):
         load_csv(f, CONFIG)
 
 
+@pytest.mark.parametrize("literal", ["nan", "NaN", "inf", "-inf"])
+def test_load_csv_rejects_literal_nonfinite_response(tmp_path, literal):
+    # a literal nan is an observed cell, not a missing one
+    f = tmp_path / "d.csv"
+    write_lines(f, ["id,a,b,u,v", "p1,0.5,1.0,2.0,3.0", f"p2,1.5,-1.0,{literal},4.0",
+                    "p3,2.5,0.3,5.0,6.0", "p4,0.1,0.7,1.0,2.0", "p5,0.9,0.2,0.5,0.1"])
+    with pytest.raises(ValueError, match="observed response cells must be finite"):
+        load_csv(f, CONFIG)
+
+
+def test_load_csv_numeric_missing_token(tmp_path):
+    # only the token's exact text is missing, also where it reads as a number
+    cfg = IngestConfig(id_col="id", covariates=["a", "b"], responses=["u", "v"],
+                       missing_token="-999")
+    f = tmp_path / "d.csv"
+    lines = ["id,a,b,u,v", "p1,0.5,1.0,-999,-999.0", "p2,1.5,-1.0,1.0,4.0",
+             "p3,2.5,0.3,5.0,6.0", "p4,0.1,0.7,1.0,2.0", "p5,0.9,0.2,0.5,0.1"]
+    write_lines(f, lines)
+    d = load_csv(f, cfg)
+    assert d.mask[0].tolist() == [False, True] and d.Y[0, 1] == -999.0
+    write_lines(f, lines[:3] + ["p3,-999,0.3,5.0,6.0"] + lines[4:])
+    with pytest.raises(ValueError, match=f"{f}:4: missing covariate 'a'"):
+        load_csv(f, cfg)
+
+
+def test_load_csv_column_read_twice(tmp_path):
+    # lon is both a coordinate and a covariate
+    cfg = IngestConfig(id_col="id", covariates=["lon", "a"], responses=["u"],
+                       lon_col="lon", lat_col="lat")
+    f = tmp_path / "d.csv"
+    write_lines(f, ["id,lon,lat,a,u"] + [f"p{i},{i / 4},{i},{i % 3},NA" for i in range(6)])
+    d = load_csv(f, cfg)
+    np.testing.assert_array_equal(d.X[:, 1], d.coords[:, 0])
+    assert not d.mask.any()
+
+
 def test_load_csv_rejects_duplicate_header(tmp_path):
     f = tmp_path / "d.csv"
     write_lines(f, ["id,a,a,u,v", "p1,0.5,1.0,2.0,3.0"])
@@ -134,18 +170,25 @@ LOCATED = IngestConfig(id_col="id", covariates=["a", "b"], responses=["u", "v"],
     # past the first block of rows, so the block's line offset counts
     (8200, "u", "NaX", "non-numeric response 'u': 'NaX'"),
     (9001, None, None, "expected 7 fields, got 6"),
+    # the block also holds the quoted id "p,3998" of line 4000
+    (4010, None, None, "expected 7 fields, got 6"),
+    (4005, "v", "1,5", "non-numeric response 'v': '1,5'"),
+    # a quoted field may not span lines
+    (7, "id", "p\n5", "expected 7 fields, got 1"),
 ])
 def test_load_csv_error_names_line_and_column(tmp_path, line, column, cell, message):
     header = ["id", "lon", "lat", "a", "b", "u", "v"]
     rows = [[f"p{i}", "-80.5", "40.25", str(i % 7), str(i % 5 / 3), "1.5", "NA"]
             for i in range(9100)]
+    rows[3998][0] = "p,3998"
     row = rows[line - 2]
     if column is None:
         row.pop()
     else:
         row[header.index(column)] = cell
     f = tmp_path / "d.csv"
-    write_lines(f, [",".join(header)] + [",".join(r) for r in rows])
+    write_lines(f, [",".join(header)] + [",".join(f'"{c}"' if "," in c or "\n" in c else c
+                                                  for c in r) for r in rows])
     with pytest.raises(ValueError) as exc:
         load_csv(f, LOCATED)
     assert str(exc.value) == f"{f}:{line}: {message}"

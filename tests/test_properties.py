@@ -1,20 +1,37 @@
 """Property tests: invariants checked over generated inputs."""
 
+import csv
+import io
 import tempfile
+from unittest import mock
 
 import numpy as np
 import pytest
 
 pytest.importorskip("hypothesis")
-from hypothesis import given, settings  # noqa: E402
+from hypothesis import assume, given, settings  # noqa: E402
 from hypothesis import strategies as st  # noqa: E402
 from hypothesis.extra.numpy import arrays  # noqa: E402
 
-from extrapolmv.dataset import SynthSpec, synthesize  # noqa: E402
+from extrapolmv import dataset  # noqa: E402
+from extrapolmv.dataset import (  # noqa: E402
+    Dataset,
+    IngestConfig,
+    SynthSpec,
+    _write_table,
+    load_csv,
+    synthesize,
+    write_csv,
+)
 from extrapolmv.extrapolation import score_locations_analytic  # noqa: E402
 from extrapolmv.sampler import ModelSpec, PosteriorDraws, load_fit, save_fit  # noqa: E402
 
 FINITE = st.floats(allow_nan=False, allow_infinity=False)
+# -0.0, subnormals and the largest magnitudes, besides whatever FINITE draws
+EDGES = st.sampled_from([-0.0, 5e-324, -2.5e-310, 1e308, -1.7976931348623157e308])
+FLOATS = st.one_of(FINITE, EDGES)
+# text with the characters csv quoting is about; no line breaks (a row is a line)
+ID_TEXT = st.text(alphabet='ab ,"\'é', max_size=6)
 
 
 @st.composite
@@ -74,3 +91,77 @@ def test_quantile_flags_are_nested(seed, l, n, q, missing, per_mille):
         for m in report.measures:
             e_hi, e_lo = (c.e for c in m.cutoffs)
             assert np.all(e_hi <= e_lo)
+
+
+@st.composite
+def datasets(draw):
+    n, q = draw(st.integers(1, 3)), draw(st.integers(1, 3))
+    l = draw(st.integers(q + 2, q + 8))
+    # distinct covariate values of like scale keep the design full rank
+    C = draw(arrays(np.float64, (l, q - 1), unique=True, elements=st.one_of(
+        st.floats(-1e3, 1e3), st.sampled_from([-0.0, 5e-324, -2.5e-310]))))
+    Y = draw(arrays(np.float64, (l, n), elements=FLOATS))
+    mask = draw(arrays(np.bool_, (l, n)))
+    coords = draw(arrays(np.float64, (l, 2), elements=FLOATS))
+    ids = [text + str(i) for i, text in enumerate(draw(st.lists(ID_TEXT, min_size=l,
+                                                                max_size=l)))]
+    try:
+        return Dataset(ids=ids, X=np.column_stack([np.ones(l), C]), Y=Y, mask=mask,
+                       response_names=[f"y{j}" for j in range(n)],
+                       covariate_names=["intercept"] + [f"x{j}" for j in range(1, q)],
+                       coords=coords)
+    except ValueError:  # collinear columns
+        assume(False)
+
+
+@settings(max_examples=25, deadline=None)
+@given(d=datasets(), token=st.sampled_from(["NA", "", "-", "-999"]),
+       block_rows=st.integers(1, 5))
+def test_write_load_csv_round_trip_is_exact(d, token, block_rows):
+    # values, ids and mask come back bit for bit, across block boundaries
+    cfg = IngestConfig(id_col="id", covariates=d.covariate_names[1:],
+                       responses=d.response_names, lon_col="lon", lat_col="lat",
+                       missing_token=token)
+    with tempfile.TemporaryDirectory() as tmp, \
+            mock.patch.object(dataset, "_BLOCK_ROWS", block_rows):
+        write_csv(d, f"{tmp}/d.csv", cfg)
+        back = load_csv(f"{tmp}/d.csv", cfg)
+    assert back.ids == d.ids
+    for name in ("X", "Y", "mask", "coords"):
+        assert getattr(back, name).tobytes() == getattr(d, name).tobytes(), name
+
+
+@st.composite
+def tables(draw):
+    l = draw(st.integers(0, 9))
+    columns = []
+    for kind in draw(st.lists(st.sampled_from("fis"), min_size=2, max_size=5)):
+        if kind == "f":
+            col = draw(arrays(np.float64, l, elements=st.one_of(FLOATS, st.just(np.nan))))
+        elif kind == "i":
+            col = draw(arrays(np.int64, l))
+        else:
+            col = draw(st.lists(st.text(alphabet='ab ,"\r\né', max_size=4),
+                                min_size=l, max_size=l))
+        columns.append(col)
+    header = draw(st.lists(ID_TEXT, min_size=len(columns), max_size=len(columns)))
+    return header, columns
+
+
+@settings(max_examples=25, deadline=None)
+@given(table=tables(), missing=st.sampled_from(["nan", "NA"]))
+def test_write_table_bytes_are_csv_writer_bytes(table, missing):
+    # float columns with NaN, int columns and text that needs quoting
+    header, columns = table
+    ref = io.StringIO(newline="")
+    writer = csv.writer(ref)
+    writer.writerow(header)
+    # floats as repr with NaN as the token, ints as str: the text the table holds
+    for row in zip(*(c.tolist() if isinstance(c, np.ndarray) else c for c in columns)):
+        writer.writerow([(missing if v != v else repr(v)) if isinstance(v, float) else v
+                         for v in row])
+    with tempfile.TemporaryDirectory() as tmp, \
+            mock.patch.object(dataset, "_BLOCK_ROWS", 4):
+        _write_table(f"{tmp}/t.csv", header, columns, missing=missing)
+        with open(f"{tmp}/t.csv", "rb") as fh:
+            assert fh.read() == ref.getvalue().encode("utf-8")
