@@ -3,7 +3,10 @@
 Grown greedily: every (covariate, midpoint-threshold) pair is scored by
 its Gini impurity decrease and the best one wins; ties go to the lowest
 covariate index, then the smallest threshold. Rows with a value below
-the threshold go left. There is no cost-complexity pruning; growth stops
+the threshold go left. Each covariate is argsorted once, stably, at the
+root; a split partitions every such order with a stable boolean mask, so
+each node sees its rows sorted by every covariate, ties in row order,
+without sorting again. There is no cost-complexity pruning; growth stops
 on depth, leaf size or insufficient gain. Trees are immutable once grown
 and safe to share.
 """
@@ -73,18 +76,20 @@ def gini(n0: float, n1: float) -> float:
     return 1.0 - p * p - (1.0 - p) * (1.0 - p)
 
 
-def _best_split(X: np.ndarray, y: np.ndarray, params: TreeParams):
-    """Best (feature_idx, threshold, gain) or None when nothing splittable."""
+def _best_split(X: np.ndarray, y: np.ndarray, orders: np.ndarray, params: TreeParams):
+    """Best (feature_idx, threshold, gain) or None when nothing splittable.
+
+    ``orders[f]`` lists the node's rows sorted by feature f, ties in row
+    order, so each feature's candidate splits need no sort here.
+    """
     w0, w1 = params.class_weight
-    n = y.size
-    c1 = float(y.sum())
+    n = orders.shape[1]
+    c1 = float(y[orders[0]].sum())
     c0 = float(n - c1)
     parent = gini(w0 * c0, w1 * c1)
     best = None  # (gain, feat, thresh)
-    for f in range(X.shape[1]):
-        col = X[:, f]
-        order = np.argsort(col, kind="stable")
-        sv = col[order]
+    for f, order in enumerate(orders):
+        sv = X[order, f]
         sy = y[order]
         change = np.flatnonzero(sv[:-1] != sv[1:])
         if change.size == 0:
@@ -116,27 +121,32 @@ def _best_split(X: np.ndarray, y: np.ndarray, params: TreeParams):
     return best
 
 
-def _grow(X: np.ndarray, y: np.ndarray, names: list[str], params: TreeParams,
-          depth: int, total: int) -> TreeNode:
-    n1 = int(y.sum())
-    n0 = int(y.size - n1)
+def _grow(X: np.ndarray, y: np.ndarray, orders: np.ndarray, names: list[str],
+          params: TreeParams, depth: int, total: int) -> TreeNode:
+    size = orders.shape[1]
+    # without covariates the root, which holds every row, is the only node
+    n1 = int(y[orders[0]].sum()) if len(orders) else int(y.sum())
+    n0 = size - n1
     w0, w1 = params.class_weight
     pred = 1 if w1 * n1 > w0 * n0 else 0
-    prop = (n1 if pred == 1 else n0) / max(y.size, 1)
+    prop = (n1 if pred == 1 else n0) / max(size, 1)
     node = TreeNode(n0=n0, n1=n1, prediction=pred, proportion=prop,
-                    fraction=y.size / total)
+                    fraction=size / total)
     if n0 == 0 or n1 == 0 or depth >= params.max_depth \
-            or y.size < 2 * params.min_leaf:
+            or size < 2 * params.min_leaf:
         return node
-    best = _best_split(X, y, params)
+    best = _best_split(X, y, orders, params)
     if best is None or best[0] < params.min_split_gain:
         return node
     _gain, f, thresh = best
-    go_left = X[:, f] < thresh
+    # a stable partition of every order keeps each child's rows sorted
+    go_left = (X[:, f] < thresh)[orders]
     node.feature = names[f]
     node.threshold = thresh
-    node.left = _grow(X[go_left], y[go_left], names, params, depth + 1, total)
-    node.right = _grow(X[~go_left], y[~go_left], names, params, depth + 1, total)
+    node.left = _grow(X, y, orders[go_left].reshape(len(orders), -1), names, params,
+                      depth + 1, total)
+    node.right = _grow(X, y, orders[~go_left].reshape(len(orders), -1), names, params,
+                       depth + 1, total)
     return node
 
 
@@ -165,7 +175,10 @@ def grow_tree(features: np.ndarray, labels: np.ndarray,
     if len(feature_names) != X.shape[1]:
         raise ValueError("feature_names must match feature columns")
     params = params or TreeParams()
-    return _grow(X, y, list(feature_names), params, depth=0, total=X.shape[0])
+    # int32 row numbers halve the memory of every node's order arrays
+    index = np.int32 if X.shape[0] < 2 ** 31 else np.intp
+    orders = np.argsort(X.T, axis=1, kind="stable").astype(index)
+    return _grow(X, y, orders, list(feature_names), params, depth=0, total=X.shape[0])
 
 
 def predict_tree(t: TreeNode, row) -> tuple[int, float]:

@@ -13,7 +13,12 @@ posterior draws. Every measure is a quadratic form in the location: with
 C the across-draw covariance of vec(B), V_i = (I_n kron x_i)' C (I_n kron x_i),
 and CMVPV is z_i' Cov(c) z_i for per-draw coefficient rows c_a and
 z_i = [x_i; y_g]. C is built once, so the cost per location does not
-depend on the number of draws.
+depend on the number of draws. The MVPV rows are scored a block of
+dataset._BLOCK_ROWS at a time: one BLAS product of the block with C
+(q x n*n*q, 2*n*n*q*q flops per location) and one batched product with
+x_i (2*n*n*q), then the trace and an n x n eigendecomposition per row,
+so nothing of size (l, n, n) is held. CMVPV rows are grouped by the
+integer code of their sibling pattern, one group per pattern.
 """
 
 from __future__ import annotations
@@ -25,7 +30,7 @@ from typing import TYPE_CHECKING
 import numpy as np
 from scipy.linalg import cho_factor, cho_solve
 
-from extrapolmv.dataset import Dataset, _write_table, row_status
+from extrapolmv.dataset import _BLOCK_ROWS, Dataset, _write_table, row_status
 from extrapolmv.diagnostics import HighLeverageRule, high_leverage_set, ivh_values
 
 if TYPE_CHECKING:  # pragma: no cover
@@ -416,11 +421,23 @@ def _draw_cov(c: np.ndarray) -> np.ndarray:
 
 
 def _mvpv_arrays(B_draws: np.ndarray, X_rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Per-row (trace, logdet) of the across-draw covariance of B_a x."""
+    """Per-row (trace, logdet) of the across-draw covariance of B_a x.
+
+    C is permuted once to Ct (q, n*n*q), so each block of rows is one gemm
+    W = X Ct, read as (b, n, n, q), and one batched matvec V = W x.
+    """
     A, n, q = B_draws.shape
     C = _draw_cov(B_draws.reshape(A, n * q)).reshape(n, q, n, q)
-    V = np.einsum("lq,jqkr,lr->ljk", X_rows, C, X_rows, optimize=True)
-    return np.trace(V, axis1=1, axis2=2), _logdet_psd(V)
+    Ct = np.ascontiguousarray(C.transpose(1, 0, 2, 3)).reshape(q, n * n * q)
+    traces = np.empty(X_rows.shape[0])
+    logdets = np.empty(X_rows.shape[0])
+    for lo in range(0, X_rows.shape[0], _BLOCK_ROWS):
+        x = X_rows[lo:lo + _BLOCK_ROWS]
+        W = (x @ Ct).reshape(x.shape[0], n, n, q)
+        V = (W @ x[:, None, :, None])[..., 0]
+        traces[lo:lo + x.shape[0]] = np.trace(V, axis1=1, axis2=2)
+        logdets[lo:lo + x.shape[0]] = _logdet_psd(V)
+    return traces, logdets
 
 
 def _cmvpv_array(p: "PosteriorDraws", d: Dataset, target: int) -> np.ndarray:
@@ -428,16 +445,17 @@ def _cmvpv_array(p: "PosteriorDraws", d: Dataset, target: int) -> np.ndarray:
 
     For sibling set g each draw's conditional mean is c_a' z with
     c_a = [B_a[t] - G_a B_a[g], G_a] and z = [x; y_g], so the measure is
-    z' Cov(c) z plus the mean Schur complement; g may be empty.
+    z' Cov(c) z plus the mean Schur complement; g may be empty. Rows are
+    grouped by the integer code of their sibling pattern.
     """
     B = p.B_draws
     S = p.Sigma_draws
     others = np.delete(np.arange(B.shape[1]), target)
-    patterns, which = np.unique(d.mask[:, others], axis=0, return_inverse=True)
+    codes = d.mask[:, others] @ (1 << np.arange(others.size))
+    order = np.argsort(codes, kind="stable")
     vals = np.empty(d.n_rows)
-    for k, pattern in enumerate(patterns):
-        rows = np.flatnonzero(which.ravel() == k)
-        g = others[pattern]
+    for rows in np.split(order, np.flatnonzero(np.diff(codes[order])) + 1):
+        g = others[d.mask[rows[0], others]]
         S_tg = S[:, target, g]
         G = np.linalg.solve(S[:, g[:, None], g[None, :]], S_tg[..., None])[..., 0]
         sbar_mean = float((S[:, target, target]

@@ -607,7 +607,10 @@ def save_fit(p: PosteriorDraws, outdir, extra_meta: dict | None = None) -> None:
 
     draws.csv (draw,chain,param,value) is the interchange file for other
     tools; draws.npz holds the same values in binary, plus fit_rows and
-    missing_cells, and is what load_fit reads. Each file goes through a
+    missing_cells, and is what load_fit reads. draws.npz is written
+    uncompressed: deflate took most of its write time and saved about a
+    third of its size (load_fit reads compressed files from earlier
+    versions as well). Each file goes through a
     temp-file rename. Draws holding any non-finite value raise ValueError
     before a file is made.
     """
@@ -623,7 +626,7 @@ def save_fit(p: PosteriorDraws, outdir, extra_meta: dict | None = None) -> None:
 
     npz_path = os.path.join(outdir, NPZ_FILE)
     with open(npz_path + ".tmp", "wb") as fh:
-        np.savez_compressed(fh, **{key: getattr(p, key) for key in _NPZ_KEYS})
+        np.savez(fh, **{key: getattr(p, key) for key in _NPZ_KEYS})
     os.replace(npz_path + ".tmp", npz_path)
 
     meta = {

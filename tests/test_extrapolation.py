@@ -3,10 +3,12 @@ import csv
 import numpy as np
 import pytest
 
-from extrapolmv.dataset import SynthSpec, synthesize
+from extrapolmv.dataset import _BLOCK_ROWS, SynthSpec, synthesize
 from extrapolmv.diagnostics import HighLeverageRule, high_leverage_set, ivh_values
 from extrapolmv.extrapolation import (
     CutoffSpec,
+    _draw_cov,
+    _mvpv_arrays,
     cmvpv,
     compute_cutoff,
     conditional_mvn,
@@ -450,6 +452,47 @@ def test_never_observed_response_has_no_cutoff_base():
                    np.arange(40))
     with pytest.raises(ValueError, match="no observed locations"):
         score_locations(p, d, measures=("cmvpv:y3",))
+
+
+# -- the blocked MVPV kernel ------------------------------------------------------
+
+
+def _kernel_against_reference(A, n, q, seed):
+    """_mvpv_arrays and the per-location covariance of B_a x on rows that
+    fill two blocks and part of a third."""
+    rng = np.random.default_rng(seed)
+    l = 2 * _BLOCK_ROWS + 117
+    X = np.column_stack([np.ones(l), rng.standard_normal((l, q - 1))])
+    # draws spread around a common mean keep every V_i well conditioned,
+    # so both computations round at the 1e-15 level
+    B = rng.standard_normal((n, q)) + 0.1 * rng.standard_normal((A, n, q))
+    p = make_draws(B, np.tile(np.eye(n), (A, 1, 1)), np.arange(l))
+    ref = [predictive_variance(predictive_mean_draws(p, x)) for x in X]
+    tr, ld = _mvpv_arrays(B, X)
+    np.testing.assert_allclose(tr, [pv.trace for pv in ref], rtol=1e-14, atol=0)
+    np.testing.assert_allclose(ld, [pv.logdet for pv in ref], rtol=1e-14, atol=0)
+    return B
+
+
+def test_blocked_kernel_is_the_per_location_covariance():
+    _kernel_against_reference(A=40, n=3, q=5, seed=81)
+
+
+def test_blocked_kernel_with_rank_deficient_draw_covariance():
+    # fewer draws than coefficients: C has rank A - 1 < n q, V_i is still full rank
+    B = _kernel_against_reference(A=10, n=3, q=5, seed=82)
+    assert np.linalg.matrix_rank(_draw_cov(B.reshape(10, 15))) == 9
+
+
+def test_blocked_kernel_constant_draws():
+    # integer entries and a power-of-two draw count: the mean is exact, so V = 0
+    rng = np.random.default_rng(83)
+    l = 2 * _BLOCK_ROWS + 1
+    X = np.column_stack([np.ones(l), rng.standard_normal((l, 3))])
+    B = np.tile(rng.integers(-5, 6, (2, 4)).astype(float), (8, 1, 1))
+    tr, ld = _mvpv_arrays(B, X)
+    assert np.all(tr == 0.0)
+    assert np.all(ld == -np.inf)
 
 
 # -- degenerate-draw constancy ---------------------------------------------------

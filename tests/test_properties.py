@@ -14,6 +14,14 @@ from hypothesis import strategies as st  # noqa: E402
 from hypothesis.extra.numpy import arrays  # noqa: E402
 
 from extrapolmv import dataset  # noqa: E402
+from extrapolmv.cart import (  # noqa: E402
+    TreeNode,
+    TreeParams,
+    export_tree,
+    gini,
+    grow_tree,
+    import_tree,
+)
 from extrapolmv.dataset import (  # noqa: E402
     Dataset,
     IngestConfig,
@@ -23,8 +31,10 @@ from extrapolmv.dataset import (  # noqa: E402
     synthesize,
     write_csv,
 )
-from extrapolmv.extrapolation import score_locations_analytic  # noqa: E402
+from extrapolmv.extrapolation import score_locations, score_locations_analytic  # noqa: E402
 from extrapolmv.sampler import ModelSpec, PosteriorDraws, load_fit, save_fit  # noqa: E402
+
+from conftest import make_draws  # noqa: E402
 
 FINITE = st.floats(allow_nan=False, allow_infinity=False)
 # -0.0, subnormals and the largest magnitudes, besides whatever FINITE draws
@@ -165,3 +175,136 @@ def test_write_table_bytes_are_csv_writer_bytes(table, missing):
         _write_table(f"{tmp}/t.csv", header, columns, missing=missing)
         with open(f"{tmp}/t.csv", "rb") as fh:
             assert fh.read() == ref.getvalue().encode("utf-8")
+
+
+def _scored(d, B, measures):
+    """score_locations on hand-made draws fitted on d's observed rows."""
+    A, n, _q = B.shape
+    p = make_draws(B, np.tile(np.eye(n), (A, 1, 1)), np.flatnonzero(d.mask.any(axis=1)))
+    return score_locations(p, d, measures=measures)
+
+
+def _draws(rng, A, n, q):
+    # draws spread around a common mean: well-conditioned V_i
+    return rng.standard_normal((n, q)) + 0.1 * rng.standard_normal((A, n, q))
+
+
+@settings(max_examples=10, deadline=None)
+@given(seed=st.integers(0, 10_000), l=st.integers(2040, 2110), n=st.integers(1, 3),
+       q=st.integers(2, 5), missing=st.floats(0.0, 0.6))
+def test_permuting_rows_permutes_scores_and_flags(seed, l, n, q, missing):
+    # the rows straddle a scoring block boundary, in a different place per order
+    d, _ = synthesize(SynthSpec(l=l, n=n, q=q, missing_prob=missing), seed=seed)
+    assume(d.mask.any())
+    rng = np.random.default_rng(seed)
+    B = _draws(rng, 24, n, q)
+    perm = rng.permutation(l)
+    e = Dataset(ids=[d.ids[i] for i in perm], X=d.X[perm], Y=d.Y[perm], mask=d.mask[perm],
+                response_names=d.response_names, covariate_names=d.covariate_names,
+                coords=d.coords[perm])
+    one, two = _scored(d, B, ("det", "trace")), _scored(e, B, ("det", "trace"))
+    for m1, m2 in zip(one.measures, two.measures):
+        np.testing.assert_allclose(m2.values, m1.values[perm], rtol=1e-13, atol=0)
+        for c1, c2 in zip(m1.cutoffs, m2.cutoffs):
+            np.testing.assert_array_equal(c2.e, c1.e[perm])
+        assert m2.first_flagging == [m1.first_flagging[i] for i in perm]
+
+
+@settings(max_examples=10, deadline=None)
+@given(seed=st.integers(0, 10_000), l=st.integers(30, 300), n=st.integers(1, 3),
+       q=st.integers(2, 5), c=st.floats(0.1, 10.0), data=st.data())
+def test_rescaling_a_response_shifts_the_log_determinant(seed, l, n, q, c, data):
+    # V_i becomes D V_i D with D = diag(1, .., c, .., 1) at every location.
+    # eigvalsh resolves each eigenvalue to about eps * the largest, so the
+    # log-determinant's rounding grows with the conditioning of D V_i D;
+    # c within a factor of 10 keeps it under 1e-12.
+    d, _ = synthesize(SynthSpec(l=l, n=n, q=q, missing_prob=0.3), seed=seed)
+    assume(d.mask.any())
+    B = _draws(np.random.default_rng(seed), 24, n, q)
+    scaled = B.copy()
+    scaled[:, data.draw(st.integers(0, n - 1))] *= c
+    one, two = _scored(d, B, ("det",)).primary, _scored(d, scaled, ("det",)).primary
+    np.testing.assert_allclose(two.values - one.values, 2.0 * np.log(c), rtol=0, atol=1e-12)
+    for c1, c2 in zip(one.cutoffs, two.cutoffs):
+        np.testing.assert_array_equal(c2.e, c1.e)
+    assert two.first_flagging == one.first_flagging
+
+
+def tree_nodes(depth: int):
+    counts = dict(n0=st.integers(0, 10 ** 6), n1=st.integers(0, 10 ** 6),
+                  prediction=st.integers(0, 1), proportion=FLOATS, fraction=FLOATS)
+    leaf = st.builds(TreeNode, **counts)
+    if depth == 0:
+        return leaf
+    child = tree_nodes(depth - 1)
+    return st.one_of(leaf, st.builds(TreeNode, **counts, feature=ID_TEXT, threshold=FLOATS,
+                                     left=child, right=child))
+
+
+@settings(max_examples=25, deadline=None)
+@given(tree_nodes(4))
+def test_tree_json_round_trip_is_exact(tree):
+    doc = export_tree(tree)
+    back = import_tree(doc)
+    assert export_tree(back) == doc
+    assert export_tree(back, "text") == export_tree(tree, "text")
+
+
+def _reference_tree(X, y, params, names, depth=0, total=None):
+    """The tree grower as it was before the presort: every node argsorts
+    every feature of its own rows."""
+    total = X.shape[0] if total is None else total
+    w0, w1 = params.class_weight
+    n1 = int(y.sum())
+    n0 = int(y.size - n1)
+    pred = 1 if w1 * n1 > w0 * n0 else 0
+    node = TreeNode(n0=n0, n1=n1, prediction=pred,
+                    proportion=(n1 if pred == 1 else n0) / max(y.size, 1),
+                    fraction=y.size / total)
+    if n0 == 0 or n1 == 0 or depth >= params.max_depth or y.size < 2 * params.min_leaf:
+        return node
+    parent = gini(w0 * n0, w1 * n1)
+    best = None
+    for f in range(X.shape[1]):
+        order = np.argsort(X[:, f], kind="stable")
+        sv, sy = X[order, f], y[order]
+        change = np.flatnonzero(sv[:-1] != sv[1:])
+        n_left = change + 1
+        ok = (n_left >= params.min_leaf) & (y.size - n_left >= params.min_leaf)
+        if not np.any(ok):
+            continue
+        left1 = np.cumsum(sy)[change].astype(float)
+        left0 = n_left - left1
+        right1, right0 = n1 - left1, n0 - left0
+        wl = np.maximum(w0 * left0 + w1 * left1, 1e-300)
+        wr = np.maximum(w0 * right0 + w1 * right1, 1e-300)
+        gl = 1.0 - ((w0 * left0) ** 2 + (w1 * left1) ** 2) / wl ** 2
+        gr = 1.0 - ((w0 * right0) ** 2 + (w1 * right1) ** 2) / wr ** 2
+        gains = np.where(ok, parent - (wl * gl + wr * gr) / (wl + wr), -np.inf)
+        j = int(np.argmax(gains))
+        if best is None or gains[j] > best[0]:
+            best = (float(gains[j]), f, float(0.5 * (sv[change[j]] + sv[change[j] + 1])))
+    if best is None or best[0] < params.min_split_gain:
+        return node
+    _gain, f, node.threshold = best
+    node.feature = names[f]
+    left = X[:, f] < node.threshold
+    node.left = _reference_tree(X[left], y[left], params, names, depth + 1, total)
+    node.right = _reference_tree(X[~left], y[~left], params, names, depth + 1, total)
+    return node
+
+
+@settings(max_examples=25, deadline=None)
+@given(data=st.data(), rows=st.integers(2, 120), features=st.integers(1, 4),
+       weights=st.tuples(*[st.sampled_from([0.3, 1.0, 2.5])] * 2),
+       min_leaf=st.sampled_from([1, 2, 3, 7]), max_depth=st.integers(1, 6))
+def test_presorted_tree_is_the_per_node_sort_tree(data, rows, features, weights, min_leaf,
+                                                   max_depth):
+    # values from a small integer set, so most splits are among ties
+    X = data.draw(arrays(np.float64, (rows, features), elements=st.integers(-3, 3)))
+    y = data.draw(arrays(np.int64, rows, elements=st.integers(0, 1)))
+    params = TreeParams(max_depth=max_depth, min_leaf=min_leaf, min_split_gain=0.0,
+                        class_weight=weights)
+    names = [f"x{j}" for j in range(features)]
+    assert export_tree(grow_tree(X, y, params, names)) == \
+        export_tree(_reference_tree(X, y, params, names))
