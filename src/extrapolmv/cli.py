@@ -273,8 +273,11 @@ def _read_scores(scores, columns) -> tuple[list[str], dict, dict | None]:
 
 def _cmd_tree(args) -> int:
     _header, cols, manifest = _read_scores(args.scores, lambda _: ["id", args.label])
-    labels = np.array(cols[args.label], dtype=float).astype(int)
-    labels_by_id = dict(zip(cols["id"], labels.tolist()))
+    bad = set(cols[args.label]) - {"0", "1"}
+    if bad:
+        raise CliError(f"label column {args.label!r} holds {min(bad)!r}; "
+                       "a tree label must be 0 or 1")
+    labels_by_id = dict(zip(cols["id"], map(int, cols[args.label])))
 
     if args.config:
         config = IngestConfig.from_json(args.config)

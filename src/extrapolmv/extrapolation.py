@@ -136,8 +136,8 @@ def _conditional_gain(sigma: np.ndarray, target: np.ndarray,
     """Gain matrix Sigma_tg Sigma_gg^-1 and the conditional covariance.
 
     Used by conditional_mvn. Both depend on Sigma alone, not on the
-    conditioning values. The sampler's snapshot imputation does not use
-    this: it works in precision form (sampler._precision_gain).
+    conditioning values. The sampler computes the same conditional for
+    all its missingness patterns at once (sampler._conditionals).
     """
     S_gg = sigma[np.ix_(given, given)]
     S_tg = sigma[np.ix_(target, given)]

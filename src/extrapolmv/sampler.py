@@ -20,9 +20,10 @@ Gibbs sampler over (B, Y_mis) and Sigma, batched over the patterns:
    (see _Patterns), and T_g standard normals against them beside a factor
    of Wishart(N_g - r_g, I). Few or repeated rows just make r_g small.
 
-The missing cells themselves are drawn row by row, in precision form,
-only for the imputation snapshots and from a generator of their own, so
-the B and Sigma draws do not depend on store_z or z_thin.
+The missing cells themselves are drawn only for the imputation snapshots,
+from the same per-pattern conditionals (_conditionals) and from a
+generator of their own, so the B and Sigma draws do not depend on store_z
+or z_thin.
 
 Inverse-Wishart convention used throughout: IW(scale, df) has density
 proportional to |S|^-(df+n+1)/2 * exp(-tr(scale S^-1)/2), giving the
@@ -152,30 +153,6 @@ def _chol(a: np.ndarray, what: str) -> np.ndarray:
     return c
 
 
-def _precision(sigma: np.ndarray) -> np.ndarray:
-    """Q = Sigma^-1 from one Cholesky factorisation of Sigma."""
-    # dpotri fills the lower triangle; the upper one stays zero from _chol
-    q_low, _ = lapack.dpotri(_chol(sigma, "Sigma"), lower=1)
-    Q = q_low + q_low.T
-    Q.flat[::Q.shape[0] + 1] *= 0.5
-    return Q
-
-
-def _precision_gain(Q_m: np.ndarray, m_idx: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Gain and noise factor of y_m given the rest, from rows Q_m = Q[m_idx].
-
-    With Q = Sigma^-1 and o the other responses, y_m given y_o has mean
-    mu_m - Q_mm^-1 Q_mo (y_o - mu_o) and covariance Q_mm^-1. Returns
-    G = -Q_mm^-1 Q_m (n columns: the gain in the o columns, -I in the m
-    columns) and the upper-triangular T = L^-T with Q_mm = L L', so that
-    T T' = Q_mm^-1.
-    """
-    L = _chol(Q_m[:, m_idx], "precision block Q_mm")
-    G, _ = lapack.dpotrs(L, -Q_m, lower=1)
-    L_inv, _ = lapack.dtrtri(L, lower=1)  # a PD factor has a nonzero diagonal
-    return G, L_inv.T
-
-
 def invwishart_rvs(df: float, scale: np.ndarray, rng: np.random.Generator) -> np.ndarray:
     """One draw from IW(scale, df) via the Bartlett decomposition."""
     scale = np.asarray(scale, dtype=float)
@@ -228,7 +205,7 @@ def draw_coefficients(XtX: np.ndarray, XtY: np.ndarray, sigma: np.ndarray,
     out. The draw is mu + L'^-1 z with P = L L' and z standard normal.
     """
     if sigma.ndim == 2:
-        XtX, XtY, sigma = XtX[None], XtY[None], _precision(sigma)[None]
+        XtX, XtY, sigma = XtX[None], XtY[None], np.linalg.inv(sigma)[None]
     G, q, _ = XtX.shape
     n = sigma.shape[-1]
     P = (sigma.reshape(G, n * n).T @ XtX.reshape(G, q * q)).reshape(n, n, q, q)
@@ -244,11 +221,11 @@ class _Patterns:
     """Constants of the pattern-sorted fit rows, stacked over the G patterns.
 
     ``patterns`` (G, n) marks each pattern's observed responses, and
-    pattern g owns rows bounds[g]:bounds[g + 1]; the missing cells of ``Y``
-    hold 0. The N_g rows Z_g = [X_g, Y_g] of a pattern are kept only as
-    r_g virtual rows F_g with F_g'F_g = Z_g'Z_g, r_g the rank (at most N_g,
-    and q + |o| as the columns m are 0), so Z_g = U_g F_g for some U_g with
-    orthonormal columns.
+    pattern g owns rows bounds[g]:bounds[g + 1]; the missing cells of ``Y``,
+    marked in ``missing``, hold 0. The N_g rows Z_g = [X_g, Y_g] of a
+    pattern are kept only as r_g virtual rows F_g with F_g'F_g = Z_g'Z_g,
+    r_g the rank (at most N_g, and q + |o| as the columns m are 0), so
+    Z_g = U_g F_g for some U_g with orthonormal columns.
     """
 
     def __init__(self, X: np.ndarray, Y: np.ndarray, patterns: np.ndarray,
@@ -257,8 +234,8 @@ class _Patterns:
         w, miss, spans = q + n, ~patterns, list(zip(bounds[:-1], bounds[1:]))
         self.l = int(bounds[-1])
         self.XY = np.hstack([X, Y])
-        self.groups = [(np.flatnonzero(m), slice(a, b)) for m, (a, b) in zip(miss, spans)
-                       if m.any()]
+        self.groups = [(g, slice(a, b)) for g, (a, b) in enumerate(spans) if miss[g].any()]
+        self.missing = np.repeat(miss, np.diff(bounds), axis=0)
         self.oo, self.mm = (v[:, :, None] & v[:, None, :] for v in (patterns, miss))
         self.eye_o, self.eye_m = (v[:, :, None] * np.eye(n) for v in (patterns, miss))
         gram = np.stack([self.XY[a:b].T @ self.XY[a:b] for a, b in spans])
@@ -306,16 +283,25 @@ def _residual_gram(pat: _Patterns, Theta: np.ndarray, SK: np.ndarray,
     return np.einsum("gij,gkj->ik", J, J)
 
 
-def _sweep(pat: _Patterns, Sigma: np.ndarray, prior_var: float, iw_scale: np.ndarray,
-           iw_df: float, rng: np.random.Generator) -> tuple[np.ndarray, np.ndarray]:
-    """One collapsed sweep: Theta given Sigma, then Sigma given Theta."""
+def _conditionals(pat: _Patterns, Sigma: np.ndarray) -> tuple[np.ndarray, ...]:
+    """The normal of y_m given y_o, stacked over the patterns: K_g, the
+    zero-padded Sigma_oo^-1; SK_g = Sigma K_g, I in rows o and the gain
+    Sigma_mo Sigma_oo^-1 in rows m (columns m zero); Lc_g, the Cholesky
+    factor of the conditional covariance C_g in block m and I in block o."""
     M = Sigma * pat.oo + pat.eye_m
     _pattern_chol(M, pat, "Sigma_oo")
     K = np.linalg.inv(M) * pat.oo
-    Theta = draw_coefficients(pat.XtX, pat.XtY, K, prior_var, rng)
     SK = Sigma @ K
     Lc = _pattern_chol((Sigma - SK @ Sigma) * pat.mm + pat.eye_o, pat,
                        "conditional covariance of the missing responses")
+    return K, SK, Lc
+
+
+def _sweep(pat: _Patterns, Sigma: np.ndarray, prior_var: float, iw_scale: np.ndarray,
+           iw_df: float, rng: np.random.Generator) -> tuple[np.ndarray, np.ndarray]:
+    """One collapsed sweep: Theta given Sigma, then Sigma given Theta."""
+    K, SK, Lc = _conditionals(pat, Sigma)
+    Theta = draw_coefficients(pat.XtX, pat.XtY, K, prior_var, rng)
     T = np.zeros(pat.noise.shape)
     T[pat.noise] = rng.standard_normal(np.count_nonzero(pat.noise))
     T[pat.chi_at] = np.sqrt(rng.chisquare(pat.chi_df))
@@ -325,21 +311,19 @@ def _sweep(pat: _Patterns, Sigma: np.ndarray, prior_var: float, iw_scale: np.nda
 
 def _impute(pat: _Patterns, Theta: np.ndarray, Sigma: np.ndarray, cells: np.ndarray,
             rng: np.random.Generator) -> np.ndarray:
-    """The missing cells, in ``cells`` order, drawn row by row from their
-    conditional normal given Theta, Sigma and the observed responses."""
-    Q, q = _precision(Sigma), Theta.shape[0]
-    Yc = pat.XY[:, q:].copy()
-    for m_idx, rows in pat.groups:
-        try:
-            G, T = _precision_gain(Q[m_idx], m_idx)
-        except np.linalg.LinAlgError as exc:
-            raise np.linalg.LinAlgError(
-                f"imputing missing responses {m_idx.tolist()}: {exc}") from exc
-        # the missing cells hold 0, so the -I block of G adds their mean
-        # back and y_m = mu_m + gain (y_o - mu_o) + noise
-        z = rng.standard_normal((rows.stop - rows.start, m_idx.size))
-        Yc[rows, m_idx] += (Yc[rows] - pat.XY[rows, :q] @ Theta) @ G.T + z @ T.T
-    return Yc.take(cells)
+    """The missing cells, in ``cells`` order, drawn from their conditional
+    normal given Theta, Sigma and the observed responses: in each row,
+    y_m = mu_m + gain (y_o - mu_o) + chol(C_g) z_m."""
+    _K, SK, Lc = _conditionals(pat, Sigma)
+    q = Theta.shape[0]
+    # normals at the missing cells in row-major order of the sorted Y; the
+    # identity rows o of SK_g and Lc_g pass the observed cells through
+    Y = np.zeros(pat.missing.shape)
+    Y[pat.missing] = rng.standard_normal(cells.size)
+    for g, rows in pat.groups:
+        fitted = pat.XY[rows, :q] @ Theta
+        Y[rows] = fitted + (pat.XY[rows, q:] - fitted) @ SK[g].T + Y[rows] @ Lc[g].T
+    return Y.take(cells)
 
 
 def _run_chain(chain, seedseq, pat: _Patterns, cells, Sigma, spec: ModelSpec,

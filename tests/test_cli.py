@@ -270,6 +270,17 @@ def test_missing_label_column_is_error(pipeline, tmp_path):
     assert rc == 1
 
 
+@pytest.mark.parametrize("label", ["mvpv_tr", "r_max", "k_q95"])
+def test_non_binary_label_column_is_error(pipeline, tmp_path, capsys, label):
+    # a trace or a ratio must not be truncated into 0/1 labels
+    rc = run("tree", "--scores", pipeline["scores"],
+             "--data", pipeline["sim"] / "dataset.csv",
+             "--label", label, "--out", tmp_path / "t")
+    assert rc == 1
+    assert f"label column {label!r}" in capsys.readouterr().err
+    assert not (tmp_path / "t").exists()
+
+
 def test_report_counts_match_scores(pipeline):
     header, rows = read_csv(pipeline["scores"] / "scores.csv")
     text = (pipeline["rep"] / "report.md").read_text()

@@ -230,6 +230,32 @@ def test_rescaling_a_response_shifts_the_log_determinant(seed, l, n, q, c, data)
     assert two.first_flagging == one.first_flagging
 
 
+@settings(max_examples=8, deadline=None)
+@given(seed=st.integers(0, 10_000), l=st.integers(40, 300), n=st.integers(1, 3),
+       q=st.integers(2, 5), missing=st.floats(0.0, 0.5))
+def test_analytic_scores_are_affine_invariant(seed, l, n, q, missing):
+    # X -> X A with A's first column e_0 (the intercept stays 1) and an
+    # invertible lower block: the fit spans the same columns, so every
+    # leverage x_i'(X'X)^-1 x_i and the OLS Sigma are unchanged
+    d, _ = synthesize(SynthSpec(l=l, n=n, q=q, missing_prob=missing), seed=seed)
+    assume(np.count_nonzero(d.mask.all(axis=1)) >= q + 2)
+    rng = np.random.default_rng(seed)
+    A = np.eye(q)
+    A[0, 1:] = rng.standard_normal(q - 1)
+    A[1:, 1:] += 0.5 * rng.standard_normal((q - 1, q - 1))
+    assume(np.linalg.cond(A) < 100)
+    e = Dataset(ids=d.ids, X=d.X @ A, Y=d.Y, mask=d.mask, response_names=d.response_names,
+                covariate_names=d.covariate_names, coords=d.coords)
+    one, two = score_locations_analytic(d), score_locations_analytic(e)
+    tol = 1e-9
+    for m1, m2 in zip(one.measures, two.measures):
+        np.testing.assert_allclose(m2.values, m1.values, rtol=tol, atol=tol)
+        for c1, c2 in zip(m1.cutoffs, m2.cutoffs):
+            assert c2.k == pytest.approx(c1.k, rel=tol, abs=tol)
+            clear = np.abs(m1.values - c1.k) > tol * max(1.0, abs(c1.k))
+            np.testing.assert_array_equal(c2.e[clear], c1.e[clear])
+
+
 def tree_nodes(depth: int):
     counts = dict(n0=st.integers(0, 10 ** 6), n1=st.integers(0, 10 ** 6),
                   prediction=st.integers(0, 1), proportion=FLOATS, fraction=FLOATS)

@@ -144,31 +144,40 @@ def test_coefficient_draw_is_the_dense_kronecker_form_exactly():
     np.testing.assert_allclose(M @ M.T, cov, rtol=1e-12, atol=1e-12 * np.abs(cov).max())
 
 
-def test_precision_form_conditional_matches_conditional_mvn_for_every_pattern():
+def test_pattern_conditionals_match_conditional_mvn_for_every_pattern():
     rng = np.random.default_rng(32)
     n = 4
     A = rng.standard_normal((n, n))
     Sigma = A @ A.T + 0.3 * np.eye(n)
-    Q = sampler._precision(Sigma)
-    np.testing.assert_allclose(Q @ Sigma, np.eye(n), atol=1e-12)
+    # two rows in each pattern that misses some but not all responses
+    patterns = np.array([p for p in itertools.product([False, True], repeat=n)
+                         if 0 < sum(p) < n])
+    mask = np.repeat(patterns, 2, axis=0)
+    X = np.column_stack([np.ones(mask.shape[0]), rng.standard_normal(mask.shape[0])])
+    pat = sampler._Patterns(X, np.where(mask, rng.standard_normal(mask.shape), 0.0),
+                            patterns, np.arange(len(patterns) + 1) * 2)
+    K, SK, Lc = sampler._conditionals(pat, Sigma)
     mu = rng.standard_normal(n)
-    y = rng.standard_normal(n)  # y[m] plays the stale imputed values
-    patterns = 0
-    for size in range(1, n):
-        for m in itertools.combinations(range(n), size):
-            m = np.array(m)
-            o = np.setdiff1d(np.arange(n), m)
-            G, T = sampler._precision_gain(Q[m], m)
-            G_ref, S_ref = _conditional_gain(Sigma, m, o)
-            np.testing.assert_allclose(G[:, o], G_ref, rtol=1e-12, atol=1e-12)
-            np.testing.assert_allclose(G[:, m], -np.eye(m.size), atol=1e-12)
-            np.testing.assert_allclose(np.triu(T), T, atol=0)
-            np.testing.assert_allclose(T @ T.T, S_ref, rtol=1e-12, atol=1e-12)
-            # the sweep's update y_m += (y - mu) G' lands on the conditional mean
-            mu_bar, _ = conditional_mvn(mu, Sigma, m, o, y[o])
-            np.testing.assert_allclose(y[m] + G @ (y - mu), mu_bar, rtol=1e-12, atol=1e-12)
-            patterns += 1
-    assert patterns == 2 ** n - 2
+    y = rng.standard_normal(n)
+    assert len(pat.groups) == 2 ** n - 2
+    for g, observed in enumerate(patterns):
+        m, o = np.flatnonzero(~observed), np.flatnonzero(observed)
+        G_ref, S_ref = _conditional_gain(Sigma, m, o)
+        np.testing.assert_allclose(K[g][np.ix_(o, o)] @ Sigma[np.ix_(o, o)],
+                                   np.eye(o.size), atol=1e-12)
+        np.testing.assert_allclose(SK[g][np.ix_(m, o)], G_ref, rtol=1e-12, atol=1e-12)
+        np.testing.assert_array_equal(SK[g][:, m], 0.0)
+        np.testing.assert_allclose(SK[g][o], np.eye(n)[o], atol=1e-12)
+        np.testing.assert_array_equal(np.tril(Lc[g]), Lc[g])
+        Lm = Lc[g][np.ix_(m, m)]
+        np.testing.assert_allclose(Lm @ Lm.T, S_ref, rtol=1e-12, atol=1e-12)
+        np.testing.assert_array_equal(Lc[g][o], np.eye(n)[o])
+        # the imputation's mu + SK_g (y - mu), with the missing cells of y
+        # at 0, lands on the conditional mean in rows m
+        mu_bar, _ = conditional_mvn(mu, Sigma, m, o, y[o])
+        y0 = np.where(observed, y, 0.0)
+        np.testing.assert_allclose((mu + SK[g] @ (y0 - mu))[m], mu_bar,
+                                   rtol=1e-12, atol=1e-12)
 
 
 def _joint_functionals(Theta, Sigma, Y):
@@ -512,16 +521,26 @@ def test_draws_do_not_depend_on_imputation_snapshots(missing_dataset):
     np.testing.assert_array_equal(runs[1].Z_draws[:1], runs[0].Z_draws[:1])
 
 
-def test_sweep_failure_names_the_pattern(monkeypatch, missing_dataset):
+def _fit_on_bad_first_sigma(monkeypatch, d, store_z, iteration):
     # Sigma_oo fails to be PD exactly for the patterns that observe
     # response 2; the first of them in sorted order misses response 0
-    d, _ = missing_dataset
     monkeypatch.setattr(sampler, "invwishart_rvs",
                         lambda df, scale, rng: np.diag([1.0, 1.0, -1.0]))
     with pytest.raises(np.linalg.LinAlgError,
-                       match=r"chain 0, iteration 2: Sigma_oo is not positive definite "
-                             r"for the pattern with missing responses \[0"):
-        gibbs_fit(d, ModelSpec(iterations=5, burn_in=0, chains=1, seed=1, store_z=False))
+                       match=rf"chain 0, iteration {iteration}: Sigma_oo is not positive "
+                             r"definite for the pattern with missing responses \[0"):
+        gibbs_fit(d, ModelSpec(iterations=5, burn_in=0, chains=1, seed=1, store_z=store_z,
+                               z_thin=1))
+
+
+def test_sweep_failure_names_the_pattern(monkeypatch, missing_dataset):
+    # the sweep of iteration 2 meets the bad first Sigma draw
+    _fit_on_bad_first_sigma(monkeypatch, missing_dataset[0], False, 2)
+
+
+def test_imputation_failure_names_the_pattern(monkeypatch, missing_dataset):
+    # the snapshot of iteration 1 meets it first, through the same conditionals
+    _fit_on_bad_first_sigma(monkeypatch, missing_dataset[0], True, 1)
 
 
 @pytest.mark.parametrize("missing", [True, False])
@@ -547,12 +566,32 @@ def test_chain_failure_names_chain_and_iteration(monkeypatch, missing_dataset,
         gibbs_fit(d, ModelSpec(iterations=iters, burn_in=2, chains=2, seed=1))
 
 
-def test_imputation_failure_names_the_pattern(monkeypatch, missing_dataset):
-    d, _ = missing_dataset
-    monkeypatch.setattr(sampler, "_precision", lambda sigma: -np.eye(sigma.shape[0]))
-    with pytest.raises(np.linalg.LinAlgError,
-                       match=r"chain 0, iteration 1: imputing missing responses \[0"):
-        gibbs_fit(d, ModelSpec(iterations=5, burn_in=0, chains=1, seed=1))
+@pytest.mark.parametrize("normals", ["zeros", "ones", "distinct"])
+def test_imputation_is_the_conditional_normal_of_each_row(monkeypatch, normals):
+    # the snapshot of a real fit, redrawn with fixed normals: the cells of
+    # row i are mu_bar + chol(Sigma_bar) z_i, the normals taken in the
+    # row-major order of the pattern-sorted Y
+    d, _ = synthesize(SynthSpec(l=60, n=4, q=3, missing_prob=[0.5, 0.4, 0.3, 0.1]), seed=3)
+    calls = []
+    real = sampler._impute
+    monkeypatch.setattr(sampler, "_impute", lambda *a: calls.append(a) or real(*a))
+    p = gibbs_fit(d, ModelSpec(iterations=2, burn_in=1, chains=1, seed=4, z_thin=1))
+    pat, Theta, Sigma, cells, _ = calls[0]
+    assert np.any(np.diff(cells) < 0)  # missing_cells order is not the sorted order
+    z = {"zeros": np.zeros(cells.size), "ones": np.ones(cells.size),
+         "distinct": np.linspace(-2.0, 2.0, cells.size)}[normals]
+    got = real(pat, Theta, Sigma, cells, _StubNormals(z))
+    z_cell = z[np.argsort(np.argsort(cells))]
+
+    rows, resp = p.missing_cells.T
+    want = np.empty(cells.size)
+    for i in np.unique(rows):
+        at = np.flatnonzero(rows == i)
+        m, o = resp[at], np.flatnonzero(d.mask[i])
+        mu_bar, S_bar = conditional_mvn(d.X[i] @ Theta, Sigma, m, o, d.Y[i, o])
+        want[at] = mu_bar + np.linalg.cholesky(S_bar) @ z_cell[at]
+    assert np.bincount(rows).max() > 1  # rows with two or more missing cells
+    np.testing.assert_allclose(got, want, rtol=1e-10, atol=1e-12)
 
 
 def test_fit_requires_observed_rows():
