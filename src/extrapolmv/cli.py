@@ -7,6 +7,9 @@ thread variables; for ``fit`` and ``score`` also per-stage seconds)
 alongside its outputs, and all file writes go through a temp-file rename
 so partial outputs never appear. Exit codes: 0 success, 1 error, 2
 success with warnings.
+
+``score`` and ``tree`` read data with the ingestion config the fit's
+meta.json or the score's manifest.json records; a --config must match it.
 """
 
 from __future__ import annotations
@@ -27,8 +30,10 @@ from extrapolmv.dataset import (
     IngestConfig,
     SynthSpec,
     TransformSpec,
+    _from_json,
     _read_table,
     _text_columns,
+    _to_json,
     apply_transforms,
     load_csv,
     synthesize,
@@ -41,6 +46,7 @@ from extrapolmv.extrapolation import (
     write_scores_csv,
 )
 from extrapolmv.sampler import (
+    META_FILE,
     ModelSpec,
     convergence_summary,
     gibbs_fit,
@@ -122,6 +128,25 @@ def _write_manifest(outdir, command: str, params: dict,
                        json.dumps(manifest, indent=1, sort_keys=True) + "\n")
 
 
+def _ingest_config(path, recorded: dict | None, source: str) -> IngestConfig:
+    """The --config file at ``path``, which must match the config
+    ``recorded`` in the file ``source`` if there is one; without --config,
+    the recorded config."""
+    where = f"{source} ingest_config"
+    stored = None if recorded is None else _from_json(IngestConfig, recorded, where)
+    if not path:
+        if stored is None:
+            raise CliError(f"no ingestion config: {source} records none; pass --config")
+        return stored
+    config = IngestConfig.from_json(path)
+    if stored is not None:
+        given, fitted = _to_json(config), _to_json(stored)
+        differ = [k for k in sorted(given) if given[k] != fitted[k]]
+        if differ:
+            raise CliError(f"--config differs from the {where} in {', '.join(differ)}")
+    return config
+
+
 def _load_transformed(data_path, config: IngestConfig, constants: dict | None = None):
     """Load a CSV and apply the transforms the config explicitly names,
     standardizing with a fit's recorded ``transform_constants`` if given."""
@@ -161,7 +186,7 @@ def _cmd_fit(args) -> int:
     os.makedirs(args.out, exist_ok=True)
     save_fit(draws, args.out, extra_meta={
         "dataset_hash": dataset_hash,
-        "ingest_config": config.to_jsonable(),
+        "ingest_config": _to_json(config),
         "transform_constants": {
             "centers": None if t.centers is None else t.centers.tolist(),
             "scales": None if t.scales is None else t.scales.tolist(),
@@ -176,7 +201,7 @@ def _cmd_fit(args) -> int:
               "prior_var": args.prior_var, "threads": 1}
     _write_manifest(args.out, "fit", params, timings=timings,
                     dataset_hash=dataset_hash,
-                    config_hash=_sha256_json(config.to_jsonable()))
+                    config_hash=_sha256_json(_to_json(config)))
     if conv.max_rhat > RHAT_WARN:
         print(f"warning: max split-R-hat {conv.max_rhat:.3f} exceeds "
               f"{RHAT_WARN}; chains may not have converged", file=sys.stderr)
@@ -199,22 +224,8 @@ def _cmd_score(args) -> int:
             f"dataset hash {dataset_hash[:12]} does not match the hash the "
             f"draws were fitted on ({recorded[:12]}); pass --force to override")
 
-    fitted = meta.get("ingest_config")
-    if args.config:
-        config = IngestConfig.from_json(args.config)
-        if fitted:
-            given = config.to_jsonable()
-            differ = sorted(k for k in given.keys() | fitted.keys()
-                            if given.get(k) != fitted.get(k))
-            if differ:
-                raise CliError(
-                    f"--config differs from the ingestion config the draws were "
-                    f"fitted with in {', '.join(differ)}")
-    elif fitted:
-        config = IngestConfig(**fitted)
-    else:
-        raise CliError("no ingestion config: pass --config or use a fit "
-                       "directory whose meta records one")
+    config = _ingest_config(args.config, meta.get("ingest_config"),
+                            os.path.join(args.draws, META_FILE))
     d, _t = _load_transformed(args.data, config, meta.get("transform_constants"))
 
     measures = args.measure or ["det", "trace"]
@@ -233,8 +244,8 @@ def _cmd_score(args) -> int:
               "force": bool(args.force)}
     _write_manifest(args.out, "score", params, timings=timings,
                     dataset_hash=dataset_hash,
-                    config_hash=_sha256_json(config.to_jsonable()),
-                    ingest_config=config.to_jsonable())
+                    config_hash=_sha256_json(_to_json(config)),
+                    ingest_config=_to_json(config))
     return 0
 
 
@@ -279,15 +290,8 @@ def _cmd_tree(args) -> int:
                        "a tree label must be 0 or 1")
     labels_by_id = dict(zip(cols["id"], map(int, cols[args.label])))
 
-    if args.config:
-        config = IngestConfig.from_json(args.config)
-    elif manifest is not None:
-        stored = manifest.get("ingest_config")
-        if not stored:
-            raise CliError("scores manifest has no ingestion config; pass --config")
-        config = IngestConfig(**stored)
-    else:
-        raise CliError("pass --config or point --scores at a score output directory")
+    source = args.scores if manifest is None else os.path.join(args.scores, "manifest.json")
+    config = _ingest_config(args.config, (manifest or {}).get("ingest_config"), source)
 
     # raw covariates: thresholds stay in original units
     d = load_csv(args.data, config)
@@ -313,7 +317,7 @@ def _cmd_tree(args) -> int:
                      "label": args.label, "max_depth": args.max_depth,
                      "min_leaf": args.min_leaf, "min_gain": args.min_gain},
                     dataset_hash=_sha256_file(args.data),
-                    config_hash=_sha256_json(config.to_jsonable()))
+                    config_hash=_sha256_json(_to_json(config)))
     return 0
 
 
@@ -340,7 +344,7 @@ def _cmd_simulate(args) -> int:
     _atomic_write_text(os.path.join(args.out, "truth.json"),
                        json.dumps(truth, indent=1, sort_keys=True) + "\n")
     _atomic_write_text(os.path.join(args.out, "config.json"),
-                       json.dumps(config.to_jsonable(), indent=1, sort_keys=True) + "\n")
+                       json.dumps(_to_json(config), indent=1, sort_keys=True) + "\n")
     _write_manifest(args.out, "simulate",
                     {"spec": str(args.spec), "seed": args.seed},
                     dataset_hash=_sha256_file(data_path))
@@ -445,7 +449,9 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("tree", help="characterize flags with a classification tree")
     p.add_argument("--scores", required=True, help="score output directory or scores.csv")
     p.add_argument("--data", required=True)
-    p.add_argument("--config", default=None)
+    p.add_argument("--config", default=None,
+                   help="ingestion config JSON (default: the one the score "
+                        "recorded, which a given config must match)")
     p.add_argument("--label", default="e_q95")
     p.add_argument("--max-depth", type=int, default=5)
     p.add_argument("--min-leaf", type=int, default=20)

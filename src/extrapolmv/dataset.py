@@ -15,6 +15,10 @@ A block the C path rejects goes to _parse_floats, which names the faulty
 cell as path:line. _write_table formats a block with one %-format row
 string and quotes text as csv.writer does, so the bytes are csv.writer's.
 Neither holds a whole file as strings.
+
+The JSON records (ingestion config, synthesis spec, a fit's model spec)
+go through one codec, _to_json and _from_json: a record must have every
+required field and no other key, or ValueError names the source and keys.
 """
 
 from __future__ import annotations
@@ -23,7 +27,7 @@ import csv
 import itertools
 import json
 import os
-from dataclasses import dataclass, field
+from dataclasses import MISSING, dataclass, field, fields
 
 import numpy as np
 
@@ -37,6 +41,30 @@ _BLOCK_ROWS = 2048
 _LOADTXT = {"delimiter": ",", "quotechar": '"', "comments": None, "encoding": None}
 # Characters that make csv.writer (QUOTE_MINIMAL) quote a cell.
 _QUOTED = ',"\r\n'
+
+
+def _to_json(record) -> dict:
+    """The fields of a config dataclass as JSON values; arrays and numpy
+    scalars go through .tolist()."""
+    out = {}
+    for f in fields(record):
+        value = getattr(record, f.name)
+        out[f.name] = value.tolist() if isinstance(value, (np.ndarray, np.generic)) else value
+    return out
+
+
+def _from_json(cls, raw, where: str):
+    """``cls(**raw)`` for a JSON object ``raw`` that has every required
+    field of the dataclass ``cls`` and no other key. Anything else raises
+    ValueError naming ``where`` and the keys."""
+    if not isinstance(raw, dict):
+        raise ValueError(f"{where}: expected a JSON object, got {json.dumps(raw)[:40]}")
+    unknown = sorted(raw.keys() - {f.name for f in fields(cls)})
+    absent = [f.name for f in fields(cls) if f.name not in raw
+              and f.default is MISSING and f.default_factory is MISSING]
+    if unknown or absent:
+        raise ValueError(f"{where}: unknown keys {unknown}, missing keys {absent}")
+    return cls(**raw)
 
 
 class RankDeficientError(ValueError):
@@ -141,7 +169,12 @@ def row_status(d: Dataset) -> list[str]:
 # Transforms
 # ---------------------------------------------------------------------------
 
-_RESPONSE_TAGS = ("none", "log", "log1p")
+# response transform tag -> (forward, inverse, floor, wording); observed
+# values must lie above floor. "none" is the identity.
+_RESPONSE_TRANSFORMS = {
+    "log": (np.log, np.exp, 0.0, "positive values"),
+    "log1p": (np.log1p, np.expm1, -1.0, "values > -1"),
+}
 
 
 @dataclass
@@ -161,7 +194,7 @@ class TransformSpec:
 
     def __post_init__(self):
         for tag in self.response:
-            if tag not in _RESPONSE_TAGS:
+            if tag != "none" and tag not in _RESPONSE_TRANSFORMS:
                 raise ValueError(f"unknown response transform {tag!r}")
 
     @classmethod
@@ -206,24 +239,16 @@ def apply_transforms(d: Dataset, t: TransformSpec) -> Dataset:
     for j, tag in enumerate(t.response):
         if tag == "none":
             continue
+        forward, _inverse, floor, wording = _RESPONSE_TRANSFORMS[tag]
         col = Y[:, j]
         obs = d.mask[:, j]
-        if tag == "log":
-            bad = obs & (col <= 0)
-            if np.any(bad):
-                i = int(np.argmax(bad))
-                raise ValueError(
-                    f"log transform needs positive values; row {d.ids[i]!r} "
-                    f"column {d.response_names[j]!r} has {col[i]!r}")
-            col[obs] = np.log(col[obs])
-        elif tag == "log1p":
-            bad = obs & (col <= -1)
-            if np.any(bad):
-                i = int(np.argmax(bad))
-                raise ValueError(
-                    f"log1p transform needs values > -1; row {d.ids[i]!r} "
-                    f"column {d.response_names[j]!r} has {col[i]!r}")
-            col[obs] = np.log1p(col[obs])
+        bad = obs & (col <= floor)
+        if np.any(bad):
+            i = int(np.argmax(bad))
+            raise ValueError(
+                f"{tag} transform needs {wording}; row {d.ids[i]!r} "
+                f"column {d.response_names[j]!r} has {col[i]!r}")
+        col[obs] = forward(col[obs])
 
     X = d.X.copy()
     given = t.centers is not None and t.scales is not None
@@ -257,11 +282,9 @@ def invert_transforms(d: Dataset, t: TransformSpec) -> Dataset:
         raise ValueError("transform spec has no fitted constants to invert")
     Y = d.Y.copy()
     for j, tag in enumerate(t.response):
-        obs = d.mask[:, j]
-        if tag == "log":
-            Y[obs, j] = np.exp(Y[obs, j])
-        elif tag == "log1p":
-            Y[obs, j] = np.expm1(Y[obs, j])
+        if tag != "none":
+            obs = d.mask[:, j]
+            Y[obs, j] = _RESPONSE_TRANSFORMS[tag][1](Y[obs, j])
     X = d.X.copy()
     for j, do_std in enumerate(t.standardize):
         if do_std:
@@ -292,24 +315,7 @@ class IngestConfig:
     @classmethod
     def from_json(cls, path) -> "IngestConfig":
         with open(path, encoding="utf-8") as fh:
-            raw = json.load(fh)
-        known = {"id_col", "covariates", "responses", "lon_col", "lat_col",
-                 "missing_token", "transforms"}
-        unknown = set(raw) - known
-        if unknown:
-            raise ValueError(f"unknown ingestion config keys: {sorted(unknown)}")
-        return cls(**raw)
-
-    def to_jsonable(self) -> dict:
-        return {
-            "id_col": self.id_col,
-            "covariates": list(self.covariates),
-            "responses": list(self.responses),
-            "lon_col": self.lon_col,
-            "lat_col": self.lat_col,
-            "missing_token": self.missing_token,
-            "transforms": self.transforms,
-        }
+            return _from_json(cls, json.load(fh), str(path))
 
 
 def _read_table(path):
@@ -520,12 +526,7 @@ class SynthSpec:
     @classmethod
     def from_json(cls, path) -> "SynthSpec":
         with open(path, encoding="utf-8") as fh:
-            raw = json.load(fh)
-        if "B" in raw and raw["B"] is not None:
-            raw["B"] = np.asarray(raw["B"], dtype=float)
-        if "Sigma" in raw and raw["Sigma"] is not None:
-            raw["Sigma"] = np.asarray(raw["Sigma"], dtype=float)
-        return cls(**raw)
+            return _from_json(cls, json.load(fh), str(path))
 
 
 def synthesize(gen: SynthSpec, seed: int) -> tuple[Dataset, dict]:

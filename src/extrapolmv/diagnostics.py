@@ -61,14 +61,9 @@ def _gram_cholesky(X: np.ndarray):
 
 def hat_diagonal(X: np.ndarray) -> np.ndarray:
     """Leverages h_ii = x_i'(X'X)^-1 x_i for each row of X."""
-    X = np.asarray(X, dtype=float)
-    c = _gram_cholesky(X)
-    W = cho_solve(c, X.T)
-    h = np.einsum("ij,ji->i", X, W)
-    over = h > 1.0
+    h = ivh_values(X, X)
     if np.any(h > 1.0 + _LEVERAGE_SLACK):
         raise np.linalg.LinAlgError("leverage exceeds 1 beyond roundoff tolerance")
-    h[over] = 1.0
     return h
 
 
@@ -91,12 +86,6 @@ def write_leverage_csv(report: LeverageReport, ids, path) -> None:
     _write_table(path, ["id", "h", "flagged"], [list(ids), report.h, flagged])
 
 
-def _clamp_near_one(v):
-    # mirror hat_diagonal's roundoff clamp so a design row's quadratic
-    # form can never land a hair above its own (clamped) leverage
-    return np.where((v > 1.0) & (v <= 1.0 + _LEVERAGE_SLACK), 1.0, v)
-
-
 def ivh_value(X: np.ndarray, x0: np.ndarray) -> float:
     """Quadratic form x0'(X'X)^-1 x0 for a candidate covariate row."""
     X = np.asarray(X, dtype=float)
@@ -109,11 +98,14 @@ def ivh_value(X: np.ndarray, x0: np.ndarray) -> float:
 def ivh_values(X: np.ndarray, X0: np.ndarray) -> np.ndarray:
     """Row-wise ivh_value for a matrix of candidate rows."""
     X = np.asarray(X, dtype=float)
+    c = _gram_cholesky(X)
     X0 = np.asarray(X0, dtype=float)
     if X0.shape[1] != X.shape[1]:
         raise ValueError("candidate rows do not match design width")
-    c = _gram_cholesky(X)
-    return _clamp_near_one(np.einsum("ij,ji->i", X0, cho_solve(c, X0.T)))
+    v = np.einsum("ij,ji->i", X0, cho_solve(c, X0.T))
+    # values in (1, 1 + slack] are roundoff; clamped to 1, a design row's
+    # quadratic form never lands a hair above its own leverage
+    return np.where((v > 1.0) & (v <= 1.0 + _LEVERAGE_SLACK), 1.0, v)
 
 
 def ivh_contains(X: np.ndarray, x0: np.ndarray) -> bool:

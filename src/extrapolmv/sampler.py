@@ -46,7 +46,7 @@ import numpy as np
 from scipy.linalg import lapack
 from scipy.special import multigammaln
 
-from extrapolmv.dataset import Dataset
+from extrapolmv.dataset import Dataset, _from_json, _to_json
 
 DRAWS_FILE = "draws.csv"
 NPZ_FILE = "draws.npz"
@@ -90,27 +90,6 @@ class ModelSpec:
             raise ValueError("need at least one chain")
         if self.iw_scale is not None:
             self.iw_scale = np.asarray(self.iw_scale, dtype=float)
-
-    def to_jsonable(self) -> dict:
-        return {
-            "coef_prior_var": float(self.coef_prior_var),
-            "iw_scale": None if self.iw_scale is None else self.iw_scale.tolist(),
-            "iw_df": None if self.iw_df is None else float(self.iw_df),
-            "iterations": int(self.iterations),
-            "burn_in": int(self.burn_in),
-            "thin": int(self.thin),
-            "chains": int(self.chains),
-            "seed": int(self.seed),
-            "store_z": bool(self.store_z),
-            "z_thin": int(self.z_thin),
-        }
-
-    @classmethod
-    def from_jsonable(cls, raw: dict) -> "ModelSpec":
-        raw = dict(raw)
-        if raw.get("iw_scale") is not None:
-            raw["iw_scale"] = np.asarray(raw["iw_scale"], dtype=float)
-        return cls(**raw)
 
 
 @dataclass
@@ -614,7 +593,7 @@ def save_fit(p: PosteriorDraws, outdir, extra_meta: dict | None = None) -> None:
     os.replace(npz_path + ".tmp", npz_path)
 
     meta = {
-        "spec": p.spec.to_jsonable(),
+        "spec": _to_json(p.spec),
         "seed": int(p.spec.seed),
         "response_names": list(p.response_names),
         "covariate_names": list(p.covariate_names),
@@ -635,19 +614,20 @@ def load_fit(fitdir) -> tuple[PosteriorDraws, dict]:
 
     draws.csv is never read. A directory without draws.npz, or whose
     draws.npz lacks fit_rows (both written by earlier versions), raises
-    ValueError.
+    ValueError, as does a meta.json spec that is not a ModelSpec record.
     """
     npz_path = os.path.join(fitdir, NPZ_FILE)
     if not os.path.exists(npz_path):
         raise ValueError(f"{npz_path} not found; re-run fit to write it")
-    with open(os.path.join(fitdir, META_FILE), encoding="utf-8") as fh:
+    meta_path = os.path.join(fitdir, META_FILE)
+    with open(meta_path, encoding="utf-8") as fh:
         meta = json.load(fh)
     with np.load(npz_path) as npz:
         if "fit_rows" not in npz.files:
             raise ValueError(f"{npz_path} has no fit_rows; re-run fit to rewrite it")
         p = PosteriorDraws(
             **{key: npz[key] for key in _NPZ_KEYS},
-            spec=ModelSpec.from_jsonable(meta["spec"]),
+            spec=_from_json(ModelSpec, meta.get("spec"), f"{meta_path} spec"),
             response_names=meta["response_names"],
             covariate_names=meta["covariate_names"],
         )

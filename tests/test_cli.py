@@ -311,6 +311,54 @@ def test_missing_transforms_key_is_error(pipeline, tmp_path):
     assert rc == 1
 
 
+def _bad_json_input(case, pipeline, tmp_path):
+    """argv of a command given one malformed JSON input, and the file
+    and key its error must name."""
+    data = pipeline["sim"] / "dataset.csv"
+    cfg = json.loads((pipeline["sim"] / "config.json").read_text())
+    meta = json.loads((pipeline["fit"] / "meta.json").read_text())
+    if case == "synth_spec_misspelled_key":
+        path = tmp_path / "synth.json"
+        path.write_text(json.dumps({"l": 60, "n": 2, "q": 3, "missing_prb": 0.1}))
+        return ["simulate", "--spec", path], path, "missing_prb"
+    if case == "ingest_config_without_responses":
+        del cfg["responses"]
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps(cfg))
+        return ["fit", "--data", data, "--config", path, "--iters", 20, "--burnin", 5], \
+            path, "responses"
+    if case == "tree_config_differs_from_score":
+        cfg["transforms"] = {"responses": "none", "standardize": False}
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps(cfg))
+        return ["tree", "--scores", pipeline["scores"], "--data", data, "--config", path], \
+            pipeline["scores"] / "manifest.json", "transforms"
+    if case == "meta_spec_unknown_key":
+        meta["spec"]["bogus"] = 1
+    else:  # meta_without_spec
+        del meta["spec"]
+    fit = tmp_path / "fit"
+    fit.mkdir()
+    (fit / "draws.npz").write_bytes((pipeline["fit"] / "draws.npz").read_bytes())
+    (fit / "meta.json").write_text(json.dumps(meta))
+    return ["score", "--draws", fit, "--data", data], fit / "meta.json", \
+        "bogus" if case == "meta_spec_unknown_key" else "spec"
+
+
+@pytest.mark.parametrize("case", ["synth_spec_misspelled_key",
+                                  "ingest_config_without_responses",
+                                  "meta_spec_unknown_key", "meta_without_spec",
+                                  "tree_config_differs_from_score"])
+def test_bad_json_input_is_one_error_line(pipeline, tmp_path, capsys, case):
+    argv, path, key = _bad_json_input(case, pipeline, tmp_path)
+    capsys.readouterr()
+    assert run(*argv, "--out", tmp_path / "out") == 1
+    [line] = capsys.readouterr().err.splitlines()
+    assert line.startswith("error: ") and str(path) in line, line
+    assert key in line.replace(str(path), ""), line
+    assert not (tmp_path / "out").exists()
+
+
 def test_fit_npz_written_and_loadable(pipeline, tmp_path):
     out = tmp_path / "short"
     # 40 draws per chain: max split-R-hat may exceed 1.1, which exits 2
