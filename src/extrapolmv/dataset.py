@@ -177,6 +177,17 @@ _RESPONSE_TRANSFORMS = {
 }
 
 
+def _per_name(value, names: list[str], default, key: str) -> list:
+    """One value per name from a ``transforms`` entry: a single value for
+    every name, or a name -> value mapping with ``default`` for the rest."""
+    if not isinstance(value, dict):
+        return [value] * len(names)
+    unknown = sorted(value.keys() - set(names))
+    if unknown:
+        raise ValueError(f"transforms {key}: unknown names {unknown}")
+    return [value.get(name, default) for name in names]
+
+
 @dataclass
 class TransformSpec:
     """Per-column response transforms plus covariate standardization.
@@ -205,20 +216,19 @@ class TransformSpec:
         ``cfg["responses"]`` is either a single tag applied to every
         response or a name -> tag mapping (unlisted names get "none");
         ``cfg["standardize"]`` is a bool for all covariates or a
-        name -> bool mapping (unlisted default True).
+        name -> bool mapping (unlisted default True). Any other key, or a
+        mapping name that is no response (no non-intercept covariate),
+        raises ValueError naming it.
         """
-        resp_cfg = cfg.get("responses", "none")
-        if isinstance(resp_cfg, str):
-            response = [resp_cfg] * len(response_names)
-        else:
-            response = [resp_cfg.get(name, "none") for name in response_names]
-        std_cfg = cfg.get("standardize", True)
+        unknown = sorted(cfg.keys() - {"responses", "standardize"})
+        if unknown:
+            raise ValueError(f"transforms: unknown keys {unknown}")
         non_intercept = [c for c in covariate_names if c != INTERCEPT_NAME]
-        if isinstance(std_cfg, bool):
-            standardize = [std_cfg] * len(non_intercept)
-        else:
-            standardize = [bool(std_cfg.get(name, True)) for name in non_intercept]
-        return cls(response=response, standardize=standardize)
+        response = _per_name(cfg.get("responses", "none"), response_names, "none",
+                             "responses")
+        standardize = _per_name(cfg.get("standardize", True), non_intercept, True,
+                                "standardize")
+        return cls(response=response, standardize=[bool(s) for s in standardize])
 
 
 def apply_transforms(d: Dataset, t: TransformSpec) -> Dataset:

@@ -504,11 +504,15 @@ def _flags_and_ratio(v: np.ndarray, tie: np.ndarray | None, k: float,
     return e, r
 
 
-def _assemble_report(d: Dataset, measure_data: list[tuple], cutoff_specs,
-                     hvals: np.ndarray) -> ExtrapolationReport:
-    """measure_data items: (measure_key, values, tie_values_or_None, obs_idx)."""
+def _assemble_report(d: Dataset, measures: list[str], traces, logdets, fit_rows,
+                     cmvpv: dict, cutoff_specs, hvals: np.ndarray) -> ExtrapolationReport:
+    """Cutoffs and flags of each measure, from its (values, tie values or
+    None, observed rows): trace and det over the fit rows, det with the
+    trace to break its ties; ``cmvpv`` maps each CMVPV measure to its own."""
+    table = {"trace": (traces, None, fit_rows), "det": (logdets, traces, fit_rows), **cmvpv}
     reports = []
-    for key, values, tie, obs in measure_data:
+    for key in measures:
+        values, tie, obs = table[key]
         if obs.size == 0:
             raise ValueError(f"measure {key!r} has no observed locations")
         log_space = key == "det"
@@ -564,20 +568,14 @@ def score_locations(p: "PosteriorDraws", d: Dataset, measures=DEFAULT_MEASURES,
     if need_mvpv:
         traces, logdets = _mvpv_arrays(p.B_draws, d.X)
 
-    measure_data = []
+    cmvpv = {}
     for m in measures:
-        if m == "trace":
-            measure_data.append((m, traces, None, fit_rows))
-        elif m == "det":
-            measure_data.append((m, logdets, traces, fit_rows))
-        else:
-            resp = m.split(":", 1)[1]
-            t = d.response_names.index(resp)
-            vals = _cmvpv_array(p, d, t)
-            obs = np.flatnonzero(d.mask[:, t])
-            measure_data.append((m, vals, None, obs))
+        if m.startswith("cmvpv:"):
+            t = d.response_names.index(m.split(":", 1)[1])
+            cmvpv[m] = _cmvpv_array(p, d, t), None, np.flatnonzero(d.mask[:, t])
     middle = time.perf_counter()
-    report = _assemble_report(d, measure_data, cutoff_specs, hvals)
+    report = _assemble_report(d, measures, traces, logdets, fit_rows, cmvpv,
+                              cutoff_specs, hvals)
     if timings is not None:
         timings.update(measures=middle - start, cutoffs=time.perf_counter() - middle)
     return report
@@ -623,14 +621,7 @@ def score_locations_analytic(d: Dataset, measures=DEFAULT_MEASURES,
     traces = hvals * tr_sigma
     with np.errstate(divide="ignore"):
         logdets = n * np.log(hvals) + logdet_sigma
-
-    measure_data = []
-    for m in measures:
-        if m == "trace":
-            measure_data.append((m, traces, None, fit_rows))
-        else:
-            measure_data.append((m, logdets, traces, fit_rows))
-    return _assemble_report(d, measure_data, cutoff_specs, hvals)
+    return _assemble_report(d, measures, traces, logdets, fit_rows, {}, cutoff_specs, hvals)
 
 
 # ---------------------------------------------------------------------------

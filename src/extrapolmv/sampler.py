@@ -20,11 +20,6 @@ Gibbs sampler over (B, Y_mis) and Sigma, batched over the patterns:
    (see _Patterns), and T_g standard normals against them beside a factor
    of Wishart(N_g - r_g, I). Few or repeated rows just make r_g small.
 
-The missing cells themselves are drawn only for the imputation snapshots,
-from the same per-pattern conditionals (_conditionals) and from a
-generator of their own, so the B and Sigma draws do not depend on store_z
-or z_thin.
-
 Inverse-Wishart convention used throughout: IW(scale, df) has density
 proportional to |S|^-(df+n+1)/2 * exp(-tr(scale S^-1)/2), giving the
 full conditional IW(prior_scale + E'E, prior_df + l_fit) and prior mean
@@ -53,8 +48,7 @@ NPZ_FILE = "draws.npz"
 META_FILE = "meta.json"
 _EPS = np.finfo(float).eps
 # the draws.npz arrays, in the order they are written
-_NPZ_KEYS = ("B_draws", "Sigma_draws", "chain", "draw", "Z_draws", "Z_chain", "Z_draw",
-            "fit_rows", "missing_cells")
+_NPZ_KEYS = ("B_draws", "Sigma_draws", "chain", "draw", "fit_rows")
 
 
 @dataclass
@@ -62,8 +56,7 @@ class ModelSpec:
     """Prior and run-length configuration for gibbs_fit.
 
     ``iw_scale`` defaults to the identity and ``iw_df`` to q + 1 (resolved
-    against the dataset at fit time). ``z_thin`` further thins the stored
-    imputation snapshots relative to the retained draws.
+    against the dataset at fit time).
     """
 
     coef_prior_var: float = 100.0
@@ -74,8 +67,6 @@ class ModelSpec:
     thin: int = 1
     chains: int = 2
     seed: int = 0
-    store_z: bool = True
-    z_thin: int = 50
 
     def __post_init__(self):
         if self.coef_prior_var <= 0:
@@ -84,8 +75,8 @@ class ModelSpec:
             raise ValueError("iterations must be positive")
         if not 0 <= self.burn_in < self.iterations:
             raise ValueError("burn-in must be non-negative and below iterations")
-        if self.thin < 1 or self.z_thin < 1:
-            raise ValueError("thinning factors must be at least 1")
+        if self.thin < 1:
+            raise ValueError("thinning factor must be at least 1")
         if self.chains < 1:
             raise ValueError("need at least one chain")
         if self.iw_scale is not None:
@@ -97,8 +88,7 @@ class PosteriorDraws:
     """Retained Gibbs draws plus enough metadata to reuse them.
 
     B_draws is (A, n, q) in the response-by-covariate orientation,
-    Sigma_draws (A, n, n). Z_draws holds thinned snapshots of the imputed
-    missing cells listed in ``missing_cells`` (global row, response).
+    Sigma_draws (A, n, n); fit_rows lists the dataset rows fitted on.
     """
 
     B_draws: np.ndarray
@@ -106,10 +96,6 @@ class PosteriorDraws:
     chain: np.ndarray
     draw: np.ndarray
     fit_rows: np.ndarray
-    missing_cells: np.ndarray
-    Z_draws: np.ndarray
-    Z_chain: np.ndarray
-    Z_draw: np.ndarray
     spec: ModelSpec
     response_names: list[str] = field(default_factory=list)
     covariate_names: list[str] = field(default_factory=list)
@@ -200,9 +186,9 @@ class _Patterns:
     """Constants of the pattern-sorted fit rows, stacked over the G patterns.
 
     ``patterns`` (G, n) marks each pattern's observed responses, and
-    pattern g owns rows bounds[g]:bounds[g + 1]; the missing cells of ``Y``,
-    marked in ``missing``, hold 0. The N_g rows Z_g = [X_g, Y_g] of a
-    pattern are kept only as r_g virtual rows F_g with F_g'F_g = Z_g'Z_g,
+    pattern g owns rows bounds[g]:bounds[g + 1]; the missing cells of ``Y``
+    hold 0. The N_g rows Z_g = [X_g, Y_g] of a pattern are kept only as
+    r_g virtual rows F_g with F_g'F_g = Z_g'Z_g,
     r_g the rank (at most N_g, and q + |o| as the columns m are 0), so
     Z_g = U_g F_g for some U_g with orthonormal columns.
     """
@@ -212,12 +198,10 @@ class _Patterns:
         (G, n), q = patterns.shape, X.shape[1]
         w, miss, spans = q + n, ~patterns, list(zip(bounds[:-1], bounds[1:]))
         self.l = int(bounds[-1])
-        self.XY = np.hstack([X, Y])
-        self.groups = [(g, slice(a, b)) for g, (a, b) in enumerate(spans) if miss[g].any()]
-        self.missing = np.repeat(miss, np.diff(bounds), axis=0)
+        XY = np.hstack([X, Y])
         self.oo, self.mm = (v[:, :, None] & v[:, None, :] for v in (patterns, miss))
         self.eye_o, self.eye_m = (v[:, :, None] * np.eye(n) for v in (patterns, miss))
-        gram = np.stack([self.XY[a:b].T @ self.XY[a:b] for a, b in spans])
+        gram = np.stack([XY[a:b].T @ XY[a:b] for a, b in spans])
         self.XtX, self.XtY = gram[:, :q, :q], gram[:, :q, q:]
         # T_g takes normals in rows m: against the r_g virtual rows (the
         # imputation noise projected on U_g), then a factor of the part
@@ -288,48 +272,24 @@ def _sweep(pat: _Patterns, Sigma: np.ndarray, prior_var: float, iw_scale: np.nda
     return Theta, invwishart_rvs(iw_df + pat.l, iw_scale + EtE, rng)
 
 
-def _impute(pat: _Patterns, Theta: np.ndarray, Sigma: np.ndarray, cells: np.ndarray,
-            rng: np.random.Generator) -> np.ndarray:
-    """The missing cells, in ``cells`` order, drawn from their conditional
-    normal given Theta, Sigma and the observed responses: in each row,
-    y_m = mu_m + gain (y_o - mu_o) + chol(C_g) z_m."""
-    _K, SK, Lc = _conditionals(pat, Sigma)
-    q = Theta.shape[0]
-    # normals at the missing cells in row-major order of the sorted Y; the
-    # identity rows o of SK_g and Lc_g pass the observed cells through
-    Y = np.zeros(pat.missing.shape)
-    Y[pat.missing] = rng.standard_normal(cells.size)
-    for g, rows in pat.groups:
-        fitted = pat.XY[rows, :q] @ Theta
-        Y[rows] = fitted + (pat.XY[rows, q:] - fitted) @ SK[g].T + Y[rows] @ Lc[g].T
-    return Y.take(cells)
-
-
-def _run_chain(chain, seedseq, pat: _Patterns, cells, Sigma, spec: ModelSpec,
-               iw_scale, iw_df):
-    """One chain's kept B and Sigma draws and imputation snapshots; ``cells``
-    indexes the missing cells of the sorted Y in the order of missing_cells."""
+def _run_chain(chain, seedseq, pat: _Patterns, Sigma, spec: ModelSpec, iw_scale, iw_df):
+    """One chain's kept B and Sigma draws."""
     rng = np.random.default_rng(seedseq)
-    z_rng = np.random.default_rng(seedseq.spawn(1)[0])
     n, q = Sigma.shape[0], pat.XtX.shape[1]
     n_keep = (spec.iterations - spec.burn_in + spec.thin - 1) // spec.thin
     B_out = np.empty((n_keep, n, q))
     S_out = np.empty((n_keep, n, n))
-    Z = []
     for t in range(spec.iterations):
-        r, skip = divmod(t - spec.burn_in, spec.thin)
-        keep = r >= 0 and not skip
         try:
             Theta, Sigma = _sweep(pat, Sigma, spec.coef_prior_var, iw_scale, iw_df, rng)
-            if keep and spec.store_z and pat.groups and r % spec.z_thin == 0:
-                Z.append(_impute(pat, Theta, Sigma, cells, z_rng))
         except np.linalg.LinAlgError as exc:
             raise np.linalg.LinAlgError(
                 f"chain {chain}, iteration {t + 1}: {exc}") from exc
-        if keep:
+        r, skip = divmod(t - spec.burn_in, spec.thin)
+        if r >= 0 and not skip:
             B_out[r] = Theta.T
             S_out[r] = Sigma
-    return B_out, S_out, Z
+    return B_out, S_out
 
 
 def gibbs_fit(d: Dataset, spec: ModelSpec) -> PosteriorDraws:
@@ -362,11 +322,6 @@ def gibbs_fit(d: Dataset, spec: ModelSpec) -> PosteriorDraws:
     M_sorted = M[order]
     Yobs = np.where(M_sorted, d.Y[fit_rows[order]], 0.0)
     pat = _Patterns(d.X[fit_rows[order]], Yobs, patterns, bounds)
-
-    miss_row, miss_col = np.nonzero(~M)
-    missing_cells = np.column_stack([fit_rows[miss_row], miss_col])
-    cells = np.argsort(order)[miss_row] * n + miss_col  # positions in the sorted Y
-
     if lapack.dpotrf(pat.XtX.sum(axis=0))[1]:
         raise np.linalg.LinAlgError("X'X is singular on the fitted rows")
 
@@ -375,21 +330,16 @@ def gibbs_fit(d: Dataset, spec: ModelSpec) -> PosteriorDraws:
                       for j in range(n)]) + np.eye(n)
 
     children = np.random.SeedSequence(spec.seed).spawn(spec.chains)
-    results = [_run_chain(c, children[c], pat, cells, Sigma0, spec, iw_scale, iw_df)
+    results = [_run_chain(c, children[c], pat, Sigma0, spec, iw_scale, iw_df)
                for c in range(spec.chains)]
 
     per_chain = results[0][0].shape[0]
-    Z = [z for r in results for z in r[2]]
-    z_draw = np.arange(0, per_chain, spec.z_thin) if Z else np.empty(0, dtype=int)
     return PosteriorDraws(
         B_draws=np.concatenate([r[0] for r in results]),
         Sigma_draws=np.concatenate([r[1] for r in results]),
         chain=np.repeat(np.arange(spec.chains), per_chain),
         draw=np.tile(np.arange(per_chain), spec.chains),
-        fit_rows=fit_rows, missing_cells=missing_cells,
-        Z_draws=np.reshape(Z, (len(Z), cells.size)),
-        Z_chain=np.repeat(np.arange(spec.chains), z_draw.size),
-        Z_draw=np.tile(z_draw, spec.chains), spec=spec,
+        fit_rows=fit_rows, spec=spec,
         response_names=list(d.response_names),
         covariate_names=list(d.covariate_names),
     )
@@ -548,36 +498,28 @@ def _write_draws_csv(p: PosteriorDraws, fh) -> None:
     """draw,chain,param,value rows, quoted and terminated as csv.writer
     writes them, one draw's lines per write."""
     n, q = p.B_draws.shape[1:]
-    bs_names = ([f'"B[{r},{c}]"' for r in range(n) for c in range(q)]
-                + [f'"Sigma[{r},{c}]"' for r in range(n) for c in range(n)])
-    z_names = [f'"Z[{r},{c}]"' for r, c in p.missing_cells.tolist()]
-
-    def lines(draw, chain, names, values):
-        # repr of a python float is the shortest exact round-trip form
-        prefix = f"{draw},{chain},"
-        return "".join([f"{prefix}{name},{v!r}\r\n" for name, v in zip(names, values)])
-
+    names = ([f'"B[{r},{c}]"' for r in range(n) for c in range(q)]
+             + [f'"Sigma[{r},{c}]"' for r in range(n) for c in range(n)])
     fh.write("draw,chain,param,value\r\n")
     for a, (dr, ch) in enumerate(zip(p.draw.tolist(), p.chain.tolist())):
-        fh.write(lines(dr, ch, bs_names, p.B_draws[a].ravel().tolist()
-                       + p.Sigma_draws[a].ravel().tolist()))
-    for zi, (dr, ch) in enumerate(zip(p.Z_draw.tolist(), p.Z_chain.tolist())):
-        fh.write(lines(dr, ch, z_names, p.Z_draws[zi].tolist()))
+        # repr of a python float is the shortest exact round-trip form
+        prefix = f"{dr},{ch},"
+        values = p.B_draws[a].ravel().tolist() + p.Sigma_draws[a].ravel().tolist()
+        fh.write("".join([f"{prefix}{name},{v!r}\r\n" for name, v in zip(names, values)]))
 
 
 def save_fit(p: PosteriorDraws, outdir, extra_meta: dict | None = None) -> None:
     """Write draws.csv, draws.npz and meta.json into outdir.
 
     draws.csv (draw,chain,param,value) is the interchange file for other
-    tools; draws.npz holds the same values in binary, plus fit_rows and
-    missing_cells, and is what load_fit reads. draws.npz is written
-    uncompressed: deflate took most of its write time and saved about a
-    third of its size (load_fit reads compressed files from earlier
-    versions as well). Each file goes through a
-    temp-file rename. Draws holding any non-finite value raise ValueError
-    before a file is made.
+    tools; draws.npz holds the same values in binary, plus fit_rows, and
+    is what load_fit reads. draws.npz is written uncompressed: deflate
+    took most of its write time and saved about a third of its size
+    (load_fit reads compressed files from earlier versions as well). Each
+    file goes through a temp-file rename. Draws holding any non-finite
+    value raise ValueError before a file is made.
     """
-    for name, values in (("B", p.B_draws), ("Sigma", p.Sigma_draws), ("Z", p.Z_draws)):
+    for name, values in (("B", p.B_draws), ("Sigma", p.Sigma_draws)):
         bad = values.size - np.count_nonzero(np.isfinite(values))
         if bad:
             raise ValueError(f"{bad} non-finite {name} draw values; nothing written")
@@ -614,7 +556,10 @@ def load_fit(fitdir) -> tuple[PosteriorDraws, dict]:
 
     draws.csv is never read. A directory without draws.npz, or whose
     draws.npz lacks fit_rows (both written by earlier versions), raises
-    ValueError, as does a meta.json spec that is not a ModelSpec record.
+    ValueError, as does a meta.json without response_names or
+    covariate_names, or whose spec is not a ModelSpec record (one written
+    before store_z and z_thin went away is not). Other arrays in
+    draws.npz are ignored.
     """
     npz_path = os.path.join(fitdir, NPZ_FILE)
     if not os.path.exists(npz_path):
@@ -622,13 +567,17 @@ def load_fit(fitdir) -> tuple[PosteriorDraws, dict]:
     meta_path = os.path.join(fitdir, META_FILE)
     with open(meta_path, encoding="utf-8") as fh:
         meta = json.load(fh)
+    absent = [key for key in ("response_names", "covariate_names") if key not in meta]
+    if absent:
+        raise ValueError(f"{meta_path}: missing keys {absent}; re-run fit to rewrite it")
+    try:
+        spec = _from_json(ModelSpec, meta.get("spec"), f"{meta_path} spec")
+    except ValueError as exc:
+        raise ValueError(f"{exc}; re-run fit to rewrite it") from None
     with np.load(npz_path) as npz:
         if "fit_rows" not in npz.files:
             raise ValueError(f"{npz_path} has no fit_rows; re-run fit to rewrite it")
-        p = PosteriorDraws(
-            **{key: npz[key] for key in _NPZ_KEYS},
-            spec=_from_json(ModelSpec, meta.get("spec"), f"{meta_path} spec"),
-            response_names=meta["response_names"],
-            covariate_names=meta["covariate_names"],
-        )
+        p = PosteriorDraws(**{key: npz[key] for key in _NPZ_KEYS}, spec=spec,
+                           response_names=meta["response_names"],
+                           covariate_names=meta["covariate_names"])
     return p, meta

@@ -33,10 +33,6 @@ def make_draws(B_draws, Sigma_draws, fit_rows, response_names=None,
         chain=np.zeros(A, dtype=int),
         draw=np.arange(A),
         fit_rows=np.asarray(fit_rows, dtype=int),
-        missing_cells=np.empty((0, 2), dtype=int),
-        Z_draws=np.empty((0, 0)),
-        Z_chain=np.empty(0, dtype=int),
-        Z_draw=np.empty(0, dtype=int),
         spec=ModelSpec(iterations=2, burn_in=0, chains=1),
         response_names=response_names or [f"y{j + 1}" for j in range(n)],
         covariate_names=covariate_names or ["intercept"]

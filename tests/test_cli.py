@@ -312,50 +312,78 @@ def test_missing_transforms_key_is_error(pipeline, tmp_path):
 
 
 def _bad_json_input(case, pipeline, tmp_path):
-    """argv of a command given one malformed JSON input, and the file
-    and key its error must name."""
+    """argv of a command given one malformed JSON input, the file its
+    error must name and the words (keys, hint) it must hold besides."""
     data = pipeline["sim"] / "dataset.csv"
     cfg = json.loads((pipeline["sim"] / "config.json").read_text())
     meta = json.loads((pipeline["fit"] / "meta.json").read_text())
     if case == "synth_spec_misspelled_key":
         path = tmp_path / "synth.json"
         path.write_text(json.dumps({"l": 60, "n": 2, "q": 3, "missing_prb": 0.1}))
-        return ["simulate", "--spec", path], path, "missing_prb"
+        return ["simulate", "--spec", path], path, ["missing_prb"]
     if case == "ingest_config_without_responses":
         del cfg["responses"]
         path = tmp_path / "cfg.json"
         path.write_text(json.dumps(cfg))
         return ["fit", "--data", data, "--config", path, "--iters", 20, "--burnin", 5], \
-            path, "responses"
+            path, ["responses"]
     if case == "tree_config_differs_from_score":
         cfg["transforms"] = {"responses": "none", "standardize": False}
         path = tmp_path / "cfg.json"
         path.write_text(json.dumps(cfg))
         return ["tree", "--scores", pipeline["scores"], "--data", data, "--config", path], \
-            pipeline["scores"] / "manifest.json", "transforms"
+            pipeline["scores"] / "manifest.json", ["transforms"]
     if case == "meta_spec_unknown_key":
         meta["spec"]["bogus"] = 1
-    else:  # meta_without_spec
-        del meta["spec"]
+        words = ["bogus"]
+    elif case == "meta_spec_with_snapshot_keys":  # written before Z was dropped
+        meta["spec"].update(store_z=True, z_thin=50)
+        words = ["store_z", "z_thin", "re-run fit"]
+    else:  # meta_without_<key>
+        key = case[len("meta_without_"):]
+        del meta[key]
+        words = [key]
     fit = tmp_path / "fit"
     fit.mkdir()
     (fit / "draws.npz").write_bytes((pipeline["fit"] / "draws.npz").read_bytes())
     (fit / "meta.json").write_text(json.dumps(meta))
-    return ["score", "--draws", fit, "--data", data], fit / "meta.json", \
-        "bogus" if case == "meta_spec_unknown_key" else "spec"
+    return ["score", "--draws", fit, "--data", data], fit / "meta.json", words
 
 
 @pytest.mark.parametrize("case", ["synth_spec_misspelled_key",
                                   "ingest_config_without_responses",
                                   "meta_spec_unknown_key", "meta_without_spec",
+                                  "meta_spec_with_snapshot_keys",
+                                  "meta_without_response_names",
+                                  "meta_without_covariate_names",
                                   "tree_config_differs_from_score"])
 def test_bad_json_input_is_one_error_line(pipeline, tmp_path, capsys, case):
-    argv, path, key = _bad_json_input(case, pipeline, tmp_path)
+    argv, path, words = _bad_json_input(case, pipeline, tmp_path)
     capsys.readouterr()
     assert run(*argv, "--out", tmp_path / "out") == 1
     [line] = capsys.readouterr().err.splitlines()
     assert line.startswith("error: ") and str(path) in line, line
-    assert key in line.replace(str(path), ""), line
+    assert all(word in line.replace(str(path), "") for word in words), line
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("transforms, key", [
+    ({"responses": "none", "standardise": False}, "standardise"),
+    ({"responses": {"y1": "log", "y4": "log"}}, "y4"),
+    ({"standardize": {"x1": False, "x9": False}}, "x9"),
+], ids=["unknown_key", "unknown_response", "unknown_covariate"])
+def test_unknown_transforms_entry_is_one_error_line(pipeline, tmp_path, capsys,
+                                                    transforms, key):
+    # a key or name the transforms entry would otherwise drop without a word
+    cfg = json.loads((pipeline["sim"] / "config.json").read_text())
+    cfg["transforms"] = transforms
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps(cfg))
+    capsys.readouterr()
+    assert run("fit", "--data", pipeline["sim"] / "dataset.csv", "--config", path,
+               "--iters", 20, "--burnin", 5, "--out", tmp_path / "out") == 1
+    [line] = capsys.readouterr().err.splitlines()
+    assert line.startswith("error: transforms") and key in line, line
     assert not (tmp_path / "out").exists()
 
 

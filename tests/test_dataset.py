@@ -298,6 +298,18 @@ def test_unknown_transform_tag_rejected():
         TransformSpec(response=["sqrt"], standardize=[])
 
 
+def test_transforms_entry_rejects_what_it_would_drop():
+    names, covariates = ["y1", "y2"], ["intercept", "x1", "x2"]
+    t = TransformSpec.from_config({"responses": {"y2": "log"}, "standardize": {"x2": False}},
+                                  names, covariates)
+    assert t.response == ["none", "log"] and t.standardize == [True, False]
+    for cfg, key in [({"responses": "log", "standardise": False}, "standardise"),
+                     ({"responses": {"y3": "log"}}, "y3"),
+                     ({"standardize": {"intercept": False}}, "intercept")]:
+        with pytest.raises(ValueError, match=rf"transforms.*'{key}'"):
+            TransformSpec.from_config(cfg, names, covariates)
+
+
 # -- status partition ---------------------------------------------------------
 
 

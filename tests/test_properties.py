@@ -49,8 +49,6 @@ def posterior_draws(draw):
     chains = draw(st.integers(1, 3))
     per_chain = draw(st.integers(1, 4))
     n, q = draw(st.integers(1, 3)), draw(st.integers(1, 3))
-    cells = draw(st.integers(0, 4))
-    snapshots = draw(st.integers(0, 2)) if cells else 0
     A = chains * per_chain
     return PosteriorDraws(
         B_draws=draw(arrays(np.float64, (A, n, q), elements=FINITE)),
@@ -58,10 +56,6 @@ def posterior_draws(draw):
         chain=np.repeat(np.arange(chains), per_chain),
         draw=np.tile(np.arange(per_chain), chains),
         fit_rows=np.arange(draw(st.integers(1, 5))) * 2,
-        missing_cells=np.column_stack([np.arange(cells), np.arange(cells) % n]),
-        Z_draws=draw(arrays(np.float64, (chains * snapshots, cells), elements=FINITE)),
-        Z_chain=np.repeat(np.arange(chains), snapshots),
-        Z_draw=np.tile(np.arange(snapshots), chains),
         spec=ModelSpec(iterations=per_chain + 1, burn_in=1, chains=chains,
                        seed=draw(st.integers(0, 2 ** 32 - 1)),
                        iw_df=draw(st.none() | st.floats(n, 1e6))),
@@ -73,12 +67,11 @@ def posterior_draws(draw):
 @settings(max_examples=25, deadline=None)
 @given(posterior_draws())
 def test_save_load_round_trip_is_exact(p):
-    # every array comes back with its bytes, shape and dtype, empty Z included
+    # every array comes back with its bytes, shape and dtype
     with tempfile.TemporaryDirectory() as tmp:
         save_fit(p, tmp)
         back, _meta = load_fit(tmp)
-    for name in ("B_draws", "Sigma_draws", "chain", "draw", "fit_rows", "missing_cells",
-                 "Z_draws", "Z_chain", "Z_draw"):
+    for name in ("B_draws", "Sigma_draws", "chain", "draw", "fit_rows"):
         got, want = getattr(back, name), getattr(p, name)
         assert got.dtype == want.dtype and got.shape == want.shape, name
         assert got.tobytes() == want.tobytes(), name

@@ -159,7 +159,7 @@ def test_pattern_conditionals_match_conditional_mvn_for_every_pattern():
     K, SK, Lc = sampler._conditionals(pat, Sigma)
     mu = rng.standard_normal(n)
     y = rng.standard_normal(n)
-    assert len(pat.groups) == 2 ** n - 2
+    assert np.count_nonzero(pat.mm.any(axis=(1, 2))) == 2 ** n - 2
     for g, observed in enumerate(patterns):
         m, o = np.flatnonzero(~observed), np.flatnonzero(observed)
         G_ref, S_ref = _conditional_gain(Sigma, m, o)
@@ -172,8 +172,8 @@ def test_pattern_conditionals_match_conditional_mvn_for_every_pattern():
         Lm = Lc[g][np.ix_(m, m)]
         np.testing.assert_allclose(Lm @ Lm.T, S_ref, rtol=1e-12, atol=1e-12)
         np.testing.assert_array_equal(Lc[g][o], np.eye(n)[o])
-        # the imputation's mu + SK_g (y - mu), with the missing cells of y
-        # at 0, lands on the conditional mean in rows m
+        # mu + SK_g (y - mu), with the missing cells of y at 0, lands on
+        # the conditional mean in rows m
         mu_bar, _ = conditional_mvn(mu, Sigma, m, o, y[o])
         y0 = np.where(observed, y, 0.0)
         np.testing.assert_allclose((mu + SK[g] @ (y0 - mu))[m], mu_bar,
@@ -427,12 +427,11 @@ def missing_dataset():
 
 def test_fit_is_deterministic(missing_dataset):
     d, _ = missing_dataset
-    spec = ModelSpec(iterations=120, burn_in=40, chains=2, seed=11, z_thin=10)
+    spec = ModelSpec(iterations=120, burn_in=40, chains=2, seed=11)
     p1 = gibbs_fit(d, spec)
     p2 = gibbs_fit(d, spec)
     np.testing.assert_array_equal(p1.B_draws, p2.B_draws)
     np.testing.assert_array_equal(p1.Sigma_draws, p2.Sigma_draws)
-    np.testing.assert_array_equal(p1.Z_draws, p2.Z_draws)
 
 
 def test_draw_count_and_shapes(missing_dataset):
@@ -449,37 +448,6 @@ def test_every_sigma_draw_is_pd(missing_dataset):
     p = gibbs_fit(d, ModelSpec(iterations=80, burn_in=20, chains=1, seed=2))
     for S in p.Sigma_draws:
         np.linalg.cholesky(S)
-
-
-def test_missing_cells_complement_mask(missing_dataset):
-    d, _ = missing_dataset
-    p = gibbs_fit(d, ModelSpec(iterations=60, burn_in=20, chains=1, seed=3,
-                               z_thin=5))
-    cells = {tuple(c) for c in p.missing_cells}
-    expected = {(i, j) for i in p.fit_rows for j in range(d.n_responses)
-                if not d.mask[i, j]}
-    assert cells == expected
-    assert p.Z_draws.shape[1] == len(cells)
-    assert np.all(np.isfinite(p.Z_draws))
-
-
-def test_imputation_snapshots_follow_missing_cells_order():
-    # y1 and y2 correlate at 0.98 and y2 is always observed, so the mean
-    # imputed y1 at a cell tracks that row's conditional mean under the
-    # truth; a Z column mapped to the wrong row would not
-    Sigma = np.array([[1.0, 0.98, 0.0], [0.98, 1.0, 0.0], [0.0, 0.0, 1.0]])
-    d, truth = synthesize(SynthSpec(l=150, n=3, q=3, Sigma=Sigma,
-                                    missing_prob=[0.3, 0.0, 0.2]), seed=4)
-    p = gibbs_fit(d, ModelSpec(iterations=400, burn_in=100, chains=1, seed=2,
-                               z_thin=5))
-    rows, resp = p.missing_cells.T
-    z_mean = p.Z_draws.mean(axis=0)
-    mu = d.X @ np.asarray(truth["B"]).T
-    y1 = resp == 0
-    cond = mu[rows[y1], 0] + 0.98 * (d.Y[rows[y1], 1] - mu[rows[y1], 1])
-    assert np.corrcoef(z_mean[y1], cond)[0, 1] > 0.99
-    y3 = resp == 2
-    assert np.corrcoef(z_mean[y3], mu[rows[y3], 2])[0, 1] > 0.95
 
 
 def test_complete_data_sweep_is_the_complete_data_gibbs_update():
@@ -500,54 +468,24 @@ def test_complete_data_sweep_is_the_complete_data_gibbs_update():
     np.testing.assert_allclose(Theta, Theta_ref, rtol=1e-10, atol=1e-12)
     np.testing.assert_allclose(S, S_ref, rtol=1e-10, atol=1e-12)
 
-    d, _ = synthesize(SynthSpec(l=100, n=2, q=3, missing_prob=0.0), seed=8)
-    p = gibbs_fit(d, ModelSpec(iterations=50, burn_in=10, chains=1, seed=21))
-    assert p.Z_draws.size == 0
-    assert p.missing_cells.shape == (0, 2)
 
-
-def test_draws_do_not_depend_on_imputation_snapshots(missing_dataset):
-    d, _ = missing_dataset
-    runs = [gibbs_fit(d, ModelSpec(iterations=60, burn_in=20, chains=2, seed=7,
-                                   store_z=store_z, z_thin=z_thin))
-            for store_z, z_thin in [(True, 1), (True, 7), (False, 1)]]
-    for p in runs[1:]:
-        np.testing.assert_array_equal(p.B_draws, runs[0].B_draws)
-        np.testing.assert_array_equal(p.Sigma_draws, runs[0].Sigma_draws)
-    assert runs[0].Z_draws.shape[0] == 2 * 40
-    assert runs[1].Z_draws.shape[0] == 2 * 6
-    assert runs[2].Z_draws.size == 0
-    # a snapshot at z_thin 7 is the z_thin 1 snapshot of the same draw
-    np.testing.assert_array_equal(runs[1].Z_draws[:1], runs[0].Z_draws[:1])
-
-
-def _fit_on_bad_first_sigma(monkeypatch, d, store_z, iteration):
+def test_sweep_failure_names_the_pattern(monkeypatch, missing_dataset):
     # Sigma_oo fails to be PD exactly for the patterns that observe
-    # response 2; the first of them in sorted order misses response 0
+    # response 2; the first of them in sorted order misses response 0. The
+    # sweep of iteration 2 meets the bad first Sigma draw.
     monkeypatch.setattr(sampler, "invwishart_rvs",
                         lambda df, scale, rng: np.diag([1.0, 1.0, -1.0]))
     with pytest.raises(np.linalg.LinAlgError,
-                       match=rf"chain 0, iteration {iteration}: Sigma_oo is not positive "
+                       match=r"chain 0, iteration 2: Sigma_oo is not positive "
                              r"definite for the pattern with missing responses \[0"):
-        gibbs_fit(d, ModelSpec(iterations=5, burn_in=0, chains=1, seed=1, store_z=store_z,
-                               z_thin=1))
-
-
-def test_sweep_failure_names_the_pattern(monkeypatch, missing_dataset):
-    # the sweep of iteration 2 meets the bad first Sigma draw
-    _fit_on_bad_first_sigma(monkeypatch, missing_dataset[0], False, 2)
-
-
-def test_imputation_failure_names_the_pattern(monkeypatch, missing_dataset):
-    # the snapshot of iteration 1 meets it first, through the same conditionals
-    _fit_on_bad_first_sigma(monkeypatch, missing_dataset[0], True, 1)
+        gibbs_fit(missing_dataset[0], ModelSpec(iterations=5, burn_in=0, chains=1, seed=1))
 
 
 @pytest.mark.parametrize("missing", [True, False])
 def test_chain_failure_names_chain_and_iteration(monkeypatch, missing_dataset,
                                                  missing):
-    # chain 1's 4th Sigma draw is singular; the 5th sweep fails on it
-    # (in the imputation step with missing data, else in the B draw)
+    # chain 1's 4th Sigma draw is singular; the 5th sweep fails on it, in
+    # the Sigma_oo factors of its conditionals with or without missing data
     if missing:
         d, _ = missing_dataset
     else:
@@ -564,34 +502,6 @@ def test_chain_failure_names_chain_and_iteration(monkeypatch, missing_dataset,
     monkeypatch.setattr(sampler, "invwishart_rvs", singular_once)
     with pytest.raises(np.linalg.LinAlgError, match=r"chain 1, iteration 5: .*Sigma"):
         gibbs_fit(d, ModelSpec(iterations=iters, burn_in=2, chains=2, seed=1))
-
-
-@pytest.mark.parametrize("normals", ["zeros", "ones", "distinct"])
-def test_imputation_is_the_conditional_normal_of_each_row(monkeypatch, normals):
-    # the snapshot of a real fit, redrawn with fixed normals: the cells of
-    # row i are mu_bar + chol(Sigma_bar) z_i, the normals taken in the
-    # row-major order of the pattern-sorted Y
-    d, _ = synthesize(SynthSpec(l=60, n=4, q=3, missing_prob=[0.5, 0.4, 0.3, 0.1]), seed=3)
-    calls = []
-    real = sampler._impute
-    monkeypatch.setattr(sampler, "_impute", lambda *a: calls.append(a) or real(*a))
-    p = gibbs_fit(d, ModelSpec(iterations=2, burn_in=1, chains=1, seed=4, z_thin=1))
-    pat, Theta, Sigma, cells, _ = calls[0]
-    assert np.any(np.diff(cells) < 0)  # missing_cells order is not the sorted order
-    z = {"zeros": np.zeros(cells.size), "ones": np.ones(cells.size),
-         "distinct": np.linspace(-2.0, 2.0, cells.size)}[normals]
-    got = real(pat, Theta, Sigma, cells, _StubNormals(z))
-    z_cell = z[np.argsort(np.argsort(cells))]
-
-    rows, resp = p.missing_cells.T
-    want = np.empty(cells.size)
-    for i in np.unique(rows):
-        at = np.flatnonzero(rows == i)
-        m, o = resp[at], np.flatnonzero(d.mask[i])
-        mu_bar, S_bar = conditional_mvn(d.X[i] @ Theta, Sigma, m, o, d.Y[i, o])
-        want[at] = mu_bar + np.linalg.cholesky(S_bar) @ z_cell[at]
-    assert np.bincount(rows).max() > 1  # rows with two or more missing cells
-    np.testing.assert_allclose(got, want, rtol=1e-10, atol=1e-12)
 
 
 def test_fit_requires_observed_rows():
@@ -763,21 +673,15 @@ def test_convergence_needs_enough_draws():
 
 def test_draws_csv_matches_npz(tmp_path, missing_dataset):
     d, _ = missing_dataset
-    p = gibbs_fit(d, ModelSpec(iterations=30, burn_in=10, chains=2, seed=23,
-                               z_thin=4))
+    p = gibbs_fit(d, ModelSpec(iterations=30, burn_in=10, chains=2, seed=23))
     save_fit(p, tmp_path)
     q, _meta = load_fit(tmp_path)  # reads draws.npz
-    assert q.Z_draws.size
 
     # rebuild every draw from the interchange CSV by parameter name
     A, n, k = q.B_draws.shape
     B = np.full((A, n, k), np.nan)
     S = np.full((A, n, n), np.nan)
-    Z = np.full(q.Z_draws.shape, np.nan)
     row_of = {key: a for a, key in enumerate(zip(q.chain.tolist(), q.draw.tolist()))}
-    z_row_of = {key: zi for zi, key in enumerate(zip(q.Z_chain.tolist(),
-                                                    q.Z_draw.tolist()))}
-    cell_of = {(r, c): i for i, (r, c) in enumerate(q.missing_cells.tolist())}
     with open(tmp_path / "draws.csv", newline="", encoding="utf-8") as fh:
         reader = csv.reader(fh)
         assert next(reader) == ["draw", "chain", "param", "value"]
@@ -786,18 +690,15 @@ def test_draws_csv_matches_npz(tmp_path, missing_dataset):
             r, c = (int(i) for i in param[param.index("[") + 1:-1].split(","))
             if param.startswith("B["):
                 B[row_of[key], r, c] = float(value)
-            elif param.startswith("Sigma["):
-                S[row_of[key], r, c] = float(value)
             else:
-                assert param.startswith("Z[")
-                Z[z_row_of[key], cell_of[(r, c)]] = float(value)
+                assert param.startswith("Sigma[")
+                S[row_of[key], r, c] = float(value)
     np.testing.assert_array_equal(B, q.B_draws)
     np.testing.assert_array_equal(S, q.Sigma_draws)
-    np.testing.assert_array_equal(Z, q.Z_draws)
 
-    # an npz from before fit_rows and missing_cells moved out of meta.json
+    # an npz from before fit_rows moved out of meta.json
     with np.load(tmp_path / "draws.npz") as npz:
-        arrays = {k: npz[k] for k in npz.files if k not in ("fit_rows", "missing_cells")}
+        arrays = {k: npz[k] for k in npz.files if k != "fit_rows"}
     np.savez_compressed(tmp_path / "draws.npz", **arrays)
     with pytest.raises(ValueError, match=r"draws\.npz has no fit_rows; re-run fit"):
         load_fit(tmp_path)
@@ -808,11 +709,10 @@ def test_draws_csv_matches_npz(tmp_path, missing_dataset):
         load_fit(tmp_path)
 
 
-@pytest.mark.parametrize("field", ["B_draws", "Sigma_draws", "Z_draws"])
+@pytest.mark.parametrize("field", ["B_draws", "Sigma_draws"])
 def test_save_fit_rejects_non_finite_draws(tmp_path, missing_dataset, field):
     d, _ = missing_dataset
-    p = gibbs_fit(d, ModelSpec(iterations=30, burn_in=10, chains=1, seed=3,
-                               z_thin=5))
+    p = gibbs_fit(d, ModelSpec(iterations=30, burn_in=10, chains=1, seed=3))
     getattr(p, field)[-1].flat[0] = np.nan
     with pytest.raises(ValueError, match="non-finite"):
         save_fit(p, tmp_path)
@@ -822,19 +722,25 @@ def test_save_fit_rejects_non_finite_draws(tmp_path, missing_dataset, field):
 
 def test_save_load_round_trip(tmp_path, missing_dataset):
     d, _ = missing_dataset
-    p = gibbs_fit(d, ModelSpec(iterations=40, burn_in=10, chains=2, seed=19,
-                               z_thin=5))
+    p = gibbs_fit(d, ModelSpec(iterations=40, burn_in=10, chains=2, seed=19))
     save_fit(p, tmp_path, extra_meta={"dataset_hash": "abc"})
     q, meta = load_fit(tmp_path)
     np.testing.assert_array_equal(q.B_draws, p.B_draws)
     np.testing.assert_array_equal(q.Sigma_draws, p.Sigma_draws)
-    np.testing.assert_array_equal(q.Z_draws, p.Z_draws)
     np.testing.assert_array_equal(q.chain, p.chain)
     np.testing.assert_array_equal(q.fit_rows, p.fit_rows)
-    np.testing.assert_array_equal(q.missing_cells, p.missing_cells)
     assert q.spec == p.spec
     assert meta["dataset_hash"] == "abc"
-    # the row and cell indices live in draws.npz only
-    assert p.missing_cells.size > 0
-    assert "fit_rows" not in meta and "missing_cells" not in meta
+    # the row indices live in draws.npz only
+    assert "fit_rows" not in meta
     assert q.response_names == p.response_names
+
+
+def test_fit_directory_holds_only_the_draws(tmp_path, missing_dataset):
+    # missing cells are integrated out, never stored: draws.npz holds the
+    # draws, their indices and fit_rows, and draws.csv only B and Sigma
+    d, _ = missing_dataset
+    save_fit(gibbs_fit(d, ModelSpec(iterations=20, burn_in=10, chains=2, seed=5)), tmp_path)
+    with np.load(tmp_path / "draws.npz") as npz:
+        assert sorted(npz.files) == ["B_draws", "Sigma_draws", "chain", "draw", "fit_rows"]
+    assert "Z[" not in (tmp_path / "draws.csv").read_text(encoding="utf-8")
