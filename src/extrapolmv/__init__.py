@@ -11,19 +11,15 @@ from extrapolmv.dataset import (
     Dataset,
     IngestConfig,
     RankDeficientError,
-    StatusPartition,
     SynthSpec,
     TransformSpec,
     apply_transforms,
-    invert_transforms,
     load_csv,
-    partition_by_status,
     synthesize,
     write_csv,
 )
 from extrapolmv.diagnostics import (
     HighLeverageRule,
-    LeverageReport,
     cooks_distance,
     hat_diagonal,
     high_leverage_set,
@@ -31,9 +27,7 @@ from extrapolmv.diagnostics import (
     ivh_value,
     ivh_values,
     leverage_from_mahalanobis,
-    leverage_report,
     mahalanobis_sq,
-    write_leverage_csv,
 )
 from extrapolmv.sampler import (
     ConvergenceSummary,
@@ -43,7 +37,6 @@ from extrapolmv.sampler import (
     ess,
     gibbs_fit,
     load_fit,
-    posterior_predictive_draw,
     predictive_mean_draws,
     rhat,
     save_fit,
@@ -55,11 +48,7 @@ from extrapolmv.extrapolation import (
     cmvpv,
     compute_cutoff,
     conditional_mvn,
-    extrapolation_index,
-    mvpv_logdet,
-    mvpv_trace,
     predictive_variance,
-    rmvpv,
     score_locations,
     score_locations_analytic,
     write_plotdata_csv,
@@ -80,17 +69,13 @@ __all__ = [
     "Dataset",
     "IngestConfig",
     "RankDeficientError",
-    "StatusPartition",
     "SynthSpec",
     "TransformSpec",
     "apply_transforms",
-    "invert_transforms",
     "load_csv",
-    "partition_by_status",
     "synthesize",
     "write_csv",
     "HighLeverageRule",
-    "LeverageReport",
     "cooks_distance",
     "hat_diagonal",
     "high_leverage_set",
@@ -98,9 +83,7 @@ __all__ = [
     "ivh_value",
     "ivh_values",
     "leverage_from_mahalanobis",
-    "leverage_report",
     "mahalanobis_sq",
-    "write_leverage_csv",
     "ConvergenceSummary",
     "ModelSpec",
     "PosteriorDraws",
@@ -108,7 +91,6 @@ __all__ = [
     "ess",
     "gibbs_fit",
     "load_fit",
-    "posterior_predictive_draw",
     "predictive_mean_draws",
     "rhat",
     "save_fit",
@@ -118,11 +100,7 @@ __all__ = [
     "cmvpv",
     "compute_cutoff",
     "conditional_mvn",
-    "extrapolation_index",
-    "mvpv_logdet",
-    "mvpv_trace",
     "predictive_variance",
-    "rmvpv",
     "score_locations",
     "score_locations_analytic",
     "write_plotdata_csv",

@@ -21,16 +21,11 @@ import numpy as np
 
 @dataclass
 class TreeParams:
-    """Stopping rules: depth, minimum rows per leaf, minimum Gini decrease.
-
-    ``class_weight`` optionally reweights the (0, 1) classes inside the
-    impurity computation; prediction stays majority-by-weighted-count.
-    """
+    """Stopping rules: depth, minimum rows per leaf, minimum Gini decrease."""
 
     max_depth: int = 5
     min_leaf: int = 20
     min_split_gain: float = 1e-4
-    class_weight: tuple[float, float] = (1.0, 1.0)
 
     def __post_init__(self):
         if self.max_depth < 1:
@@ -39,8 +34,6 @@ class TreeParams:
             raise ValueError("min_leaf must be at least 1")
         if self.min_split_gain < 0:
             raise ValueError("min_split_gain cannot be negative")
-        if min(self.class_weight) <= 0:
-            raise ValueError("class weights must be positive")
 
 
 @dataclass
@@ -82,11 +75,10 @@ def _best_split(X: np.ndarray, y: np.ndarray, orders: np.ndarray, params: TreePa
     ``orders[f]`` lists the node's rows sorted by feature f, ties in row
     order, so each feature's candidate splits need no sort here.
     """
-    w0, w1 = params.class_weight
     n = orders.shape[1]
     c1 = float(y[orders[0]].sum())
     c0 = float(n - c1)
-    parent = gini(w0 * c0, w1 * c1)
+    parent = gini(c0, c1)
     best = None  # (gain, feat, thresh)
     for f, order in enumerate(orders):
         sv = X[order, f]
@@ -95,7 +87,7 @@ def _best_split(X: np.ndarray, y: np.ndarray, orders: np.ndarray, params: TreePa
         if change.size == 0:
             continue
         cum1 = np.cumsum(sy)
-        n_left = change + 1
+        n_left = change + 1.0  # float counts: their squares cannot overflow
         n_right = n - n_left
         ok = (n_left >= params.min_leaf) & (n_right >= params.min_leaf)
         if not np.any(ok):
@@ -104,11 +96,9 @@ def _best_split(X: np.ndarray, y: np.ndarray, orders: np.ndarray, params: TreePa
         left0 = n_left - left1
         right1 = c1 - left1
         right0 = c0 - left0
-        wl = np.maximum(w0 * left0 + w1 * left1, 1e-300)
-        wr = np.maximum(w0 * right0 + w1 * right1, 1e-300)
-        gl = 1.0 - ((w0 * left0) ** 2 + (w1 * left1) ** 2) / wl ** 2
-        gr = 1.0 - ((w0 * right0) ** 2 + (w1 * right1) ** 2) / wr ** 2
-        child = (wl * gl + wr * gr) / (wl + wr)
+        gl = 1.0 - (left0 ** 2 + left1 ** 2) / n_left ** 2
+        gr = 1.0 - (right0 ** 2 + right1 ** 2) / n_right ** 2
+        child = (n_left * gl + n_right * gr) / (n_left + n_right)
         gains = np.where(ok, parent - child, -np.inf)
         j = int(np.argmax(gains))
         if gains[j] == -np.inf:
@@ -127,8 +117,7 @@ def _grow(X: np.ndarray, y: np.ndarray, orders: np.ndarray, names: list[str],
     # without covariates the root, which holds every row, is the only node
     n1 = int(y[orders[0]].sum()) if len(orders) else int(y.sum())
     n0 = size - n1
-    w0, w1 = params.class_weight
-    pred = 1 if w1 * n1 > w0 * n0 else 0
+    pred = 1 if n1 > n0 else 0
     prop = (n1 if pred == 1 else n0) / max(size, 1)
     node = TreeNode(n0=n0, n1=n1, prediction=pred, proportion=prop,
                     fraction=size / total)
@@ -212,6 +201,13 @@ def _to_dict(node: TreeNode) -> dict:
 
 
 def _from_dict(d: dict) -> TreeNode:
+    if not isinstance(d, dict):
+        raise ValueError(f"expected a tree node object, got {json.dumps(d)[:40]}")
+    keys = ["n0", "n1", "prediction", "proportion", "fraction"]
+    keys += ["threshold", "left", "right"] if "feature" in d else []
+    absent = [key for key in keys if key not in d]
+    if absent:
+        raise ValueError(f"tree node without keys {absent}")
     node = TreeNode(n0=int(d["n0"]), n1=int(d["n1"]),
                     prediction=int(d["prediction"]),
                     proportion=float(d["proportion"]),

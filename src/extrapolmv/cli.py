@@ -31,6 +31,7 @@ from extrapolmv.dataset import (
     SynthSpec,
     TransformSpec,
     _from_json,
+    _load_json,
     _read_table,
     _text_columns,
     _to_json,
@@ -149,7 +150,7 @@ def _ingest_config(path, recorded: dict | None, source: str) -> IngestConfig:
 
 def _load_transformed(data_path, config: IngestConfig, constants: dict | None = None):
     """Load a CSV and apply the transforms the config explicitly names,
-    standardizing with a fit's recorded ``transform_constants`` if given."""
+    standardizing with a fit's checked ``transform_constants`` if given."""
     if config.transforms is None:
         raise CliError(
             "ingestion config must set 'transforms' explicitly (for example "
@@ -158,7 +159,7 @@ def _load_transformed(data_path, config: IngestConfig, constants: dict | None = 
     d = load_csv(data_path, config)
     t = TransformSpec.from_config(config.transforms, d.response_names,
                                   d.covariate_names)
-    if constants and constants.get("centers") is not None:
+    if constants is not None:
         t.centers = np.asarray(constants["centers"], dtype=float)
         t.scales = np.asarray(constants["scales"], dtype=float)
     return apply_transforms(d, t), t
@@ -187,10 +188,7 @@ def _cmd_fit(args) -> int:
     save_fit(draws, args.out, extra_meta={
         "dataset_hash": dataset_hash,
         "ingest_config": _to_json(config),
-        "transform_constants": {
-            "centers": None if t.centers is None else t.centers.tolist(),
-            "scales": None if t.scales is None else t.scales.tolist(),
-        },
+        "transform_constants": {"centers": t.centers.tolist(), "scales": t.scales.tolist()},
         "convergence": conv.to_jsonable(),
     })
     marks.append(time.perf_counter())
@@ -214,19 +212,38 @@ def _cmd_fit(args) -> int:
 # ---------------------------------------------------------------------------
 
 
+def _check_fit_meta(meta: dict, path: str, n_scaled: int) -> None:
+    """Require the dataset_hash and transform_constants that fit writes:
+    a string, and an object whose centers and scales are lists of one
+    number per non-intercept covariate."""
+    def bad(key, want):
+        return CliError(f"{path}: {key} must be {want}; re-run fit to rewrite it")
+    if not isinstance(meta.get("dataset_hash"), str):
+        raise bad("dataset_hash", "a string")
+    constants = meta.get("transform_constants")
+    if not isinstance(constants, dict):
+        raise bad("transform_constants", "an object")
+    for key in ("centers", "scales"):
+        values = constants.get(key)
+        if not (isinstance(values, list) and len(values) == n_scaled
+                and all(type(v) in (int, float) for v in values)):
+            raise bad(f"transform_constants {key}", f"a list of {n_scaled} numbers")
+
+
 def _cmd_score(args) -> int:
     start = time.perf_counter()
     draws, meta = load_fit(args.draws)
+    meta_path = os.path.join(args.draws, META_FILE)
+    _check_fit_meta(meta, meta_path, draws.B_draws.shape[2] - 1)
     dataset_hash = _sha256_file(args.data)
-    recorded = meta.get("dataset_hash")
-    if recorded and recorded != dataset_hash and not args.force:
+    recorded = meta["dataset_hash"]
+    if recorded != dataset_hash and not args.force:
         raise CliError(
             f"dataset hash {dataset_hash[:12]} does not match the hash the "
             f"draws were fitted on ({recorded[:12]}); pass --force to override")
 
-    config = _ingest_config(args.config, meta.get("ingest_config"),
-                            os.path.join(args.draws, META_FILE))
-    d, _t = _load_transformed(args.data, config, meta.get("transform_constants"))
+    config = _ingest_config(args.config, meta.get("ingest_config"), meta_path)
+    d, _t = _load_transformed(args.data, config, meta["transform_constants"])
 
     measures = args.measure or ["det", "trace"]
     cutoffs = [tok.strip() for tok in args.cutoffs.split(",") if tok.strip()]
@@ -266,8 +283,10 @@ def _read_scores(scores, columns) -> tuple[list[str], dict, dict | None]:
         path = os.path.join(scores, "scores.csv")
         manifest_path = os.path.join(scores, "manifest.json")
         if os.path.exists(manifest_path):
-            with open(manifest_path, encoding="utf-8") as fh:
-                manifest = json.load(fh)
+            manifest = _load_json(manifest_path)
+            if not isinstance(manifest, dict):
+                raise CliError(f"{manifest_path}: expected a JSON object, "
+                               f"got {json.dumps(manifest)[:40]}")
     table = _read_table(path)
     header = next(table)
     names = columns(header)
@@ -367,7 +386,11 @@ def _cmd_report(args) -> int:
 
     primary = None
     if manifest is not None:
-        stored = manifest.get("params", {}).get("measures")
+        params = manifest.get("params", {})
+        if not isinstance(params, dict):
+            raise CliError(f"{os.path.join(args.scores, 'manifest.json')}: params must "
+                           "be an object")
+        stored = params.get("measures")
         if stored:
             primary = measure_column(stored[0])
 
@@ -385,12 +408,15 @@ def _cmd_report(args) -> int:
         k = (cols.get(f"k_{name}") or [""])[0]
         lines.append(f"| {name} | {k} | {flags.sum()} | {flags[out_of_sample].sum()} |")
 
-    tree_path = args.tree
-    if tree_path and os.path.isdir(tree_path):
-        tree_path = os.path.join(tree_path, "tree.json")
-    if tree_path and os.path.exists(tree_path):
+    if args.tree:
+        tree_path = args.tree
+        if os.path.isdir(tree_path):
+            tree_path = os.path.join(tree_path, "tree.json")
         with open(tree_path, encoding="utf-8") as fh:
-            tree = import_tree(fh.read())
+            try:
+                tree = import_tree(fh.read())
+            except (ValueError, TypeError) as exc:
+                raise CliError(f"{tree_path}: {exc}") from None
         lines += ["", "## Top tree splits", ""]
         splits = tree_splits(tree, max_depth=2)
         if splits:

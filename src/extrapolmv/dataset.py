@@ -19,6 +19,7 @@ Neither holds a whole file as strings.
 The JSON records (ingestion config, synthesis spec, a fit's model spec)
 go through one codec, _to_json and _from_json: a record must have every
 required field and no other key, or ValueError names the source and keys.
+_load_json reads a JSON file and names it when the text is not JSON.
 """
 
 from __future__ import annotations
@@ -51,6 +52,16 @@ def _to_json(record) -> dict:
         value = getattr(record, f.name)
         out[f.name] = value.tolist() if isinstance(value, (np.ndarray, np.generic)) else value
     return out
+
+
+def _load_json(path):
+    """The JSON value in the file ``path``; text that is not JSON raises
+    ValueError naming the file."""
+    with open(path, encoding="utf-8") as fh:
+        try:
+            return json.load(fh)
+        except json.JSONDecodeError as exc:
+            raise ValueError(f"{path}: not valid JSON: {exc}") from None
 
 
 def _from_json(cls, raw, where: str):
@@ -136,50 +147,38 @@ class Dataset:
         return self.Y.shape[1]
 
 
-@dataclass
-class StatusPartition:
-    """Disjoint exhaustive split of rows by response availability."""
-
-    fully_observed: np.ndarray
-    partially_observed: np.ndarray
-    unobserved: np.ndarray
-
-
 _STATUS_LABELS = np.array(["full", "partial", "missing"])
-
-
-def _status_codes(d: Dataset) -> np.ndarray:
-    """Per-row index into _STATUS_LABELS: 0 full, 1 partial, 2 missing."""
-    n_obs = d.mask.sum(axis=1)
-    return np.where(n_obs == d.n_responses, 0, np.where(n_obs > 0, 1, 2))
-
-
-def partition_by_status(d: Dataset) -> StatusPartition:
-    """Split row indices into fully / partially / un-observed sets."""
-    codes = _status_codes(d)
-    return StatusPartition(*(np.flatnonzero(codes == k) for k in range(3)))
 
 
 def row_status(d: Dataset) -> list[str]:
     """Per-row status label: "full", "partial" or "missing"."""
-    return _STATUS_LABELS[_status_codes(d)].tolist()
+    n_obs = d.mask.sum(axis=1)
+    codes = np.where(n_obs == d.n_responses, 0, np.where(n_obs > 0, 1, 2))
+    return _STATUS_LABELS[codes].tolist()
 
 
 # ---------------------------------------------------------------------------
 # Transforms
 # ---------------------------------------------------------------------------
 
-# response transform tag -> (forward, inverse, floor, wording); observed
-# values must lie above floor. "none" is the identity.
+# response transform tag -> (forward, floor, wording); observed values
+# must lie above floor. "none" is the identity.
 _RESPONSE_TRANSFORMS = {
-    "log": (np.log, np.exp, 0.0, "positive values"),
-    "log1p": (np.log1p, np.expm1, -1.0, "values > -1"),
+    "log": (np.log, 0.0, "positive values"),
+    "log1p": (np.log1p, -1.0, "values > -1"),
 }
 
 
 def _per_name(value, names: list[str], default, key: str) -> list:
     """One value per name from a ``transforms`` entry: a single value for
-    every name, or a name -> value mapping with ``default`` for the rest."""
+    every name, or a name -> value mapping with ``default`` for the rest.
+    A value not of the type of ``default`` or an unknown name raises
+    ValueError naming ``key``."""
+    given = list(value.values()) if isinstance(value, dict) else [value]
+    bad = [v for v in given if type(v) is not type(default)]
+    if bad:
+        raise ValueError(f"transforms {key}: expected {type(default).__name__} values, "
+                         f"got {bad[0]!r}")
     if not isinstance(value, dict):
         return [value] * len(names)
     unknown = sorted(value.keys() - set(names))
@@ -195,7 +194,7 @@ class TransformSpec:
     ``response`` holds one tag per response column ("none", "log" or
     "log1p"); ``standardize`` one flag per non-intercept covariate.
     Centering/scaling constants are recorded here when the transform
-    is applied so the mapping can be inverted exactly.
+    is applied, so that scoring can reuse a fit's.
     """
 
     response: list[str]
@@ -216,10 +215,13 @@ class TransformSpec:
         ``cfg["responses"]`` is either a single tag applied to every
         response or a name -> tag mapping (unlisted names get "none");
         ``cfg["standardize"]`` is a bool for all covariates or a
-        name -> bool mapping (unlisted default True). Any other key, or a
-        mapping name that is no response (no non-intercept covariate),
-        raises ValueError naming it.
+        name -> bool mapping (unlisted default True). An entry that is no
+        mapping, any other key, a value of another type, or a mapping name
+        that is no response (no non-intercept covariate) raises ValueError
+        naming it.
         """
+        if not isinstance(cfg, dict):
+            raise ValueError(f"transforms: expected a JSON object, got {cfg!r}")
         unknown = sorted(cfg.keys() - {"responses", "standardize"})
         if unknown:
             raise ValueError(f"transforms: unknown keys {unknown}")
@@ -228,7 +230,7 @@ class TransformSpec:
                              "responses")
         standardize = _per_name(cfg.get("standardize", True), non_intercept, True,
                                 "standardize")
-        return cls(response=response, standardize=[bool(s) for s in standardize])
+        return cls(response=response, standardize=standardize)
 
 
 def apply_transforms(d: Dataset, t: TransformSpec) -> Dataset:
@@ -249,7 +251,7 @@ def apply_transforms(d: Dataset, t: TransformSpec) -> Dataset:
     for j, tag in enumerate(t.response):
         if tag == "none":
             continue
-        forward, _inverse, floor, wording = _RESPONSE_TRANSFORMS[tag]
+        forward, floor, wording = _RESPONSE_TRANSFORMS[tag]
         col = Y[:, j]
         obs = d.mask[:, j]
         bad = obs & (col <= floor)
@@ -286,25 +288,6 @@ def apply_transforms(d: Dataset, t: TransformSpec) -> Dataset:
                    coords=None if d.coords is None else d.coords.copy())
 
 
-def invert_transforms(d: Dataset, t: TransformSpec) -> Dataset:
-    """Undo ``apply_transforms`` using the constants recorded on ``t``."""
-    if t.centers is None or t.scales is None:
-        raise ValueError("transform spec has no fitted constants to invert")
-    Y = d.Y.copy()
-    for j, tag in enumerate(t.response):
-        if tag != "none":
-            obs = d.mask[:, j]
-            Y[obs, j] = _RESPONSE_TRANSFORMS[tag][1](Y[obs, j])
-    X = d.X.copy()
-    for j, do_std in enumerate(t.standardize):
-        if do_std:
-            X[:, j + 1] = X[:, j + 1] * t.scales[j] + t.centers[j]
-    return Dataset(ids=list(d.ids), X=X, Y=Y, mask=d.mask.copy(),
-                   response_names=list(d.response_names),
-                   covariate_names=list(d.covariate_names),
-                   coords=None if d.coords is None else d.coords.copy())
-
-
 # ---------------------------------------------------------------------------
 # CSV ingestion
 # ---------------------------------------------------------------------------
@@ -324,8 +307,7 @@ class IngestConfig:
 
     @classmethod
     def from_json(cls, path) -> "IngestConfig":
-        with open(path, encoding="utf-8") as fh:
-            return _from_json(cls, json.load(fh), str(path))
+        return _from_json(cls, _load_json(path), str(path))
 
 
 def _read_table(path):
@@ -535,8 +517,7 @@ class SynthSpec:
 
     @classmethod
     def from_json(cls, path) -> "SynthSpec":
-        with open(path, encoding="utf-8") as fh:
-            return _from_json(cls, json.load(fh), str(path))
+        return _from_json(cls, _load_json(path), str(path))
 
 
 def synthesize(gen: SynthSpec, seed: int) -> tuple[Dataset, dict]:

@@ -12,8 +12,6 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.linalg import cho_factor, cho_solve
 
-from extrapolmv.dataset import _write_table
-
 # Leverages this far above 1 are treated as roundoff and clamped; anything
 # beyond is a genuine numerical failure.
 _LEVERAGE_SLACK = 1e-10
@@ -21,32 +19,13 @@ _LEVERAGE_SLACK = 1e-10
 
 @dataclass
 class HighLeverageRule:
-    """Rule for flagging high-leverage rows from the leverage vector alone.
+    """Flags h_ii > factor * mean(h), the classic 3q/l rule at factor 3."""
 
-    "multiple_of_mean" flags h_ii > factor * mean(h) (the classic 3q/l
-    rule at factor 3); "top_fraction" flags the largest ceil(fraction * l)
-    leverages.
-    """
-
-    kind: str = "multiple_of_mean"
     factor: float = 3.0
-    fraction: float = 0.05
 
     def __post_init__(self):
-        if self.kind not in ("multiple_of_mean", "top_fraction"):
-            raise ValueError(f"unknown high-leverage rule {self.kind!r}")
         if self.factor < 0:
             raise ValueError("factor cannot be negative")
-        if not 0.0 < self.fraction <= 1.0:
-            raise ValueError("fraction must lie in (0, 1]")
-
-
-@dataclass
-class LeverageReport:
-    h: np.ndarray
-    h_max: float
-    trace_h: float
-    high_leverage: np.ndarray
 
 
 def _gram_cholesky(X: np.ndarray):
@@ -65,25 +44,6 @@ def hat_diagonal(X: np.ndarray) -> np.ndarray:
     if np.any(h > 1.0 + _LEVERAGE_SLACK):
         raise np.linalg.LinAlgError("leverage exceeds 1 beyond roundoff tolerance")
     return h
-
-
-def leverage_report(X: np.ndarray, rule: HighLeverageRule | None = None) -> LeverageReport:
-    """Leverages plus summary quantities and the flagged high-leverage set."""
-    h = hat_diagonal(X)
-    rule = rule or HighLeverageRule()
-    return LeverageReport(
-        h=h,
-        h_max=float(h.max()),
-        trace_h=float(h.sum()),
-        high_leverage=high_leverage_set(h, rule),
-    )
-
-
-def write_leverage_csv(report: LeverageReport, ids, path) -> None:
-    """Write a leverage report as id, h, flagged rows."""
-    flagged = np.zeros(report.h.size, dtype=int)
-    flagged[report.high_leverage] = 1
-    _write_table(path, ["id", "h", "flagged"], [list(ids), report.h, flagged])
 
 
 def ivh_value(X: np.ndarray, x0: np.ndarray) -> float:
@@ -173,12 +133,4 @@ def high_leverage_set(h: np.ndarray, rule: HighLeverageRule | None = None) -> np
     h = np.asarray(h, dtype=float).ravel()
     if h.size == 0:
         raise ValueError("empty leverage vector")
-    rule = rule or HighLeverageRule()
-    if rule.kind == "multiple_of_mean":
-        return np.flatnonzero(h > rule.factor * h.mean())
-    k = int(np.ceil(rule.fraction * h.size))
-    if k <= 0:
-        return np.array([], dtype=int)
-    # stable: sort by descending leverage, index breaks ties
-    order = np.lexsort((np.arange(h.size), -h))
-    return np.sort(order[:k])
+    return np.flatnonzero(h > (rule or HighLeverageRule()).factor * h.mean())

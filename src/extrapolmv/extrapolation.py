@@ -31,7 +31,7 @@ import numpy as np
 from scipy.linalg import cho_factor, cho_solve
 
 from extrapolmv.dataset import _BLOCK_ROWS, Dataset, _write_table, row_status
-from extrapolmv.diagnostics import HighLeverageRule, high_leverage_set, ivh_values
+from extrapolmv.diagnostics import high_leverage_set, ivh_values
 
 if TYPE_CHECKING:  # pragma: no cover
     from extrapolmv.sampler import PosteriorDraws
@@ -61,7 +61,6 @@ class PredictiveVariance:
     trace: float
     logdet: float
     det: float
-    location_id: str | None = None
 
 
 def _check_symmetric(V: np.ndarray) -> np.ndarray:
@@ -84,13 +83,10 @@ def _logdet_psd(V: np.ndarray):
         return np.log(np.maximum(lam, 0.0)).sum(axis=-1)
 
 
-def predictive_variance(draws: np.ndarray, ddof: int = 0,
-                        location_id: str | None = None) -> PredictiveVariance:
-    """Sample covariance of predictive-mean draws.
+def predictive_variance(draws: np.ndarray) -> PredictiveVariance:
+    """Sample covariance (divisor A) of predictive-mean draws.
 
-    ``draws`` is (A, n), one mean vector per retained draw. The divisor
-    is A - ddof; the default ddof=0 gives the plain A divisor used by the
-    rest of the pipeline (ddof=1 is available for cross-checks).
+    ``draws`` is (A, n), one mean vector per retained draw.
     """
     draws = np.asarray(draws, dtype=float)
     if draws.ndim == 1:
@@ -98,32 +94,12 @@ def predictive_variance(draws: np.ndarray, ddof: int = 0,
     A = draws.shape[0]
     if A < 2:
         raise ValueError("need at least 2 draws")
-    if A - ddof <= 0:
-        raise ValueError("divisor must be positive")
     dev = draws - draws.mean(axis=0)
-    V = dev.T @ dev / (A - ddof)
+    V = dev.T @ dev / A
     V = 0.5 * (V + V.T)
     logdet = float(_logdet_psd(V))
     return PredictiveVariance(V=V, trace=float(np.trace(V)), logdet=logdet,
-                              det=float(np.exp(logdet)), location_id=location_id)
-
-
-def _as_matrix(V) -> np.ndarray:
-    if isinstance(V, PredictiveVariance):
-        return V.V
-    return np.asarray(V, dtype=float)
-
-
-def mvpv_trace(V) -> float:
-    """Trace scalarization of a predictive covariance matrix."""
-    M = _check_symmetric(_as_matrix(V))
-    return float(np.trace(M))
-
-
-def mvpv_logdet(V) -> float:
-    """Log-determinant scalarization; -inf for semidefinite matrices."""
-    M = _check_symmetric(_as_matrix(V))
-    return float(_logdet_psd(M))
+                              det=float(np.exp(logdet)))
 
 
 # ---------------------------------------------------------------------------
@@ -182,25 +158,20 @@ def conditional_mvn(mu: np.ndarray, sigma: np.ndarray, target, given,
 
 
 def cmvpv(p: "PosteriorDraws", x: np.ndarray, target: int,
-          given_values: np.ndarray, given_mask: np.ndarray | None = None,
-          method: str = "total") -> float:
+          given_values: np.ndarray, given_mask: np.ndarray | None = None) -> float:
     """Conditional predictive variance of one response at one location.
 
     For each retained draw the target response is conditioned on the
     available sibling responses; the returned measure is the across-draw
     variance of those conditional means plus the mean within-draw
-    conditional variance ("total", the default; both branches are then
-    on the same scale). With ``method="mean_only"`` the conditioned
-    branch keeps only the across-draw variance. When no siblings are
-    available the marginal counterpart is used, adding the mean residual
-    variance of the target so the values stay comparable.
+    conditional variance. When no siblings are available the marginal
+    counterpart is used, adding the mean residual variance of the target
+    so the values stay comparable.
 
     ``given_values`` has one slot per response; ``given_mask`` marks
     which slots are actually available (defaults to the finite ones,
     target excluded).
     """
-    if method not in ("total", "mean_only"):
-        raise ValueError(f"unknown cmvpv method {method!r}")
     B = p.B_draws
     S = p.Sigma_draws
     x = np.asarray(x, dtype=float).ravel()
@@ -237,10 +208,7 @@ def cmvpv(p: "PosteriorDraws", x: np.ndarray, target: int,
     mu_g = np.einsum("agq,q->ag", B[:, g, :], x)
     mubar = mu_t + np.einsum("ag,ag->a", G, given_values[g][None, :] - mu_g)
     dev = mubar - mubar.mean()
-    out = float((dev ** 2).mean())
-    if method == "total":
-        out += float(sbar.mean())
-    return out
+    return float((dev ** 2).mean() + sbar.mean())
 
 
 # ---------------------------------------------------------------------------
@@ -258,7 +226,6 @@ class CutoffSpec:
 
     kind: str
     level: float | None = None
-    rule: HighLeverageRule | None = None
 
     def __post_init__(self):
         if self.kind not in ("max", "leverage_informed_max", "quantile"):
@@ -298,7 +265,7 @@ def _cutoff_pool(n_obs: int, spec: CutoffSpec,
     """Indices of the observed values a max-type cutoff is taken over.
 
     All of them for "max"; those outside the high-leverage set for the
-    leverage-informed maximum.
+    leverage-informed maximum, which h > 3 mean(h) never covers entirely.
     """
     if spec.kind != "leverage_informed_max":
         return np.arange(n_obs)
@@ -307,11 +274,7 @@ def _cutoff_pool(n_obs: int, spec: CutoffSpec,
     leverage = np.asarray(leverage, dtype=float).ravel()
     if leverage.size != n_obs:
         raise ValueError("leverage vector must align with observed values")
-    flagged = high_leverage_set(leverage, spec.rule or HighLeverageRule())
-    keep = np.setdiff1d(np.arange(n_obs), flagged)
-    if keep.size == 0:
-        raise ValueError("leverage rule removed every observed row")
-    return keep
+    return np.setdiff1d(np.arange(n_obs), high_leverage_set(leverage))
 
 
 def compute_cutoff(v_obs: np.ndarray, spec: CutoffSpec,
@@ -323,18 +286,6 @@ def compute_cutoff(v_obs: np.ndarray, spec: CutoffSpec,
     if spec.kind == "quantile":
         return float(np.quantile(v, spec.level))
     return float(v[_cutoff_pool(v.size, spec, leverage)].max())
-
-
-def extrapolation_index(v: float, k: float) -> int:
-    """1 when the measure strictly exceeds the cutoff, else 0."""
-    return 1 if v > k else 0
-
-
-def rmvpv(v: float, k: float) -> float:
-    """Relative measure v / k; values above 1 are extrapolations."""
-    if k <= 0:
-        raise ValueError("cutoff must be positive for a relative measure")
-    return v / k
 
 
 # ---------------------------------------------------------------------------
@@ -367,7 +318,6 @@ class ExtrapolationReport:
     coords: np.ndarray | None
     status: list[str]
     measures: list[MeasureReport]
-    cutoff_names: list[str]
 
     @property
     def primary(self) -> MeasureReport:
@@ -536,7 +486,6 @@ def _assemble_report(d: Dataset, measures: list[str], traces, logdets, fit_rows,
         coords=None if d.coords is None else d.coords.copy(),
         status=row_status(d),
         measures=reports,
-        cutoff_names=[s.name for s in cutoff_specs],
     )
 
 

@@ -39,9 +39,8 @@ from dataclasses import asdict, dataclass, field
 
 import numpy as np
 from scipy.linalg import lapack
-from scipy.special import multigammaln
 
-from extrapolmv.dataset import Dataset, _from_json, _to_json
+from extrapolmv.dataset import Dataset, _from_json, _load_json, _to_json
 
 DRAWS_FILE = "draws.csv"
 NPZ_FILE = "draws.npz"
@@ -133,23 +132,6 @@ def invwishart_rvs(df: float, scale: np.ndarray, rng: np.random.Generator) -> np
     if info != 0:
         raise np.linalg.LinAlgError("Bartlett factor is singular")
     return U.T @ U
-
-
-def invwishart_logpdf(X: np.ndarray, df: float, scale: np.ndarray) -> float:
-    """Log density of IW(scale, df) at X, normalization included."""
-    X = np.asarray(X, dtype=float)
-    scale = np.asarray(scale, dtype=float)
-    p = X.shape[0]
-    sign_s, logdet_scale = np.linalg.slogdet(scale)
-    sign_x, logdet_x = np.linalg.slogdet(X)
-    if sign_s <= 0 or sign_x <= 0:
-        raise ValueError("X and scale must be positive definite")
-    tr = float(np.trace(np.linalg.solve(X, scale)))
-    return (0.5 * df * logdet_scale
-            - 0.5 * df * p * np.log(2.0)
-            - multigammaln(0.5 * df, p)
-            - 0.5 * (df + p + 1) * logdet_x
-            - 0.5 * tr)
 
 
 # ---------------------------------------------------------------------------
@@ -358,22 +340,6 @@ def predictive_mean_draws(p: PosteriorDraws, x: np.ndarray) -> np.ndarray:
     return p.B_draws @ x
 
 
-def posterior_predictive_draw(p: PosteriorDraws, x: np.ndarray, a: int,
-                              rng: np.random.Generator,
-                              size: int | None = None) -> np.ndarray:
-    """Draw from N(B_a x, Sigma_a); ``size`` batches draws at the same a."""
-    x = np.asarray(x, dtype=float).ravel()
-    if x.size != p.B_draws.shape[2]:
-        raise ValueError(f"x has {x.size} entries, expected {p.B_draws.shape[2]}")
-    if not 0 <= a < p.n_draws:
-        raise IndexError("draw index out of range")
-    mu = p.B_draws[a] @ x
-    L = np.linalg.cholesky(p.Sigma_draws[a])
-    if size is None:
-        return mu + L @ rng.standard_normal(mu.size)
-    return mu + rng.standard_normal((size, mu.size)) @ L.T
-
-
 # ---------------------------------------------------------------------------
 # Convergence diagnostics
 # ---------------------------------------------------------------------------
@@ -556,18 +522,18 @@ def load_fit(fitdir) -> tuple[PosteriorDraws, dict]:
 
     draws.csv is never read. A directory without draws.npz, or whose
     draws.npz lacks fit_rows (both written by earlier versions), raises
-    ValueError, as does a meta.json without response_names or
-    covariate_names, or whose spec is not a ModelSpec record (one written
-    before store_z and z_thin went away is not). Other arrays in
-    draws.npz are ignored.
+    ValueError, as does a meta.json that is not JSON, is without
+    response_names or covariate_names, or whose spec is not a ModelSpec
+    record (one written before store_z and z_thin went away is not).
+    Other arrays in draws.npz are ignored.
     """
     npz_path = os.path.join(fitdir, NPZ_FILE)
     if not os.path.exists(npz_path):
         raise ValueError(f"{npz_path} not found; re-run fit to write it")
     meta_path = os.path.join(fitdir, META_FILE)
-    with open(meta_path, encoding="utf-8") as fh:
-        meta = json.load(fh)
-    absent = [key for key in ("response_names", "covariate_names") if key not in meta]
+    meta = _load_json(meta_path)
+    absent = [key for key in ("response_names", "covariate_names")
+              if not isinstance(meta, dict) or key not in meta]
     if absent:
         raise ValueError(f"{meta_path}: missing keys {absent}; re-run fit to rewrite it")
     try:

@@ -300,6 +300,17 @@ def test_report_without_tree_omits_section(pipeline, tmp_path):
     assert "Top tree splits" not in text
 
 
+def test_report_tree_that_names_no_tree_is_an_error(pipeline, tmp_path, capsys):
+    capsys.readouterr()
+    for absent in (tmp_path / "absent.json", pipeline["scores"]):  # a dir without tree.json
+        rc = run("report", "--scores", pipeline["scores"], "--tree", absent,
+                 "--out", tmp_path / "out")
+        assert rc == 1
+        [line] = capsys.readouterr().err.splitlines()
+        assert line.startswith("error: ") and str(absent) in line, line
+    assert not (tmp_path / "out").exists()
+
+
 def test_missing_transforms_key_is_error(pipeline, tmp_path):
     cfg = json.loads((pipeline["sim"] / "config.json").read_text())
     del cfg["transforms"]
@@ -333,20 +344,59 @@ def _bad_json_input(case, pipeline, tmp_path):
         path.write_text(json.dumps(cfg))
         return ["tree", "--scores", pipeline["scores"], "--data", data, "--config", path], \
             pipeline["scores"] / "manifest.json", ["transforms"]
+    if case.startswith("score_manifest_"):  # a score output whose manifest.json is bad
+        manifest = json.loads((pipeline["scores"] / "manifest.json").read_text())
+        scores = tmp_path / "scores"
+        scores.mkdir()
+        (scores / "scores.csv").write_bytes((pipeline["scores"] / "scores.csv").read_bytes())
+        words = []
+        if case == "score_manifest_params_list":
+            manifest["params"] = list(manifest["params"])
+            words = ["params"]
+        else:
+            manifest = ["ingest_config"]
+        (scores / "manifest.json").write_text(json.dumps(manifest))
+        argv = ["tree", "--scores", scores, "--data", data] if case.endswith("_tree") \
+            else ["report", "--scores", scores]
+        return argv, scores / "manifest.json", words
+    if case.startswith("tree_json_"):
+        doc = json.loads((pipeline["tree"] / "tree.json").read_text())
+        words = []
+        if case == "tree_json_node_without_n1":
+            del doc.get("left", doc)["n1"]
+            words = ["n1"]
+        else:
+            doc = [doc]
+        path = tmp_path / "tree.json"
+        path.write_text(json.dumps(doc))
+        return ["report", "--scores", pipeline["scores"], "--tree", path], path, words
+    text = None
     if case == "meta_spec_unknown_key":
         meta["spec"]["bogus"] = 1
         words = ["bogus"]
     elif case == "meta_spec_with_snapshot_keys":  # written before Z was dropped
         meta["spec"].update(store_z=True, z_thin=50)
         words = ["store_z", "z_thin", "re-run fit"]
+    elif case == "meta_transform_constants_list":
+        meta["transform_constants"] = list(meta["transform_constants"].values())
+        words = ["transform_constants", "re-run fit"]
+    elif case == "meta_centers_too_short":
+        meta["transform_constants"]["centers"].pop()
+        words = ["transform_constants centers", "re-run fit"]
+    elif case == "meta_dataset_hash_integer":
+        meta["dataset_hash"] = 12345
+        words = ["dataset_hash", "re-run fit"]
+    elif case == "meta_not_json":
+        text = json.dumps(meta)[:-1]
+        words = ["not valid JSON"]
     else:  # meta_without_<key>
         key = case[len("meta_without_"):]
         del meta[key]
-        words = [key]
+        words = [key, "re-run fit"]
     fit = tmp_path / "fit"
     fit.mkdir()
     (fit / "draws.npz").write_bytes((pipeline["fit"] / "draws.npz").read_bytes())
-    (fit / "meta.json").write_text(json.dumps(meta))
+    (fit / "meta.json").write_text(text or json.dumps(meta))
     return ["score", "--draws", fit, "--data", data], fit / "meta.json", words
 
 
@@ -356,7 +406,15 @@ def _bad_json_input(case, pipeline, tmp_path):
                                   "meta_spec_with_snapshot_keys",
                                   "meta_without_response_names",
                                   "meta_without_covariate_names",
-                                  "tree_config_differs_from_score"])
+                                  "meta_without_transform_constants",
+                                  "meta_without_dataset_hash",
+                                  "meta_transform_constants_list",
+                                  "meta_centers_too_short",
+                                  "meta_dataset_hash_integer", "meta_not_json",
+                                  "tree_config_differs_from_score",
+                                  "score_manifest_list_tree", "score_manifest_list_report",
+                                  "score_manifest_params_list",
+                                  "tree_json_list", "tree_json_node_without_n1"])
 def test_bad_json_input_is_one_error_line(pipeline, tmp_path, capsys, case):
     argv, path, words = _bad_json_input(case, pipeline, tmp_path)
     capsys.readouterr()
@@ -371,10 +429,16 @@ def test_bad_json_input_is_one_error_line(pipeline, tmp_path, capsys, case):
     ({"responses": "none", "standardise": False}, "standardise"),
     ({"responses": {"y1": "log", "y4": "log"}}, "y4"),
     ({"standardize": {"x1": False, "x9": False}}, "x9"),
-], ids=["unknown_key", "unknown_response", "unknown_covariate"])
+    ("log", "transforms"),
+    ({"responses": ["log"]}, "responses"),
+    ({"standardize": "false"}, "standardize"),
+    ({"standardize": {"x1": "no"}}, "standardize"),
+], ids=["unknown_key", "unknown_response", "unknown_covariate", "not_an_object",
+        "responses_list", "standardize_string", "standardize_map_string"])
 def test_unknown_transforms_entry_is_one_error_line(pipeline, tmp_path, capsys,
                                                     transforms, key):
-    # a key or name the transforms entry would otherwise drop without a word
+    # a key or name the transforms entry would otherwise drop without a
+    # word, or a value of a type it would misread ("false" is truthy)
     cfg = json.loads((pipeline["sim"] / "config.json").read_text())
     cfg["transforms"] = transforms
     path = tmp_path / "cfg.json"

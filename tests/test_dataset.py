@@ -7,9 +7,7 @@ from extrapolmv.dataset import (
     SynthSpec,
     TransformSpec,
     apply_transforms,
-    invert_transforms,
     load_csv,
-    partition_by_status,
     synthesize,
     write_csv,
 )
@@ -230,9 +228,11 @@ def base_dataset():
 
 def test_log_of_ones_is_zero():
     d = base_dataset()
-    t = TransformSpec(response=["log", "none"], standardize=[False, False])
+    t = TransformSpec(response=["log", "log1p"], standardize=[False, False])
     out = apply_transforms(d, t)
     np.testing.assert_array_equal(out.Y[:, 0], np.zeros(5))
+    obs = d.mask[:, 1]
+    np.testing.assert_array_equal(out.Y[obs, 1], np.log1p(d.Y[obs, 1]))
 
 
 def test_standardize_simple_column():
@@ -284,15 +284,6 @@ def test_log_rejects_nonpositive_with_location():
     assert "r3" in str(err.value) and "y2" in str(err.value)
 
 
-def test_inverse_round_trip():
-    d = base_dataset()
-    t = TransformSpec(response=["log", "log1p"], standardize=[True, True])
-    out = apply_transforms(d, t)
-    back = invert_transforms(out, t)
-    np.testing.assert_allclose(back.X, d.X, rtol=1e-12)
-    np.testing.assert_allclose(back.Y[d.mask], d.Y[d.mask], rtol=1e-12)
-
-
 def test_unknown_transform_tag_rejected():
     with pytest.raises(ValueError, match="unknown response transform"):
         TransformSpec(response=["sqrt"], standardize=[])
@@ -308,40 +299,6 @@ def test_transforms_entry_rejects_what_it_would_drop():
                      ({"standardize": {"intercept": False}}, "intercept")]:
         with pytest.raises(ValueError, match=rf"transforms.*'{key}'"):
             TransformSpec.from_config(cfg, names, covariates)
-
-
-# -- status partition ---------------------------------------------------------
-
-
-@pytest.mark.parametrize("mask_rows,sizes", [
-    (np.ones((6, 4), dtype=bool), (6, 0, 0)),
-    (np.zeros((6, 4), dtype=bool), (0, 0, 6)),
-])
-def test_partition_uniform(mask_rows, sizes):
-    X = np.column_stack([np.ones(6), np.arange(6.0), np.arange(6.0) ** 2])
-    Y = np.where(mask_rows, 1.0, np.nan)
-    d = make_dataset(X, Y, mask_rows)
-    part = partition_by_status(d)
-    assert (len(part.fully_observed), len(part.partially_observed),
-            len(part.unobserved)) == sizes
-
-
-def test_partition_mixed_rows():
-    mask = np.array([[True, True, True, True],
-                     [True, False, True, True],
-                     [False, False, False, False],
-                     [True, True, True, True],
-                     [True, True, True, True]])
-    X = np.column_stack([np.ones(5), np.arange(5.0)])
-    Y = np.where(mask, 1.0, np.nan)
-    d = make_dataset(X, Y, mask)
-    part = partition_by_status(d)
-    assert list(part.fully_observed) == [0, 3, 4]
-    assert list(part.partially_observed) == [1]
-    assert list(part.unobserved) == [2]
-    total = sorted([*part.fully_observed, *part.partially_observed,
-                    *part.unobserved])
-    assert total == list(range(5))
 
 
 # -- synthesize ---------------------------------------------------------------

@@ -8,15 +8,12 @@ from extrapolmv.diagnostics import HighLeverageRule, high_leverage_set, ivh_valu
 from extrapolmv.extrapolation import (
     CutoffSpec,
     _draw_cov,
+    _logdet_psd,
     _mvpv_arrays,
     cmvpv,
     compute_cutoff,
     conditional_mvn,
-    extrapolation_index,
-    mvpv_logdet,
-    mvpv_trace,
     predictive_variance,
-    rmvpv,
     measure_column,
     score_locations,
     score_locations_analytic,
@@ -55,9 +52,6 @@ def test_matches_two_pass_oracle():
         V += np.outer(row - mean, row - mean)
     V /= draws.shape[0]
     np.testing.assert_allclose(pv.V, V, atol=1e-10)
-    # ddof=1 cross-check against numpy
-    pv1 = predictive_variance(draws, ddof=1)
-    np.testing.assert_allclose(pv1.V, np.cov(draws.T), atol=1e-10)
 
 
 def test_output_is_psd():
@@ -76,31 +70,39 @@ def test_needs_two_draws():
 # -- trace / logdet -------------------------------------------------------------
 
 
+def summaries(V):
+    """predictive_variance of 2n draws +-sqrt(n) L e_k (V = L L'), whose
+    divisor-A covariance is V, and the log-determinant of V itself."""
+    D = np.sqrt(V.shape[0]) * np.linalg.cholesky(V).T
+    return predictive_variance(np.vstack([D, -D])), float(_logdet_psd(V))
+
+
 def test_diagonal_matrix_summaries():
-    V = np.diag([1.0, 2.0, 3.0, 4.0])
-    assert mvpv_trace(V) == 10.0
-    assert np.exp(mvpv_logdet(V)) == pytest.approx(24.0, rel=1e-12)
+    pv, logdet = summaries(np.diag([1.0, 2.0, 3.0, 4.0]))
+    assert pv.trace == pytest.approx(10.0, rel=1e-12)
+    assert pv.det == pytest.approx(24.0, rel=1e-12)
+    assert np.exp(logdet) == pytest.approx(24.0, rel=1e-12)
 
 
 def test_two_by_two_summaries():
-    V = np.array([[2.0, 1.0], [1.0, 2.0]])  # eigenvalues 1 and 3
-    assert mvpv_trace(V) == 4.0
-    assert np.exp(mvpv_logdet(V)) == pytest.approx(3.0, rel=1e-12)
+    pv, logdet = summaries(np.array([[2.0, 1.0], [1.0, 2.0]]))  # eigenvalues 1 and 3
+    assert pv.trace == pytest.approx(4.0, rel=1e-12)
+    assert pv.det == pytest.approx(3.0, rel=1e-12)
+    assert np.exp(logdet) == pytest.approx(3.0, rel=1e-12)
 
 
 def test_scaled_identity():
     c = 0.5
-    V = c * np.eye(4)
-    assert mvpv_trace(V) == pytest.approx(4 * c)
-    assert np.exp(mvpv_logdet(V)) == pytest.approx(c ** 4, rel=1e-12)
+    pv, logdet = summaries(c * np.eye(4))
+    assert pv.trace == pytest.approx(4 * c, rel=1e-12)
+    assert pv.det == pytest.approx(c ** 4, rel=1e-12)
+    assert np.exp(logdet) == pytest.approx(c ** 4, rel=1e-12)
 
 
 def test_asymmetric_input_rejected():
-    V = np.array([[1.0, 0.5], [0.0, 1.0]])
+    d, _ = synthesize(SynthSpec(l=20, n=2, q=3), seed=5)
     with pytest.raises(ValueError, match="asymmetric"):
-        mvpv_trace(V)
-    with pytest.raises(ValueError, match="asymmetric"):
-        mvpv_logdet(V)
+        score_locations_analytic(d, sigma=np.array([[1.0, 0.5], [0.0, 1.0]]))
 
 
 # -- conditional_mvn ------------------------------------------------------------
@@ -210,19 +212,6 @@ def test_fixed_draws_conditioning_shrinks():
     assert conditioned < unconditioned
 
 
-def test_mean_only_variant_drops_within_draw_part():
-    rng = np.random.default_rng(4)
-    B = rng.standard_normal((60, 2, 2))
-    Sigma = np.tile(np.array([[1.0, 0.3], [0.3, 1.0]]), (60, 1, 1))
-    p = make_draws(B, Sigma, [0])
-    x = np.array([1.0, 1.0])
-    given = np.array([np.nan, 0.2])
-    total = cmvpv(p, x, 0, given, method="total")
-    mean_only = cmvpv(p, x, 0, given, method="mean_only")
-    assert mean_only < total
-    assert total - mean_only == pytest.approx(1 - 0.3 ** 2, rel=1e-12)
-
-
 def test_target_in_conditioning_set_rejected():
     p = constant_draws(np.ones((2, 2)), np.eye(2))
     mask = np.array([True, True])
@@ -269,15 +258,6 @@ def test_leverage_informed_cutoff_drops_flagged_rows():
     assert compute_cutoff(v, spec, leverage=h) == 3.0
 
 
-def test_leverage_cutoff_requires_survivors():
-    v = np.array([1.0, 2.0])
-    h = np.array([0.5, 0.6])
-    spec = CutoffSpec(kind="leverage_informed_max",
-                      rule=HighLeverageRule(factor=0.0))
-    with pytest.raises(ValueError, match="removed every"):
-        compute_cutoff(v, spec, leverage=h)
-
-
 def test_quantile_level_validated():
     with pytest.raises(ValueError):
         CutoffSpec(kind="quantile", level=0.0)
@@ -298,28 +278,6 @@ def test_cutoff_token_parsing():
     assert CutoffSpec.parse("q:0.5").name == "q50"
     with pytest.raises(ValueError):
         CutoffSpec.parse("median")
-
-
-# -- index / rmvpv ------------------------------------------------------------------
-
-
-def test_boundary_is_interpolation():
-    assert extrapolation_index(5.0, 5.0) == 0
-
-
-def test_index_and_ratio_consistent():
-    assert extrapolation_index(2.0, 4.0) == 0
-    assert rmvpv(2.0, 4.0) == 0.5
-    assert extrapolation_index(5.1, 5.0) == 1
-    assert rmvpv(5.1, 5.0) == pytest.approx(1.02)
-
-
-def test_rmvpv_requires_positive_cutoff():
-    with pytest.raises(ValueError):
-        rmvpv(1.0, 0.0)
-    # index itself follows the strict comparison even for k <= 0
-    assert extrapolation_index(1.0, -1.0) == 1
-    assert extrapolation_index(0.0, 0.0) == 0
 
 
 # -- score_locations (sampled) --------------------------------------------------
@@ -359,6 +317,21 @@ def test_flag_sets_nest_across_quantiles(fitted):
     strict, lax = report.measures[0].cutoffs
     assert strict.k >= lax.k
     assert np.all(lax.e >= strict.e)  # flagged under larger k => under smaller
+
+
+def test_flags_and_ratios_follow_the_cutoff(fitted):
+    # e is the strict v > k, also for a negative k, and r is v / k
+    # (exp(v - k) for the log-determinant)
+    d, p = fitted
+    report = score_locations(p, d, measures=("trace", "det"), cutoffs=("q95", "q:0.5"))
+    tr, ld = report.measures
+    for c in tr.cutoffs:
+        np.testing.assert_array_equal(c.e, tr.values > c.k)
+        np.testing.assert_array_equal(c.r, tr.values / c.k)
+    for c in ld.cutoffs:
+        assert c.k < 0
+        np.testing.assert_array_equal(c.e, ld.values > c.k)
+        np.testing.assert_array_equal(c.r, np.exp(ld.values - c.k))
 
 
 def test_first_flagging_is_most_conservative_hit(fitted):
@@ -438,6 +411,11 @@ def test_degenerate_draws_det_ties_resolved_by_trace():
     assert c.k == -np.inf
     assert c.e.sum() == 0  # exact ties are interpolation
     assert np.all(np.isfinite(c.r))
+    # V = 0 everywhere: trace cutoff k = 0 flags nothing and 0 / 0 reads as 1
+    c = score_locations(p, d, measures=("trace",), cutoffs=("max",)).measures[0].cutoffs[0]
+    assert c.k == 0.0
+    assert c.e.sum() == 0
+    np.testing.assert_array_equal(c.r, 1.0)
     with pytest.raises(ValueError, match="quantile cutoff undefined"):
         score_locations(p, d, measures=("det",), cutoffs=("q95",))
 

@@ -273,16 +273,15 @@ def _reference_tree(X, y, params, names, depth=0, total=None):
     """The tree grower as it was before the presort: every node argsorts
     every feature of its own rows."""
     total = X.shape[0] if total is None else total
-    w0, w1 = params.class_weight
     n1 = int(y.sum())
     n0 = int(y.size - n1)
-    pred = 1 if w1 * n1 > w0 * n0 else 0
+    pred = 1 if n1 > n0 else 0
     node = TreeNode(n0=n0, n1=n1, prediction=pred,
                     proportion=(n1 if pred == 1 else n0) / max(y.size, 1),
                     fraction=y.size / total)
     if n0 == 0 or n1 == 0 or depth >= params.max_depth or y.size < 2 * params.min_leaf:
         return node
-    parent = gini(w0 * n0, w1 * n1)
+    parent = gini(n0, n1)
     best = None
     for f in range(X.shape[1]):
         order = np.argsort(X[:, f], kind="stable")
@@ -295,10 +294,9 @@ def _reference_tree(X, y, params, names, depth=0, total=None):
         left1 = np.cumsum(sy)[change].astype(float)
         left0 = n_left - left1
         right1, right0 = n1 - left1, n0 - left0
-        wl = np.maximum(w0 * left0 + w1 * left1, 1e-300)
-        wr = np.maximum(w0 * right0 + w1 * right1, 1e-300)
-        gl = 1.0 - ((w0 * left0) ** 2 + (w1 * left1) ** 2) / wl ** 2
-        gr = 1.0 - ((w0 * right0) ** 2 + (w1 * right1) ** 2) / wr ** 2
+        wl, wr = left0 + left1, right0 + right1
+        gl = 1.0 - (left0 ** 2 + left1 ** 2) / wl ** 2
+        gr = 1.0 - (right0 ** 2 + right1 ** 2) / wr ** 2
         gains = np.where(ok, parent - (wl * gl + wr * gr) / (wl + wr), -np.inf)
         j = int(np.argmax(gains))
         if best is None or gains[j] > best[0]:
@@ -315,15 +313,12 @@ def _reference_tree(X, y, params, names, depth=0, total=None):
 
 @settings(max_examples=25, deadline=None)
 @given(data=st.data(), rows=st.integers(2, 120), features=st.integers(1, 4),
-       weights=st.tuples(*[st.sampled_from([0.3, 1.0, 2.5])] * 2),
        min_leaf=st.sampled_from([1, 2, 3, 7]), max_depth=st.integers(1, 6))
-def test_presorted_tree_is_the_per_node_sort_tree(data, rows, features, weights, min_leaf,
-                                                   max_depth):
+def test_presorted_tree_is_the_per_node_sort_tree(data, rows, features, min_leaf, max_depth):
     # values from a small integer set, so most splits are among ties
     X = data.draw(arrays(np.float64, (rows, features), elements=st.integers(-3, 3)))
     y = data.draw(arrays(np.int64, rows, elements=st.integers(0, 1)))
-    params = TreeParams(max_depth=max_depth, min_leaf=min_leaf, min_split_gain=0.0,
-                        class_weight=weights)
+    params = TreeParams(max_depth=max_depth, min_leaf=min_leaf, min_split_gain=0.0)
     names = [f"x{j}" for j in range(features)]
     assert export_tree(grow_tree(X, y, params, names)) == \
         export_tree(_reference_tree(X, y, params, names))

@@ -3,7 +3,6 @@ import itertools
 
 import numpy as np
 import pytest
-import scipy.stats
 
 import extrapolmv.sampler as sampler
 from extrapolmv.dataset import SynthSpec, synthesize
@@ -14,10 +13,8 @@ from extrapolmv.sampler import (
     draw_coefficients,
     ess,
     gibbs_fit,
-    invwishart_logpdf,
     invwishart_rvs,
     load_fit,
-    posterior_predictive_draw,
     predictive_mean_draws,
     rhat,
     save_fit,
@@ -41,18 +38,6 @@ def test_spec_validation():
 
 
 # -- inverse-Wishart ----------------------------------------------------------------
-
-
-def test_invwishart_density_convention_matches_scipy_at_n2():
-    scale = np.array([[2.0, 0.4], [0.4, 1.5]])
-    df = 6.2
-    rng = np.random.default_rng(0)
-    for _ in range(5):
-        A = rng.standard_normal((2, 2))
-        X = A @ A.T + 0.5 * np.eye(2)
-        ours = invwishart_logpdf(X, df, scale)
-        theirs = scipy.stats.invwishart(df=df, scale=scale).logpdf(X)
-        assert ours == pytest.approx(theirs, rel=1e-10)
 
 
 def test_invwishart_mean_matches_formula():
@@ -576,35 +561,6 @@ def test_predictive_mean_dimension_check():
     p = make_draws(np.ones((5, 2, 3)), np.tile(np.eye(2), (5, 1, 1)), [0])
     with pytest.raises(ValueError):
         predictive_mean_draws(p, np.ones(2))
-
-
-def test_posterior_predictive_degenerate_sigma():
-    B = np.ones((3, 2, 2))
-    p = make_draws(B, np.tile(1e-12 * np.eye(2), (3, 1, 1)), [0])
-    x = np.array([1.0, 1.0])
-    draw = posterior_predictive_draw(p, x, 0, np.random.default_rng(0))
-    np.testing.assert_allclose(draw, [2.0, 2.0], atol=1e-5)
-
-
-def test_posterior_predictive_covariance_monte_carlo():
-    Sigma = np.array([[2.0, 0.5], [0.5, 1.0]])
-    p = make_draws(np.ones((2, 2, 2)), np.tile(Sigma, (2, 1, 1)), [0])
-    x = np.array([1.0, -1.0])
-    draws = posterior_predictive_draw(p, x, 0, np.random.default_rng(1),
-                                      size=1_000_000)
-    emp = np.cov(draws.T)
-    rel = np.linalg.norm(emp - Sigma) / np.linalg.norm(Sigma)
-    assert rel < 0.02
-
-
-def test_posterior_predictive_deterministic():
-    p = make_draws(np.ones((2, 2, 2)), np.tile(np.eye(2), (2, 1, 1)), [0])
-    x = np.array([0.5, 0.5])
-    d1 = posterior_predictive_draw(p, x, 1, np.random.default_rng(5))
-    d2 = posterior_predictive_draw(p, x, 1, np.random.default_rng(5))
-    np.testing.assert_array_equal(d1, d2)
-    with pytest.raises(IndexError):
-        posterior_predictive_draw(p, x, 99, np.random.default_rng(0))
 
 
 # -- convergence -----------------------------------------------------------------------
