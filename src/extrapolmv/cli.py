@@ -8,8 +8,9 @@ alongside its outputs, and all file writes go through a temp-file rename
 so partial outputs never appear. Exit codes: 0 success, 1 error, 2
 success with warnings.
 
-``score`` and ``tree`` read data with the ingestion config the fit's
-meta.json or the score's manifest.json records; a --config must match it.
+Only ``fit`` takes an ingestion config. ``score`` reads the config the
+fit recorded in meta.json; ``tree`` and ``report`` read the config and
+measures the score recorded in its manifest.json.
 """
 
 from __future__ import annotations
@@ -41,6 +42,8 @@ from extrapolmv.dataset import (
     write_csv,
 )
 from extrapolmv.extrapolation import (
+    DEFAULT_CUTOFFS,
+    DEFAULT_MEASURES,
     measure_column,
     score_locations,
     write_plotdata_csv,
@@ -129,25 +132,6 @@ def _write_manifest(outdir, command: str, params: dict,
                        json.dumps(manifest, indent=1, sort_keys=True) + "\n")
 
 
-def _ingest_config(path, recorded: dict | None, source: str) -> IngestConfig:
-    """The --config file at ``path``, which must match the config
-    ``recorded`` in the file ``source`` if there is one; without --config,
-    the recorded config."""
-    where = f"{source} ingest_config"
-    stored = None if recorded is None else _from_json(IngestConfig, recorded, where)
-    if not path:
-        if stored is None:
-            raise CliError(f"no ingestion config: {source} records none; pass --config")
-        return stored
-    config = IngestConfig.from_json(path)
-    if stored is not None:
-        given, fitted = _to_json(config), _to_json(stored)
-        differ = [k for k in sorted(given) if given[k] != fitted[k]]
-        if differ:
-            raise CliError(f"--config differs from the {where} in {', '.join(differ)}")
-    return config
-
-
 def _load_transformed(data_path, config: IngestConfig, constants: dict | None = None):
     """Load a CSV and apply the transforms the config explicitly names,
     standardizing with a fit's checked ``transform_constants`` if given."""
@@ -212,10 +196,13 @@ def _cmd_fit(args) -> int:
 # ---------------------------------------------------------------------------
 
 
-def _check_fit_meta(meta: dict, path: str, n_scaled: int) -> None:
-    """Require the dataset_hash and transform_constants that fit writes:
-    a string, and an object whose centers and scales are lists of one
-    number per non-intercept covariate."""
+def _fit_record(fitdir):
+    """The draws in a fit directory and the dataset hash, ingestion config
+    and transform constants its meta.json records: a string, a config, and
+    centers and scales of one number per non-intercept covariate."""
+    draws, meta = load_fit(fitdir)
+    path = os.path.join(fitdir, META_FILE)
+    n_scaled = draws.B_draws.shape[2] - 1
     def bad(key, want):
         return CliError(f"{path}: {key} must be {want}; re-run fit to rewrite it")
     if not isinstance(meta.get("dataset_hash"), str):
@@ -228,24 +215,21 @@ def _check_fit_meta(meta: dict, path: str, n_scaled: int) -> None:
         if not (isinstance(values, list) and len(values) == n_scaled
                 and all(type(v) in (int, float) for v in values)):
             raise bad(f"transform_constants {key}", f"a list of {n_scaled} numbers")
+    config = _from_json(IngestConfig, meta.get("ingest_config"), f"{path} ingest_config")
+    return draws, meta["dataset_hash"], config, constants
 
 
 def _cmd_score(args) -> int:
     start = time.perf_counter()
-    draws, meta = load_fit(args.draws)
-    meta_path = os.path.join(args.draws, META_FILE)
-    _check_fit_meta(meta, meta_path, draws.B_draws.shape[2] - 1)
+    draws, recorded, config, constants = _fit_record(args.draws)
     dataset_hash = _sha256_file(args.data)
-    recorded = meta["dataset_hash"]
     if recorded != dataset_hash and not args.force:
         raise CliError(
             f"dataset hash {dataset_hash[:12]} does not match the hash the "
             f"draws were fitted on ({recorded[:12]}); pass --force to override")
+    d, _t = _load_transformed(args.data, config, constants)
 
-    config = _ingest_config(args.config, meta.get("ingest_config"), meta_path)
-    d, _t = _load_transformed(args.data, config, meta["transform_constants"])
-
-    measures = args.measure or ["det", "trace"]
+    measures = args.measure or DEFAULT_MEASURES
     cutoffs = [tok.strip() for tok in args.cutoffs.split(",") if tok.strip()]
     timings = {"load": time.perf_counter() - start}
     report = score_locations(draws, d, measures=measures, cutoffs=cutoffs, timings=timings)
@@ -271,22 +255,28 @@ def _cmd_score(args) -> int:
 # ---------------------------------------------------------------------------
 
 
-def _read_scores(scores, columns) -> tuple[list[str], dict, dict | None]:
-    """Read a score output: header, chosen scores.csv columns, manifest.
-
-    ``scores`` is a score output directory or a scores.csv file; only a
-    directory has a manifest (None otherwise). ``columns(header)`` names
-    the columns to keep; each comes back as a list of cells.
-    """
-    path, manifest = scores, None
-    if os.path.isdir(scores):
-        path = os.path.join(scores, "scores.csv")
-        manifest_path = os.path.join(scores, "manifest.json")
-        if os.path.exists(manifest_path):
-            manifest = _load_json(manifest_path)
-            if not isinstance(manifest, dict):
-                raise CliError(f"{manifest_path}: expected a JSON object, "
-                               f"got {json.dumps(manifest)[:40]}")
+def _read_scores(scores, columns) -> tuple[list[str], dict, IngestConfig, list[str]]:
+    """Read a score output directory: the scores.csv header and chosen
+    columns, and the ingestion config and measures its manifest.json
+    records. ``columns(header)`` names the columns to keep; each comes
+    back as a list of cells."""
+    manifest_path = os.path.join(scores, "manifest.json")
+    manifest = _load_json(manifest_path)
+    params = manifest.get("params") if isinstance(manifest, dict) else None
+    if not isinstance(params, dict):
+        raise CliError(f"{manifest_path}: expected a JSON object whose params is an "
+                       f"object, got {json.dumps(manifest)[:40]}")
+    measures = params.get("measures")
+    try:
+        known = isinstance(measures, list) and all(map(measure_column, measures))
+    except (ValueError, AttributeError):  # an unknown key, or not a string
+        known = False
+    if not (known and measures):
+        raise CliError(f"{manifest_path}: params measures must be a non-empty list of "
+                       f"measure keys, got {json.dumps(measures)[:40]}; re-run score")
+    config = _from_json(IngestConfig, manifest.get("ingest_config"),
+                        f"{manifest_path} ingest_config")
+    path = os.path.join(scores, "scores.csv")
     table = _read_table(path)
     header = next(table)
     names = columns(header)
@@ -298,19 +288,16 @@ def _read_scores(scores, columns) -> tuple[list[str], dict, dict | None]:
     for _line, lines in table:
         for name, cells in zip(names, _text_columns(lines, cols)):
             kept[name] += cells
-    return header, kept, manifest
+    return header, kept, config, measures
 
 
 def _cmd_tree(args) -> int:
-    _header, cols, manifest = _read_scores(args.scores, lambda _: ["id", args.label])
+    _, cols, config, _ = _read_scores(args.scores, lambda _: ["id", args.label])
     bad = set(cols[args.label]) - {"0", "1"}
     if bad:
         raise CliError(f"label column {args.label!r} holds {min(bad)!r}; "
                        "a tree label must be 0 or 1")
     labels_by_id = dict(zip(cols["id"], map(int, cols[args.label])))
-
-    source = args.scores if manifest is None else os.path.join(args.scores, "manifest.json")
-    config = _ingest_config(args.config, (manifest or {}).get("ingest_config"), source)
 
     # raw covariates: thresholds stay in original units
     d = load_csv(args.data, config)
@@ -376,7 +363,7 @@ def _cmd_simulate(args) -> int:
 
 
 def _cmd_report(args) -> int:
-    header, cols, manifest = _read_scores(
+    header, cols, _config, measures = _read_scores(
         args.scores,
         lambda h: ["status"] + [name for name in h if name.startswith(("e_", "k_"))])
     out_of_sample = np.array(cols["status"]) != "full"
@@ -384,22 +371,11 @@ def _cmd_report(args) -> int:
     measure_cols = [name for name in header
                     if name.startswith(("mvpv_", "cmvpv_"))]
 
-    primary = None
-    if manifest is not None:
-        params = manifest.get("params", {})
-        if not isinstance(params, dict):
-            raise CliError(f"{os.path.join(args.scores, 'manifest.json')}: params must "
-                           "be an object")
-        stored = params.get("measures")
-        if stored:
-            primary = measure_column(stored[0])
-
     lines = ["# Extrapolation report", ""]
     lines.append(f"Locations scored: {out_of_sample.size}")
     if measure_cols:
         lines.append(f"Measures: {', '.join(measure_cols)}")
-    if primary:
-        lines.append(f"Cutoff columns follow the primary measure: {primary}")
+    lines.append(f"Cutoff columns follow the primary measure: {measure_column(measures[0])}")
     lines += ["", "## Flag counts per cutoff", "",
               "| cutoff | cutoff value | flagged | flagged out-of-sample |",
               "|---|---|---|---|"]
@@ -459,13 +435,10 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("score", help="compute measures, cutoffs and flags")
     p.add_argument("--draws", required=True, help="fit output directory")
     p.add_argument("--data", required=True)
-    p.add_argument("--config", default=None,
-                   help="ingestion config JSON (default: the one the fit "
-                        "recorded, which a given config must match)")
     p.add_argument("--measure", action="append",
                    help="trace, det or cmvpv:<response>; repeatable "
-                        "(default: det trace; the first is primary)")
-    p.add_argument("--cutoffs", default="max,lev,q99,q95",
+                        f"(default: {' '.join(DEFAULT_MEASURES)}; the first is primary)")
+    p.add_argument("--cutoffs", default=",".join(DEFAULT_CUTOFFS),
                    help="comma list of max, lev, q99, q95 or q:<r>")
     p.add_argument("--force", action="store_true",
                    help="score even if the dataset hash does not match the fit")
@@ -473,11 +446,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=_cmd_score)
 
     p = sub.add_parser("tree", help="characterize flags with a classification tree")
-    p.add_argument("--scores", required=True, help="score output directory or scores.csv")
+    p.add_argument("--scores", required=True, help="score output directory")
     p.add_argument("--data", required=True)
-    p.add_argument("--config", default=None,
-                   help="ingestion config JSON (default: the one the score "
-                        "recorded, which a given config must match)")
     p.add_argument("--label", default="e_q95")
     p.add_argument("--max-depth", type=int, default=5)
     p.add_argument("--min-leaf", type=int, default=20)
@@ -492,7 +462,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=_cmd_simulate)
 
     p = sub.add_parser("report", help="summarize scores (and tree) as markdown")
-    p.add_argument("--scores", required=True)
+    p.add_argument("--scores", required=True, help="score output directory")
     p.add_argument("--tree", default=None)
     p.add_argument("--out", required=True)
     p.set_defaults(func=_cmd_report)

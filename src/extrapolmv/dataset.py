@@ -474,20 +474,16 @@ def _write_table(path, header: list[str], columns: list, missing: str = "nan") -
     os.replace(tmp, path)
 
 
-def write_csv(d: Dataset, path, config: IngestConfig | None = None) -> None:
+def write_csv(d: Dataset, path, config: IngestConfig) -> None:
     """Write a dataset back to CSV, mirroring the ingestion schema."""
-    token = config.missing_token if config else MISSING_TOKEN
-    id_col = config.id_col if config else "id"
-    lon_col = (config.lon_col if config else "lon") or "lon"
-    lat_col = (config.lat_col if config else "lat") or "lat"
-    header = [id_col]
+    header = [config.id_col]
     columns = [list(d.ids)]
     if d.coords is not None:
-        header += [lon_col, lat_col]
+        header += [config.lon_col or "lon", config.lat_col or "lat"]
         columns += [d.coords[:, 0], d.coords[:, 1]]
     header += d.covariate_names[1:] + d.response_names
     columns += list(d.X[:, 1:].T) + list(d.Y.T)
-    _write_table(path, header, columns, missing=token)
+    _write_table(path, header, columns, missing=config.missing_token)
 
 
 # ---------------------------------------------------------------------------

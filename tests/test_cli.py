@@ -188,27 +188,6 @@ def test_score_applies_the_fit_transform_constants(pipeline, tmp_path, monkeypat
     np.testing.assert_array_equal(seen[0].X[:, j + 1], (raw - center) / scale)
 
 
-def test_score_rejects_config_that_differs_from_fit(pipeline, tmp_path, capsys):
-    cfg = json.loads((pipeline["sim"] / "config.json").read_text())
-    same = tmp_path / "same.json"
-    same.write_text(json.dumps(cfg))
-    assert run("score", "--draws", pipeline["fit"],
-               "--data", pipeline["sim"] / "dataset.csv", "--config", same,
-               "--out", tmp_path / "s0") == 0
-    cfg["transforms"] = {"responses": "none", "standardize": False}
-    cfg["missing_token"] = "NaN"
-    other = tmp_path / "other.json"
-    other.write_text(json.dumps(cfg))
-    capsys.readouterr()
-    for extra in ([], ["--force"]):  # --force overrides only the dataset hash
-        rc = run("score", "--draws", pipeline["fit"],
-                 "--data", pipeline["sim"] / "dataset.csv", "--config", other,
-                 *extra, "--out", tmp_path / "s1")
-        assert rc == 1
-        assert "missing_token, transforms" in capsys.readouterr().err
-    assert not (tmp_path / "s1").exists()
-
-
 def test_score_needs_draws_npz(pipeline, tmp_path, capsys):
     old = tmp_path / "old_fit"
     old.mkdir()
@@ -338,12 +317,6 @@ def _bad_json_input(case, pipeline, tmp_path):
         path.write_text(json.dumps(cfg))
         return ["fit", "--data", data, "--config", path, "--iters", 20, "--burnin", 5], \
             path, ["responses"]
-    if case == "tree_config_differs_from_score":
-        cfg["transforms"] = {"responses": "none", "standardize": False}
-        path = tmp_path / "cfg.json"
-        path.write_text(json.dumps(cfg))
-        return ["tree", "--scores", pipeline["scores"], "--data", data, "--config", path], \
-            pipeline["scores"] / "manifest.json", ["transforms"]
     if case.startswith("score_manifest_"):  # a score output whose manifest.json is bad
         manifest = json.loads((pipeline["scores"] / "manifest.json").read_text())
         scores = tmp_path / "scores"
@@ -353,9 +326,14 @@ def _bad_json_input(case, pipeline, tmp_path):
         if case == "score_manifest_params_list":
             manifest["params"] = list(manifest["params"])
             words = ["params"]
+        elif case.startswith("score_manifest_measures_"):
+            manifest["params"]["measures"] = {"string": "trace", "int": [5],
+                                              "unknown": ["bogus"]}[case.split("_")[-1]]
+            words = ["measures"]
         else:
             manifest = ["ingest_config"]
-        (scores / "manifest.json").write_text(json.dumps(manifest))
+        if not case.startswith("score_manifest_absent_"):
+            (scores / "manifest.json").write_text(json.dumps(manifest))
         argv = ["tree", "--scores", scores, "--data", data] if case.endswith("_tree") \
             else ["report", "--scores", scores]
         return argv, scores / "manifest.json", words
@@ -389,6 +367,9 @@ def _bad_json_input(case, pipeline, tmp_path):
     elif case == "meta_not_json":
         text = json.dumps(meta)[:-1]
         words = ["not valid JSON"]
+    elif case == "meta_without_ingest_config":
+        del meta["ingest_config"]
+        words = ["ingest_config"]
     else:  # meta_without_<key>
         key = case[len("meta_without_"):]
         del meta[key]
@@ -408,12 +389,16 @@ def _bad_json_input(case, pipeline, tmp_path):
                                   "meta_without_covariate_names",
                                   "meta_without_transform_constants",
                                   "meta_without_dataset_hash",
+                                  "meta_without_ingest_config",
                                   "meta_transform_constants_list",
                                   "meta_centers_too_short",
                                   "meta_dataset_hash_integer", "meta_not_json",
-                                  "tree_config_differs_from_score",
                                   "score_manifest_list_tree", "score_manifest_list_report",
                                   "score_manifest_params_list",
+                                  "score_manifest_measures_string",
+                                  "score_manifest_measures_int",
+                                  "score_manifest_measures_unknown",
+                                  "score_manifest_absent_tree", "score_manifest_absent_report",
                                   "tree_json_list", "tree_json_node_without_n1"])
 def test_bad_json_input_is_one_error_line(pipeline, tmp_path, capsys, case):
     argv, path, words = _bad_json_input(case, pipeline, tmp_path)
@@ -477,6 +462,16 @@ def test_parser_defaults_match_documentation():
                               "--out", "o"])
     assert tree.label == "e_q95"
     assert tree.max_depth == 5 and tree.min_leaf == 20
+
+
+def test_score_and_tree_take_no_config():
+    # the ingestion config enters at fit only; score and tree read the
+    # one the upstream output recorded
+    from extrapolmv.cli import build_parser
+    for command in (["score", "--draws", "f"], ["tree", "--scores", "s"]):
+        with pytest.raises(SystemExit) as exc:
+            build_parser().parse_args(command + ["--data", "d", "--config", "c", "--out", "o"])
+        assert exc.value.code == 1
 
 
 def test_outputs_do_not_depend_on_blas_threads(tmp_path):
