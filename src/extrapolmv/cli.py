@@ -11,6 +11,12 @@ success with warnings.
 Only ``fit`` takes an ingestion config. ``score`` reads the config the
 fit recorded in meta.json; ``tree`` and ``report`` read the config and
 measures the score recorded in its manifest.json.
+
+Only ``fit`` needs to parse the dataset CSV. It writes the parsed table
+to dataset.npz in its output directory, and ``score`` (from ``--draws``)
+and ``tree`` (from the fit directory the score manifest names) read that
+record instead whenever ``--data`` has the hash it was written for. Any
+other ``--data`` is parsed from CSV. Their manifests say which source ran.
 """
 
 from __future__ import annotations
@@ -38,8 +44,10 @@ from extrapolmv.dataset import (
     _to_json,
     apply_transforms,
     load_csv,
+    load_record,
     synthesize,
     write_csv,
+    write_record,
 )
 from extrapolmv.extrapolation import (
     DEFAULT_CUTOFFS,
@@ -58,6 +66,7 @@ from extrapolmv.sampler import (
     save_fit,
 )
 
+RECORD_FILE = "dataset.npz"  # the parsed --data table, written by fit
 BLAS_ENV = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS",
             "BLIS_NUM_THREADS", "VECLIB_MAXIMUM_THREADS")
 RHAT_WARN = 1.1
@@ -132,21 +141,36 @@ def _write_manifest(outdir, command: str, params: dict,
                        json.dumps(manifest, indent=1, sort_keys=True) + "\n")
 
 
-def _load_transformed(data_path, config: IngestConfig, constants: dict | None = None):
-    """Load a CSV and apply the transforms the config explicitly names,
-    standardizing with a fit's checked ``transform_constants`` if given."""
+def _load_raw(data_path, config: IngestConfig, record=None, data_hash=None):
+    """The untransformed table of ``data_path`` and where it came from:
+    the fit record ``record`` when it was written for a file with hash
+    ``data_hash`` and for this config ("fit record"), else the parsed
+    CSV ("csv")."""
+    if record is not None:
+        d = load_record(record, config, data_hash, _sha256_json(_to_json(config)))
+        if d is not None:
+            return d, "fit record"
+    return load_csv(data_path, config), "csv"
+
+
+def _load_transformed(data_path, config: IngestConfig, constants: dict | None = None,
+                      record=None, data_hash=None):
+    """Load a table as _load_raw does and apply the transforms the config
+    explicitly names, standardizing with a fit's checked
+    ``transform_constants`` if given. Returns the raw and transformed
+    tables, the transform spec and the table's source."""
     if config.transforms is None:
         raise CliError(
             "ingestion config must set 'transforms' explicitly (for example "
             '{"responses": "none", "standardize": true}); silent defaults are '
             "not applied")
-    d = load_csv(data_path, config)
-    t = TransformSpec.from_config(config.transforms, d.response_names,
-                                  d.covariate_names)
+    raw, source = _load_raw(data_path, config, record, data_hash)
+    t = TransformSpec.from_config(config.transforms, raw.response_names,
+                                  raw.covariate_names)
     if constants is not None:
         t.centers = np.asarray(constants["centers"], dtype=float)
         t.scales = np.asarray(constants["scales"], dtype=float)
-    return apply_transforms(d, t), t
+    return raw, apply_transforms(raw, t), t, source
 
 
 # ---------------------------------------------------------------------------
@@ -157,8 +181,9 @@ def _load_transformed(data_path, config: IngestConfig, constants: dict | None = 
 def _cmd_fit(args) -> int:
     marks = [time.perf_counter()]
     config = IngestConfig.from_json(args.config)
-    d, t = _load_transformed(args.data, config)
+    raw, d, t, _ = _load_transformed(args.data, config)
     dataset_hash = _sha256_file(args.data)
+    config_hash = _sha256_json(_to_json(config))
     spec = ModelSpec(iterations=args.iters, burn_in=args.burnin, thin=args.thin,
                      chains=args.chains, seed=args.seed,
                      coef_prior_var=args.prior_var)
@@ -175,6 +200,7 @@ def _cmd_fit(args) -> int:
         "transform_constants": {"centers": t.centers.tolist(), "scales": t.scales.tolist()},
         "convergence": conv.to_jsonable(),
     })
+    write_record(raw, os.path.join(args.out, RECORD_FILE), dataset_hash, config_hash)
     marks.append(time.perf_counter())
     timings = dict(zip(("ingest", "sweep", "diagnostics", "write"), np.diff(marks)))
     params = {"data": str(args.data), "config": str(args.config),
@@ -182,8 +208,7 @@ def _cmd_fit(args) -> int:
               "chains": args.chains, "seed": args.seed,
               "prior_var": args.prior_var, "threads": 1}
     _write_manifest(args.out, "fit", params, timings=timings,
-                    dataset_hash=dataset_hash,
-                    config_hash=_sha256_json(_to_json(config)))
+                    dataset_hash=dataset_hash, config_hash=config_hash)
     if conv.max_rhat > RHAT_WARN:
         print(f"warning: max split-R-hat {conv.max_rhat:.3f} exceeds "
               f"{RHAT_WARN}; chains may not have converged", file=sys.stderr)
@@ -227,7 +252,8 @@ def _cmd_score(args) -> int:
         raise CliError(
             f"dataset hash {dataset_hash[:12]} does not match the hash the "
             f"draws were fitted on ({recorded[:12]}); pass --force to override")
-    d, _t = _load_transformed(args.data, config, constants)
+    _, d, _, source = _load_transformed(args.data, config, constants,
+                                        os.path.join(args.draws, RECORD_FILE), dataset_hash)
 
     measures = args.measure or DEFAULT_MEASURES
     cutoffs = [tok.strip() for tok in args.cutoffs.split(",") if tok.strip()]
@@ -246,7 +272,7 @@ def _cmd_score(args) -> int:
     _write_manifest(args.out, "score", params, timings=timings,
                     dataset_hash=dataset_hash,
                     config_hash=_sha256_json(_to_json(config)),
-                    ingest_config=_to_json(config))
+                    ingest_config=_to_json(config), data_source=source)
     return 0
 
 
@@ -255,11 +281,11 @@ def _cmd_score(args) -> int:
 # ---------------------------------------------------------------------------
 
 
-def _read_scores(scores, columns) -> tuple[list[str], dict, IngestConfig, list[str]]:
+def _read_scores(scores, columns) -> tuple[list[str], dict, IngestConfig, dict]:
     """Read a score output directory: the scores.csv header and chosen
-    columns, and the ingestion config and measures its manifest.json
-    records. ``columns(header)`` names the columns to keep; each comes
-    back as a list of cells."""
+    columns, the ingestion config its manifest.json records and the
+    manifest, whose params.measures is checked. ``columns(header)`` names
+    the columns to keep; each comes back as a list of cells."""
     manifest_path = os.path.join(scores, "manifest.json")
     manifest = _load_json(manifest_path)
     params = manifest.get("params") if isinstance(manifest, dict) else None
@@ -288,11 +314,11 @@ def _read_scores(scores, columns) -> tuple[list[str], dict, IngestConfig, list[s
     for _line, lines in table:
         for name, cells in zip(names, _text_columns(lines, cols)):
             kept[name] += cells
-    return header, kept, config, measures
+    return header, kept, config, manifest
 
 
 def _cmd_tree(args) -> int:
-    _, cols, config, _ = _read_scores(args.scores, lambda _: ["id", args.label])
+    _, cols, config, manifest = _read_scores(args.scores, lambda _: ["id", args.label])
     bad = set(cols[args.label]) - {"0", "1"}
     if bad:
         raise CliError(f"label column {args.label!r} holds {min(bad)!r}; "
@@ -300,7 +326,10 @@ def _cmd_tree(args) -> int:
     labels_by_id = dict(zip(cols["id"], map(int, cols[args.label])))
 
     # raw covariates: thresholds stay in original units
-    d = load_csv(args.data, config)
+    dataset_hash = _sha256_file(args.data)
+    fitdir = manifest["params"].get("draws")
+    record = os.path.join(fitdir, RECORD_FILE) if isinstance(fitdir, str) else None
+    d, source = _load_raw(args.data, config, record, dataset_hash)
     try:
         labels = np.array([labels_by_id[i] for i in d.ids], dtype=int)
     except KeyError as exc:
@@ -322,8 +351,13 @@ def _cmd_tree(args) -> int:
                     {"scores": str(args.scores), "data": str(args.data),
                      "label": args.label, "max_depth": args.max_depth,
                      "min_leaf": args.min_leaf, "min_gain": args.min_gain},
-                    dataset_hash=_sha256_file(args.data),
-                    config_hash=_sha256_json(_to_json(config)))
+                    dataset_hash=dataset_hash,
+                    config_hash=_sha256_json(_to_json(config)), data_source=source)
+    if dataset_hash != manifest.get("dataset_hash"):
+        print(f"warning: --data {args.data} is not the file the scores in {args.scores} "
+              f"were computed from ({manifest['params'].get('data')}); labels were "
+              "joined by id onto its covariates", file=sys.stderr)
+        return 2
     return 0
 
 
@@ -363,9 +397,10 @@ def _cmd_simulate(args) -> int:
 
 
 def _cmd_report(args) -> int:
-    header, cols, _config, measures = _read_scores(
+    header, cols, _config, manifest = _read_scores(
         args.scores,
         lambda h: ["status"] + [name for name in h if name.startswith(("e_", "k_"))])
+    measures = manifest["params"]["measures"]
     out_of_sample = np.array(cols["status"]) != "full"
     e_names = [name[2:] for name in header if name.startswith("e_")]
     measure_cols = [name for name in header

@@ -16,6 +16,11 @@ cell as path:line. _write_table formats a block with one %-format row
 string and quotes text as csv.writer does, so the bytes are csv.writer's.
 Neither holds a whole file as strings.
 
+write_record stores the table load_csv parsed as an uncompressed .npz
+beside the CSV's and the config's hashes; load_record gives the same
+Dataset back when both hashes match, so a CSV is parsed once and read
+from its record after that.
+
 The JSON records (ingestion config, synthesis spec, a fit's model spec)
 go through one codec, _to_json and _from_json: a record must have every
 required field and no other key, or ValueError names the source and keys.
@@ -28,6 +33,7 @@ import csv
 import itertools
 import json
 import os
+import zipfile
 from dataclasses import MISSING, dataclass, field, fields
 
 import numpy as np
@@ -437,6 +443,65 @@ def load_csv(path, config: IngestConfig) -> Dataset:
         covariate_names=[INTERCEPT_NAME] + list(config.covariates),
         coords=V[:, q:r].copy() if want_coords else None,
     )
+
+
+def write_record(d: Dataset, path, source_sha256: str, config_sha256: str) -> None:
+    """Write the parsed table ``d`` of a CSV as an uncompressed .npz that
+    load_record reads back instead of the CSV: X (intercept included), Y
+    (NaN where missing), mask, coords if any, the ids as UTF-8 bytes
+    joined by line breaks, and the hashes of the CSV and of the ingestion
+    config. Same inputs give the same bytes; a temp-file rename keeps a
+    partial record away from ``path``."""
+    ids = "\n".join(d.ids)
+    if ids.count("\n") != len(d.ids) - 1:
+        raise ValueError("an id holds a line break; the table cannot be recorded")
+    arrays = {"X": d.X, "Y": d.Y, "mask": d.mask,
+              "ids": np.frombuffer(ids.encode("utf-8"), dtype=np.uint8),
+              "source_sha256": np.array(source_sha256),
+              "config_sha256": np.array(config_sha256)}
+    if d.coords is not None:
+        arrays["coords"] = d.coords
+    with open(f"{path}.tmp", "wb") as fh:
+        np.savez(fh, **arrays)
+    os.replace(f"{path}.tmp", path)
+
+
+def load_record(path, config: IngestConfig, source_sha256: str,
+                config_sha256: str) -> Dataset | None:
+    """The Dataset load_csv(csv, config) gives, read from the write_record
+    file ``path``; None when there is no such file or it was written for
+    another CSV or config (a hash differs). A record whose hashes match
+    but whose arrays are not the ones write_record writes for ``config``
+    raises ValueError naming ``path``."""
+    if not os.path.exists(path):
+        return None
+    q, n = len(config.covariates) + 1, len(config.responses)
+    try:
+        with np.load(path, allow_pickle=False) as npz:
+            if (str(npz["source_sha256"]), str(npz["config_sha256"])) != \
+                    (source_sha256, config_sha256):
+                return None
+            a = {key: npz[key] for key in npz.files}
+        keys = ["X", "Y", "mask", "ids"]
+        keys += ["coords"] if config.lon_col and config.lat_col else []
+        absent = [key for key in keys if key not in a]
+        if absent:
+            raise ValueError(f"missing keys {absent}")
+        l = a["X"].shape[0] if a["X"].ndim == 2 else -1
+        want = {"X": ("f8", (l, q)), "Y": ("f8", (l, n)), "mask": ("?", (l, n)),
+                "ids": ("u1", (a["ids"].size,)), "coords": ("f8", (l, 2))}
+        for key in keys:
+            dtype, shape = want[key]
+            if a[key].dtype != dtype or a[key].shape != shape:
+                raise ValueError(f"{key} is {a[key].dtype} {a[key].shape}")
+        return Dataset(ids=a["ids"].tobytes().decode("utf-8").split("\n"),
+                       X=a["X"], Y=a["Y"], mask=a["mask"],
+                       response_names=list(config.responses),
+                       covariate_names=[INTERCEPT_NAME] + list(config.covariates),
+                       coords=a["coords"] if "coords" in keys else None)
+    except (ValueError, KeyError, OSError, EOFError, zipfile.BadZipFile) as exc:
+        raise ValueError(f"{path}: malformed dataset record ({exc}); "
+                         "re-run fit to rewrite it") from None
 
 
 def _quote(cell: str) -> str:

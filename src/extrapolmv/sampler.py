@@ -33,6 +33,7 @@ fixed: B, the pattern normals and chi-squares, then Sigma.
 
 from __future__ import annotations
 
+import functools
 import json
 import os
 from dataclasses import asdict, dataclass, field
@@ -117,6 +118,16 @@ def _chol(a: np.ndarray, what: str) -> np.ndarray:
     return c
 
 
+@functools.cache
+def _strictly_lower(p: int) -> tuple[np.ndarray, np.ndarray]:
+    """np.tril_indices(p, -1), read-only: the strictly lower triangle,
+    row-major. One call costs more than the rest of a small Bartlett draw,
+    so each p's is kept."""
+    rows, cols = np.tril_indices(p, -1)
+    rows.flags.writeable = cols.flags.writeable = False
+    return rows, cols
+
+
 def invwishart_rvs(df: float, scale: np.ndarray, rng: np.random.Generator) -> np.ndarray:
     """One draw from IW(scale, df) via the Bartlett decomposition."""
     scale = np.asarray(scale, dtype=float)
@@ -125,9 +136,7 @@ def invwishart_rvs(df: float, scale: np.ndarray, rng: np.random.Generator) -> np
         raise ValueError("inverse-Wishart df must exceed dimension - 1")
     C = _chol(scale, "inverse-Wishart scale")
     A = np.diag(np.sqrt(rng.chisquare(df - np.arange(p))))
-    below = rng.standard_normal(p * (p - 1) // 2)
-    for i in range(1, p):  # row-major strictly lower triangle
-        A[i, :i] = below[i * (i - 1) // 2:i * (i + 1) // 2]
+    A[_strictly_lower(p)] = rng.standard_normal(p * (p - 1) // 2)
     U, info = lapack.dtrtrs(A, C.T, lower=1)
     if info != 0:
         raise np.linalg.LinAlgError("Bartlett factor is singular")
@@ -173,6 +182,11 @@ class _Patterns:
     r_g virtual rows F_g with F_g'F_g = Z_g'Z_g,
     r_g the rank (at most N_g, and q + |o| as the columns m are 0), so
     Z_g = U_g F_g for some U_g with orthonormal columns.
+
+    What every sweep reuses is fixed here: the flat indices of ``noise``
+    and of the chi-square cells ``chi_at`` in the (G, n, q + n) normals
+    T, and ``W``, the (q + n, n) buffer [-Theta; I] whose top rows
+    _residual_gram overwrites.
     """
 
     def __init__(self, X: np.ndarray, Y: np.ndarray, patterns: np.ndarray,
@@ -204,6 +218,9 @@ class _Patterns:
                 chi += [(g, mi, r + i, d - i) for i, mi in enumerate(m)]
         chi = np.array(chi, dtype=int).reshape(-1, 4)
         self.chi_at, self.chi_df = tuple(chi[:, :3].T), chi[:, 3].astype(float)
+        self.noise_flat = np.flatnonzero(self.noise)
+        self.chi_flat = np.ravel_multi_index(self.chi_at, self.noise.shape)
+        self.W = np.vstack([np.zeros((q, n)), np.eye(n)])
 
 
 def _pattern_chol(A: np.ndarray, pat: _Patterns, what: str) -> np.ndarray:
@@ -223,7 +240,8 @@ def _residual_gram(pat: _Patterns, Theta: np.ndarray, SK: np.ndarray,
     """sum_g E_g'E_g as sum_g J_g J_g' with J_g = SK_g R_g + Lc_g T_g, where
     R_g = (F_g W)' holds the residuals of the virtual rows; SK_g has zero
     columns m, so their missing cells drop out."""
-    W = np.vstack([-Theta, np.eye(Theta.shape[1])])  # [X, Y] W = Y - X Theta
+    W = pat.W  # [X, Y] W = Y - X Theta
+    np.negative(Theta, out=W[:Theta.shape[0]])
     J = SK @ np.swapaxes(pat.rows @ W, 1, 2) + Lc @ T
     return np.einsum("gij,gkj->ik", J, J)
 
@@ -248,8 +266,9 @@ def _sweep(pat: _Patterns, Sigma: np.ndarray, prior_var: float, iw_scale: np.nda
     K, SK, Lc = _conditionals(pat, Sigma)
     Theta = draw_coefficients(pat.XtX, pat.XtY, K, prior_var, rng)
     T = np.zeros(pat.noise.shape)
-    T[pat.noise] = rng.standard_normal(np.count_nonzero(pat.noise))
-    T[pat.chi_at] = np.sqrt(rng.chisquare(pat.chi_df))
+    flat = T.reshape(-1)
+    flat[pat.noise_flat] = rng.standard_normal(pat.noise_flat.size)
+    flat[pat.chi_flat] = np.sqrt(rng.chisquare(pat.chi_df))
     EtE = _residual_gram(pat, Theta, SK, Lc, T)
     return Theta, invwishart_rvs(iw_df + pat.l, iw_scale + EtE, rng)
 

@@ -24,8 +24,11 @@ def read_csv(path):
 
 @pytest.fixture(scope="module")
 def pipeline(tmp_path_factory):
+    return _run_pipeline(tmp_path_factory.mktemp("pipe"))
+
+
+def _run_pipeline(root):
     """One full simulate -> fit -> score -> tree -> report run."""
-    root = tmp_path_factory.mktemp("pipe")
     spec_path = root / "synth.json"
     spec_path.write_text(json.dumps(
         {"l": 400, "n": 3, "q": 6, "missing_prob": [0.3, 0.1, 0.0]}))
@@ -198,6 +201,119 @@ def test_score_needs_draws_npz(pipeline, tmp_path, capsys):
              "--out", tmp_path / "s")
     assert rc == 1
     assert "draws.npz" in capsys.readouterr().err
+
+
+def _score_and_tree(fit, data, out):
+    """score and tree as the pipeline fixture runs them, into out/scores
+    and out/tree; the data_source each manifest records."""
+    assert run("score", "--draws", fit, "--data", data,
+               "--measure", "det", "--measure", "trace",
+               "--measure", "cmvpv:y1", "--out", out / "scores") == 0
+    assert run("tree", "--scores", out / "scores", "--data", data,
+               "--label", "e_q95", "--min-leaf", 10, "--out", out / "tree") == 0
+    return [json.loads((out / d / "manifest.json").read_text())["data_source"]
+            for d in ("scores", "tree")]
+
+
+def test_fit_record_and_csv_give_the_same_outputs(pipeline, tmp_path):
+    # the record fit wrote, no record, and a stale record from a fit of
+    # another dataset (ignored: its hash is not that of --data)
+    data = pipeline["sim"] / "dataset.csv"
+    other = tmp_path / "other"
+    assert run("simulate", "--spec", pipeline["spec"], "--seed", 12,
+               "--out", other / "sim") == 0
+    assert run("fit", "--data", other / "sim" / "dataset.csv",
+               "--config", other / "sim" / "config.json", "--iters", 20, "--burnin", 5,
+               "--out", other / "fit") in (0, 2)
+    sources = {}
+    for case in ("record", "none", "stale"):
+        fit = tmp_path / case / "fit"
+        fit.mkdir(parents=True)
+        for name in ("draws.npz", "meta.json"):
+            (fit / name).write_bytes((pipeline["fit"] / name).read_bytes())
+        record = {"record": pipeline["fit"], "stale": other / "fit"}.get(case)
+        if record:
+            (fit / "dataset.npz").write_bytes((record / "dataset.npz").read_bytes())
+        sources[case] = _score_and_tree(fit, data, tmp_path / case)
+        for name in ("scores/scores.csv", "scores/plotdata.csv", "tree/tree.json"):
+            key, rest = name.split("/")
+            assert (tmp_path / case / name).read_bytes() == \
+                (pipeline[key] / rest).read_bytes(), (case, name)
+    assert sources == {"record": ["fit record"] * 2, "none": ["csv"] * 2,
+                       "stale": ["csv"] * 2}
+
+
+def test_pipeline_parses_the_csv_once(tmp_path, monkeypatch):
+    # fit parses dataset.csv; score and tree read the table fit recorded
+    calls = []
+    real = cli.load_csv
+    monkeypatch.setattr(cli, "load_csv", lambda *a: calls.append(a) or real(*a))
+    _run_pipeline(tmp_path)
+    assert len(calls) == 1
+
+
+def test_fit_record_is_byte_deterministic(pipeline, tmp_path):
+    assert run("fit", "--data", pipeline["sim"] / "dataset.csv",
+               "--config", pipeline["sim"] / "config.json", "--iters", 20, "--burnin", 5,
+               "--seed", 5, "--out", tmp_path / "fit") in (0, 2)
+    assert (tmp_path / "fit" / "dataset.npz").read_bytes() == \
+        (pipeline["fit"] / "dataset.npz").read_bytes()
+
+
+@pytest.mark.parametrize("case", ["without_X", "Y_wrong_shape", "mask_not_bool",
+                                  "duplicate_ids", "tree_without_X"])
+def test_malformed_fit_record_is_one_error_line(pipeline, tmp_path, capsys, case):
+    # the hashes match, so the record is meant for --data, but its arrays are bad
+    fit = tmp_path / "fit"
+    fit.mkdir()
+    for name in ("draws.npz", "meta.json"):
+        (fit / name).write_bytes((pipeline["fit"] / name).read_bytes())
+    with np.load(pipeline["fit"] / "dataset.npz") as npz:
+        arrays = dict(npz)
+    if case.endswith("without_X"):
+        del arrays["X"]
+    elif case == "Y_wrong_shape":
+        arrays["Y"] = arrays["Y"][:, 1:]
+    elif case == "mask_not_bool":
+        arrays["mask"] = arrays["mask"].astype(float)
+    else:
+        arrays["ids"] = np.frombuffer("\n".join(["a"] * len(arrays["X"])).encode(), np.uint8)
+    np.savez(fit / "dataset.npz", **arrays)
+    data = pipeline["sim"] / "dataset.csv"
+    if case.startswith("tree_"):
+        scores = tmp_path / "scores"
+        scores.mkdir()
+        (scores / "scores.csv").write_bytes((pipeline["scores"] / "scores.csv").read_bytes())
+        manifest = json.loads((pipeline["scores"] / "manifest.json").read_text())
+        manifest["params"]["draws"] = str(fit)
+        (scores / "manifest.json").write_text(json.dumps(manifest))
+        argv = ["tree", "--scores", scores, "--data", data]
+    else:
+        argv = ["score", "--draws", fit, "--data", data]
+    capsys.readouterr()
+    assert run(*argv, "--out", tmp_path / "out") == 1
+    [line] = capsys.readouterr().err.splitlines()
+    assert line.startswith("error: ") and str(fit / "dataset.npz") in line, line
+    assert "re-run fit" in line, line
+    assert not (tmp_path / "out").exists()
+
+
+def test_tree_warns_when_data_is_not_the_scored_file(pipeline, tmp_path, capsys):
+    # same ids, other covariates: the labels would be joined onto them silently
+    header, rows = read_csv(pipeline["sim"] / "dataset.csv")
+    col = header.index("x2")
+    for r in rows:
+        r[col] = repr(float(r[col]) + 5.0)
+    edited = tmp_path / "edited.csv"
+    with open(edited, "w", newline="", encoding="utf-8") as fh:
+        csv.writer(fh).writerows([header] + rows)
+    capsys.readouterr()
+    assert run("tree", "--scores", pipeline["scores"], "--data", edited,
+               "--out", tmp_path / "t") == 2
+    [line] = capsys.readouterr().err.splitlines()
+    assert line.startswith("warning: "), line
+    assert str(edited) in line and str(pipeline["sim"] / "dataset.csv") in line, line
+    assert (tmp_path / "t" / "tree.json").exists()
 
 
 def test_unknown_measure_response_is_error(pipeline, tmp_path):

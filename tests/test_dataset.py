@@ -10,6 +10,7 @@ from extrapolmv.dataset import (
     load_csv,
     synthesize,
     write_csv,
+    write_record,
 )
 
 from conftest import make_dataset
@@ -205,6 +206,15 @@ def test_csv_round_trip_exact(tmp_path):
     np.testing.assert_allclose(back.Y[back.mask], d.Y[d.mask], rtol=1e-12)
     np.testing.assert_allclose(back.coords, d.coords, rtol=0, atol=0)
     assert back.ids == d.ids
+
+
+def test_record_rejects_an_id_with_a_line_break(tmp_path):
+    d = make_dataset(np.column_stack([np.ones(4), np.arange(4.0)]), np.zeros((4, 1)),
+                     np.ones((4, 1), dtype=bool))
+    d.ids[2] = "two\nlines"
+    with pytest.raises(ValueError, match="line break"):
+        write_record(d, tmp_path / "dataset.npz", "h", "c")
+    assert not (tmp_path / "dataset.npz").exists()
 
 
 def test_dataset_requires_enough_rows():

@@ -1,6 +1,7 @@
 """Property tests: invariants checked over generated inputs."""
 
 import csv
+import dataclasses
 import io
 import tempfile
 from unittest import mock
@@ -28,8 +29,10 @@ from extrapolmv.dataset import (  # noqa: E402
     SynthSpec,
     _write_table,
     load_csv,
+    load_record,
     synthesize,
     write_csv,
+    write_record,
 )
 from extrapolmv.extrapolation import score_locations, score_locations_analytic  # noqa: E402
 from extrapolmv.sampler import ModelSpec, PosteriorDraws, load_fit, save_fit  # noqa: E402
@@ -132,6 +135,46 @@ def test_write_load_csv_round_trip_is_exact(d, token, block_rows):
     assert back.ids == d.ids
     for name in ("X", "Y", "mask", "coords"):
         assert getattr(back, name).tobytes() == getattr(d, name).tobytes(), name
+
+
+@st.composite
+def recorded_tables(draw):
+    """A dataset from datasets() whose ids may be empty and hold any
+    character but a line break, with a response column that may be all
+    missing, and with or without coords."""
+    d = draw(datasets())
+    ids = draw(st.lists(st.text(st.characters(codec="utf-8", exclude_characters="\n"),
+                                max_size=4), min_size=d.n_rows, max_size=d.n_rows, unique=True))
+    mask = d.mask.copy()
+    if draw(st.booleans()):
+        mask[:, draw(st.integers(0, d.n_responses - 1))] = False
+    return dataclasses.replace(d, ids=ids, mask=mask,
+                               coords=d.coords if draw(st.booleans()) else None)
+
+
+@settings(max_examples=25, deadline=None)
+@given(d=recorded_tables())
+def test_dataset_record_round_trip_is_exact(d):
+    # every field comes back bit for bit; no file, or another CSV or config
+    # hash, reads nothing
+    coords = d.coords is not None
+    cfg = IngestConfig(id_col="id", covariates=d.covariate_names[1:],
+                       responses=d.response_names, lon_col="lon" if coords else None,
+                       lat_col="lat" if coords else None)
+    with tempfile.TemporaryDirectory() as tmp:
+        path = f"{tmp}/dataset.npz"
+        assert load_record(path, cfg, "csv-sha", "config-sha") is None  # no record
+        write_record(d, path, "csv-sha", "config-sha")
+        back = load_record(path, cfg, "csv-sha", "config-sha")
+        assert load_record(path, cfg, "other-csv-sha", "config-sha") is None
+        assert load_record(path, cfg, "csv-sha", "other-config-sha") is None
+    for f in dataclasses.fields(Dataset):
+        got, want = getattr(back, f.name), getattr(d, f.name)
+        if isinstance(want, np.ndarray):
+            assert (got.dtype, got.shape, got.tobytes()) == \
+                (want.dtype, want.shape, want.tobytes()), f.name
+        else:
+            assert got == want, f.name
 
 
 @st.composite
