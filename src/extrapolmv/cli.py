@@ -37,11 +37,13 @@ from extrapolmv.dataset import (
     IngestConfig,
     SynthSpec,
     TransformSpec,
+    _atomic_open,
     _from_json,
     _load_json,
     _read_table,
     _text_columns,
     _to_json,
+    _write_json,
     apply_transforms,
     load_csv,
     load_record,
@@ -97,13 +99,6 @@ def _sha256_json(obj) -> str:
         json.dumps(obj, sort_keys=True, separators=(",", ":")).encode()).hexdigest()
 
 
-def _atomic_write_text(path, text: str) -> None:
-    tmp = str(path) + ".tmp"
-    with open(tmp, "w", encoding="utf-8") as fh:
-        fh.write(text)
-    os.replace(tmp, path)
-
-
 def _cores() -> int:
     try:
         return len(os.sched_getaffinity(0))
@@ -137,8 +132,7 @@ def _write_manifest(outdir, command: str, params: dict,
     if timings is not None:
         manifest["timings"] = {stage: round(float(s), 6) for stage, s in timings.items()}
     manifest.update(hashes)
-    _atomic_write_text(os.path.join(outdir, "manifest.json"),
-                       json.dumps(manifest, indent=1, sort_keys=True) + "\n")
+    _write_json(os.path.join(outdir, "manifest.json"), manifest)
 
 
 def _load_raw(data_path, config: IngestConfig, record=None, data_hash=None):
@@ -295,7 +289,7 @@ def _read_scores(scores, columns) -> tuple[list[str], dict, IngestConfig, dict]:
     measures = params.get("measures")
     try:
         known = isinstance(measures, list) and all(map(measure_column, measures))
-    except (ValueError, AttributeError):  # an unknown key, or not a string
+    except ValueError:
         known = False
     if not (known and measures):
         raise CliError(f"{manifest_path}: params measures must be a non-empty list of "
@@ -338,15 +332,15 @@ def _cmd_tree(args) -> int:
     os.makedirs(args.out, exist_ok=True)
     params = TreeParams(max_depth=args.max_depth, min_leaf=args.min_leaf,
                         min_split_gain=args.min_gain)
-    if labels.min() == labels.max():
+    constant = labels.min() == labels.max()
+    if constant:
         print(f"warning: label column {args.label!r} is constant; "
               "emitting a single-leaf tree", file=sys.stderr)
     tree = grow_tree(d.X[:, 1:], labels, params,
                      feature_names=d.covariate_names[1:])
-    _atomic_write_text(os.path.join(args.out, "tree.json"),
-                       export_tree(tree, "json"))
-    _atomic_write_text(os.path.join(args.out, "tree.txt"),
-                       export_tree(tree, "text"))
+    for name, fmt in (("tree.json", "json"), ("tree.txt", "text")):
+        with _atomic_open(os.path.join(args.out, name)) as fh:
+            fh.write(export_tree(tree, fmt))
     _write_manifest(args.out, "tree",
                     {"scores": str(args.scores), "data": str(args.data),
                      "label": args.label, "max_depth": args.max_depth,
@@ -358,7 +352,7 @@ def _cmd_tree(args) -> int:
               f"were computed from ({manifest['params'].get('data')}); labels were "
               "joined by id onto its covariates", file=sys.stderr)
         return 2
-    return 0
+    return 2 if constant else 0
 
 
 # ---------------------------------------------------------------------------
@@ -381,10 +375,8 @@ def _cmd_simulate(args) -> int:
     )
     data_path = os.path.join(args.out, "dataset.csv")
     write_csv(d, data_path, config)
-    _atomic_write_text(os.path.join(args.out, "truth.json"),
-                       json.dumps(truth, indent=1, sort_keys=True) + "\n")
-    _atomic_write_text(os.path.join(args.out, "config.json"),
-                       json.dumps(_to_json(config), indent=1, sort_keys=True) + "\n")
+    _write_json(os.path.join(args.out, "truth.json"), truth)
+    _write_json(os.path.join(args.out, "config.json"), _to_json(config))
     _write_manifest(args.out, "simulate",
                     {"spec": str(args.spec), "seed": args.seed},
                     dataset_hash=_sha256_file(data_path))
@@ -437,8 +429,8 @@ def _cmd_report(args) -> int:
             lines.append("- single leaf (no splits)")
 
     os.makedirs(args.out, exist_ok=True)
-    _atomic_write_text(os.path.join(args.out, "report.md"),
-                       "\n".join(lines) + "\n")
+    with _atomic_open(os.path.join(args.out, "report.md")) as fh:
+        fh.write("\n".join(lines) + "\n")
     _write_manifest(args.out, "report",
                     {"scores": str(args.scores), "tree": args.tree and str(args.tree)})
     return 0
@@ -510,10 +502,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except CliError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    except (ValueError, OSError, np.linalg.LinAlgError, KeyError) as exc:
+    except (CliError, ValueError, OSError, np.linalg.LinAlgError, KeyError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

@@ -14,21 +14,25 @@ float() does (a literal "nan" is observed, and rejected as non-finite).
 A block the C path rejects goes to _parse_floats, which names the faulty
 cell as path:line. _write_table formats a block with one %-format row
 string and quotes text as csv.writer does, so the bytes are csv.writer's.
-Neither holds a whole file as strings.
+Neither holds a whole file as strings. Every file the pipeline writes goes
+through _atomic_open, a temp file renamed over its final name.
 
 write_record stores the table load_csv parsed as an uncompressed .npz
 beside the CSV's and the config's hashes; load_record gives the same
 Dataset back when both hashes match, so a CSV is parsed once and read
-from its record after that.
+from its record after that. _check_arrays checks the arrays of a record,
+and of a fit's draws.npz, against the dtypes and shapes they were written with.
 
 The JSON records (ingestion config, synthesis spec, a fit's model spec)
 go through one codec, _to_json and _from_json: a record must have every
 required field and no other key, or ValueError names the source and keys.
-_load_json reads a JSON file and names it when the text is not JSON.
+_load_json reads a JSON file and names it when the text is not JSON;
+_write_json writes every JSON file the pipeline makes but tree.json.
 """
 
 from __future__ import annotations
 
+import contextlib
 import csv
 import itertools
 import json
@@ -68,6 +72,22 @@ def _load_json(path):
             return json.load(fh)
         except json.JSONDecodeError as exc:
             raise ValueError(f"{path}: not valid JSON: {exc}") from None
+
+
+@contextlib.contextmanager
+def _atomic_open(path, binary: bool = False):
+    """``path``.tmp open for bytes, or for UTF-8 text with no newline
+    translation; renamed to ``path`` when the block ends without raising."""
+    tmp = f"{path}.tmp"
+    with open(tmp, "wb") if binary else open(tmp, "w", encoding="utf-8", newline="") as fh:
+        yield fh
+    os.replace(tmp, path)
+
+
+def _write_json(path, value) -> None:
+    """Write ``value`` as JSON: indent 1, sorted keys, a final line break."""
+    with _atomic_open(path) as fh:
+        fh.write(json.dumps(value, indent=1, sort_keys=True) + "\n")
 
 
 def _from_json(cls, raw, where: str):
@@ -450,8 +470,7 @@ def write_record(d: Dataset, path, source_sha256: str, config_sha256: str) -> No
     load_record reads back instead of the CSV: X (intercept included), Y
     (NaN where missing), mask, coords if any, the ids as UTF-8 bytes
     joined by line breaks, and the hashes of the CSV and of the ingestion
-    config. Same inputs give the same bytes; a temp-file rename keeps a
-    partial record away from ``path``."""
+    config. Same inputs give the same bytes."""
     ids = "\n".join(d.ids)
     if ids.count("\n") != len(d.ids) - 1:
         raise ValueError("an id holds a line break; the table cannot be recorded")
@@ -461,9 +480,24 @@ def write_record(d: Dataset, path, source_sha256: str, config_sha256: str) -> No
               "config_sha256": np.array(config_sha256)}
     if d.coords is not None:
         arrays["coords"] = d.coords
-    with open(f"{path}.tmp", "wb") as fh:
+    with _atomic_open(path, binary=True) as fh:
         np.savez(fh, **arrays)
-    os.replace(f"{path}.tmp", path)
+
+
+def _check_arrays(arrays: dict, want: dict) -> None:
+    """Check that ``arrays`` holds each key of ``want`` with its (dtype,
+    shape): a dtype np.issubdtype accepts, and a shape whose numbers are
+    exact and whose names each stand for one length. Else ValueError."""
+    absent = [key for key in want if key not in arrays]
+    if absent:
+        raise ValueError(f"has no {', '.join(absent)}")
+    sizes = {}
+    for key, (dtype, shape) in want.items():
+        a = arrays[key]
+        expect = tuple(sizes.setdefault(s, k) if isinstance(s, str) else s
+                       for s, k in zip(shape, a.shape))
+        if not np.issubdtype(a.dtype, dtype) or a.ndim != len(shape) or a.shape != expect:
+            raise ValueError(f"holds {key} as {a.dtype} {a.shape}")
 
 
 def load_record(path, config: IngestConfig, source_sha256: str,
@@ -482,23 +516,15 @@ def load_record(path, config: IngestConfig, source_sha256: str,
                     (source_sha256, config_sha256):
                 return None
             a = {key: npz[key] for key in npz.files}
-        keys = ["X", "Y", "mask", "ids"]
-        keys += ["coords"] if config.lon_col and config.lat_col else []
-        absent = [key for key in keys if key not in a]
-        if absent:
-            raise ValueError(f"missing keys {absent}")
-        l = a["X"].shape[0] if a["X"].ndim == 2 else -1
-        want = {"X": ("f8", (l, q)), "Y": ("f8", (l, n)), "mask": ("?", (l, n)),
-                "ids": ("u1", (a["ids"].size,)), "coords": ("f8", (l, 2))}
-        for key in keys:
-            dtype, shape = want[key]
-            if a[key].dtype != dtype or a[key].shape != shape:
-                raise ValueError(f"{key} is {a[key].dtype} {a[key].shape}")
+        coords = bool(config.lon_col and config.lat_col)
+        _check_arrays(a, {"X": ("f8", ("l", q)), "Y": ("f8", ("l", n)),
+                          "mask": ("?", ("l", n)), "ids": ("u1", ("bytes",)),
+                          **({"coords": ("f8", ("l", 2))} if coords else {})})
         return Dataset(ids=a["ids"].tobytes().decode("utf-8").split("\n"),
                        X=a["X"], Y=a["Y"], mask=a["mask"],
                        response_names=list(config.responses),
                        covariate_names=[INTERCEPT_NAME] + list(config.covariates),
-                       coords=a["coords"] if "coords" in keys else None)
+                       coords=a["coords"] if coords else None)
     except (ValueError, KeyError, OSError, EOFError, zipfile.BadZipFile) as exc:
         raise ValueError(f"{path}: malformed dataset record ({exc}); "
                          "re-run fit to rewrite it") from None
@@ -527,16 +553,13 @@ def _text(column, missing: str) -> list:
 def _write_table(path, header: list[str], columns: list, missing: str = "nan") -> None:
     """Write equal-length columns (at least two) under ``header`` with the
     bytes csv.writer would write: each block of _BLOCK_ROWS rows is one
-    "%s,...,%s" CRLF row format applied per row and one write. A
-    temp-file rename keeps partial tables away from ``path``."""
+    "%s,...,%s" CRLF row format applied per row and one write."""
     row = ",".join(["%s"] * len(columns)) + "\r\n"
-    tmp = f"{path}.tmp"
-    with open(tmp, "w", encoding="utf-8", newline="") as fh:
+    with _atomic_open(path) as fh:
         fh.write(",".join(_text(header, missing)) + "\r\n")
         for lo in range(0, len(columns[0]), _BLOCK_ROWS):
             block = [_text(c[lo:lo + _BLOCK_ROWS], missing) for c in columns]
             fh.write("".join([row % cells for cells in zip(*block)]))
-    os.replace(tmp, path)
 
 
 def write_csv(d: Dataset, path, config: IngestConfig) -> None:

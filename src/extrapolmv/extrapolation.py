@@ -216,6 +216,11 @@ def cmvpv(p: "PosteriorDraws", x: np.ndarray, target: int,
 # ---------------------------------------------------------------------------
 
 
+# cutoff token -> CutoffSpec (kind, level); "q:<r>" is any other quantile
+_CUTOFF_TOKENS = {"max": ("max", None), "lev": ("leverage_informed_max", None),
+                  "q99": ("quantile", 0.99), "q95": ("quantile", 0.95)}
+
+
 @dataclass
 class CutoffSpec:
     """One cutoff rule: maximum, leverage-screened maximum, or quantile.
@@ -228,7 +233,7 @@ class CutoffSpec:
     level: float | None = None
 
     def __post_init__(self):
-        if self.kind not in ("max", "leverage_informed_max", "quantile"):
+        if self.kind not in {kind for kind, _ in _CUTOFF_TOKENS.values()}:
             raise ValueError(f"unknown cutoff kind {self.kind!r}")
         if self.kind == "quantile":
             if self.level is None or not 0.0 < self.level <= 1.0:
@@ -238,54 +243,52 @@ class CutoffSpec:
     def parse(cls, token: str) -> "CutoffSpec":
         """Parse a cutoff token: "max", "lev", "q99", "q95" or "q:<r>"."""
         token = token.strip()
-        if token == "max":
-            return cls(kind="max")
-        if token == "lev":
-            return cls(kind="leverage_informed_max")
-        if token == "q99":
-            return cls(kind="quantile", level=0.99)
-        if token == "q95":
-            return cls(kind="quantile", level=0.95)
+        if token in _CUTOFF_TOKENS:
+            return cls(*_CUTOFF_TOKENS[token])
         if token.startswith("q:"):
             return cls(kind="quantile", level=float(token[2:]))
         raise ValueError(f"unknown cutoff token {token!r}")
 
     @property
     def name(self) -> str:
-        if self.kind == "max":
-            return "max"
-        if self.kind == "leverage_informed_max":
-            return "lev"
-        label = f"{self.level * 100:g}".replace(".", "_")
-        return f"q{label}"
-
-
-def _cutoff_pool(n_obs: int, spec: CutoffSpec,
-                 leverage: np.ndarray | None) -> np.ndarray:
-    """Indices of the observed values a max-type cutoff is taken over.
-
-    All of them for "max"; those outside the high-leverage set for the
-    leverage-informed maximum, which h > 3 mean(h) never covers entirely.
-    """
-    if spec.kind != "leverage_informed_max":
-        return np.arange(n_obs)
-    if leverage is None:
-        raise ValueError("leverage-informed cutoff needs a leverage vector")
-    leverage = np.asarray(leverage, dtype=float).ravel()
-    if leverage.size != n_obs:
-        raise ValueError("leverage vector must align with observed values")
-    return np.setdiff1d(np.arange(n_obs), high_leverage_set(leverage))
+        if self.kind == "quantile":
+            return "q" + f"{self.level * 100:g}".replace(".", "_")
+        return next(t for t, (kind, _) in _CUTOFF_TOKENS.items() if kind == self.kind)
 
 
 def compute_cutoff(v_obs: np.ndarray, spec: CutoffSpec,
                    leverage: np.ndarray | None = None) -> float:
     """Cutoff value k derived from the observed-location measure values."""
-    v = np.asarray(v_obs, dtype=float).ravel()
-    if v.size == 0:
+    return _cutoff_with_tie(np.asarray(v_obs, dtype=float).ravel(), None, spec, leverage)[0]
+
+
+def _cutoff_with_tie(v_obs: np.ndarray, tie_obs: np.ndarray | None,
+                     spec: CutoffSpec, leverage: np.ndarray | None):
+    """Cutoff k of the observed values, and the tie-break value of the row
+    that sets a max-type k when ``tie_obs`` is given (None otherwise).
+    Ties only matter for log-det measures, broken by the trace."""
+    if v_obs.size == 0:
         raise ValueError("no observed values to derive a cutoff from")
     if spec.kind == "quantile":
-        return float(np.quantile(v, spec.level))
-    return float(v[_cutoff_pool(v.size, spec, leverage)].max())
+        if tie_obs is not None and not np.all(np.isfinite(v_obs)):
+            raise ValueError(
+                "quantile cutoff undefined: some observed predictive "
+                "covariances are singular (log-determinant -inf)")
+        return float(np.quantile(v_obs, spec.level)), None
+    # the max over all rows, or over those outside the high-leverage set,
+    # which h > 3 mean(h) never covers entirely
+    keep = np.arange(v_obs.size)
+    if spec.kind == "leverage_informed_max":
+        if leverage is None:
+            raise ValueError("leverage-informed cutoff needs a leverage vector")
+        leverage = np.asarray(leverage, dtype=float).ravel()
+        if leverage.size != v_obs.size:
+            raise ValueError("leverage vector must align with observed values")
+        keep = np.setdiff1d(keep, high_leverage_set(leverage))
+    if tie_obs is None:
+        return float(v_obs[keep].max()), None
+    sel = keep[np.lexsort((tie_obs[keep], v_obs[keep]))[-1]]
+    return float(v_obs[sel]), float(tie_obs[sel])
 
 
 # ---------------------------------------------------------------------------
@@ -325,28 +328,22 @@ class ExtrapolationReport:
 
 
 def measure_column(measure: str) -> str:
-    """CSV column name for a measure key."""
+    """CSV column name for a measure key: "trace", "det" or
+    "cmvpv:<response>"; anything else raises ValueError."""
     if measure == "trace":
         return "mvpv_tr"
     if measure == "det":
         return "mvpv_logdet"
-    if measure.startswith("cmvpv:"):
+    if isinstance(measure, str) and measure.startswith("cmvpv:"):
         return "cmvpv_" + measure.split(":", 1)[1]
     raise ValueError(f"unknown measure {measure!r}")
 
 
 def _parse_measures(measures, response_names) -> list[str]:
-    out = []
-    for m in measures:
-        if m in ("trace", "det"):
-            out.append(m)
-        elif m.startswith("cmvpv:"):
-            resp = m.split(":", 1)[1]
-            if resp not in response_names:
-                raise ValueError(f"measure {m!r} references unknown response {resp!r}")
-            out.append(m)
-        else:
-            raise ValueError(f"unknown measure {m!r}")
+    out = list(measures)
+    for m in out:
+        if measure_column(m).startswith("cmvpv_") and m[6:] not in response_names:
+            raise ValueError(f"measure {m!r} references unknown response {m[6:]!r}")
     if not out:
         raise ValueError("at least one measure is required")
     return out
@@ -416,21 +413,6 @@ def _cmvpv_array(p: "PosteriorDraws", d: Dataset, target: int) -> np.ndarray:
         vals[rows] = np.einsum("lm,mr,lr->l", z, _draw_cov(c), z,
                                optimize=True) + sbar_mean
     return vals
-
-
-def _cutoff_with_tie(v_obs: np.ndarray, tie_obs: np.ndarray | None,
-                     spec: CutoffSpec, leverage: np.ndarray | None):
-    """Cutoff plus tie-break value; ties only matter for log-det measures."""
-    if (tie_obs is not None and spec.kind == "quantile"
-            and not np.all(np.isfinite(v_obs))):
-        raise ValueError(
-            "quantile cutoff undefined: some observed predictive "
-            "covariances are singular (log-determinant -inf)")
-    if tie_obs is None or spec.kind == "quantile":
-        return compute_cutoff(v_obs, spec, leverage), None
-    keep = _cutoff_pool(v_obs.size, spec, leverage)
-    sel = keep[np.lexsort((tie_obs[keep], v_obs[keep]))[-1]]
-    return float(v_obs[sel]), float(tie_obs[sel])
 
 
 def _flags_and_ratio(v: np.ndarray, tie: np.ndarray | None, k: float,
@@ -512,9 +494,8 @@ def score_locations(p: "PosteriorDraws", d: Dataset, measures=DEFAULT_MEASURES,
 
     hvals = ivh_values(d.X[fit_rows], d.X)
 
-    need_mvpv = any(m in ("trace", "det") for m in measures)
     traces = logdets = None
-    if need_mvpv:
+    if {"trace", "det"} & set(measures):
         traces, logdets = _mvpv_arrays(p.B_draws, d.X)
 
     cmvpv = {}
@@ -578,12 +559,6 @@ def score_locations_analytic(d: Dataset, measures=DEFAULT_MEASURES,
 # ---------------------------------------------------------------------------
 
 
-def _canonical_measure_order(measures: list[MeasureReport]) -> list[MeasureReport]:
-    rank = {"trace": 0, "det": 1}
-    return sorted(measures, key=lambda m: (rank.get(m.measure, 2),
-                                           measures.index(m)))
-
-
 def _coord_columns(report: ExtrapolationReport) -> list:
     """lon and lat columns, blank when the report has no coordinates."""
     if report.coords is None:
@@ -599,7 +574,8 @@ def write_scores_csv(report: ExtrapolationReport, path) -> None:
     stable across runs.
     """
     primary = report.primary
-    ordered = _canonical_measure_order(report.measures)
+    # a stable sort: trace, det, then the cmvpv measures in the order given
+    ordered = sorted(report.measures, key=lambda m: {"trace": 0, "det": 1}.get(m.measure, 2))
     header = ["id", "lon", "lat", "status"]
     header += [measure_column(m.measure) for m in ordered]
     columns = [report.ids, *_coord_columns(report), report.status]

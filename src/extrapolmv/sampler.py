@@ -34,14 +34,14 @@ fixed: B, the pattern normals and chi-squares, then Sigma.
 from __future__ import annotations
 
 import functools
-import json
 import os
 from dataclasses import asdict, dataclass, field
 
 import numpy as np
 from scipy.linalg import lapack
 
-from extrapolmv.dataset import Dataset, _from_json, _load_json, _to_json
+from extrapolmv.dataset import (Dataset, _atomic_open, _check_arrays, _from_json, _load_json,
+                                _to_json, _write_json)
 
 DRAWS_FILE = "draws.csv"
 NPZ_FILE = "draws.npz"
@@ -509,16 +509,10 @@ def save_fit(p: PosteriorDraws, outdir, extra_meta: dict | None = None) -> None:
         if bad:
             raise ValueError(f"{bad} non-finite {name} draw values; nothing written")
     os.makedirs(outdir, exist_ok=True)
-    draws_path = os.path.join(outdir, DRAWS_FILE)
-    with open(draws_path + ".tmp", "w", encoding="utf-8", newline="") as fh:
+    with _atomic_open(os.path.join(outdir, DRAWS_FILE)) as fh:
         _write_draws_csv(p, fh)
-    os.replace(draws_path + ".tmp", draws_path)
-
-    npz_path = os.path.join(outdir, NPZ_FILE)
-    with open(npz_path + ".tmp", "wb") as fh:
+    with _atomic_open(os.path.join(outdir, NPZ_FILE), binary=True) as fh:
         np.savez(fh, **{key: getattr(p, key) for key in _NPZ_KEYS})
-    os.replace(npz_path + ".tmp", npz_path)
-
     meta = {
         "spec": _to_json(p.spec),
         "seed": int(p.spec.seed),
@@ -528,11 +522,7 @@ def save_fit(p: PosteriorDraws, outdir, extra_meta: dict | None = None) -> None:
     }
     if extra_meta:
         meta.update(extra_meta)
-    meta_path = os.path.join(outdir, META_FILE)
-    with open(meta_path + ".tmp", "w", encoding="utf-8") as fh:
-        json.dump(meta, fh, indent=1, sort_keys=True)
-        fh.write("\n")
-    os.replace(meta_path + ".tmp", meta_path)
+    _write_json(os.path.join(outdir, META_FILE), meta)
 
 
 def load_fit(fitdir) -> tuple[PosteriorDraws, dict]:
@@ -541,10 +531,11 @@ def load_fit(fitdir) -> tuple[PosteriorDraws, dict]:
 
     draws.csv is never read. A directory without draws.npz, or whose
     draws.npz lacks fit_rows (both written by earlier versions), raises
-    ValueError, as does a meta.json that is not JSON, is without
+    ValueError, as does a meta.json that is not JSON, has no list
     response_names or covariate_names, or whose spec is not a ModelSpec
-    record (one written before store_z and z_thin went away is not).
-    Other arrays in draws.npz are ignored.
+    record (one written before store_z and z_thin went away is not), and
+    a draws.npz array whose dtype or shape is not the one save_fit writes
+    for meta's names. Other arrays in draws.npz are ignored.
     """
     npz_path = os.path.join(fitdir, NPZ_FILE)
     if not os.path.exists(npz_path):
@@ -552,17 +543,22 @@ def load_fit(fitdir) -> tuple[PosteriorDraws, dict]:
     meta_path = os.path.join(fitdir, META_FILE)
     meta = _load_json(meta_path)
     absent = [key for key in ("response_names", "covariate_names")
-              if not isinstance(meta, dict) or key not in meta]
+              if not isinstance(meta, dict) or not isinstance(meta.get(key), list)]
     if absent:
-        raise ValueError(f"{meta_path}: missing keys {absent}; re-run fit to rewrite it")
+        raise ValueError(f"{meta_path}: missing or malformed keys {absent}; "
+                         "re-run fit to rewrite it")
     try:
         spec = _from_json(ModelSpec, meta.get("spec"), f"{meta_path} spec")
     except ValueError as exc:
         raise ValueError(f"{exc}; re-run fit to rewrite it") from None
     with np.load(npz_path) as npz:
-        if "fit_rows" not in npz.files:
-            raise ValueError(f"{npz_path} has no fit_rows; re-run fit to rewrite it")
-        p = PosteriorDraws(**{key: npz[key] for key in _NPZ_KEYS}, spec=spec,
-                           response_names=meta["response_names"],
-                           covariate_names=meta["covariate_names"])
-    return p, meta
+        arrays = {key: npz[key] for key in _NPZ_KEYS if key in npz.files}
+    n, q = len(meta["response_names"]), len(meta["covariate_names"])
+    try:
+        _check_arrays(arrays, {"B_draws": ("f8", ("A", n, q)), "Sigma_draws": ("f8", ("A", n, n)),
+                               "chain": (np.integer, ("A",)), "draw": (np.integer, ("A",)),
+                               "fit_rows": (np.integer, ("rows",))})
+    except ValueError as exc:
+        raise ValueError(f"{npz_path} {exc}; re-run fit to rewrite it") from None
+    return PosteriorDraws(**arrays, spec=spec, response_names=meta["response_names"],
+                          covariate_names=meta["covariate_names"]), meta

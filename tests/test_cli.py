@@ -1,6 +1,7 @@
 import csv
 import json
 import os
+import shutil
 import subprocess
 import sys
 from pathlib import Path
@@ -69,6 +70,21 @@ def test_outputs_and_manifests_exist(pipeline):
     assert set(score_manifest["timings"]) == {"load", "measures", "cutoffs", "write"}
     assert all(s >= 0 for s in score_manifest["timings"].values())
     assert "timings" not in (pipeline["scores"] / "scores.csv").read_text()
+
+
+def test_outputs_go_through_one_writer(pipeline):
+    # every file is renamed from its temp file, and every JSON file but
+    # tree.json comes from one writer (export_tree writes the same format)
+    outputs = [p for key in ("sim", "fit", "scores", "tree", "rep")
+               for p in pipeline[key].iterdir()]
+    assert not [p for p in outputs if p.name.endswith(".tmp")]
+    json_files = sorted(f"{p.parent.name}/{p.name}" for p in outputs if p.suffix == ".json")
+    assert json_files == ["fit/manifest.json", "fit/meta.json", "rep/manifest.json",
+                          "scores/manifest.json", "sim/config.json", "sim/manifest.json",
+                          "sim/truth.json", "tree/manifest.json", "tree/tree.json"]
+    for name in json_files:
+        text = (pipeline["root"] / name).read_text(encoding="utf-8")
+        assert text == json.dumps(json.loads(text), indent=1, sort_keys=True) + "\n", name
 
 
 def test_scores_columns_and_monotone_counts(pipeline):
@@ -298,6 +314,34 @@ def test_malformed_fit_record_is_one_error_line(pipeline, tmp_path, capsys, case
     assert not (tmp_path / "out").exists()
 
 
+@pytest.mark.parametrize("case", ["B_axis_dropped", "Sigma_axis_dropped", "B_4_of_6_covariates",
+                                  "without_B", "float_fit_rows"])
+def test_malformed_draws_npz_is_one_error_line(pipeline, tmp_path, capsys, case):
+    # meta.json is sound; the arrays in draws.npz do not match its names
+    fit = tmp_path / "fit"
+    shutil.copytree(pipeline["fit"], fit)
+    with np.load(fit / "draws.npz") as npz:
+        arrays = dict(npz)
+    if case == "B_axis_dropped":
+        arrays["B_draws"] = arrays["B_draws"][:, 0]
+    elif case == "Sigma_axis_dropped":
+        arrays["Sigma_draws"] = arrays["Sigma_draws"][:, 0]
+    elif case == "B_4_of_6_covariates":
+        arrays["B_draws"] = arrays["B_draws"][:, :, :4]
+    elif case == "without_B":
+        del arrays["B_draws"]
+    else:
+        arrays["fit_rows"] = arrays["fit_rows"].astype(float)
+    np.savez(fit / "draws.npz", **arrays)
+    capsys.readouterr()
+    assert run("score", "--draws", fit, "--data", pipeline["sim"] / "dataset.csv",
+               "--out", tmp_path / "out") == 1
+    [line] = capsys.readouterr().err.splitlines()
+    assert line.startswith("error: ") and str(fit / "draws.npz") in line, line
+    assert "re-run fit" in line, line
+    assert not (tmp_path / "out").exists()
+
+
 def test_tree_warns_when_data_is_not_the_scored_file(pipeline, tmp_path, capsys):
     # same ids, other covariates: the labels would be joined onto them silently
     header, rows = read_csv(pipeline["sim"] / "dataset.csv")
@@ -340,20 +384,23 @@ def test_tree_uses_raw_covariate_units(pipeline):
         assert min(vals) < threshold < max(vals)
 
 
-def test_constant_label_gives_single_leaf(pipeline, tmp_path):
-    # score with only the max cutoff: e_max is identically zero in-sample
-    out = tmp_path / "onlymax"
-    assert run("score", "--draws", pipeline["fit"],
-               "--data", pipeline["sim"] / "dataset.csv",
-               "--cutoffs", "max", "--out", out) == 0
-    header, rows = read_csv(out / "scores.csv")
-    i = header.index("e_max")
-    if any(int(r[i]) for r in rows):
-        pytest.skip("out-of-sample rows flagged; label not constant here")
+def test_constant_label_gives_single_leaf(pipeline, tmp_path, capsys):
+    # a copy of the score directory whose e_q95 column is all zeros
+    scores = tmp_path / "scores"
+    shutil.copytree(pipeline["scores"], scores)
+    header, rows = read_csv(scores / "scores.csv")
+    i = header.index("e_q95")
+    for r in rows:
+        r[i] = "0"
+    with open(scores / "scores.csv", "w", newline="", encoding="utf-8") as fh:
+        csv.writer(fh).writerows([header] + rows)
+    capsys.readouterr()
     treedir = tmp_path / "flat"
-    rc = run("tree", "--scores", out, "--data", pipeline["sim"] / "dataset.csv",
-             "--label", "e_max", "--out", treedir)
-    assert rc == 0
+    rc = run("tree", "--scores", scores, "--data", pipeline["sim"] / "dataset.csv",
+             "--label", "e_q95", "--out", treedir)
+    assert rc == 2
+    [line] = capsys.readouterr().err.splitlines()
+    assert line.startswith("warning: ") and "'e_q95' is constant" in line, line
     doc = json.loads((treedir / "tree.json").read_text())
     assert "feature" not in doc
 
@@ -480,6 +527,9 @@ def _bad_json_input(case, pipeline, tmp_path):
     elif case == "meta_dataset_hash_integer":
         meta["dataset_hash"] = 12345
         words = ["dataset_hash", "re-run fit"]
+    elif case == "meta_response_names_integer":
+        meta["response_names"] = 3
+        words = ["response_names", "re-run fit"]
     elif case == "meta_not_json":
         text = json.dumps(meta)[:-1]
         words = ["not valid JSON"]
@@ -508,7 +558,8 @@ def _bad_json_input(case, pipeline, tmp_path):
                                   "meta_without_ingest_config",
                                   "meta_transform_constants_list",
                                   "meta_centers_too_short",
-                                  "meta_dataset_hash_integer", "meta_not_json",
+                                  "meta_dataset_hash_integer", "meta_response_names_integer",
+                                  "meta_not_json",
                                   "score_manifest_list_tree", "score_manifest_list_report",
                                   "score_manifest_params_list",
                                   "score_manifest_measures_string",
