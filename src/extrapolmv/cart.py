@@ -3,10 +3,11 @@
 Grown greedily: every (covariate, midpoint-threshold) pair is scored by
 its Gini impurity decrease and the best one wins; ties go to the lowest
 covariate index, then the smallest threshold. Rows with a value below
-the threshold go left. Each covariate is argsorted once, stably, at the
-root; a split partitions every such order with a stable boolean mask, so
-each node sees its rows sorted by every covariate, ties in row order,
-without sorting again. There is no cost-complexity pruning; growth stops
+the threshold go left. Each covariate is argsorted once at the root; a
+split partitions every such order with a stable boolean mask, so each
+node sees its rows sorted by every covariate without sorting again. The
+order of tied values does not matter: a split is only read where the
+sorted value changes. There is no cost-complexity pruning; growth stops
 on depth, leaf size or insufficient gain. Trees are immutable once grown
 and safe to share.
 """
@@ -72,8 +73,10 @@ def gini(n0: float, n1: float) -> float:
 def _best_split(X: np.ndarray, y: np.ndarray, orders: np.ndarray, params: TreeParams):
     """Best (feature_idx, threshold, gain) or None when nothing splittable.
 
-    ``orders[f]`` lists the node's rows sorted by feature f, ties in row
-    order, so each feature's candidate splits need no sort here.
+    ``orders[f]`` lists the node's rows sorted by feature f, so each
+    feature's candidate splits need no sort here. Splits are only read
+    where the sorted value changes, where the rows before are exactly
+    those at or below the value, in any order of ties.
     """
     n = orders.shape[1]
     c1 = float(y[orders[0]].sum())
@@ -144,8 +147,8 @@ def grow_tree(features: np.ndarray, labels: np.ndarray,
               feature_names: list[str] | None = None) -> TreeNode:
     """Grow a classification tree on a covariate matrix (no intercept).
 
-    Labels must be binary 0/1. Deterministic: identical inputs give an
-    identical tree.
+    Labels must be binary 0/1 and features free of NaN. Deterministic:
+    identical inputs give an identical tree.
     """
     X = np.asarray(features, dtype=float)
     if X.ndim == 1:
@@ -153,6 +156,8 @@ def grow_tree(features: np.ndarray, labels: np.ndarray,
     y = np.asarray(labels)
     if X.shape[0] == 0:
         raise ValueError("no rows to grow a tree on")
+    if np.isnan(X).any():
+        raise ValueError("features must not hold NaN")
     if y.shape != (X.shape[0],):
         raise ValueError("labels must align with feature rows")
     uniq = np.unique(y)
@@ -166,7 +171,7 @@ def grow_tree(features: np.ndarray, labels: np.ndarray,
     params = params or TreeParams()
     # int32 row numbers halve the memory of every node's order arrays
     index = np.int32 if X.shape[0] < 2 ** 31 else np.intp
-    orders = np.argsort(X.T, axis=1, kind="stable").astype(index)
+    orders = np.argsort(X.T, axis=1).astype(index)
     return _grow(X, y, orders, list(feature_names), params, depth=0, total=X.shape[0])
 
 

@@ -10,7 +10,10 @@ success with warnings.
 
 Only ``fit`` takes an ingestion config. ``score`` reads the config the
 fit recorded in meta.json; ``tree`` and ``report`` read the config and
-measures the score recorded in its manifest.json.
+measures the score recorded in its manifest.json. ``report`` reads
+nothing else of a score: the manifest's cutoff_summary holds the
+location count and each primary cutoff's value and flag counts, so
+scores.csv is not parsed again.
 
 Only ``fit`` needs to parse the dataset CSV. It writes the parsed table
 to dataset.npz in its output directory, and ``score`` (from ``--draws``)
@@ -54,8 +57,11 @@ from extrapolmv.dataset import (
 from extrapolmv.extrapolation import (
     DEFAULT_CUTOFFS,
     DEFAULT_MEASURES,
+    cutoff_summary,
+    k_text,
     measure_column,
     score_locations,
+    value_order,
     write_plotdata_csv,
     write_scores_csv,
 )
@@ -266,7 +272,8 @@ def _cmd_score(args) -> int:
     _write_manifest(args.out, "score", params, timings=timings,
                     dataset_hash=dataset_hash,
                     config_hash=_sha256_json(_to_json(config)),
-                    ingest_config=_to_json(config), data_source=source)
+                    ingest_config=_to_json(config), data_source=source,
+                    cutoff_summary=cutoff_summary(report))
     return 0
 
 
@@ -275,11 +282,10 @@ def _cmd_score(args) -> int:
 # ---------------------------------------------------------------------------
 
 
-def _read_scores(scores, columns) -> tuple[list[str], dict, IngestConfig, dict]:
-    """Read a score output directory: the scores.csv header and chosen
-    columns, the ingestion config its manifest.json records and the
-    manifest, whose params.measures is checked. ``columns(header)`` names
-    the columns to keep; each comes back as a list of cells."""
+def _read_score_manifest(scores) -> tuple[dict, IngestConfig, str]:
+    """The manifest.json of a score output directory, whose params and
+    params.measures are checked, the ingestion config it records and its
+    path."""
     manifest_path = os.path.join(scores, "manifest.json")
     manifest = _load_json(manifest_path)
     params = manifest.get("params") if isinstance(manifest, dict) else None
@@ -296,10 +302,16 @@ def _read_scores(scores, columns) -> tuple[list[str], dict, IngestConfig, dict]:
                        f"measure keys, got {json.dumps(measures)[:40]}; re-run score")
     config = _from_json(IngestConfig, manifest.get("ingest_config"),
                         f"{manifest_path} ingest_config")
+    return manifest, config, manifest_path
+
+
+def _read_scores(scores, names: list[str]) -> tuple[dict, IngestConfig, dict]:
+    """The columns ``names`` of a score output directory's scores.csv, each
+    a list of cells, and its checked manifest and ingestion config."""
+    manifest, config, _ = _read_score_manifest(scores)
     path = os.path.join(scores, "scores.csv")
     table = _read_table(path)
     header = next(table)
-    names = columns(header)
     absent = [name for name in names if name not in header]
     if absent:
         raise CliError(f"column {absent[0]!r} not present in {path}")
@@ -308,11 +320,11 @@ def _read_scores(scores, columns) -> tuple[list[str], dict, IngestConfig, dict]:
     for _line, lines in table:
         for name, cells in zip(names, _text_columns(lines, cols)):
             kept[name] += cells
-    return header, kept, config, manifest
+    return kept, config, manifest
 
 
 def _cmd_tree(args) -> int:
-    _, cols, config, manifest = _read_scores(args.scores, lambda _: ["id", args.label])
+    cols, config, manifest = _read_scores(args.scores, ["id", args.label])
     bad = set(cols[args.label]) - {"0", "1"}
     if bad:
         raise CliError(f"label column {args.label!r} holds {min(bad)!r}; "
@@ -388,28 +400,40 @@ def _cmd_simulate(args) -> int:
 # ---------------------------------------------------------------------------
 
 
+def _read_cutoff_summary(manifest: dict, path) -> tuple[int, list[dict]]:
+    """The location count and per-cutoff entries of a score manifest's
+    cutoff_summary, checked."""
+    summary = manifest.get("cutoff_summary")
+    def count(value):
+        return type(value) is int and value >= 0
+    def entry(c):
+        return (isinstance(c, dict) and isinstance(c.get("name"), str)
+                and type(c.get("k")) in (int, float)
+                and count(c.get("flagged")) and count(c.get("flagged_out_of_sample")))
+    if not (isinstance(summary, dict) and count(summary.get("locations"))
+            and isinstance(summary.get("cutoffs"), list) and summary["cutoffs"]
+            and all(map(entry, summary["cutoffs"]))):
+        raise CliError(f"{path}: cutoff_summary must hold a location count and a list of "
+                       "cutoffs with name, k, flagged and flagged_out_of_sample, got "
+                       f"{json.dumps(summary)[:40]}; re-run score")
+    return summary["locations"], summary["cutoffs"]
+
+
 def _cmd_report(args) -> int:
-    header, cols, _config, manifest = _read_scores(
-        args.scores,
-        lambda h: ["status"] + [name for name in h if name.startswith(("e_", "k_"))])
+    manifest, _config, path = _read_score_manifest(args.scores)
     measures = manifest["params"]["measures"]
-    out_of_sample = np.array(cols["status"]) != "full"
-    e_names = [name[2:] for name in header if name.startswith("e_")]
-    measure_cols = [name for name in header
-                    if name.startswith(("mvpv_", "cmvpv_"))]
+    locations, cutoffs = _read_cutoff_summary(manifest, path)
 
     lines = ["# Extrapolation report", ""]
-    lines.append(f"Locations scored: {out_of_sample.size}")
-    if measure_cols:
-        lines.append(f"Measures: {', '.join(measure_cols)}")
+    lines.append(f"Locations scored: {locations}")
+    lines.append(f"Measures: {', '.join(map(measure_column, value_order(measures)))}")
     lines.append(f"Cutoff columns follow the primary measure: {measure_column(measures[0])}")
     lines += ["", "## Flag counts per cutoff", "",
               "| cutoff | cutoff value | flagged | flagged out-of-sample |",
               "|---|---|---|---|"]
-    for name in e_names:
-        flags = np.array(cols[f"e_{name}"], dtype=float).astype(int)
-        k = (cols.get(f"k_{name}") or [""])[0]
-        lines.append(f"| {name} | {k} | {flags.sum()} | {flags[out_of_sample].sum()} |")
+    for c in cutoffs:
+        lines.append(f"| {c['name']} | {k_text(c['k'])} | {c['flagged']} "
+                     f"| {c['flagged_out_of_sample']} |")
 
     if args.tree:
         tree_path = args.tree

@@ -484,6 +484,10 @@ def write_record(d: Dataset, path, source_sha256: str, config_sha256: str) -> No
         np.savez(fh, **arrays)
 
 
+# what np.load and reading an array raise for a cut or corrupt .npz archive
+_ARCHIVE_ERRORS = (ValueError, KeyError, OSError, EOFError, zipfile.BadZipFile)
+
+
 def _check_arrays(arrays: dict, want: dict) -> None:
     """Check that ``arrays`` holds each key of ``want`` with its (dtype,
     shape): a dtype np.issubdtype accepts, and a shape whose numbers are
@@ -525,7 +529,7 @@ def load_record(path, config: IngestConfig, source_sha256: str,
                        response_names=list(config.responses),
                        covariate_names=[INTERCEPT_NAME] + list(config.covariates),
                        coords=a["coords"] if coords else None)
-    except (ValueError, KeyError, OSError, EOFError, zipfile.BadZipFile) as exc:
+    except _ARCHIVE_ERRORS as exc:
         raise ValueError(f"{path}: malformed dataset record ({exc}); "
                          "re-run fit to rewrite it") from None
 

@@ -25,6 +25,7 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass
+from functools import cached_property
 from typing import TYPE_CHECKING
 
 import numpy as np
@@ -326,6 +327,14 @@ class ExtrapolationReport:
     def primary(self) -> MeasureReport:
         return self.measures[0]
 
+    @cached_property
+    def coord_text(self) -> list[list[str]]:
+        """lon and lat cells as scores.csv and plotdata.csv write them,
+        blank when the report has no coordinates; formatted once."""
+        if self.coords is None:
+            return [[""] * len(self.ids)] * 2
+        return [list(map(repr, self.coords[:, j].tolist())) for j in (0, 1)]
+
 
 def measure_column(measure: str) -> str:
     """CSV column name for a measure key: "trace", "det" or
@@ -337,6 +346,18 @@ def measure_column(measure: str) -> str:
     if isinstance(measure, str) and measure.startswith("cmvpv:"):
         return "cmvpv_" + measure.split(":", 1)[1]
     raise ValueError(f"unknown measure {measure!r}")
+
+
+def k_text(k) -> str:
+    """Text of a cutoff value in its k_* cells and in the report:
+    repr(float(k)), so a singular max reads "-inf"."""
+    return repr(float(k))
+
+
+def value_order(measures) -> list[str]:
+    """Measure keys in scores.csv column order: trace, det, then the CMVPV
+    measures in the order given (a stable sort), whichever is primary."""
+    return sorted(measures, key=lambda m: {"trace": 0, "det": 1}.get(m, 2))
 
 
 def _parse_measures(measures, response_names) -> list[str]:
@@ -559,30 +580,21 @@ def score_locations_analytic(d: Dataset, measures=DEFAULT_MEASURES,
 # ---------------------------------------------------------------------------
 
 
-def _coord_columns(report: ExtrapolationReport) -> list:
-    """lon and lat columns, blank when the report has no coordinates."""
-    if report.coords is None:
-        return [[""] * len(report.ids)] * 2
-    return [report.coords[:, 0], report.coords[:, 1]]
-
-
 def write_scores_csv(report: ExtrapolationReport, path) -> None:
     """Write per-location scores; cutoff columns come from the primary measure.
 
-    Value columns appear in the canonical order mvpv_tr, mvpv_logdet,
-    cmvpv_* independent of which measure is primary, so headers are
-    stable across runs.
+    Value columns appear in the value_order of the measures, independent
+    of which measure is primary, so headers are stable across runs.
     """
     primary = report.primary
-    # a stable sort: trace, det, then the cmvpv measures in the order given
-    ordered = sorted(report.measures, key=lambda m: {"trace": 0, "det": 1}.get(m.measure, 2))
-    header = ["id", "lon", "lat", "status"]
-    header += [measure_column(m.measure) for m in ordered]
-    columns = [report.ids, *_coord_columns(report), report.status]
-    columns += [m.values for m in ordered]
+    values = {m.measure: m.values for m in report.measures}
+    ordered = value_order([m.measure for m in report.measures])
+    header = ["id", "lon", "lat", "status"] + [measure_column(m) for m in ordered]
+    columns = [report.ids, *report.coord_text, report.status]
+    columns += [values[m] for m in ordered]
     for c in primary.cutoffs:
         header += [f"k_{c.name}", f"e_{c.name}", f"r_{c.name}"]
-        columns += [[repr(float(c.k))] * len(report.ids), c.e, c.r]
+        columns += [[k_text(c.k)] * len(report.ids), c.e, c.r]
     header.append("first_flagging_cutoff")
     columns.append(primary.first_flagging)
     _write_table(path, header, columns)
@@ -591,5 +603,16 @@ def write_scores_csv(report: ExtrapolationReport, path) -> None:
 def write_plotdata_csv(report: ExtrapolationReport, path) -> None:
     """Write the minimal map-plotting file: id, lon, lat, first cutoff hit."""
     _write_table(path, ["id", "lon", "lat", "first_flagging_cutoff"],
-                 [report.ids, *_coord_columns(report),
-                  report.primary.first_flagging])
+                 [report.ids, *report.coord_text, report.primary.first_flagging])
+
+
+def cutoff_summary(report: ExtrapolationReport) -> dict:
+    """What scores.csv says of the primary measure's cutoffs: the location
+    count and, in column order, each cutoff's name, value k (its k_* cell
+    is k_text(k)) and the number of locations it flags, in all and
+    out of sample (status other than "full")."""
+    out_of_sample = np.array(report.status) != "full"
+    return {"locations": len(report.ids),
+            "cutoffs": [{"name": c.name, "k": float(c.k), "flagged": int(c.e.sum()),
+                         "flagged_out_of_sample": int(c.e[out_of_sample].sum())}
+                        for c in report.primary.cutoffs]}

@@ -188,6 +188,8 @@ def test_rejects_bad_inputs():
         grow_tree(np.ones((5, 1)), np.array([0, 1, 2, 1, 0]))
     with pytest.raises(ValueError, match="align"):
         grow_tree(np.ones((5, 1)), np.zeros(4))
+    with pytest.raises(ValueError, match="NaN"):
+        grow_tree(np.array([[0.0], [np.nan], [1.0]]), np.array([0, 1, 1]))
 
 
 # -- prediction -------------------------------------------------------------------

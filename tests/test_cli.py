@@ -315,9 +315,9 @@ def test_malformed_fit_record_is_one_error_line(pipeline, tmp_path, capsys, case
 
 
 @pytest.mark.parametrize("case", ["B_axis_dropped", "Sigma_axis_dropped", "B_4_of_6_covariates",
-                                  "without_B", "float_fit_rows"])
+                                  "without_B", "float_fit_rows", "truncated"])
 def test_malformed_draws_npz_is_one_error_line(pipeline, tmp_path, capsys, case):
-    # meta.json is sound; the arrays in draws.npz do not match its names
+    # meta.json is sound; draws.npz is not the archive save_fit writes for it
     fit = tmp_path / "fit"
     shutil.copytree(pipeline["fit"], fit)
     with np.load(fit / "draws.npz") as npz:
@@ -330,9 +330,12 @@ def test_malformed_draws_npz_is_one_error_line(pipeline, tmp_path, capsys, case)
         arrays["B_draws"] = arrays["B_draws"][:, :, :4]
     elif case == "without_B":
         del arrays["B_draws"]
-    else:
+    elif case == "float_fit_rows":
         arrays["fit_rows"] = arrays["fit_rows"].astype(float)
-    np.savez(fit / "draws.npz", **arrays)
+    if case == "truncated":  # an archive cut short: not a zip file
+        (fit / "draws.npz").write_bytes((fit / "draws.npz").read_bytes()[:5000])
+    else:
+        np.savez(fit / "draws.npz", **arrays)
     capsys.readouterr()
     assert run("score", "--draws", fit, "--data", pipeline["sim"] / "dataset.csv",
                "--out", tmp_path / "out") == 1
@@ -424,14 +427,21 @@ def test_non_binary_label_column_is_error(pipeline, tmp_path, capsys, label):
 
 
 def test_report_counts_match_scores(pipeline):
+    # report reads the score manifest's summary; each figure must be the
+    # one scores.csv holds
     header, rows = read_csv(pipeline["scores"] / "scores.csv")
     text = (pipeline["rep"] / "report.md").read_text()
+    assert f"Locations scored: {len(rows)}" in text.splitlines()
+    out_of_sample = [r[header.index("status")] != "full" for r in rows]
+    assert 0 < sum(out_of_sample) < len(rows)
     for name in ("max", "lev", "q99", "q95"):
         i = header.index(f"e_{name}")
-        total = sum(int(r[i]) for r in rows)
         line = next(l for l in text.splitlines()
                     if l.startswith(f"| {name} |"))
-        assert int(line.split("|")[3].strip()) == total
+        _, _, k, total, oos, _ = line.split("|")
+        assert k.strip() == rows[0][header.index(f"k_{name}")]
+        assert int(total) == sum(int(r[i]) for r in rows)
+        assert int(oos) == sum(int(r[i]) for r, o in zip(rows, out_of_sample) if o)
     assert "## Top tree splits" in text
 
 
@@ -493,6 +503,12 @@ def _bad_json_input(case, pipeline, tmp_path):
             manifest["params"]["measures"] = {"string": "trace", "int": [5],
                                               "unknown": ["bogus"]}[case.split("_")[-1]]
             words = ["measures"]
+        elif case == "score_manifest_without_cutoffs_report":  # written before the summary
+            del manifest["cutoff_summary"]
+            words = ["cutoff_summary", "re-run score"]
+        elif case == "score_manifest_cutoff_k_string_report":
+            manifest["cutoff_summary"]["cutoffs"][0]["k"] = "0.5"
+            words = ["cutoff_summary", "re-run score"]
         else:
             manifest = ["ingest_config"]
         if not case.startswith("score_manifest_absent_"):
@@ -566,6 +582,8 @@ def _bad_json_input(case, pipeline, tmp_path):
                                   "score_manifest_measures_int",
                                   "score_manifest_measures_unknown",
                                   "score_manifest_absent_tree", "score_manifest_absent_report",
+                                  "score_manifest_without_cutoffs_report",
+                                  "score_manifest_cutoff_k_string_report",
                                   "tree_json_list", "tree_json_node_without_n1"])
 def test_bad_json_input_is_one_error_line(pipeline, tmp_path, capsys, case):
     argv, path, words = _bad_json_input(case, pipeline, tmp_path)

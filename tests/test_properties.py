@@ -354,14 +354,41 @@ def _reference_tree(X, y, params, names, depth=0, total=None):
     return node
 
 
+@st.composite
+def tied_covariates(draw):
+    """Covariate matrices of 1 to 150 rows whose columns hold a few
+    integers, are rounded to 0.1, mix -0.0 with 0.0, are constant or hold
+    distinct values."""
+    rows = draw(st.integers(1, 150))
+    columns = []
+    for kind in draw(st.lists(st.sampled_from(["integer", "rounded", "signed_zero",
+                                               "constant", "distinct"]),
+                              min_size=1, max_size=4)):
+        if kind == "integer":
+            column = draw(arrays(np.float64, rows, elements=st.integers(-3, 3)))
+        elif kind == "rounded":
+            column = np.round(draw(arrays(np.float64, rows,
+                                          elements=st.floats(-2.0, 2.0))), 1)
+        elif kind == "signed_zero":
+            column = draw(arrays(np.float64, rows,
+                                 elements=st.sampled_from([-0.0, 0.0, 1.0])))
+        elif kind == "constant":
+            column = np.full(rows, draw(st.floats(-1e3, 1e3)))
+        else:
+            column = draw(arrays(np.float64, rows, elements=st.floats(-1e6, 1e6),
+                                 unique=True))
+        columns.append(column)
+    return np.column_stack(columns)
+
+
 @settings(max_examples=25, deadline=None)
-@given(data=st.data(), rows=st.integers(2, 120), features=st.integers(1, 4),
-       min_leaf=st.sampled_from([1, 2, 3, 7]), max_depth=st.integers(1, 6))
-def test_presorted_tree_is_the_per_node_sort_tree(data, rows, features, min_leaf, max_depth):
-    # values from a small integer set, so most splits are among ties
-    X = data.draw(arrays(np.float64, (rows, features), elements=st.integers(-3, 3)))
-    y = data.draw(arrays(np.int64, rows, elements=st.integers(0, 1)))
+@given(data=st.data(), X=tied_covariates(), min_leaf=st.sampled_from([1, 2, 3, 7]),
+       max_depth=st.integers(1, 6))
+def test_presorted_tree_is_the_per_node_sort_tree(data, X, min_leaf, max_depth):
+    # most splits fall among ties, which the presort orders as numpy's
+    # default argsort does and the reference in row order
+    y = data.draw(arrays(np.int64, X.shape[0], elements=st.integers(0, 1)))
     params = TreeParams(max_depth=max_depth, min_leaf=min_leaf, min_split_gain=0.0)
-    names = [f"x{j}" for j in range(features)]
+    names = [f"x{j}" for j in range(X.shape[1])]
     assert export_tree(grow_tree(X, y, params, names)) == \
         export_tree(_reference_tree(X, y, params, names))
