@@ -37,18 +37,13 @@ from extrapolmv.sampler import (
     ess,
     gibbs_fit,
     load_fit,
-    predictive_mean_draws,
     rhat,
     save_fit,
 )
 from extrapolmv.extrapolation import (
     CutoffSpec,
     ExtrapolationReport,
-    PredictiveVariance,
-    cmvpv,
-    compute_cutoff,
     conditional_mvn,
-    predictive_variance,
     score_locations,
     score_locations_analytic,
     write_plotdata_csv,
@@ -91,16 +86,11 @@ __all__ = [
     "ess",
     "gibbs_fit",
     "load_fit",
-    "predictive_mean_draws",
     "rhat",
     "save_fit",
     "CutoffSpec",
     "ExtrapolationReport",
-    "PredictiveVariance",
-    "cmvpv",
-    "compute_cutoff",
     "conditional_mvn",
-    "predictive_variance",
     "score_locations",
     "score_locations_analytic",
     "write_plotdata_csv",

@@ -17,9 +17,10 @@ scores.csv is not parsed again.
 
 Only ``fit`` needs to parse the dataset CSV. It writes the parsed table
 to dataset.npz in its output directory, and ``score`` (from ``--draws``)
-and ``tree`` (from the fit directory the score manifest names) read that
-record instead whenever ``--data`` has the hash it was written for. Any
-other ``--data`` is parsed from CSV. Their manifests say which source ran.
+and ``tree`` (from the fit directory the score manifest names by its
+absolute path) read that record instead whenever ``--data`` has the hash
+it was written for. Any other ``--data`` is parsed from CSV. Their
+manifests say which source ran.
 """
 
 from __future__ import annotations
@@ -266,7 +267,7 @@ def _cmd_score(args) -> int:
     write_plotdata_csv(report, os.path.join(args.out, "plotdata.csv"))
     timings["write"] = time.perf_counter() - start
 
-    params = {"draws": str(args.draws), "data": str(args.data),
+    params = {"draws": os.path.abspath(args.draws), "data": str(args.data),
               "measures": list(measures), "cutoffs": cutoffs,
               "force": bool(args.force)}
     _write_manifest(args.out, "score", params, timings=timings,

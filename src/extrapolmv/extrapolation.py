@@ -10,15 +10,18 @@ index and a relative (value / cutoff) score.
 Determinants are computed and compared in log space throughout; exact
 ties at -inf are broken by the trace. All operations are pure given the
 posterior draws. Every measure is a quadratic form in the location: with
-C the across-draw covariance of vec(B), V_i = (I_n kron x_i)' C (I_n kron x_i),
+C the covariance of vec(B), V_i = (I_n kron x_i)' C (I_n kron x_i),
 and CMVPV is z_i' Cov(c) z_i for per-draw coefficient rows c_a and
-z_i = [x_i; y_g]. C is built once, so the cost per location does not
-depend on the number of draws. The MVPV rows are scored a block of
-dataset._BLOCK_ROWS at a time: one BLAS product of the block with C
-(q x n*n*q, 2*n*n*q*q flops per location) and one batched product with
-x_i (2*n*n*q), then the trace and an n x n eigendecomposition per row,
-so nothing of size (l, n, n) is held. CMVPV rows are grouped by the
-integer code of their sibling pattern, one group per pattern.
+z_i = [x_i; y_g]. One kernel, _mvpv_arrays, turns C into both MVPV
+measures: the sampled path passes the across-draw covariance of the
+draws, the analytic path Sigma kron (X_f'X_f)^-1. The trace is
+x_i' (sum_r C_rr) x_i, one q x q quadratic form per row, so no V_i is
+built for it. Only the log-determinant builds the V_i, a block of
+dataset._BLOCK_ROWS rows at a time: one BLAS product of the block with
+C (q x n*n*q, 2*n*n*q*q flops per location), one batched product with
+x_i (2*n*n*q), then a batched n x n Cholesky, so nothing of size
+(l, n, n) is held. CMVPV rows are grouped by the integer code of their
+sibling pattern, one group per pattern.
 """
 
 from __future__ import annotations
@@ -32,7 +35,7 @@ import numpy as np
 from scipy.linalg import cho_factor, cho_solve
 
 from extrapolmv.dataset import _BLOCK_ROWS, Dataset, _write_table, row_status
-from extrapolmv.diagnostics import high_leverage_set, ivh_values
+from extrapolmv.diagnostics import _gram_cholesky, high_leverage_set, ivh_values
 
 if TYPE_CHECKING:  # pragma: no cover
     from extrapolmv.sampler import PosteriorDraws
@@ -45,23 +48,8 @@ _PSD_TOL = 1e-10
 
 
 # ---------------------------------------------------------------------------
-# Predictive variance of the mean and its scalarizations
+# Log-determinants of predictive covariances
 # ---------------------------------------------------------------------------
-
-
-@dataclass
-class PredictiveVariance:
-    """Per-location covariance of the predictive mean plus scalar summaries.
-
-    ``det`` may underflow to 0 for strongly concentrated posteriors;
-    ``logdet`` is the authoritative determinant representation (-inf for
-    semidefinite V).
-    """
-
-    V: np.ndarray
-    trace: float
-    logdet: float
-    det: float
 
 
 def _check_symmetric(V: np.ndarray) -> np.ndarray:
@@ -75,32 +63,25 @@ def _check_symmetric(V: np.ndarray) -> np.ndarray:
 
 
 def _logdet_psd(V: np.ndarray):
-    """Log-determinant of a PSD matrix or a stack of them; -inf when semidefinite."""
-    lam = np.linalg.eigvalsh(V)
-    floor = -_PSD_TOL * np.maximum(np.trace(V, axis1=-2, axis2=-1), 1.0)
-    if np.any(lam.min(axis=-1) < floor):
-        raise ValueError("matrix is not positive semidefinite within tolerance")
-    with np.errstate(divide="ignore"):
-        return np.log(np.maximum(lam, 0.0)).sum(axis=-1)
+    """Log-determinant of a PSD matrix or of each in a stack; -inf when singular.
 
-
-def predictive_variance(draws: np.ndarray) -> PredictiveVariance:
-    """Sample covariance (divisor A) of predictive-mean draws.
-
-    ``draws`` is (A, n), one mean vector per retained draw.
+    A batched Cholesky gives 2 sum log diag L, which keeps each pivot's
+    relative accuracy however the responses are scaled. A stack whose
+    Cholesky fails is redone one matrix at a time, and only a matrix
+    whose own Cholesky fails goes to eigvalsh: -inf when an eigenvalue is
+    at most 0, ValueError when one lies below -_PSD_TOL * trace.
     """
-    draws = np.asarray(draws, dtype=float)
-    if draws.ndim == 1:
-        draws = draws[:, None]
-    A = draws.shape[0]
-    if A < 2:
-        raise ValueError("need at least 2 draws")
-    dev = draws - draws.mean(axis=0)
-    V = dev.T @ dev / A
-    V = 0.5 * (V + V.T)
-    logdet = float(_logdet_psd(V))
-    return PredictiveVariance(V=V, trace=float(np.trace(V)), logdet=logdet,
-                              det=float(np.exp(logdet)))
+    try:
+        L = np.linalg.cholesky(V)
+    except np.linalg.LinAlgError:
+        if V.ndim > 2:
+            return np.array([_logdet_psd(v) for v in V])
+        lam = np.linalg.eigvalsh(V)
+        if lam.min() < -_PSD_TOL * max(np.trace(V), 1.0):
+            raise ValueError("matrix is not positive semidefinite within tolerance") from None
+        with np.errstate(divide="ignore"):
+            return np.log(np.maximum(lam, 0.0)).sum()
+    return 2.0 * np.log(np.diagonal(L, axis1=-2, axis2=-1)).sum(axis=-1)
 
 
 # ---------------------------------------------------------------------------
@@ -158,60 +139,6 @@ def conditional_mvn(mu: np.ndarray, sigma: np.ndarray, target, given,
     return mu_bar, S_bar
 
 
-def cmvpv(p: "PosteriorDraws", x: np.ndarray, target: int,
-          given_values: np.ndarray, given_mask: np.ndarray | None = None) -> float:
-    """Conditional predictive variance of one response at one location.
-
-    For each retained draw the target response is conditioned on the
-    available sibling responses; the returned measure is the across-draw
-    variance of those conditional means plus the mean within-draw
-    conditional variance. When no siblings are available the marginal
-    counterpart is used, adding the mean residual variance of the target
-    so the values stay comparable.
-
-    ``given_values`` has one slot per response; ``given_mask`` marks
-    which slots are actually available (defaults to the finite ones,
-    target excluded).
-    """
-    B = p.B_draws
-    S = p.Sigma_draws
-    x = np.asarray(x, dtype=float).ravel()
-    A, n, q = B.shape
-    if x.size != q:
-        raise ValueError(f"x has {x.size} entries, expected {q}")
-    if not 0 <= target < n:
-        raise ValueError("target response index out of range")
-    given_values = np.asarray(given_values, dtype=float).ravel()
-    if given_values.size != n:
-        raise ValueError("given_values must have one slot per response")
-    if given_mask is None:
-        given_mask = np.isfinite(given_values)
-        given_mask[target] = False
-    else:
-        given_mask = np.asarray(given_mask, dtype=bool).ravel()
-        if given_mask.size != n:
-            raise ValueError("given_mask must have one slot per response")
-        if given_mask[target]:
-            raise ValueError("target response cannot be conditioned on itself")
-    g = np.flatnonzero(given_mask)
-    if g.size and not np.all(np.isfinite(given_values[g])):
-        raise ValueError("conditioning values must be finite where available")
-
-    mu_t = B[:, target, :] @ x
-    if g.size == 0:
-        dev = mu_t - mu_t.mean()
-        return float((dev ** 2).mean() + S[:, target, target].mean())
-
-    S_gg = S[:, g[:, None], g[None, :]]
-    S_tg = S[:, target, :][:, g]
-    G = np.linalg.solve(S_gg, S_tg[..., None])[..., 0]
-    sbar = S[:, target, target] - np.einsum("ag,ag->a", S_tg, G)
-    mu_g = np.einsum("agq,q->ag", B[:, g, :], x)
-    mubar = mu_t + np.einsum("ag,ag->a", G, given_values[g][None, :] - mu_g)
-    dev = mubar - mubar.mean()
-    return float((dev ** 2).mean() + sbar.mean())
-
-
 # ---------------------------------------------------------------------------
 # Cutoffs and indices
 # ---------------------------------------------------------------------------
@@ -257,12 +184,6 @@ class CutoffSpec:
         return next(t for t, (kind, _) in _CUTOFF_TOKENS.items() if kind == self.kind)
 
 
-def compute_cutoff(v_obs: np.ndarray, spec: CutoffSpec,
-                   leverage: np.ndarray | None = None) -> float:
-    """Cutoff value k derived from the observed-location measure values."""
-    return _cutoff_with_tie(np.asarray(v_obs, dtype=float).ravel(), None, spec, leverage)[0]
-
-
 def _cutoff_with_tie(v_obs: np.ndarray, tie_obs: np.ndarray | None,
                      spec: CutoffSpec, leverage: np.ndarray | None):
     """Cutoff k of the observed values, and the tie-break value of the row
@@ -278,18 +199,21 @@ def _cutoff_with_tie(v_obs: np.ndarray, tie_obs: np.ndarray | None,
         return float(np.quantile(v_obs, spec.level)), None
     # the max over all rows, or over those outside the high-leverage set,
     # which h > 3 mean(h) never covers entirely
-    keep = np.arange(v_obs.size)
     if spec.kind == "leverage_informed_max":
         if leverage is None:
             raise ValueError("leverage-informed cutoff needs a leverage vector")
         leverage = np.asarray(leverage, dtype=float).ravel()
         if leverage.size != v_obs.size:
             raise ValueError("leverage vector must align with observed values")
-        keep = np.setdiff1d(keep, high_leverage_set(leverage))
+        keep = np.ones(v_obs.size, dtype=bool)
+        keep[high_leverage_set(leverage)] = False
+        v_obs = v_obs[keep]
+        tie_obs = None if tie_obs is None else tie_obs[keep]
+    k = v_obs.max()
     if tie_obs is None:
-        return float(v_obs[keep].max()), None
-    sel = keep[np.lexsort((tie_obs[keep], v_obs[keep]))[-1]]
-    return float(v_obs[sel]), float(tie_obs[sel])
+        return float(k), None
+    # the largest tie value among the rows that reach the max
+    return float(k), float(tie_obs[v_obs == k].max())
 
 
 # ---------------------------------------------------------------------------
@@ -388,23 +312,29 @@ def _draw_cov(c: np.ndarray) -> np.ndarray:
     return dev.T @ dev / c.shape[0]
 
 
-def _mvpv_arrays(B_draws: np.ndarray, X_rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Per-row (trace, logdet) of the across-draw covariance of B_a x.
+def _mvpv_arrays(C: np.ndarray, X: np.ndarray,
+                 need_det: bool) -> tuple[np.ndarray, np.ndarray | None]:
+    """Per-row trace and log-determinant (None unless ``need_det``) of
+    V_i = (I_n kron x_i)' C (I_n kron x_i), C the (n*q, n*q) Cov(vec B).
 
-    C is permuted once to Ct (q, n*n*q), so each block of rows is one gemm
-    W = X Ct, read as (b, n, n, q), and one batched matvec V = W x.
+    The trace is x_i' (sum_r C_rr) x_i whatever else is asked for. For
+    the log-determinant C is permuted once to Ct (q, n*n*q), so each
+    block of rows is one gemm W = X Ct, read as (b, n, n, q), one batched
+    matvec V = W x and one batched Cholesky (_logdet_psd).
     """
-    A, n, q = B_draws.shape
-    C = _draw_cov(B_draws.reshape(A, n * q)).reshape(n, q, n, q)
+    q = X.shape[1]
+    n = C.shape[0] // q
+    C = C.reshape(n, q, n, q)
+    T = np.einsum("rjrk->jk", C)
+    traces = ((X @ T) * X).sum(axis=1)
+    if not need_det:
+        return traces, None
     Ct = np.ascontiguousarray(C.transpose(1, 0, 2, 3)).reshape(q, n * n * q)
-    traces = np.empty(X_rows.shape[0])
-    logdets = np.empty(X_rows.shape[0])
-    for lo in range(0, X_rows.shape[0], _BLOCK_ROWS):
-        x = X_rows[lo:lo + _BLOCK_ROWS]
+    logdets = np.empty(X.shape[0])
+    for lo in range(0, X.shape[0], _BLOCK_ROWS):
+        x = X[lo:lo + _BLOCK_ROWS]
         W = (x @ Ct).reshape(x.shape[0], n, n, q)
-        V = (W @ x[:, None, :, None])[..., 0]
-        traces[lo:lo + x.shape[0]] = np.trace(V, axis1=1, axis2=2)
-        logdets[lo:lo + x.shape[0]] = _logdet_psd(V)
+        logdets[lo:lo + x.shape[0]] = _logdet_psd((W @ x[:, None, :, None])[..., 0])
     return traces, logdets
 
 
@@ -431,8 +361,7 @@ def _cmvpv_array(p: "PosteriorDraws", d: Dataset, target: int) -> np.ndarray:
         c = np.concatenate(
             [B[:, target, :] - np.einsum("ag,agq->aq", G, B[:, g, :]), G], axis=1)
         z = np.concatenate([d.X[rows], d.Y[rows][:, g]], axis=1)
-        vals[rows] = np.einsum("lm,mr,lr->l", z, _draw_cov(c), z,
-                               optimize=True) + sbar_mean
+        vals[rows] = ((z @ _draw_cov(c)) * z).sum(axis=1) + sbar_mean
     return vals
 
 
@@ -517,7 +446,9 @@ def score_locations(p: "PosteriorDraws", d: Dataset, measures=DEFAULT_MEASURES,
 
     traces = logdets = None
     if {"trace", "det"} & set(measures):
-        traces, logdets = _mvpv_arrays(p.B_draws, d.X)
+        A, n, q = p.B_draws.shape
+        traces, logdets = _mvpv_arrays(_draw_cov(p.B_draws.reshape(A, n * q)), d.X,
+                                       "det" in measures)
 
     cmvpv = {}
     for m in measures:
@@ -535,11 +466,12 @@ def score_locations(p: "PosteriorDraws", d: Dataset, measures=DEFAULT_MEASURES,
 def score_locations_analytic(d: Dataset, measures=DEFAULT_MEASURES,
                              cutoffs=DEFAULT_CUTOFFS,
                              sigma: np.ndarray | None = None) -> ExtrapolationReport:
-    """Closed-form scoring with a known (or OLS-estimated) error covariance.
+    """Scoring with a known (or OLS-estimated) error covariance.
 
-    Here V_i = x_i'(X'X)^-1 x_i * Sigma where X covers the observed rows,
-    so both scalarizations are exact, strictly increasing functions of
-    the leverage-style quadratic form. Supports the trace and det
+    Here Cov(vec B) = Sigma kron (X'X)^-1 where X covers the observed
+    rows, so V_i = x_i'(X'X)^-1 x_i * Sigma and both scalarizations are
+    strictly increasing functions of that leverage-style quadratic form.
+    The sampled path's kernel computes them. Supports the trace and det
     measures only; mainly a verification path for the sampled pipeline.
     """
     measures = _parse_measures(measures, d.response_names)
@@ -563,15 +495,12 @@ def score_locations_analytic(d: Dataset, measures=DEFAULT_MEASURES,
         sigma = np.asarray(sigma, dtype=float)
         if sigma.shape != (d.n_responses, d.n_responses):
             raise ValueError("sigma must be n x n")
+    sigma = _check_symmetric(sigma)
+    _logdet_psd(sigma)  # raises unless sigma is PSD within tolerance
 
     hvals = ivh_values(d.X[fit_rows], d.X)
-    tr_sigma = float(np.trace(sigma))
-    logdet_sigma = _logdet_psd(_check_symmetric(sigma))
-    n = d.n_responses
-
-    traces = hvals * tr_sigma
-    with np.errstate(divide="ignore"):
-        logdets = n * np.log(hvals) + logdet_sigma
+    gram_inv = cho_solve(_gram_cholesky(d.X[fit_rows]), np.eye(d.n_covariates))
+    traces, logdets = _mvpv_arrays(np.kron(sigma, gram_inv), d.X, "det" in measures)
     return _assemble_report(d, measures, traces, logdets, fit_rows, {}, cutoff_specs, hvals)
 
 

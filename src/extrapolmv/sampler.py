@@ -347,19 +347,6 @@ def gibbs_fit(d: Dataset, spec: ModelSpec) -> PosteriorDraws:
 
 
 # ---------------------------------------------------------------------------
-# Posterior predictive helpers
-# ---------------------------------------------------------------------------
-
-
-def predictive_mean_draws(p: PosteriorDraws, x: np.ndarray) -> np.ndarray:
-    """Mean vectors B_a x for every retained draw; shape (A, n)."""
-    x = np.asarray(x, dtype=float).ravel()
-    if x.size != p.B_draws.shape[2]:
-        raise ValueError(f"x has {x.size} entries, expected {p.B_draws.shape[2]}")
-    return p.B_draws @ x
-
-
-# ---------------------------------------------------------------------------
 # Convergence diagnostics
 # ---------------------------------------------------------------------------
 

@@ -259,6 +259,22 @@ def test_fit_record_and_csv_give_the_same_outputs(pipeline, tmp_path):
                        "stale": ["csv"] * 2}
 
 
+def test_tree_finds_the_fit_record_of_a_relative_draws_path(pipeline, tmp_path, monkeypatch):
+    # score records where its --draws lies, so tree run from another
+    # working directory still reads the fit record, not dataset.csv
+    shutil.copytree(pipeline["fit"], tmp_path / "fit")
+    data = pipeline["sim"] / "dataset.csv"
+    monkeypatch.chdir(tmp_path)
+    assert run("score", "--draws", "fit", "--data", data, "--out", tmp_path / "scores") == 0
+    elsewhere = tmp_path / "elsewhere"
+    elsewhere.mkdir()
+    monkeypatch.chdir(elsewhere)
+    assert run("tree", "--scores", tmp_path / "scores", "--data", data,
+               "--out", tmp_path / "tree") == 0
+    manifest = json.loads((tmp_path / "tree" / "manifest.json").read_text())
+    assert manifest["data_source"] == "fit record"
+
+
 def test_pipeline_parses_the_csv_once(tmp_path, monkeypatch):
     # fit parses dataset.csv; score and tree read the table fit recorded
     calls = []

@@ -10,19 +10,17 @@ from extrapolmv.extrapolation import (
     _draw_cov,
     _logdet_psd,
     _mvpv_arrays,
-    cmvpv,
-    compute_cutoff,
     conditional_mvn,
-    predictive_variance,
     measure_column,
     score_locations,
     score_locations_analytic,
     write_plotdata_csv,
     write_scores_csv,
 )
-from extrapolmv.sampler import ModelSpec, gibbs_fit, predictive_mean_draws
+from extrapolmv.sampler import ModelSpec, gibbs_fit
 
 from conftest import make_draws
+from oracles import cmvpv, compute_cutoff, predictive_mean_draws, predictive_variance
 
 
 # -- predictive_variance -------------------------------------------------------
@@ -356,6 +354,15 @@ def test_trace_values_match_per_location_op(fitted):
         assert ld[i] == pytest.approx(pv.logdet, rel=1e-8)
 
 
+def test_trace_does_not_depend_on_the_other_measures(fitted):
+    # the trace comes from one formula whichever measures are asked for
+    d, p = fitted
+    traces = [next(m.values for m in score_locations(p, d, measures=ms).measures
+                   if m.measure == "trace").tobytes()
+              for ms in (("trace",), ("det", "trace"), ("trace", "cmvpv:y1"))]
+    assert len(set(traces)) == 1
+
+
 def test_cmvpv_values_match_per_location_op(fitted):
     # every row and every target covers every sibling pattern
     d, p = fitted
@@ -446,7 +453,7 @@ def _kernel_against_reference(A, n, q, seed):
     B = rng.standard_normal((n, q)) + 0.1 * rng.standard_normal((A, n, q))
     p = make_draws(B, np.tile(np.eye(n), (A, 1, 1)), np.arange(l))
     ref = [predictive_variance(predictive_mean_draws(p, x)) for x in X]
-    tr, ld = _mvpv_arrays(B, X)
+    tr, ld = _mvpv_arrays(_draw_cov(B.reshape(A, n * q)), X, True)
     np.testing.assert_allclose(tr, [pv.trace for pv in ref], rtol=1e-14, atol=0)
     np.testing.assert_allclose(ld, [pv.logdet for pv in ref], rtol=1e-14, atol=0)
     return B
@@ -468,7 +475,7 @@ def test_blocked_kernel_constant_draws():
     l = 2 * _BLOCK_ROWS + 1
     X = np.column_stack([np.ones(l), rng.standard_normal((l, 3))])
     B = np.tile(rng.integers(-5, 6, (2, 4)).astype(float), (8, 1, 1))
-    tr, ld = _mvpv_arrays(B, X)
+    tr, ld = _mvpv_arrays(_draw_cov(B.reshape(8, 8)), X, True)
     assert np.all(tr == 0.0)
     assert np.all(ld == -np.inf)
 
@@ -524,6 +531,19 @@ def test_analytic_mvpv_flags_equal_ivh_flags(analytic_setup):
             ivh_flags = (hvals > k_by_name[c.name]).astype(int)
             np.testing.assert_array_equal(c.e, ivh_flags,
                                           err_msg=f"{m.measure}/{c.name}")
+
+
+def test_analytic_kernel_is_the_closed_form(analytic_setup):
+    # Cov(vec B) = Sigma kron (X_f'X_f)^-1 makes V_i = h_i Sigma, so the
+    # trace is h_i tr(Sigma) and the log-determinant n log h_i + log|Sigma|
+    d = analytic_setup
+    sigma = np.array([[2.0, 0.3, -0.4], [0.3, 0.5, 0.1], [-0.4, 0.1, 1.5]])
+    report = score_locations_analytic(d, measures=("trace", "det"), sigma=sigma)
+    hvals = ivh_values(d.X[np.flatnonzero(d.mask.any(axis=1))], d.X)
+    tr, ld = (m.values for m in report.measures)
+    np.testing.assert_allclose(tr, hvals * np.trace(sigma), rtol=1e-13, atol=0)
+    np.testing.assert_allclose(ld, 3 * np.log(hvals) + np.log(np.linalg.det(sigma)),
+                               rtol=0, atol=1e-12)
 
 
 def test_analytic_values_increasing_in_leverage(analytic_setup):

@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 
 pytest.importorskip("hypothesis")
-from hypothesis import assume, given, settings  # noqa: E402
+from hypothesis import assume, example, given, settings  # noqa: E402
 from hypothesis import strategies as st  # noqa: E402
 from hypothesis.extra.numpy import arrays  # noqa: E402
 
@@ -248,17 +248,21 @@ def test_permuting_rows_permutes_scores_and_flags(seed, l, n, q, missing):
 
 @settings(max_examples=10, deadline=None)
 @given(seed=st.integers(0, 10_000), l=st.integers(30, 300), n=st.integers(1, 3),
-       q=st.integers(2, 5), c=st.floats(0.1, 10.0), data=st.data())
-def test_rescaling_a_response_shifts_the_log_determinant(seed, l, n, q, c, data):
-    # V_i becomes D V_i D with D = diag(1, .., c, .., 1) at every location.
-    # eigvalsh resolves each eigenvalue to about eps * the largest, so the
-    # log-determinant's rounding grows with the conditioning of D V_i D;
-    # c within a factor of 10 keeps it under 1e-12.
+       q=st.integers(2, 5), c=st.floats(0.01, 100.0), j=st.integers(0, 2))
+@example(seed=0, l=85, n=3, q=5, c=79.0, j=2)
+def test_rescaling_a_response_shifts_the_log_determinant(seed, l, n, q, c, j):
+    # V_i becomes D V_i D with D = diag(1, .., c, .., 1) at every location,
+    # so its log-determinant moves by exactly 2 log c. The Cholesky pivots
+    # keep their relative accuracy whatever the scale of a response, so the
+    # shift holds to 1e-12 over four decades of c. eigvalsh, which resolves
+    # each eigenvalue only to about eps * the largest, missed 1e-12 at the
+    # explicit example.
+    assume(j < n)
     d, _ = synthesize(SynthSpec(l=l, n=n, q=q, missing_prob=0.3), seed=seed)
     assume(d.mask.any())
     B = _draws(np.random.default_rng(seed), 24, n, q)
     scaled = B.copy()
-    scaled[:, data.draw(st.integers(0, n - 1))] *= c
+    scaled[:, j] *= c
     one, two = _scored(d, B, ("det",)).primary, _scored(d, scaled, ("det",)).primary
     np.testing.assert_allclose(two.values - one.values, 2.0 * np.log(c), rtol=0, atol=1e-12)
     for c1, c2 in zip(one.cutoffs, two.cutoffs):

@@ -15,12 +15,12 @@ from extrapolmv.sampler import (
     gibbs_fit,
     invwishart_rvs,
     load_fit,
-    predictive_mean_draws,
     rhat,
     save_fit,
 )
 
 from conftest import make_draws
+from oracles import predictive_mean_draws
 
 
 # -- model spec -------------------------------------------------------------------
@@ -417,6 +417,19 @@ def test_fit_is_deterministic(missing_dataset):
     p2 = gibbs_fit(d, spec)
     np.testing.assert_array_equal(p1.B_draws, p2.B_draws)
     np.testing.assert_array_equal(p1.Sigma_draws, p2.Sigma_draws)
+
+
+def test_a_chain_does_not_depend_on_the_chain_count(missing_dataset):
+    # chain c runs on the c-th generator spawned from the seed, whatever
+    # the number of chains after it
+    d, _ = missing_dataset
+    three = gibbs_fit(d, ModelSpec(iterations=60, burn_in=20, chains=3, seed=23))
+    for c in range(3):
+        fewer = gibbs_fit(d, ModelSpec(iterations=60, burn_in=20, chains=c + 1, seed=23))
+        for name in ("B_draws", "Sigma_draws"):
+            a = getattr(three, name)[three.chain == c]
+            b = getattr(fewer, name)[fewer.chain == c]
+            assert a.shape == b.shape and a.tobytes() == b.tobytes(), (c, name)
 
 
 def test_draw_count_and_shapes(missing_dataset):
