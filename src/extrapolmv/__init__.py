@@ -46,7 +46,6 @@ from extrapolmv.extrapolation import (
     conditional_mvn,
     score_locations,
     score_locations_analytic,
-    write_plotdata_csv,
     write_scores_csv,
 )
 from extrapolmv.cart import (
@@ -93,7 +92,6 @@ __all__ = [
     "conditional_mvn",
     "score_locations",
     "score_locations_analytic",
-    "write_plotdata_csv",
     "write_scores_csv",
     "TreeNode",
     "TreeParams",

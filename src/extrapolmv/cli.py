@@ -5,8 +5,9 @@ measure/cutoff experiments. Every command writes a manifest.json
 (resolved parameters, input hashes, library versions, cores and BLAS
 thread variables; for ``fit`` and ``score`` also per-stage seconds)
 alongside its outputs, and all file writes go through a temp-file rename
-so partial outputs never appear. Exit codes: 0 success, 1 error, 2
-success with warnings.
+so partial outputs never appear. ``score`` writes one table,
+scores.csv, which holds every per-location figure, map columns included.
+Exit codes: 0 success, 1 error, 2 success with warnings.
 
 Only ``fit`` takes an ingestion config. ``score`` reads the config the
 fit recorded in meta.json; ``tree`` and ``report`` read the config and
@@ -63,7 +64,6 @@ from extrapolmv.extrapolation import (
     measure_column,
     score_locations,
     value_order,
-    write_plotdata_csv,
     write_scores_csv,
 )
 from extrapolmv.sampler import (
@@ -264,7 +264,6 @@ def _cmd_score(args) -> int:
     start = time.perf_counter()
     os.makedirs(args.out, exist_ok=True)
     write_scores_csv(report, os.path.join(args.out, "scores.csv"))
-    write_plotdata_csv(report, os.path.join(args.out, "plotdata.csv"))
     timings["write"] = time.perf_counter() - start
 
     params = {"draws": os.path.abspath(args.draws), "data": str(args.data),

@@ -12,29 +12,30 @@ ties at -inf are broken by the trace. All operations are pure given the
 posterior draws. Every measure is a quadratic form in the location: with
 C the covariance of vec(B), V_i = (I_n kron x_i)' C (I_n kron x_i),
 and CMVPV is z_i' Cov(c) z_i for per-draw coefficient rows c_a and
-z_i = [x_i; y_g]. One kernel, _mvpv_arrays, turns C into both MVPV
-measures: the sampled path passes the across-draw covariance of the
-draws, the analytic path Sigma kron (X_f'X_f)^-1. The trace is
-x_i' (sum_r C_rr) x_i, one q x q quadratic form per row, so no V_i is
-built for it. Only the log-determinant builds the V_i, a block of
+z_i = [x_i; y_g]. One kernel, _mvpv_arrays, turns C into the measures:
+the sampled path passes the across-draw covariance of the draws, the
+analytic path Sigma kron (X_f'X_f)^-1, and CMVPV Cov(c) with n = 1. The
+trace is x_i' (sum_r C_rr) x_i, one q x q quadratic form per row, so no
+V_i is built for it. Only the log-determinant builds the V_i, a block of
 dataset._BLOCK_ROWS rows at a time: one BLAS product of the block with
 C (q x n*n*q, 2*n*n*q*q flops per location), one batched product with
 x_i (2*n*n*q), then a batched n x n Cholesky, so nothing of size
-(l, n, n) is held. CMVPV rows are grouped by the integer code of their
-sibling pattern, one group per pattern.
+(l, n, n) is held. CMVPV groups its rows by sibling pattern with
+dataset._pattern_groups, as the sampler groups its fit rows, and takes
+each group's gains and Schur complements over the stack of Sigma draws
+from _conditional_gain, the function conditional_mvn calls for one Sigma.
 """
 
 from __future__ import annotations
 
 import time
 from dataclasses import dataclass
-from functools import cached_property
 from typing import TYPE_CHECKING
 
 import numpy as np
-from scipy.linalg import cho_factor, cho_solve
+from scipy.linalg import cho_solve
 
-from extrapolmv.dataset import _BLOCK_ROWS, Dataset, _write_table, row_status
+from extrapolmv.dataset import _BLOCK_ROWS, Dataset, _pattern_groups, _write_table, row_status
 from extrapolmv.diagnostics import _gram_cholesky, high_leverage_set, ivh_values
 
 if TYPE_CHECKING:  # pragma: no cover
@@ -89,23 +90,24 @@ def _logdet_psd(V: np.ndarray):
 # ---------------------------------------------------------------------------
 
 
-def _conditional_gain(sigma: np.ndarray, target: np.ndarray,
-                      given: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Gain matrix Sigma_tg Sigma_gg^-1 and the conditional covariance.
+def _conditional_gain(sigma: np.ndarray, target, given) -> tuple[np.ndarray, np.ndarray]:
+    """Gain Sigma_tg Sigma_gg^-1 and conditional covariance
+    Sigma_tt - G Sigma_gt, of one Sigma or of each in a (..., n, n) stack.
 
-    Used by conditional_mvn. Both depend on Sigma alone, not on the
-    conditioning values. The sampler computes the same conditional for
-    all its missingness patterns at once (sampler._conditionals).
+    Both depend on Sigma alone, not on the conditioning values:
+    conditional_mvn passes one Sigma, CMVPV scoring the stack of draws.
+    The sampler batches the same conditional over its missingness
+    patterns instead (sampler._conditionals).
     """
-    S_gg = sigma[np.ix_(given, given)]
-    S_tg = sigma[np.ix_(target, given)]
+    t, g = np.asarray(target, dtype=int), np.asarray(given, dtype=int)
+    S_tg = sigma[..., t[:, None], g]
     try:
-        c = cho_factor(S_gg, lower=True)
+        G = np.linalg.solve(sigma[..., g[:, None], g], np.swapaxes(S_tg, -1, -2))
     except np.linalg.LinAlgError:
         raise np.linalg.LinAlgError("conditioning block of Sigma is singular") from None
-    G = cho_solve(c, S_tg.T).T
-    S_bar = sigma[np.ix_(target, target)] - G @ S_tg.T
-    return G, 0.5 * (S_bar + S_bar.T)
+    G = np.swapaxes(G, -1, -2)
+    S_bar = sigma[..., t[:, None], t] - np.einsum("...tg,...ug->...tu", G, S_tg)
+    return G, 0.5 * (S_bar + np.swapaxes(S_bar, -1, -2))
 
 
 def conditional_mvn(mu: np.ndarray, sigma: np.ndarray, target, given,
@@ -251,14 +253,6 @@ class ExtrapolationReport:
     def primary(self) -> MeasureReport:
         return self.measures[0]
 
-    @cached_property
-    def coord_text(self) -> list[list[str]]:
-        """lon and lat cells as scores.csv and plotdata.csv write them,
-        blank when the report has no coordinates; formatted once."""
-        if self.coords is None:
-            return [[""] * len(self.ids)] * 2
-        return [list(map(repr, self.coords[:, j].tolist())) for j in (0, 1)]
-
 
 def measure_column(measure: str) -> str:
     """CSV column name for a measure key: "trace", "det" or
@@ -343,25 +337,21 @@ def _cmvpv_array(p: "PosteriorDraws", d: Dataset, target: int) -> np.ndarray:
 
     For sibling set g each draw's conditional mean is c_a' z with
     c_a = [B_a[t] - G_a B_a[g], G_a] and z = [x; y_g], so the measure is
-    z' Cov(c) z plus the mean Schur complement; g may be empty. Rows are
-    grouped by the integer code of their sibling pattern.
+    z' Cov(c) z (_mvpv_arrays with n = 1) plus the mean Schur complement;
+    g may be empty. Rows are grouped by sibling pattern (_pattern_groups).
     """
     B = p.B_draws
-    S = p.Sigma_draws
     others = np.delete(np.arange(B.shape[1]), target)
-    codes = d.mask[:, others] @ (1 << np.arange(others.size))
-    order = np.argsort(codes, kind="stable")
+    patterns, order, bounds = _pattern_groups(d.mask[:, others])
     vals = np.empty(d.n_rows)
-    for rows in np.split(order, np.flatnonzero(np.diff(codes[order])) + 1):
-        g = others[d.mask[rows[0], others]]
-        S_tg = S[:, target, g]
-        G = np.linalg.solve(S[:, g[:, None], g[None, :]], S_tg[..., None])[..., 0]
-        sbar_mean = float((S[:, target, target]
-                           - np.einsum("ag,ag->a", S_tg, G)).mean())
+    for seen, lo, hi in zip(patterns, bounds[:-1], bounds[1:]):
+        rows, g = order[lo:hi], others[seen]
+        G, S_bar = _conditional_gain(p.Sigma_draws, [target], g)
+        G = G[:, 0]
         c = np.concatenate(
             [B[:, target, :] - np.einsum("ag,agq->aq", G, B[:, g, :]), G], axis=1)
         z = np.concatenate([d.X[rows], d.Y[rows][:, g]], axis=1)
-        vals[rows] = ((z @ _draw_cov(c)) * z).sum(axis=1) + sbar_mean
+        vals[rows] = _mvpv_arrays(_draw_cov(c), z, False)[0] + float(S_bar.mean())
     return vals
 
 
@@ -439,14 +429,18 @@ def score_locations(p: "PosteriorDraws", d: Dataset, measures=DEFAULT_MEASURES,
     expected = np.flatnonzero(d.mask.any(axis=1))
     if not np.array_equal(fit_rows, expected):
         raise ValueError("draws were not fitted on this dataset's observed rows")
-    if p.B_draws.shape[2] != d.n_covariates or p.B_draws.shape[1] != d.n_responses:
+    A, n, q = p.B_draws.shape
+    if q != d.n_covariates or n != d.n_responses:
         raise ValueError("draw dimensions do not match the dataset")
+    if "det" in measures and A <= n:
+        # Cov(vec B) has rank at most A - 1, so every V_i would be singular
+        raise ValueError(f"measure 'det' needs more kept draws than the {n} responses, "
+                         f"got {A}: every predictive covariance would be singular")
 
     hvals = ivh_values(d.X[fit_rows], d.X)
 
     traces = logdets = None
     if {"trace", "det"} & set(measures):
-        A, n, q = p.B_draws.shape
         traces, logdets = _mvpv_arrays(_draw_cov(p.B_draws.reshape(A, n * q)), d.X,
                                        "det" in measures)
 
@@ -488,8 +482,7 @@ def score_locations_analytic(d: Dataset, measures=DEFAULT_MEASURES,
         if complete.size < d.n_covariates + 2:
             raise ValueError("too few complete rows to estimate Sigma")
         Xc, Yc = d.X[complete], d.Y[complete]
-        c = cho_factor(Xc.T @ Xc, lower=True)
-        E = Yc - Xc @ cho_solve(c, Xc.T @ Yc)
+        E = Yc - Xc @ cho_solve(_gram_cholesky(Xc), Xc.T @ Yc)
         sigma = E.T @ E / complete.size
     else:
         sigma = np.asarray(sigma, dtype=float)
@@ -519,7 +512,11 @@ def write_scores_csv(report: ExtrapolationReport, path) -> None:
     values = {m.measure: m.values for m in report.measures}
     ordered = value_order([m.measure for m in report.measures])
     header = ["id", "lon", "lat", "status"] + [measure_column(m) for m in ordered]
-    columns = [report.ids, *report.coord_text, report.status]
+    if report.coords is None:
+        coords = [[""] * len(report.ids)] * 2
+    else:
+        coords = [list(map(repr, report.coords[:, j].tolist())) for j in (0, 1)]
+    columns = [report.ids, *coords, report.status]
     columns += [values[m] for m in ordered]
     for c in primary.cutoffs:
         header += [f"k_{c.name}", f"e_{c.name}", f"r_{c.name}"]
@@ -527,12 +524,6 @@ def write_scores_csv(report: ExtrapolationReport, path) -> None:
     header.append("first_flagging_cutoff")
     columns.append(primary.first_flagging)
     _write_table(path, header, columns)
-
-
-def write_plotdata_csv(report: ExtrapolationReport, path) -> None:
-    """Write the minimal map-plotting file: id, lon, lat, first cutoff hit."""
-    _write_table(path, ["id", "lon", "lat", "first_flagging_cutoff"],
-                 [report.ids, *report.coord_text, report.primary.first_flagging])
 
 
 def cutoff_summary(report: ExtrapolationReport) -> dict:

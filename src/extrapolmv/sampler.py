@@ -41,7 +41,8 @@ import numpy as np
 from scipy.linalg import lapack
 
 from extrapolmv.dataset import (_ARCHIVE_ERRORS, Dataset, _atomic_open, _check_arrays,
-                                _from_json, _load_json, _to_json, _write_json)
+                                _from_json, _load_json, _pattern_groups, _to_json,
+                                _write_json)
 
 DRAWS_FILE = "draws.csv"
 NPZ_FILE = "draws.npz"
@@ -313,13 +314,8 @@ def gibbs_fit(d: Dataset, spec: ModelSpec) -> PosteriorDraws:
     if iw_df <= n - 1:
         raise ValueError("IW degrees of freedom must exceed n - 1 for a proper prior")
 
-    # Sort the rows by missingness pattern (lexicographic, so the fully
-    # observed pattern comes last); each pattern is then one slice.
-    bits = 1 << np.arange(n - 1, -1, -1)
-    codes, pattern_of = np.unique(M @ bits, return_inverse=True)
-    patterns = (codes[:, None] & bits) > 0
-    order = np.argsort(pattern_of, kind="stable")
-    bounds = np.concatenate([[0], np.cumsum(np.bincount(pattern_of))])
+    # rows sorted by missingness pattern, so each pattern is one slice
+    patterns, order, bounds = _pattern_groups(M)
     M_sorted = M[order]
     Yobs = np.where(M_sorted, d.Y[fit_rows[order]], 0.0)
     pat = _Patterns(d.X[fit_rows[order]], Yobs, patterns, bounds)

@@ -284,7 +284,7 @@ def test_criterion_10_cli_determinism(tmp_path):
     compared = 0
     for rel in ("sim/dataset.csv", "sim/truth.json", "sim/config.json",
                 "fit/draws.csv", "fit/meta.json",
-                "scores/scores.csv", "scores/plotdata.csv",
+                "scores/scores.csv",
                 "tree/tree.json", "tree/tree.txt", "rep/report.md"):
         fa, fb = a / rel, b / rel
         assert fa.read_bytes() == fb.read_bytes(), f"{rel} differs"

@@ -53,7 +53,7 @@ def _run_pipeline(root):
 def test_outputs_and_manifests_exist(pipeline):
     for key, files in [("sim", ["dataset.csv", "truth.json", "config.json"]),
                        ("fit", ["draws.csv", "draws.npz", "meta.json"]),
-                       ("scores", ["scores.csv", "plotdata.csv"]),
+                       ("scores", ["scores.csv"]),
                        ("tree", ["tree.json", "tree.txt"]),
                        ("rep", ["report.md"])]:
         outdir = pipeline[key]
@@ -101,9 +101,11 @@ def test_scores_columns_and_monotone_counts(pipeline):
     assert counts["max"] == 0  # no observed value exceeds its own max
 
 
-def test_plotdata_schema(pipeline):
-    header, rows = read_csv(pipeline["scores"] / "plotdata.csv")
-    assert header == ["id", "lon", "lat", "first_flagging_cutoff"]
+def test_map_columns_are_in_scores(pipeline):
+    # scores.csv is the one per-location output; a map reads its columns
+    assert not (pipeline["scores"] / "plotdata.csv").exists()
+    header, rows = read_csv(pipeline["scores"] / "scores.csv")
+    assert {"id", "lon", "lat", "first_flagging_cutoff"} <= set(header)
     assert len(rows) == 400
 
 
@@ -251,7 +253,7 @@ def test_fit_record_and_csv_give_the_same_outputs(pipeline, tmp_path):
         if record:
             (fit / "dataset.npz").write_bytes((record / "dataset.npz").read_bytes())
         sources[case] = _score_and_tree(fit, data, tmp_path / case)
-        for name in ("scores/scores.csv", "scores/plotdata.csv", "tree/tree.json"):
+        for name in ("scores/scores.csv", "tree/tree.json"):
             key, rest = name.split("/")
             assert (tmp_path / case / name).read_bytes() == \
                 (pipeline[key] / rest).read_bytes(), (case, name)

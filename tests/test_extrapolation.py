@@ -7,6 +7,7 @@ from extrapolmv.dataset import _BLOCK_ROWS, SynthSpec, synthesize
 from extrapolmv.diagnostics import HighLeverageRule, high_leverage_set, ivh_values
 from extrapolmv.extrapolation import (
     CutoffSpec,
+    _conditional_gain,
     _draw_cov,
     _logdet_psd,
     _mvpv_arrays,
@@ -14,12 +15,11 @@ from extrapolmv.extrapolation import (
     measure_column,
     score_locations,
     score_locations_analytic,
-    write_plotdata_csv,
     write_scores_csv,
 )
 from extrapolmv.sampler import ModelSpec, gibbs_fit
 
-from conftest import make_draws
+from conftest import make_dataset, make_draws
 from oracles import cmvpv, compute_cutoff, predictive_mean_draws, predictive_variance
 
 
@@ -157,6 +157,21 @@ def test_singular_conditioning_block():
     sigma[1, 1] = 0.0
     with pytest.raises(np.linalg.LinAlgError):
         conditional_mvn(np.zeros(3), sigma, [0], [1, 2], [1.0, 1.0])
+
+
+def test_conditional_gain_of_a_stack_is_the_gain_of_each_matrix():
+    rng = np.random.default_rng(41)
+    A = rng.standard_normal((6, 4, 4))
+    sigmas = A @ np.swapaxes(A, 1, 2) + 0.5 * np.eye(4)
+    G, S_bar = _conditional_gain(sigmas, [2, 0], [3, 1])
+    assert G.shape == S_bar.shape == (6, 2, 2)
+    for k, sigma in enumerate(sigmas):
+        G_k, S_k = _conditional_gain(sigma, [2, 0], [3, 1])
+        np.testing.assert_allclose(G[k], G_k, rtol=1e-14, atol=1e-14)
+        np.testing.assert_allclose(S_bar[k], S_k, rtol=1e-14, atol=1e-14)
+    sigmas[4, 1, 1] = sigmas[4, 3, 3] = sigmas[4, 1, 3] = sigmas[4, 3, 1] = 1.0
+    with pytest.raises(np.linalg.LinAlgError, match="conditioning block"):
+        _conditional_gain(sigmas, [2, 0], [3, 1])
 
 
 @pytest.mark.parametrize("seed", range(4))
@@ -427,6 +442,23 @@ def test_degenerate_draws_det_ties_resolved_by_trace():
         score_locations(p, d, measures=("det",), cutoffs=("q95",))
 
 
+def test_det_needs_more_draws_than_responses():
+    # A kept draws give Cov(vec B) rank at most A - 1, so with A <= n every
+    # V_i is singular and only rounding would decide its log-determinant
+    rng = np.random.default_rng(61)
+    d, _ = synthesize(SynthSpec(l=30, n=4, q=3, missing_prob=0.0), seed=62)
+
+    def draws(A):
+        return make_draws(rng.standard_normal((A, 4, 3)),
+                          np.tile(np.eye(4), (A, 1, 1)), np.arange(30))
+
+    for A in (3, 4):
+        with pytest.raises(ValueError, match=f"than the 4 responses, got {A}"):
+            score_locations(draws(A), d, measures=("trace", "det"))
+    assert np.all(score_locations(draws(3), d, measures=("trace",)).measures[0].values > 0)
+    assert np.all(np.isfinite(score_locations(draws(5), d, measures=("det",)).measures[0].values))
+
+
 def test_never_observed_response_has_no_cutoff_base():
     rng = np.random.default_rng(55)
     d, _ = synthesize(SynthSpec(l=40, n=3, q=3, missing_prob=0.0), seed=56)
@@ -573,6 +605,18 @@ def test_determinant_scale_equivariance(analytic_setup):
         np.testing.assert_allclose(c2.r, c1.r, rtol=1e-8)
 
 
+def test_analytic_rejects_rank_deficient_complete_rows():
+    # the complete rows share one covariate value, so their X'X is singular
+    # while the design of all the rows is full rank
+    x = np.array([3.0] * 4 + [-1.0, 0.5, 2.0, 4.0, -2.5, 1.5])
+    Y = np.column_stack([x, -x]) + 0.1 * np.arange(20).reshape(10, 2)
+    mask = np.ones((10, 2), dtype=bool)
+    mask[4:, 1] = False
+    d = make_dataset(np.column_stack([np.ones(10), x]), Y, mask)
+    with pytest.raises(np.linalg.LinAlgError, match="X'X is singular"):
+        score_locations_analytic(d)
+
+
 def test_analytic_rejects_cmvpv(analytic_setup):
     with pytest.raises(ValueError, match="analytic mode"):
         score_locations_analytic(analytic_setup, measures=("cmvpv:y1",))
@@ -607,13 +651,12 @@ def floats(cells):
 
 
 @pytest.mark.parametrize("with_coords", [True, False])
-def test_scores_and_plotdata_round_trip_exactly(tmp_path, with_coords):
+def test_scores_round_trip_exactly(tmp_path, with_coords):
     d, _ = synthesize(SynthSpec(l=150, n=3, q=4, missing_prob=[0.6, 0.5, 0.4],
                                 with_coords=with_coords), seed=12)
     p = gibbs_fit(d, ModelSpec(iterations=80, burn_in=20, chains=1, seed=4))
     report = score_locations(p, d, measures=("cmvpv:y2", "det", "trace"))
     write_scores_csv(report, tmp_path / "scores.csv")
-    write_plotdata_csv(report, tmp_path / "plotdata.csv")
 
     header, cols = read_columns(tmp_path / "scores.csv")
     assert header[:4] == ["id", "lon", "lat", "status"]
@@ -630,14 +673,9 @@ def test_scores_and_plotdata_round_trip_exactly(tmp_path, with_coords):
         np.testing.assert_array_equal(floats(cols[f"r_{c.name}"]), c.r)
     assert cols["first_flagging_cutoff"] == primary.first_flagging
 
-    plot_header, plot = read_columns(tmp_path / "plotdata.csv")
-    assert plot_header == ["id", "lon", "lat", "first_flagging_cutoff"]
-    assert plot["id"] == report.ids
-    assert plot["first_flagging_cutoff"] == primary.first_flagging
-    for table in (cols, plot):
-        if with_coords:
-            np.testing.assert_array_equal(floats(table["lon"]), d.coords[:, 0])
-            np.testing.assert_array_equal(floats(table["lat"]), d.coords[:, 1])
-        else:
-            assert table["lon"] == table["lat"] == [""] * d.n_rows
+    if with_coords:
+        np.testing.assert_array_equal(floats(cols["lon"]), d.coords[:, 0])
+        np.testing.assert_array_equal(floats(cols["lat"]), d.coords[:, 1])
+    else:
+        assert cols["lon"] == cols["lat"] == [""] * d.n_rows
     assert not list(tmp_path.glob("*.tmp"))

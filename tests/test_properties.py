@@ -213,6 +213,24 @@ def test_write_table_bytes_are_csv_writer_bytes(table, missing):
             assert fh.read() == ref.getvalue().encode("utf-8")
 
 
+@settings(max_examples=60, deadline=None)
+@given(mask=arrays(np.bool_, st.tuples(st.integers(0, 40), st.integers(0, 5))))
+def test_pattern_groups_partition_the_rows(mask):
+    patterns, order, bounds = dataset._pattern_groups(mask)
+    assert patterns.shape == (bounds.size - 1, mask.shape[1])
+    assert bounds[0] == 0 and bounds[-1] == mask.shape[0] and np.all(np.diff(bounds) > 0)
+    np.testing.assert_array_equal(np.sort(order), np.arange(mask.shape[0]))
+    for pattern, lo, hi in zip(patterns, bounds[:-1], bounds[1:]):
+        rows = order[lo:hi]
+        assert np.all(mask[rows] == pattern)
+        assert np.all(np.diff(rows) > 0)  # stable: rows keep their order
+    # distinct and lexicographic (False before True), so all-observed is last
+    keys = [tuple(p) for p in patterns.tolist()]
+    assert keys == sorted(set(keys))
+    if mask.all(axis=1).any():
+        assert patterns[-1].all()
+
+
 def _scored(d, B, measures):
     """score_locations on hand-made draws fitted on d's observed rows."""
     A, n, _q = B.shape

@@ -148,6 +148,11 @@ def test_pattern_conditionals_match_conditional_mvn_for_every_pattern():
     for g, observed in enumerate(patterns):
         m, o = np.flatnonzero(~observed), np.flatnonzero(observed)
         G_ref, S_ref = _conditional_gain(Sigma, m, o)
+        # the same helper on a stack: the gain is scale-free, and the
+        # conditional covariance scales with Sigma
+        G_st, S_st = _conditional_gain(np.stack([Sigma, 4.0 * Sigma]), m, o)
+        np.testing.assert_allclose(G_st, [G_ref, G_ref], rtol=1e-12, atol=1e-12)
+        np.testing.assert_allclose(S_st, [S_ref, 4.0 * S_ref], rtol=1e-12, atol=1e-12)
         np.testing.assert_allclose(K[g][np.ix_(o, o)] @ Sigma[np.ix_(o, o)],
                                    np.eye(o.size), atol=1e-12)
         np.testing.assert_allclose(SK[g][np.ix_(m, o)], G_ref, rtol=1e-12, atol=1e-12)
