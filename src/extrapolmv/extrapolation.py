@@ -121,7 +121,9 @@ def conditional_mvn(mu: np.ndarray, sigma: np.ndarray, target, given,
         mu_bar    = mu_t + Sigma_tg Sigma_gg^-1 (a - mu_g)
         Sigma_bar = Sigma_tt - Sigma_tg Sigma_gg^-1 Sigma_gt
 
-    An empty ``given`` set returns the marginal block unchanged.
+    An empty ``given`` set returns the marginal block unchanged, and a
+    conditioning block Sigma_gg that is not positive definite raises
+    LinAlgError naming the given components.
     """
     mu = np.asarray(mu, dtype=float).ravel()
     sigma = np.asarray(sigma, dtype=float)
@@ -136,6 +138,11 @@ def conditional_mvn(mu: np.ndarray, sigma: np.ndarray, target, given,
     a = np.asarray(a, dtype=float).ravel()
     if a.size != g.size:
         raise ValueError("conditioning values do not match given set")
+    try:
+        np.linalg.cholesky(sigma[np.ix_(g, g)])
+    except np.linalg.LinAlgError:
+        raise np.linalg.LinAlgError(f"conditioning block of Sigma on components {g.tolist()} "
+                                    "is not positive definite") from None
     G, S_bar = _conditional_gain(sigma, t, g)
     mu_bar = mu[t] + G @ (a - mu[g])
     return mu_bar, S_bar

@@ -25,10 +25,14 @@ proportional to |S|^-(df+n+1)/2 * exp(-tr(scale S^-1)/2), giving the
 full conditional IW(prior_scale + E'E, prior_df + l_fit) and prior mean
 scale/(df-n-1).
 
-Reproducibility: the chains run one after another, each on its own
-generator spawned from numpy's SeedSequence(seed), so a chain's draws do
-not depend on the other chains. Within an iteration the draw order is
-fixed: B, the pattern normals and chi-squares, then Sigma.
+Reproducibility: the chains advance together, one lockstep sweep per
+iteration that builds every chain's conditionals, precisions and residual
+Grams in the same batched calls. Each chain draws from its own generator,
+spawned from numpy's SeedSequence(seed), in a fixed order: per iteration
+the normals of B and of the patterns in one call, the pattern and
+Bartlett chi-squares in a second, the Bartlett normals in a third. So a
+chain's draws do not depend on the other chains or on how many there
+are, bit for bit, and equal those of the chain run alone.
 """
 
 from __future__ import annotations
@@ -129,24 +133,52 @@ def _strictly_lower(p: int) -> tuple[np.ndarray, np.ndarray]:
     return rows, cols
 
 
-def invwishart_rvs(df: float, scale: np.ndarray, rng: np.random.Generator) -> np.ndarray:
-    """One draw from IW(scale, df) via the Bartlett decomposition."""
-    scale = np.asarray(scale, dtype=float)
+def _bartlett(scale: np.ndarray, A: np.ndarray, rng: np.random.Generator) -> np.ndarray:
+    """The inverse-Wishart draw U'U, U = A^-1 C' with C C' = scale, of the
+    Bartlett factor A: the roots of chi-squares on its diagonal, as given,
+    and below it standard normals, drawn here from rng into A."""
     p = scale.shape[0]
-    if df <= p - 1:
-        raise ValueError("inverse-Wishart df must exceed dimension - 1")
-    C = _chol(scale, "inverse-Wishart scale")
-    A = np.diag(np.sqrt(rng.chisquare(df - np.arange(p))))
     A[_strictly_lower(p)] = rng.standard_normal(p * (p - 1) // 2)
+    C = _chol(scale, "inverse-Wishart scale")
     U, info = lapack.dtrtrs(A, C.T, lower=1)
     if info != 0:
         raise np.linalg.LinAlgError("Bartlett factor is singular")
     return U.T @ U
 
 
+def invwishart_rvs(df: float, scale: np.ndarray, rng: np.random.Generator) -> np.ndarray:
+    """One draw from IW(scale, df) via the Bartlett decomposition."""
+    scale = np.asarray(scale, dtype=float)
+    p = scale.shape[0]
+    if df <= p - 1:
+        raise ValueError("inverse-Wishart df must exceed dimension - 1")
+    return _bartlett(scale, np.diag(np.sqrt(rng.chisquare(df - np.arange(p)))), rng)
+
+
 # ---------------------------------------------------------------------------
 # Full-conditional updates
 # ---------------------------------------------------------------------------
+
+
+def _precision(XtX: np.ndarray, XtY: np.ndarray, K: np.ndarray,
+               prior_var: float) -> tuple[np.ndarray, np.ndarray]:
+    """Precision P = sum_g K_g kron X_g'X_g + I/prior_var of vec(Theta) and
+    its linear term vec(sum_g X_g'Y_g K_g), from a (G, n, n) stack K or one
+    such stack per chain (C, G, n, n); P and the term carry K's leading axes."""
+    *lead, G, n, _ = K.shape
+    q = XtX.shape[-1]
+    P = K.reshape(*lead, G, n * n).swapaxes(-1, -2) @ XtX.reshape(G, q * q)
+    P = P.reshape(*lead, n, n, q, q).swapaxes(-3, -2).reshape(*lead, n * q, n * q)
+    P.reshape(*lead, -1)[..., ::n * q + 1] += 1.0 / prior_var
+    return P, (XtY @ K).sum(axis=-3).swapaxes(-1, -2).reshape(*lead, n * q)
+
+
+def _coefficient_draw(P: np.ndarray, h: np.ndarray, z: np.ndarray) -> np.ndarray:
+    """mu + L'^-1 z for the precision P = L L' and mu solving P mu = h."""
+    L = _chol(P, "coefficient precision")
+    mu, _ = lapack.dpotrs(L, h, lower=1)
+    noise, _ = lapack.dtrtrs(L, z, lower=1, trans=1)
+    return mu + noise
 
 
 def draw_coefficients(XtX: np.ndarray, XtY: np.ndarray, sigma: np.ndarray,
@@ -155,23 +187,18 @@ def draw_coefficients(XtX: np.ndarray, XtY: np.ndarray, sigma: np.ndarray,
 
     Complete data: X'X, X'Y and Sigma give vec(Theta) the precision
     P = Sigma^-1 kron X'X + I/prior_var and the mean solving
-    P mu = vec(X'Y Sigma^-1). The sweep passes (G, ...) stacks over the
-    missingness patterns instead, with the zero-padded Sigma_oo^-1 of each
-    pattern, K_g, in place of Sigma: P = sum_g K_g kron X_g'X_g + I/prior_var
-    and linear term vec(sum_g X_g'Y_g K_g), the missing cells integrated
-    out. The draw is mu + L'^-1 z with P = L L' and z standard normal.
+    P mu = vec(X'Y Sigma^-1). (G, ...) stacks over the missingness
+    patterns may be passed instead, with the zero-padded Sigma_oo^-1 of
+    each pattern, K_g, in place of Sigma: P = sum_g K_g kron X_g'X_g +
+    I/prior_var and linear term vec(sum_g X_g'Y_g K_g), the missing cells
+    integrated out (see _precision). The draw is mu + L'^-1 z with P = L L'
+    and z standard normal.
     """
     if sigma.ndim == 2:
         XtX, XtY, sigma = XtX[None], XtY[None], np.linalg.inv(sigma)[None]
-    G, q, _ = XtX.shape
-    n = sigma.shape[-1]
-    P = (sigma.reshape(G, n * n).T @ XtX.reshape(G, q * q)).reshape(n, n, q, q)
-    P = P.transpose(0, 2, 1, 3).reshape(n * q, n * q)
-    P.flat[::n * q + 1] += 1.0 / prior_var
-    L = _chol(P, "coefficient precision")
-    mu, _ = lapack.dpotrs(L, (XtY @ sigma).sum(axis=0).T.ravel(), lower=1)
-    noise, _ = lapack.dtrtrs(L, rng.standard_normal(n * q), lower=1, trans=1)
-    return (mu + noise).reshape(n, q).T
+    n, q = sigma.shape[-1], XtX.shape[-1]
+    P, h = _precision(XtX, XtY, sigma, prior_var)
+    return _coefficient_draw(P, h, rng.standard_normal(n * q)).reshape(n, q).T
 
 
 class _Patterns:
@@ -186,8 +213,7 @@ class _Patterns:
 
     What every sweep reuses is fixed here: the flat indices of ``noise``
     and of the chi-square cells ``chi_at`` in the (G, n, q + n) normals
-    T, and ``W``, the (q + n, n) buffer [-Theta; I] whose top rows
-    _residual_gram overwrites.
+    T, and ``W``, the (q + n, n) template [0; I] of [-Theta; I].
     """
 
     def __init__(self, X: np.ndarray, Y: np.ndarray, patterns: np.ndarray,
@@ -224,82 +250,119 @@ class _Patterns:
         self.W = np.vstack([np.zeros((q, n)), np.eye(n)])
 
 
+class _ChainFailure(np.linalg.LinAlgError):
+    """A factorisation failed in one chain of a sweep; ``chain`` says which."""
+
+    def __init__(self, chain: int, message):
+        super().__init__(str(message))
+        self.chain = chain
+
+
 def _pattern_chol(A: np.ndarray, pat: _Patterns, what: str) -> np.ndarray:
-    """Lower Cholesky factors of a (G, n, n) stack; the error names the
-    missing responses of the first pattern whose block is not PD."""
+    """Lower Cholesky factors of a (G, n, n) stack, or of one per chain
+    (C, G, n, n). If any block is not PD, the blocks are redone one at a
+    time: the error names the lowest failing chain and the missing
+    responses of its first such pattern."""
     try:
         return np.linalg.cholesky(A)
     except np.linalg.LinAlgError:
-        g = next((g for g, a in enumerate(A) if lapack.dpotrf(a, lower=1)[1]), 0)
-        raise np.linalg.LinAlgError(
-            f"{what} is not positive definite for the pattern with missing "
-            f"responses {np.flatnonzero(pat.mm[g].diagonal()).tolist()}") from None
+        blocks = A.reshape(-1, *A.shape[-2:])
+        i = next((i for i, a in enumerate(blocks) if lapack.dpotrf(a, lower=1)[1]), 0)
+        chain, g = divmod(i, len(pat.oo))
+        raise _ChainFailure(chain, f"{what} is not positive definite for the pattern with "
+                            f"missing responses {np.flatnonzero(pat.mm[g].diagonal()).tolist()}"
+                            ) from None
 
 
 def _residual_gram(pat: _Patterns, Theta: np.ndarray, SK: np.ndarray,
                    Lc: np.ndarray, T: np.ndarray) -> np.ndarray:
     """sum_g E_g'E_g as sum_g J_g J_g' with J_g = SK_g R_g + Lc_g T_g, where
     R_g = (F_g W)' holds the residuals of the virtual rows; SK_g has zero
-    columns m, so their missing cells drop out."""
-    W = pat.W  # [X, Y] W = Y - X Theta
-    np.negative(Theta, out=W[:Theta.shape[0]])
-    J = SK @ np.swapaxes(pat.rows @ W, 1, 2) + Lc @ T
-    return np.einsum("gij,gkj->ik", J, J)
+    columns m, so their missing cells drop out. With a chain axis in front
+    of every argument, one sum per chain."""
+    W = np.empty(Theta.shape[:-2] + pat.W.shape)
+    W[...] = pat.W
+    np.negative(Theta, out=W[..., :Theta.shape[-2], :])  # [X, Y] W = Y - X Theta
+    J = SK @ (pat.rows @ W[..., None, :, :]).swapaxes(-1, -2) + Lc @ T
+    return np.einsum("...gij,...gkj->...ik", J, J)
 
 
 def _conditionals(pat: _Patterns, Sigma: np.ndarray) -> tuple[np.ndarray, ...]:
-    """The normal of y_m given y_o, stacked over the patterns: K_g, the
-    zero-padded Sigma_oo^-1; SK_g = Sigma K_g, I in rows o and the gain
-    Sigma_mo Sigma_oo^-1 in rows m (columns m zero); Lc_g, the Cholesky
-    factor of the conditional covariance C_g in block m and I in block o."""
+    """The normal of y_m given y_o, stacked over the patterns (and over the
+    chains, for a (C, n, n) Sigma): K_g, the zero-padded Sigma_oo^-1;
+    SK_g = Sigma K_g, I in rows o and the gain Sigma_mo Sigma_oo^-1 in rows
+    m (columns m zero); Lc_g, the Cholesky factor of the conditional
+    covariance C_g in block m and I in block o. Each Sigma_oo must be PD:
+    one stacked Cholesky checks them beside factoring the C_g."""
+    Sigma = Sigma[..., None, :, :]
     M = Sigma * pat.oo + pat.eye_m
-    _pattern_chol(M, pat, "Sigma_oo")
-    K = np.linalg.inv(M) * pat.oo
+    try:
+        K = np.linalg.inv(M) * pat.oo
+    except np.linalg.LinAlgError:
+        _pattern_chol(M, pat, "Sigma_oo")  # a singular Sigma_oo is not PD
+        raise
     SK = Sigma @ K
-    Lc = _pattern_chol((Sigma - SK @ Sigma) * pat.mm + pat.eye_o, pat,
-                       "conditional covariance of the missing responses")
+    G = len(pat.oo)
+    MC = np.concatenate([M, (Sigma - SK @ Sigma) * pat.mm + pat.eye_o], axis=-3)
+    try:
+        Lc = np.linalg.cholesky(MC)[..., G:, :, :]
+    except np.linalg.LinAlgError:  # the failing block is in one half: name it
+        _pattern_chol(M, pat, "Sigma_oo")
+        _pattern_chol(MC[..., G:, :, :], pat, "conditional covariance of the missing responses")
     return K, SK, Lc
 
 
 def _sweep(pat: _Patterns, Sigma: np.ndarray, prior_var: float, iw_scale: np.ndarray,
-           iw_df: float, rng: np.random.Generator) -> tuple[np.ndarray, np.ndarray]:
-    """One collapsed sweep: Theta given Sigma, then Sigma given Theta."""
-    K, SK, Lc = _conditionals(pat, Sigma)
-    Theta = draw_coefficients(pat.XtX, pat.XtY, K, prior_var, rng)
-    T = np.zeros(pat.noise.shape)
-    flat = T.reshape(-1)
-    flat[pat.noise_flat] = rng.standard_normal(pat.noise_flat.size)
-    flat[pat.chi_flat] = np.sqrt(rng.chisquare(pat.chi_df))
-    EtE = _residual_gram(pat, Theta, SK, Lc, T)
-    return Theta, invwishart_rvs(iw_df + pat.l, iw_scale + EtE, rng)
+           iw_df: float, rng) -> tuple[np.ndarray, np.ndarray]:
+    """One collapsed sweep: Theta given Sigma, then Sigma given Theta.
 
-
-def _run_chain(chain, seedseq, pat: _Patterns, Sigma, spec: ModelSpec, iw_scale, iw_df):
-    """One chain's kept B and Sigma draws."""
-    rng = np.random.default_rng(seedseq)
-    n, q = Sigma.shape[0], pat.XtX.shape[1]
-    n_keep = (spec.iterations - spec.burn_in + spec.thin - 1) // spec.thin
-    B_out = np.empty((n_keep, n, q))
-    S_out = np.empty((n_keep, n, n))
-    for t in range(spec.iterations):
-        try:
-            Theta, Sigma = _sweep(pat, Sigma, spec.coef_prior_var, iw_scale, iw_df, rng)
-        except np.linalg.LinAlgError as exc:
-            raise np.linalg.LinAlgError(
-                f"chain {chain}, iteration {t + 1}: {exc}") from exc
-        r, skip = divmod(t - spec.burn_in, spec.thin)
-        if r >= 0 and not skip:
-            B_out[r] = Theta.T
-            S_out[r] = Sigma
-    return B_out, S_out
-
-
-def gibbs_fit(d: Dataset, spec: ModelSpec) -> PosteriorDraws:
-    """Fit the joint linear model on the rows with any observed response.
-
-    Deterministic for a fixed spec. The chains run one after another,
-    each on its own generator spawned from SeedSequence(spec.seed).
+    A 2-D Sigma and one generator sweep one chain. A (C, n, n) Sigma and a
+    sequence of C generators sweep C chains in lockstep: the conditionals,
+    precisions and residual Grams of all chains are built together, and
+    only the draws and each chain's nq x nq and n x n factorisations run
+    chain by chain. Either way each generator is called three times, in
+    one fixed order: the normals of B and of T, the chi-squares of T and
+    of the Bartlett diagonal, then the Bartlett normals. A factorisation
+    that fails raises _ChainFailure, which names the lowest failing chain
+    of the first step that fails.
     """
+    rngs = [rng] if Sigma.ndim == 2 else rng
+    n, q = Sigma.shape[-1], pat.XtX.shape[-1]
+    nq, k = n * q, pat.chi_df.size
+    K, SK, Lc = _conditionals(pat, Sigma)
+    P, h = _precision(pat.XtX, pat.XtY, K, prior_var)
+    P, h = P.reshape(-1, nq, nq), h.reshape(-1, nq)
+    chi_df = np.concatenate([pat.chi_df, iw_df + pat.l - np.arange(n)])
+    z = np.empty((len(rngs), nq + pat.noise_flat.size))
+    chi = np.empty((len(rngs), chi_df.size))
+    vec = np.empty((len(rngs), nq))
+    for c, r in enumerate(rngs):
+        z[c] = r.standard_normal(z.shape[1])
+        chi[c] = r.chisquare(chi_df)
+        try:
+            vec[c] = _coefficient_draw(P[c], h[c], z[c, :nq])
+        except np.linalg.LinAlgError as exc:
+            raise _ChainFailure(c, exc) from None
+    root = np.sqrt(chi)
+    Theta = vec.reshape(Sigma.shape[:-2] + (n, q)).swapaxes(-1, -2)
+    T = np.zeros(Sigma.shape[:-2] + pat.noise.shape)
+    flat = T.reshape(len(rngs), -1)
+    flat[:, pat.noise_flat] = z[:, nq:]
+    flat[:, pat.chi_flat] = root[:, :k]
+    scale = (iw_scale + _residual_gram(pat, Theta, SK, Lc, T)).reshape(-1, n, n)
+    A = np.zeros_like(scale)
+    A.reshape(len(rngs), -1)[:, ::n + 1] = root[:, k:]
+    for c, r in enumerate(rngs):
+        try:
+            scale[c] = _bartlett(scale[c], A[c], r)
+        except np.linalg.LinAlgError as exc:
+            raise _ChainFailure(c, exc) from None
+    return Theta, scale.reshape(Sigma.shape)
+
+
+def _fit_setup(d: Dataset, spec: ModelSpec):
+    """What every chain of a fit starts from: the fit rows, their
+    _Patterns, the starting Sigma and the resolved IW scale and df."""
     fit_rows = np.flatnonzero(d.mask.any(axis=1))
     if fit_rows.size == 0:
         raise ValueError("no rows with observed responses to fit on")
@@ -325,15 +388,42 @@ def gibbs_fit(d: Dataset, spec: ModelSpec) -> PosteriorDraws:
     # deterministic, scale-safe start: observed response variances plus I
     Sigma0 = np.diag([Yobs[M_sorted[:, j], j].var() if M_sorted[:, j].any() else 0.0
                       for j in range(n)]) + np.eye(n)
+    return fit_rows, pat, Sigma0, iw_scale, iw_df
 
-    children = np.random.SeedSequence(spec.seed).spawn(spec.chains)
-    results = [_run_chain(c, children[c], pat, Sigma0, spec, iw_scale, iw_df)
-               for c in range(spec.chains)]
 
-    per_chain = results[0][0].shape[0]
+def gibbs_fit(d: Dataset, spec: ModelSpec) -> PosteriorDraws:
+    """Fit the joint linear model on the rows with any observed response.
+
+    Deterministic for a fixed spec. The chains advance together, one
+    lockstep sweep per iteration, each on its own generator spawned from
+    SeedSequence(spec.seed) and drawn from in the order a chain run alone
+    would draw, so chain c's draws do not depend on the number of chains.
+    A failed factorisation raises LinAlgError naming the earliest failing
+    iteration and, within it, the lowest chain that failed at the first
+    failing step.
+    """
+    fit_rows, pat, Sigma0, iw_scale, iw_df = _fit_setup(d, spec)
+    n, q = d.n_responses, d.X.shape[1]
+    rngs = [np.random.default_rng(s)
+            for s in np.random.SeedSequence(spec.seed).spawn(spec.chains)]
+    per_chain = (spec.iterations - spec.burn_in + spec.thin - 1) // spec.thin
+    B_out = np.empty((spec.chains, per_chain, n, q))
+    S_out = np.empty((spec.chains, per_chain, n, n))
+    Sigma = np.repeat(Sigma0[None], spec.chains, axis=0)
+    for t in range(spec.iterations):
+        try:
+            Theta, Sigma = _sweep(pat, Sigma, spec.coef_prior_var, iw_scale, iw_df, rngs)
+        except _ChainFailure as exc:
+            raise np.linalg.LinAlgError(
+                f"chain {exc.chain}, iteration {t + 1}: {exc}") from exc
+        r, skip = divmod(t - spec.burn_in, spec.thin)
+        if r >= 0 and not skip:
+            B_out[:, r] = Theta.swapaxes(-1, -2)
+            S_out[:, r] = Sigma
+
     return PosteriorDraws(
-        B_draws=np.concatenate([r[0] for r in results]),
-        Sigma_draws=np.concatenate([r[1] for r in results]),
+        B_draws=B_out.reshape(-1, n, q),
+        Sigma_draws=S_out.reshape(-1, n, n),
         chain=np.repeat(np.arange(spec.chains), per_chain),
         draw=np.tile(np.arange(per_chain), spec.chains),
         fit_rows=fit_rows, spec=spec,

@@ -1,10 +1,11 @@
-"""Single-location reference computations the tests compare the batch code with.
+"""Reference computations the tests compare the batched code with.
 
-Each one says a measure or a cutoff for one location (or one set of
-values) in the plainest form: the covariance of the predictive-mean draws
-of one location, the CMVPV of one location by a linear solve per draw,
-and the cutoff of a plain value vector. The package computes the same
-quantities for every location at once.
+Each one says a measure, a cutoff or a Gibbs chain in the plainest form:
+the covariance of the predictive-mean draws of one location, the CMVPV of
+one location by a linear solve per draw, the cutoff of a plain value
+vector, and the chains of a fit run one after another, one sweep of one
+chain at a time. The package computes the same quantities for every
+location, or every chain, at once.
 """
 
 from __future__ import annotations
@@ -12,9 +13,12 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
+from scipy.linalg import lapack
 
+from extrapolmv import sampler
+from extrapolmv.dataset import Dataset
 from extrapolmv.extrapolation import CutoffSpec, _cutoff_with_tie, _logdet_psd
-from extrapolmv.sampler import PosteriorDraws
+from extrapolmv.sampler import ModelSpec, PosteriorDraws
 
 
 @dataclass
@@ -117,3 +121,68 @@ def compute_cutoff(v_obs: np.ndarray, spec: CutoffSpec,
                    leverage: np.ndarray | None = None) -> float:
     """Cutoff value k derived from the observed-location measure values."""
     return _cutoff_with_tie(np.asarray(v_obs, dtype=float).ravel(), None, spec, leverage)[0]
+
+
+# -- one Gibbs chain at a time ----------------------------------------------------
+
+
+def _draw_coefficients(XtX, XtY, K, prior_var, rng):
+    """Theta given Sigma: the precision sum_g K_g kron X_g'X_g + I/prior_var
+    and the linear term vec(sum_g X_g'Y_g K_g), one chain's normals."""
+    G, q, _ = XtX.shape
+    n = K.shape[-1]
+    P = (K.reshape(G, n * n).T @ XtX.reshape(G, q * q)).reshape(n, n, q, q)
+    P = P.transpose(0, 2, 1, 3).reshape(n * q, n * q)
+    P.flat[::n * q + 1] += 1.0 / prior_var
+    L, info = lapack.dpotrf(P, lower=1, clean=1)
+    assert info == 0
+    mu, _ = lapack.dpotrs(L, (XtY @ K).sum(axis=0).T.ravel(), lower=1)
+    noise, _ = lapack.dtrtrs(L, rng.standard_normal(n * q), lower=1, trans=1)
+    return (mu + noise).reshape(n, q).T
+
+
+def _invwishart(df, scale, rng):
+    """IW(scale, df) by the Bartlett decomposition."""
+    p = scale.shape[0]
+    C, info = lapack.dpotrf(scale, lower=1, clean=1)
+    assert info == 0
+    A = np.diag(np.sqrt(rng.chisquare(df - np.arange(p))))
+    A[np.tril_indices(p, -1)] = rng.standard_normal(p * (p - 1) // 2)
+    U, info = lapack.dtrtrs(A, C.T, lower=1)
+    assert info == 0
+    return U.T @ U
+
+
+def serial_sweep(pat, Sigma, prior_var, iw_scale, iw_df, rng):
+    """One chain's collapsed sweep on the (G, ...) pattern stacks of
+    sampler._Patterns: Theta given Sigma, then Sigma given Theta."""
+    M = Sigma * pat.oo + pat.eye_m
+    np.linalg.cholesky(M)
+    K = np.linalg.inv(M) * pat.oo
+    SK = Sigma @ K
+    Lc = np.linalg.cholesky((Sigma - SK @ Sigma) * pat.mm + pat.eye_o)
+    Theta = _draw_coefficients(pat.XtX, pat.XtY, K, prior_var, rng)
+    T = np.zeros(pat.noise.shape)
+    flat = T.reshape(-1)
+    flat[pat.noise_flat] = rng.standard_normal(pat.noise_flat.size)
+    flat[pat.chi_flat] = np.sqrt(rng.chisquare(pat.chi_df))
+    W = pat.W.copy()  # [X, Y] W = Y - X Theta
+    W[:Theta.shape[0]] = -Theta
+    J = SK @ np.swapaxes(pat.rows @ W, 1, 2) + Lc @ T
+    return Theta, _invwishart(iw_df + pat.l, iw_scale + np.einsum("gij,gkj->ik", J, J), rng)
+
+
+def serial_gibbs_fit(d: Dataset, spec: ModelSpec) -> tuple[np.ndarray, np.ndarray]:
+    """The kept (B_draws, Sigma_draws) of gibbs_fit, chain-major, with the
+    chains run one after another by serial_sweep, chain c on the c-th
+    generator spawned from SeedSequence(spec.seed)."""
+    _rows, pat, Sigma0, iw_scale, iw_df = sampler._fit_setup(d, spec)
+    B, S = [], []
+    for seed in np.random.SeedSequence(spec.seed).spawn(spec.chains):
+        rng, Sigma = np.random.default_rng(seed), Sigma0
+        for t in range(spec.iterations):
+            Theta, Sigma = serial_sweep(pat, Sigma, spec.coef_prior_var, iw_scale, iw_df, rng)
+            if t >= spec.burn_in and (t - spec.burn_in) % spec.thin == 0:
+                B.append(Theta.T)
+                S.append(Sigma)
+    return np.array(B), np.array(S)

@@ -159,6 +159,15 @@ def test_singular_conditioning_block():
         conditional_mvn(np.zeros(3), sigma, [0], [1, 2], [1.0, 1.0])
 
 
+def test_indefinite_conditioning_block_is_named():
+    # Sigma_gg = [[-1, .2], [.2, 1]] is nonsingular but no covariance
+    sigma = np.array([[2.0, 0.5, 0.1], [0.5, -1.0, 0.2], [0.1, 0.2, 1.0]])
+    with pytest.raises(np.linalg.LinAlgError,
+                       match=r"conditioning block of Sigma on components \[1, 2\] "
+                             "is not positive definite"):
+        conditional_mvn(np.zeros(3), sigma, [0], [1, 2], [1.0, 1.0])
+
+
 def test_conditional_gain_of_a_stack_is_the_gain_of_each_matrix():
     rng = np.random.default_rng(41)
     A = rng.standard_normal((6, 4, 4))

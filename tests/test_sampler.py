@@ -19,8 +19,8 @@ from extrapolmv.sampler import (
     save_fit,
 )
 
-from conftest import make_draws
-from oracles import predictive_mean_draws
+from conftest import make_dataset, make_draws
+from oracles import predictive_mean_draws, serial_gibbs_fit
 
 
 # -- model spec -------------------------------------------------------------------
@@ -437,6 +437,27 @@ def test_a_chain_does_not_depend_on_the_chain_count(missing_dataset):
             assert a.shape == b.shape and a.tobytes() == b.tobytes(), (c, name)
 
 
+@pytest.mark.parametrize("chains", [1, 2, 3])
+def test_lockstep_chains_are_the_serial_chains_bit_for_bit(chains):
+    # the Geweke test's masks: a pattern with fewer rows than responses and
+    # two with a Wishart remainder. Chain c of the lockstep fit is, byte for
+    # byte, chain c run alone by the one-chain sweep
+    rng = np.random.default_rng(13)
+    mask = np.array([[1, 1, 1]] * 4 + [[0, 1, 1]] * 8 + [[1, 1, 0]] * 8 + [[1, 0, 0]] * 2,
+                    dtype=bool)
+    X = np.column_stack([np.ones(len(mask)), rng.standard_normal(len(mask))])
+    Y = np.where(mask, X @ rng.standard_normal((2, 3)) + rng.standard_normal(mask.shape),
+                 np.nan)
+    d = make_dataset(X, Y, mask)
+    spec = ModelSpec(iterations=30, burn_in=7, thin=2, chains=chains, seed=8,
+                     iw_scale=4.0 * np.eye(3), iw_df=6.0)
+    p = gibbs_fit(d, spec)
+    B, S = serial_gibbs_fit(d, spec)
+    assert p.B_draws.shape == B.shape == (chains * 12, 3, 2)
+    assert p.B_draws.tobytes() == B.tobytes()
+    assert p.Sigma_draws.tobytes() == S.tobytes()
+
+
 def test_draw_count_and_shapes(missing_dataset):
     d, _ = missing_dataset
     spec = ModelSpec(iterations=100, burn_in=40, thin=2, chains=2, seed=1)
@@ -476,12 +497,36 @@ def test_sweep_failure_names_the_pattern(monkeypatch, missing_dataset):
     # Sigma_oo fails to be PD exactly for the patterns that observe
     # response 2; the first of them in sorted order misses response 0. The
     # sweep of iteration 2 meets the bad first Sigma draw.
-    monkeypatch.setattr(sampler, "invwishart_rvs",
-                        lambda df, scale, rng: np.diag([1.0, 1.0, -1.0]))
+    monkeypatch.setattr(sampler, "_bartlett",
+                        lambda scale, A, rng: np.diag([1.0, 1.0, -1.0]))
     with pytest.raises(np.linalg.LinAlgError,
                        match=r"chain 0, iteration 2: Sigma_oo is not positive "
                              r"definite for the pattern with missing responses \[0"):
         gibbs_fit(missing_dataset[0], ModelSpec(iterations=5, burn_in=0, chains=1, seed=1))
+
+
+def test_singular_sigma_oo_names_the_pattern(monkeypatch, missing_dataset):
+    # a Sigma_oo that cannot be inverted is named like one that is not PD
+    monkeypatch.setattr(sampler, "_bartlett", lambda scale, A, rng: np.diag([1.0, 1.0, 0.0]))
+    with pytest.raises(np.linalg.LinAlgError,
+                       match=r"chain 0, iteration 2: Sigma_oo is not positive "
+                             r"definite for the pattern with missing responses \[0"):
+        gibbs_fit(missing_dataset[0], ModelSpec(iterations=5, burn_in=0, chains=1, seed=1))
+
+
+def _singular_sigma_draws(monkeypatch, bad):
+    """Make the Sigma step return a matrix of ones, which is not PD, as the
+    k-th draw of chain c for each (c, k) in bad. Calls are counted per
+    generator, and chain c's generator is the c-th one the step meets."""
+    calls = {}
+    real = sampler._bartlett
+
+    def singular(scale, A, rng):
+        calls[rng] = calls.get(rng, 0) + 1
+        S = real(scale, A, rng)
+        return np.ones_like(S) if (list(calls).index(rng), calls[rng]) in bad else S
+
+    monkeypatch.setattr(sampler, "_bartlett", singular)
 
 
 @pytest.mark.parametrize("missing", [True, False])
@@ -493,18 +538,20 @@ def test_chain_failure_names_chain_and_iteration(monkeypatch, missing_dataset,
         d, _ = missing_dataset
     else:
         d, _ = synthesize(SynthSpec(l=60, n=3, q=3, missing_prob=0.0), seed=2)
-    iters = 12
-    calls = []
-    real = sampler.invwishart_rvs
-
-    def singular_once(df, scale, rng):
-        calls.append(1)
-        S = real(df, scale, rng)
-        return np.ones_like(S) if len(calls) == iters + 4 else S
-
-    monkeypatch.setattr(sampler, "invwishart_rvs", singular_once)
+    _singular_sigma_draws(monkeypatch, {(1, 4)})
     with pytest.raises(np.linalg.LinAlgError, match=r"chain 1, iteration 5: .*Sigma"):
-        gibbs_fit(d, ModelSpec(iterations=iters, burn_in=2, chains=2, seed=1))
+        gibbs_fit(d, ModelSpec(iterations=12, burn_in=2, chains=2, seed=1))
+
+
+@pytest.mark.parametrize("bad, named", [({(1, 4), (0, 6)}, "chain 1, iteration 5"),
+                                        ({(2, 3), (1, 3)}, "chain 1, iteration 4")])
+def test_failure_names_the_earliest_iteration_then_the_lowest_chain(
+        monkeypatch, missing_dataset, bad, named):
+    # the chains advance together: a later failure of a lower chain, or a
+    # failure of a higher chain in the same sweep, is not the one named
+    _singular_sigma_draws(monkeypatch, bad)
+    with pytest.raises(np.linalg.LinAlgError, match=named + ": Sigma_oo"):
+        gibbs_fit(missing_dataset[0], ModelSpec(iterations=12, burn_in=2, chains=3, seed=1))
 
 
 def test_fit_requires_observed_rows():
