@@ -69,6 +69,7 @@ from extrapolmv.extrapolation import (
 from extrapolmv.sampler import (
     META_FILE,
     ModelSpec,
+    check_draw_counts,
     convergence_summary,
     gibbs_fit,
     load_fit,
@@ -181,13 +182,14 @@ def _load_transformed(data_path, config: IngestConfig, constants: dict | None = 
 
 def _cmd_fit(args) -> int:
     marks = [time.perf_counter()]
+    spec = ModelSpec(iterations=args.iters, burn_in=args.burnin, thin=args.thin,
+                     chains=args.chains, seed=args.seed,
+                     coef_prior_var=args.prior_var)
+    check_draw_counts(spec.chains, spec.kept_per_chain)  # refuse before sweeping, not after
     config = IngestConfig.from_json(args.config)
     raw, d, t, _ = _load_transformed(args.data, config)
     dataset_hash = _sha256_file(args.data)
     config_hash = _sha256_json(_to_json(config))
-    spec = ModelSpec(iterations=args.iters, burn_in=args.burnin, thin=args.thin,
-                     chains=args.chains, seed=args.seed,
-                     coef_prior_var=args.prior_var)
     marks.append(time.perf_counter())
     draws = gibbs_fit(d, spec)
     marks.append(time.perf_counter())

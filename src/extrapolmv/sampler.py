@@ -11,7 +11,7 @@ Gibbs sampler over (B, Y_mis) and Sigma, batched over the patterns:
 
 1. B given Sigma and Y_obs, the missing cells integrated out, from the
    precision sum_g K_g kron X_g'X_g + I/coef_prior_var with K_g the
-   zero-padded Sigma_oo^-1 (see draw_coefficients).
+   zero-padded Sigma_oo^-1 (see _precision).
 2. Sigma from IW(prior_df + l, prior_scale + sum_g E_g'E_g), where each
    residual Gram E_g'E_g is drawn exactly from its law given B as J_g J_g',
    J_g = V_g R_g + C_g^1/2 T_g: V_g = Sigma K_g (I in rows o, the gain
@@ -61,7 +61,8 @@ class ModelSpec:
     """Prior and run-length configuration for gibbs_fit.
 
     ``iw_scale`` defaults to the identity and ``iw_df`` to q + 1 (resolved
-    against the dataset at fit time).
+    against the dataset at fit time); gibbs_fit rejects an ``iw_scale``
+    that is not finite, symmetric and positive definite.
     """
 
     coef_prior_var: float = 100.0
@@ -86,6 +87,11 @@ class ModelSpec:
             raise ValueError("need at least one chain")
         if self.iw_scale is not None:
             self.iw_scale = np.asarray(self.iw_scale, dtype=float)
+
+    @property
+    def kept_per_chain(self) -> int:
+        """Draws each chain keeps: every thin-th iteration after burn-in."""
+        return (self.iterations - self.burn_in + self.thin - 1) // self.thin
 
 
 @dataclass
@@ -146,15 +152,6 @@ def _bartlett(scale: np.ndarray, A: np.ndarray, rng: np.random.Generator) -> np.
     return U.T @ U
 
 
-def invwishart_rvs(df: float, scale: np.ndarray, rng: np.random.Generator) -> np.ndarray:
-    """One draw from IW(scale, df) via the Bartlett decomposition."""
-    scale = np.asarray(scale, dtype=float)
-    p = scale.shape[0]
-    if df <= p - 1:
-        raise ValueError("inverse-Wishart df must exceed dimension - 1")
-    return _bartlett(scale, np.diag(np.sqrt(rng.chisquare(df - np.arange(p)))), rng)
-
-
 # ---------------------------------------------------------------------------
 # Full-conditional updates
 # ---------------------------------------------------------------------------
@@ -163,14 +160,14 @@ def invwishart_rvs(df: float, scale: np.ndarray, rng: np.random.Generator) -> np
 def _precision(XtX: np.ndarray, XtY: np.ndarray, K: np.ndarray,
                prior_var: float) -> tuple[np.ndarray, np.ndarray]:
     """Precision P = sum_g K_g kron X_g'X_g + I/prior_var of vec(Theta) and
-    its linear term vec(sum_g X_g'Y_g K_g), from a (G, n, n) stack K or one
-    such stack per chain (C, G, n, n); P and the term carry K's leading axes."""
-    *lead, G, n, _ = K.shape
+    its linear term vec(sum_g X_g'Y_g K_g), for each chain of a (C, G, n, n)
+    stack K: P is (C, nq, nq) and the term (C, nq)."""
+    C, G, n, _ = K.shape
     q = XtX.shape[-1]
-    P = K.reshape(*lead, G, n * n).swapaxes(-1, -2) @ XtX.reshape(G, q * q)
-    P = P.reshape(*lead, n, n, q, q).swapaxes(-3, -2).reshape(*lead, n * q, n * q)
-    P.reshape(*lead, -1)[..., ::n * q + 1] += 1.0 / prior_var
-    return P, (XtY @ K).sum(axis=-3).swapaxes(-1, -2).reshape(*lead, n * q)
+    P = K.reshape(C, G, n * n).swapaxes(-1, -2) @ XtX.reshape(G, q * q)
+    P = P.reshape(C, n, n, q, q).swapaxes(-3, -2).reshape(C, n * q, n * q)
+    P.reshape(C, -1)[:, ::n * q + 1] += 1.0 / prior_var
+    return P, (XtY @ K).sum(axis=-3).swapaxes(-1, -2).reshape(C, n * q)
 
 
 def _coefficient_draw(P: np.ndarray, h: np.ndarray, z: np.ndarray) -> np.ndarray:
@@ -179,26 +176,6 @@ def _coefficient_draw(P: np.ndarray, h: np.ndarray, z: np.ndarray) -> np.ndarray
     mu, _ = lapack.dpotrs(L, h, lower=1)
     noise, _ = lapack.dtrtrs(L, z, lower=1, trans=1)
     return mu + noise
-
-
-def draw_coefficients(XtX: np.ndarray, XtY: np.ndarray, sigma: np.ndarray,
-                      prior_var: float, rng: np.random.Generator) -> np.ndarray:
-    """Draw the q x n coefficient block Theta = B' given Sigma.
-
-    Complete data: X'X, X'Y and Sigma give vec(Theta) the precision
-    P = Sigma^-1 kron X'X + I/prior_var and the mean solving
-    P mu = vec(X'Y Sigma^-1). (G, ...) stacks over the missingness
-    patterns may be passed instead, with the zero-padded Sigma_oo^-1 of
-    each pattern, K_g, in place of Sigma: P = sum_g K_g kron X_g'X_g +
-    I/prior_var and linear term vec(sum_g X_g'Y_g K_g), the missing cells
-    integrated out (see _precision). The draw is mu + L'^-1 z with P = L L'
-    and z standard normal.
-    """
-    if sigma.ndim == 2:
-        XtX, XtY, sigma = XtX[None], XtY[None], np.linalg.inv(sigma)[None]
-    n, q = sigma.shape[-1], XtX.shape[-1]
-    P, h = _precision(XtX, XtY, sigma, prior_var)
-    return _coefficient_draw(P, h, rng.standard_normal(n * q)).reshape(n, q).T
 
 
 class _Patterns:
@@ -259,10 +236,10 @@ class _ChainFailure(np.linalg.LinAlgError):
 
 
 def _pattern_chol(A: np.ndarray, pat: _Patterns, what: str) -> np.ndarray:
-    """Lower Cholesky factors of a (G, n, n) stack, or of one per chain
-    (C, G, n, n). If any block is not PD, the blocks are redone one at a
-    time: the error names the lowest failing chain and the missing
-    responses of its first such pattern."""
+    """Lower Cholesky factors of a (C, G, n, n) stack, one (G, n, n) stack
+    per chain. If any block is not PD, the blocks are redone one at a time:
+    the error names the lowest failing chain and the missing responses of
+    its first such pattern."""
     try:
         return np.linalg.cholesky(A)
     except np.linalg.LinAlgError:
@@ -276,10 +253,10 @@ def _pattern_chol(A: np.ndarray, pat: _Patterns, what: str) -> np.ndarray:
 
 def _residual_gram(pat: _Patterns, Theta: np.ndarray, SK: np.ndarray,
                    Lc: np.ndarray, T: np.ndarray) -> np.ndarray:
-    """sum_g E_g'E_g as sum_g J_g J_g' with J_g = SK_g R_g + Lc_g T_g, where
-    R_g = (F_g W)' holds the residuals of the virtual rows; SK_g has zero
-    columns m, so their missing cells drop out. With a chain axis in front
-    of every argument, one sum per chain."""
+    """sum_g E_g'E_g of each chain as sum_g J_g J_g' with J_g = SK_g R_g +
+    Lc_g T_g, where R_g = (F_g W)' holds the residuals of the virtual rows;
+    SK_g has zero columns m, so their missing cells drop out. Every
+    argument but pat carries the chain axis first; the result is (C, n, n)."""
     W = np.empty(Theta.shape[:-2] + pat.W.shape)
     W[...] = pat.W
     np.negative(Theta, out=W[..., :Theta.shape[-2], :])  # [X, Y] W = Y - X Theta
@@ -288,8 +265,8 @@ def _residual_gram(pat: _Patterns, Theta: np.ndarray, SK: np.ndarray,
 
 
 def _conditionals(pat: _Patterns, Sigma: np.ndarray) -> tuple[np.ndarray, ...]:
-    """The normal of y_m given y_o, stacked over the patterns (and over the
-    chains, for a (C, n, n) Sigma): K_g, the zero-padded Sigma_oo^-1;
+    """The normal of y_m given y_o for each chain of a (C, n, n) Sigma,
+    stacked (C, G, n, n) over the patterns: K_g, the zero-padded Sigma_oo^-1;
     SK_g = Sigma K_g, I in rows o and the gain Sigma_mo Sigma_oo^-1 in rows
     m (columns m zero); Lc_g, the Cholesky factor of the conditional
     covariance C_g in block m and I in block o. Each Sigma_oo must be PD:
@@ -313,29 +290,26 @@ def _conditionals(pat: _Patterns, Sigma: np.ndarray) -> tuple[np.ndarray, ...]:
 
 
 def _sweep(pat: _Patterns, Sigma: np.ndarray, prior_var: float, iw_scale: np.ndarray,
-           iw_df: float, rng) -> tuple[np.ndarray, np.ndarray]:
-    """One collapsed sweep: Theta given Sigma, then Sigma given Theta.
+           iw_df: float, rngs) -> tuple[np.ndarray, np.ndarray]:
+    """One collapsed sweep of C chains in lockstep, Theta given Sigma and
+    then Sigma given Theta, from a (C, n, n) Sigma and C generators.
 
-    A 2-D Sigma and one generator sweep one chain. A (C, n, n) Sigma and a
-    sequence of C generators sweep C chains in lockstep: the conditionals,
-    precisions and residual Grams of all chains are built together, and
-    only the draws and each chain's nq x nq and n x n factorisations run
-    chain by chain. Either way each generator is called three times, in
-    one fixed order: the normals of B and of T, the chi-squares of T and
-    of the Bartlett diagonal, then the Bartlett normals. A factorisation
-    that fails raises _ChainFailure, which names the lowest failing chain
-    of the first step that fails.
+    The conditionals, precisions and residual Grams of all chains are
+    built together; only the draws and each chain's nq x nq and n x n
+    factorisations run chain by chain. Each generator is called three
+    times, in one fixed order: the normals of B and of T, the chi-squares
+    of T and of the Bartlett diagonal, then the Bartlett normals. A
+    factorisation that fails raises _ChainFailure, which names the lowest
+    failing chain of the first step that fails.
     """
-    rngs = [rng] if Sigma.ndim == 2 else rng
-    n, q = Sigma.shape[-1], pat.XtX.shape[-1]
-    nq, k = n * q, pat.chi_df.size
+    C, n, _ = Sigma.shape
+    nq, k = n * pat.XtX.shape[-1], pat.chi_df.size
     K, SK, Lc = _conditionals(pat, Sigma)
     P, h = _precision(pat.XtX, pat.XtY, K, prior_var)
-    P, h = P.reshape(-1, nq, nq), h.reshape(-1, nq)
     chi_df = np.concatenate([pat.chi_df, iw_df + pat.l - np.arange(n)])
-    z = np.empty((len(rngs), nq + pat.noise_flat.size))
-    chi = np.empty((len(rngs), chi_df.size))
-    vec = np.empty((len(rngs), nq))
+    z = np.empty((C, nq + pat.noise_flat.size))
+    chi = np.empty((C, chi_df.size))
+    vec = np.empty((C, nq))
     for c, r in enumerate(rngs):
         z[c] = r.standard_normal(z.shape[1])
         chi[c] = r.chisquare(chi_df)
@@ -344,20 +318,20 @@ def _sweep(pat: _Patterns, Sigma: np.ndarray, prior_var: float, iw_scale: np.nda
         except np.linalg.LinAlgError as exc:
             raise _ChainFailure(c, exc) from None
     root = np.sqrt(chi)
-    Theta = vec.reshape(Sigma.shape[:-2] + (n, q)).swapaxes(-1, -2)
-    T = np.zeros(Sigma.shape[:-2] + pat.noise.shape)
-    flat = T.reshape(len(rngs), -1)
+    Theta = vec.reshape(C, n, -1).swapaxes(-1, -2)
+    T = np.zeros((C,) + pat.noise.shape)
+    flat = T.reshape(C, -1)
     flat[:, pat.noise_flat] = z[:, nq:]
     flat[:, pat.chi_flat] = root[:, :k]
-    scale = (iw_scale + _residual_gram(pat, Theta, SK, Lc, T)).reshape(-1, n, n)
+    scale = iw_scale + _residual_gram(pat, Theta, SK, Lc, T)
     A = np.zeros_like(scale)
-    A.reshape(len(rngs), -1)[:, ::n + 1] = root[:, k:]
+    A.reshape(C, -1)[:, ::n + 1] = root[:, k:]
     for c, r in enumerate(rngs):
         try:
             scale[c] = _bartlett(scale[c], A[c], r)
         except np.linalg.LinAlgError as exc:
             raise _ChainFailure(c, exc) from None
-    return Theta, scale.reshape(Sigma.shape)
+    return Theta, scale
 
 
 def _fit_setup(d: Dataset, spec: ModelSpec):
@@ -372,7 +346,10 @@ def _fit_setup(d: Dataset, spec: ModelSpec):
     iw_scale = np.eye(n) if spec.iw_scale is None else np.asarray(spec.iw_scale, float)
     if iw_scale.shape != (n, n):
         raise ValueError("IW scale must be n x n")
-    np.linalg.cholesky(iw_scale)  # must be PD
+    # a Cholesky factor reads one triangle, and passes inf and NaN through
+    if not (np.isfinite(iw_scale).all() and np.array_equal(iw_scale, iw_scale.T)):
+        raise ValueError("IW scale is not a finite symmetric matrix")
+    _chol(iw_scale, "IW scale")
     iw_df = float(q + 1) if spec.iw_df is None else float(spec.iw_df)
     if iw_df <= n - 1:
         raise ValueError("IW degrees of freedom must exceed n - 1 for a proper prior")
@@ -406,7 +383,7 @@ def gibbs_fit(d: Dataset, spec: ModelSpec) -> PosteriorDraws:
     n, q = d.n_responses, d.X.shape[1]
     rngs = [np.random.default_rng(s)
             for s in np.random.SeedSequence(spec.seed).spawn(spec.chains)]
-    per_chain = (spec.iterations - spec.burn_in + spec.thin - 1) // spec.thin
+    per_chain = spec.kept_per_chain
     B_out = np.empty((spec.chains, per_chain, n, q))
     S_out = np.empty((spec.chains, per_chain, n, n))
     Sigma = np.repeat(Sigma0[None], spec.chains, axis=0)
@@ -531,11 +508,21 @@ class ConvergenceSummary:
         }
 
 
+def check_draw_counts(chains: int, per_chain: int) -> None:
+    """Raise ValueError unless convergence_summary can diagnose `chains`
+    chains of `per_chain` draws each: one chain needs 100 draws, and the
+    split halves of every chain need 4 draws."""
+    if chains < 2 and per_chain < 100:
+        raise ValueError(f"need at least 2 chains or 100 draws for diagnostics, "
+                         f"not {chains} chain of {per_chain}")
+    if per_chain < 4:
+        raise ValueError(f"need at least 4 draws per chain, not {per_chain}")
+
+
 def convergence_summary(p: PosteriorDraws) -> ConvergenceSummary:
     """Split-R-hat, ESS, mean and sd for every B and Sigma entry."""
-    chains = np.unique(p.chain)
-    if chains.size < 2 and p.n_draws < 100:
-        raise ValueError("need at least 2 chains or 100 draws for diagnostics")
+    chains, counts = np.unique(p.chain, return_counts=True)
+    check_draw_counts(chains.size, min(counts, default=0))
     _A, n, q = p.B_draws.shape
     entries = [(f"B[{r},{c}]", p.B_draws[:, r, c]) for r in range(n) for c in range(q)]
     entries += [(f"Sigma[{r},{c}]", p.Sigma_draws[:, r, c])

@@ -5,7 +5,9 @@ the covariance of the predictive-mean draws of one location, the CMVPV of
 one location by a linear solve per draw, the cutoff of a plain value
 vector, and the chains of a fit run one after another, one sweep of one
 chain at a time. The package computes the same quantities for every
-location, or every chain, at once.
+location, or every chain, at once. The one-chain Gibbs updates here,
+draw_coefficients and invwishart, are also the reference sampler of the
+joint-distribution tests.
 """
 
 from __future__ import annotations
@@ -126,7 +128,7 @@ def compute_cutoff(v_obs: np.ndarray, spec: CutoffSpec,
 # -- one Gibbs chain at a time ----------------------------------------------------
 
 
-def _draw_coefficients(XtX, XtY, K, prior_var, rng):
+def draw_coefficients(XtX, XtY, K, prior_var, rng):
     """Theta given Sigma: the precision sum_g K_g kron X_g'X_g + I/prior_var
     and the linear term vec(sum_g X_g'Y_g K_g), one chain's normals."""
     G, q, _ = XtX.shape
@@ -141,7 +143,7 @@ def _draw_coefficients(XtX, XtY, K, prior_var, rng):
     return (mu + noise).reshape(n, q).T
 
 
-def _invwishart(df, scale, rng):
+def invwishart(df, scale, rng):
     """IW(scale, df) by the Bartlett decomposition."""
     p = scale.shape[0]
     C, info = lapack.dpotrf(scale, lower=1, clean=1)
@@ -161,7 +163,7 @@ def serial_sweep(pat, Sigma, prior_var, iw_scale, iw_df, rng):
     K = np.linalg.inv(M) * pat.oo
     SK = Sigma @ K
     Lc = np.linalg.cholesky((Sigma - SK @ Sigma) * pat.mm + pat.eye_o)
-    Theta = _draw_coefficients(pat.XtX, pat.XtY, K, prior_var, rng)
+    Theta = draw_coefficients(pat.XtX, pat.XtY, K, prior_var, rng)
     T = np.zeros(pat.noise.shape)
     flat = T.reshape(-1)
     flat[pat.noise_flat] = rng.standard_normal(pat.noise_flat.size)
@@ -169,7 +171,7 @@ def serial_sweep(pat, Sigma, prior_var, iw_scale, iw_df, rng):
     W = pat.W.copy()  # [X, Y] W = Y - X Theta
     W[:Theta.shape[0]] = -Theta
     J = SK @ np.swapaxes(pat.rows @ W, 1, 2) + Lc @ T
-    return Theta, _invwishart(iw_df + pat.l, iw_scale + np.einsum("gij,gkj->ik", J, J), rng)
+    return Theta, invwishart(iw_df + pat.l, iw_scale + np.einsum("gij,gkj->ik", J, J), rng)
 
 
 def serial_gibbs_fit(d: Dataset, spec: ModelSpec) -> tuple[np.ndarray, np.ndarray]:

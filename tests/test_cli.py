@@ -160,6 +160,27 @@ def test_burnin_at_least_iterations_is_an_error(pipeline, tmp_path):
     assert rc == 1
 
 
+@pytest.mark.parametrize("argv, words", [
+    (["--iters", 5, "--burnin", 2], "at least 4 draws per chain"),
+    (["--chains", 1, "--iters", 150, "--burnin", 100], "at least 2 chains or 100 draws"),
+], ids=["three_draws_a_chain", "one_chain_of_fifty"])
+def test_undiagnosable_run_is_refused_before_the_sweep(pipeline, tmp_path, capsys,
+                                                       monkeypatch, argv, words):
+    # too few kept draws for the convergence summary: one error line and
+    # no output, before any sweep
+    def no_sweep(d, spec):
+        raise AssertionError("gibbs_fit ran")
+
+    monkeypatch.setattr(cli, "gibbs_fit", no_sweep)
+    capsys.readouterr()
+    assert run("fit", "--data", pipeline["sim"] / "dataset.csv",
+               "--config", pipeline["sim"] / "config.json", *argv,
+               "--out", tmp_path / "out") == 1
+    [line] = capsys.readouterr().err.splitlines()
+    assert line.startswith("error: ") and words in line, line
+    assert not (tmp_path / "out").exists()
+
+
 def test_unconverged_fit_returns_warning_code(pipeline, tmp_path):
     rc = run("fit", "--data", pipeline["sim"] / "dataset.csv",
              "--config", pipeline["sim"] / "config.json",

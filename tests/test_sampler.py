@@ -10,17 +10,15 @@ from extrapolmv.extrapolation import _conditional_gain, conditional_mvn
 from extrapolmv.sampler import (
     ModelSpec,
     convergence_summary,
-    draw_coefficients,
     ess,
     gibbs_fit,
-    invwishart_rvs,
     load_fit,
     rhat,
     save_fit,
 )
 
 from conftest import make_dataset, make_draws
-from oracles import predictive_mean_draws, serial_gibbs_fit
+from oracles import draw_coefficients, invwishart, predictive_mean_draws, serial_gibbs_fit
 
 
 # -- model spec -------------------------------------------------------------------
@@ -40,11 +38,19 @@ def test_spec_validation():
 # -- inverse-Wishart ----------------------------------------------------------------
 
 
+def _bartlett_draw(df, scale, rng):
+    """IW(scale, df) through the sweep's Bartlett step: the roots of
+    chi-squares on the factor's diagonal, the normals below it drawn by
+    _bartlett."""
+    root = np.sqrt(rng.chisquare(df - np.arange(scale.shape[0])))
+    return sampler._bartlett(scale, np.diag(root), rng)
+
+
 def test_invwishart_mean_matches_formula():
     scale = np.array([[2.0, 0.3], [0.3, 1.0]])
     df = 8.0
     rng = np.random.default_rng(1)
-    draws = np.mean([invwishart_rvs(df, scale, rng) for _ in range(40_000)],
+    draws = np.mean([_bartlett_draw(df, scale, rng) for _ in range(40_000)],
                     axis=0)
     expected = scale / (df - 2 - 1)  # scale / (df - p - 1)
     np.testing.assert_allclose(draws, expected, rtol=0.03)
@@ -52,15 +58,20 @@ def test_invwishart_mean_matches_formula():
 
 def test_invwishart_draws_pd_and_deterministic():
     scale = np.eye(3)
-    s1 = invwishart_rvs(5.0, scale, np.random.default_rng(7))
-    s2 = invwishart_rvs(5.0, scale, np.random.default_rng(7))
+    s1 = _bartlett_draw(5.0, scale, np.random.default_rng(7))
+    s2 = _bartlett_draw(5.0, scale, np.random.default_rng(7))
     np.testing.assert_array_equal(s1, s2)
     np.linalg.cholesky(s1)
-    with pytest.raises(ValueError):
-        invwishart_rvs(1.5, scale, np.random.default_rng(0))
 
 
 # -- coefficient update -------------------------------------------------------------
+
+
+def _complete_data_precision(XtX, XtY, Sigma, prior_var):
+    """_precision for one chain on one pattern of complete rows, K = Sigma^-1."""
+    P, h = sampler._precision(XtX[None], XtY[None], np.linalg.inv(Sigma)[None, None],
+                              prior_var)
+    return P[0], h[0]
 
 
 def test_coefficient_update_matches_closed_form_full_conditional():
@@ -80,10 +91,10 @@ def test_coefficient_update_matches_closed_form_full_conditional():
 
     N = 100_000
     draw_rng = np.random.default_rng(3)
+    P_code, h = _complete_data_precision(XtX, XtY, Sigma, prior_var)
     draws = np.empty((N, n * q))
     for i in range(N):
-        draws[i] = draw_coefficients(XtX, XtY, Sigma, prior_var,
-                                     draw_rng).ravel(order="F")
+        draws[i] = sampler._coefficient_draw(P_code, h, draw_rng.standard_normal(n * q))
 
     se_mean = np.sqrt(np.diag(cov) / N)
     assert np.all(np.abs(draws.mean(axis=0) - mean) <= 3 * se_mean)
@@ -91,17 +102,6 @@ def test_coefficient_update_matches_closed_form_full_conditional():
     sample_cov = np.cov(draws.T)
     se_cov = np.sqrt((np.outer(np.diag(cov), np.diag(cov)) + cov ** 2) / N)
     assert np.all(np.abs(sample_cov - cov) <= 3 * se_cov)
-
-
-class _StubNormals:
-    """Generator stand-in whose standard_normal returns a fixed vector."""
-
-    def __init__(self, z):
-        self.z = z
-
-    def standard_normal(self, size):
-        assert size == self.z.size
-        return self.z.copy()
 
 
 def test_coefficient_draw_is_the_dense_kronecker_form_exactly():
@@ -119,9 +119,10 @@ def test_coefficient_draw_is_the_dense_kronecker_form_exactly():
     mean = np.linalg.solve(P, (XtY @ np.linalg.inv(Sigma)).ravel(order="F"))
     cov = np.linalg.inv(P)
 
+    P_code, h = _complete_data_precision(XtX, XtY, Sigma, prior_var)
+
     def draw(z):
-        return draw_coefficients(XtX, XtY, Sigma, prior_var,
-                                 _StubNormals(z)).ravel(order="F")
+        return sampler._coefficient_draw(P_code, h, z)
 
     got_mean = draw(np.zeros(n * q))
     M = np.column_stack([draw(e) - got_mean for e in np.eye(n * q)])
@@ -141,7 +142,7 @@ def test_pattern_conditionals_match_conditional_mvn_for_every_pattern():
     X = np.column_stack([np.ones(mask.shape[0]), rng.standard_normal(mask.shape[0])])
     pat = sampler._Patterns(X, np.where(mask, rng.standard_normal(mask.shape), 0.0),
                             patterns, np.arange(len(patterns) + 1) * 2)
-    K, SK, Lc = sampler._conditionals(pat, Sigma)
+    K, SK, Lc = (a[0] for a in sampler._conditionals(pat, Sigma[None]))
     mu = rng.standard_normal(n)
     y = rng.standard_normal(n)
     assert np.count_nonzero(pat.mm.any(axis=(1, 2))) == 2 ** n - 2
@@ -196,19 +197,20 @@ def test_gibbs_updates_preserve_joint_distribution():
     mc = np.empty((N, 8))
     for i in range(N):
         Theta = np.sqrt(prior_var) * r1.standard_normal((q, n))
-        Sigma = invwishart_rvs(nu, Psi, r1)
+        Sigma = invwishart(nu, Psi, r1)
         mc[i] = _joint_functionals(Theta, Sigma, likelihood_draw(Theta, Sigma, r1))
 
     def successive_chain(df_offset):
         r2 = np.random.default_rng(200)
         Theta = np.sqrt(prior_var) * r2.standard_normal((q, n))
-        Sigma = invwishart_rvs(nu, Psi, r2)
+        Sigma = invwishart(nu, Psi, r2)
         out = np.empty((N, 8))
         for i in range(N):
             Y = likelihood_draw(Theta, Sigma, r2)
-            Theta = draw_coefficients(XtX, X.T @ Y, Sigma, prior_var, r2)
+            Theta = draw_coefficients(XtX[None], (X.T @ Y)[None], np.linalg.inv(Sigma)[None],
+                                      prior_var, r2)
             E = Y - X @ Theta
-            Sigma = invwishart_rvs(nu + l + df_offset, Psi + E.T @ E, r2)
+            Sigma = invwishart(nu + l + df_offset, Psi + E.T @ E, r2)
             out[i] = _joint_functionals(Theta, Sigma, Y)
         return out
 
@@ -263,9 +265,10 @@ def test_collapsed_coefficient_draw_is_the_dense_per_row_form_exactly():
     mean = np.linalg.solve(P, b)
     cov = np.linalg.inv(P)
 
+    P_code, h = sampler._precision(pat.XtX, pat.XtY, K[None], prior_var)
+
     def draw(z):
-        return draw_coefficients(pat.XtX, pat.XtY, K, prior_var,
-                                 _StubNormals(z)).ravel(order="F")
+        return sampler._coefficient_draw(P_code[0], h[0], z)
 
     got_mean = draw(np.zeros(n * q))
     M_map = np.column_stack([draw(e) - got_mean for e in np.eye(n * q)])
@@ -331,7 +334,7 @@ def test_pattern_gram_is_the_row_level_residual_gram():
             rest = np.linalg.cholesky(rest @ rest.T)
         T[g][np.ix_(m, r + np.arange(rest.shape[1]))] = rest
     assert ranks == [2, 3, 4, 2, 5]  # sorted: 0111, 1000, 1010, 1110, 1111
-    got = sampler._residual_gram(pat, Theta, Sigma @ K, Lc, T)
+    got = sampler._residual_gram(pat, Theta[None], (Sigma @ K)[None], Lc[None], T[None])[0]
     np.testing.assert_allclose(got, EtE, rtol=1e-12, atol=1e-12 * np.abs(EtE).max())
     # the sweep puts its normals and chi-squares exactly where these went
     chi = np.zeros(T.shape, dtype=bool)
@@ -366,7 +369,7 @@ def test_collapsed_sweep_preserves_joint_distribution_with_missing_data(monkeypa
         return np.where(M, X @ Theta + E, 0.0)
 
     def prior_draw(r):
-        return np.sqrt(prior_var) * r.standard_normal((q, n)), invwishart_rvs(nu, Psi, r)
+        return np.sqrt(prior_var) * r.standard_normal((q, n)), invwishart(nu, Psi, r)
 
     r1 = np.random.default_rng(100)
     mc = np.empty((N, 10))
@@ -383,7 +386,8 @@ def test_collapsed_sweep_preserves_joint_distribution_with_missing_data(monkeypa
             pat = sampler._Patterns(X, Y, patterns, bounds)
             if df_offset is not None:
                 pat.chi_df = pat.chi_df + df_offset(pat)
-            Theta, Sigma = sampler._sweep(pat, Sigma, prior_var, Psi, nu, r2)
+            Theta, Sigma = (a[0] for a in sampler._sweep(pat, Sigma[None], prior_var, Psi,
+                                                         nu, [r2]))
             sc[i] = functionals(Theta, Sigma, Y)
         se1 = mc.std(axis=0, ddof=1) / np.sqrt(N)
         se2 = sc.std(axis=0, ddof=1) / np.sqrt([ess(c[None, :]) for c in sc.T])
@@ -399,7 +403,7 @@ def test_collapsed_sweep_preserves_joint_distribution_with_missing_data(monkeypa
 
     def without_noise_gram(pat, Theta, SK, Lc, T):
         H = Lc @ T
-        return real(pat, Theta, SK, Lc, T) - np.einsum("gij,gkj->ik", H, H)
+        return real(pat, Theta, SK, Lc, T) - np.einsum("cgij,cgkj->cik", H, H)
 
     monkeypatch.setattr(sampler, "_residual_gram", without_noise_gram)
     assert max_z(draws=N // 2) > 6.0
@@ -476,19 +480,21 @@ def test_every_sigma_draw_is_pd(missing_dataset):
 
 def test_complete_data_sweep_is_the_complete_data_gibbs_update():
     # fully observed rows are the one-pattern case: from one generator state
-    # the sweep draws what draw_coefficients and the IW update draw
+    # the sweep draws what the reference coefficient and IW updates draw
     rng = np.random.default_rng(8)
     l, q, n = 60, 3, 2
     X = np.column_stack([np.ones(l), rng.standard_normal((l, q - 1))])
     Y = rng.standard_normal((l, n))
     Sigma = np.array([[1.0, 0.3], [0.3, 0.8]])
     pat = sampler._Patterns(X, Y, np.ones((1, n), dtype=bool), np.array([0, l]))
-    Theta, S = sampler._sweep(pat, Sigma, 10.0, np.eye(n), 4.0, np.random.default_rng(21))
+    Theta, S = (a[0] for a in sampler._sweep(pat, Sigma[None], 10.0, np.eye(n), 4.0,
+                                             [np.random.default_rng(21)]))
 
     r = np.random.default_rng(21)
-    Theta_ref = draw_coefficients(X.T @ X, X.T @ Y, Sigma, 10.0, r)
+    Theta_ref = draw_coefficients((X.T @ X)[None], (X.T @ Y)[None], np.linalg.inv(Sigma)[None],
+                                  10.0, r)
     E = Y - X @ Theta_ref
-    S_ref = invwishart_rvs(4.0 + l, np.eye(n) + E.T @ E, r)
+    S_ref = invwishart(4.0 + l, np.eye(n) + E.T @ E, r)
     np.testing.assert_allclose(Theta, Theta_ref, rtol=1e-10, atol=1e-12)
     np.testing.assert_allclose(S, S_ref, rtol=1e-10, atol=1e-12)
 
@@ -567,6 +573,18 @@ def test_improper_iw_prior_rejected():
     spec = ModelSpec(iterations=10, burn_in=0, chains=1, iw_df=1.0)
     with pytest.raises(ValueError, match="degrees of freedom"):
         gibbs_fit(d, spec)
+
+
+@pytest.mark.parametrize("scale, error, match", [
+    # a Cholesky factor reads one triangle: the 5 would be dropped unread
+    ([[1.0, 5.0], [0.0, 1.0]], ValueError, "IW scale is not a finite symmetric"),
+    ([[1.0, 0.0], [0.0, np.inf]], ValueError, "IW scale is not a finite symmetric"),
+    ([[1.0, 2.0], [2.0, 1.0]], np.linalg.LinAlgError, "IW scale is not positive definite"),
+], ids=["asymmetric", "infinite", "not_pd"])
+def test_iw_scale_must_be_a_covariance(scale, error, match):
+    d, _ = synthesize(SynthSpec(l=40, n=2, q=3, missing_prob=0.0), seed=1)
+    with pytest.raises(error, match=match):
+        gibbs_fit(d, ModelSpec(iterations=10, burn_in=0, chains=1, iw_scale=scale))
 
 
 def test_univariate_flat_prior_matches_ols():
