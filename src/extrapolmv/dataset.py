@@ -36,6 +36,8 @@ import contextlib
 import csv
 import itertools
 import json
+import math
+import numbers
 import os
 import zipfile
 from dataclasses import MISSING, dataclass, field, fields
@@ -601,7 +603,8 @@ class SynthSpec:
     B defaults to standard-normal coefficients and Sigma to the identity.
     ``missing_prob`` is one probability for all responses or one per
     response. ``planted_high_leverage`` rows get their non-intercept
-    covariates multiplied by ``leverage_scale``.
+    covariates multiplied by ``leverage_scale``. A field of the wrong type
+    or out of range raises ValueError naming it.
     """
 
     l: int
@@ -613,6 +616,31 @@ class SynthSpec:
     planted_high_leverage: int = 0
     leverage_scale: float = 8.0
     with_coords: bool = True
+
+    def __post_init__(self):
+        for name in ("l", "n", "q", "planted_high_leverage"):
+            value = getattr(self, name)
+            if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+                raise ValueError(f"{name} must be an integer, not {value!r}")
+        for name, low in (("n", 1), ("q", 1), ("planted_high_leverage", 0)):
+            if getattr(self, name) < low:
+                raise ValueError(f"{name} must be at least {low}, not {getattr(self, name)}")
+        if self.l < self.q + 2:
+            raise ValueError(f"l must be at least q + 2 = {self.q + 2}, not {self.l}")
+        scale = self.leverage_scale
+        if isinstance(scale, bool) or not isinstance(scale, numbers.Real) \
+                or not math.isfinite(scale):
+            raise ValueError(f"leverage_scale must be a finite number, not {scale!r}")
+        if not isinstance(self.with_coords, bool):
+            raise ValueError(f"with_coords must be true or false, not {self.with_coords!r}")
+        try:
+            probs = np.broadcast_to(np.asarray(self.missing_prob, dtype=float), (self.n,))
+            valid = np.all((probs >= 0) & (probs <= 1))  # NaN is not
+        except (TypeError, ValueError):
+            valid = False
+        if not valid:
+            raise ValueError(f"missing_prob must be one probability in [0, 1] or {self.n} such "
+                             f"probabilities, not {self.missing_prob!r}")
 
     @classmethod
     def from_json(cls, path) -> "SynthSpec":
@@ -626,8 +654,6 @@ def synthesize(gen: SynthSpec, seed: int) -> tuple[Dataset, dict]:
     generating parameters (B, Sigma, seed and the generator fields) for oracle
     comparisons.
     """
-    if gen.l < gen.q + 2:
-        raise ValueError("l must be at least q + 2")
     rng = np.random.default_rng(seed)
 
     B = gen.B
@@ -647,8 +673,6 @@ def synthesize(gen: SynthSpec, seed: int) -> tuple[Dataset, dict]:
         raise ValueError("Sigma must be positive definite") from None
 
     probs = np.broadcast_to(np.asarray(gen.missing_prob, dtype=float), (gen.n,)).copy()
-    if np.any((probs < 0) | (probs > 1)):
-        raise ValueError("missingness probabilities must lie in [0, 1]")
 
     C = rng.standard_normal((gen.l, gen.q - 1))
     if gen.planted_high_leverage > 0:

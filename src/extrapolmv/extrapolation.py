@@ -182,9 +182,14 @@ class CutoffSpec:
         token = token.strip()
         if token in _CUTOFF_TOKENS:
             return cls(*_CUTOFF_TOKENS[token])
-        if token.startswith("q:"):
-            return cls(kind="quantile", level=float(token[2:]))
-        raise ValueError(f"unknown cutoff token {token!r}")
+        unknown = ValueError(f"unknown cutoff token {token!r}")
+        if not token.startswith("q:"):
+            raise unknown
+        try:
+            level = float(token[2:])
+        except ValueError:
+            raise unknown from None
+        return cls(kind="quantile", level=level)
 
     @property
     def name(self) -> str:
@@ -287,9 +292,11 @@ def value_order(measures) -> list[str]:
 
 def _parse_measures(measures, response_names) -> list[str]:
     out = list(measures)
-    for m in out:
+    for i, m in enumerate(out):
         if measure_column(m).startswith("cmvpv_") and m[6:] not in response_names:
             raise ValueError(f"measure {m!r} references unknown response {m[6:]!r}")
+        if m in out[:i]:
+            raise ValueError(f"measure {m!r} is given more than once")
     if not out:
         raise ValueError("at least one measure is required")
     return out

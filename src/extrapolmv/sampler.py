@@ -9,16 +9,17 @@ responses o, missing m, N_g rows) into Gram matrices of [X_g, Y_g] with
 missing cells as 0; no sweep touches a row. A sweep is an exact two-block
 Gibbs sampler over (B, Y_mis) and Sigma, batched over the patterns:
 
-1. B given Sigma and Y_obs, the missing cells integrated out, from the
-   precision sum_g K_g kron X_g'X_g + I/coef_prior_var with K_g the
-   zero-padded Sigma_oo^-1 (see _precision).
-2. Sigma from IW(prior_df + l, prior_scale + sum_g E_g'E_g), where each
-   residual Gram E_g'E_g is drawn exactly from its law given B as J_g J_g',
-   J_g = V_g R_g + C_g^1/2 T_g: V_g = Sigma K_g (I in rows o, the gain
-   Sigma_mo Sigma_oo^-1 in rows m), C_g the conditional covariance of the
-   missing responses, R_g the residuals of the pattern's r_g virtual rows
-   (see _Patterns), and T_g standard normals against them beside a factor
-   of Wishart(N_g - r_g, I). Few or repeated rows just make r_g small.
+1. _coefficient_step: B given Sigma and Y_obs, the missing cells
+   integrated out, from the precision sum_g K_g kron X_g'X_g +
+   I/coef_prior_var with K_g the zero-padded Sigma_oo^-1 (see _precision).
+2. _sigma_step: Sigma from IW(prior_df + l, prior_scale + sum_g E_g'E_g),
+   where each residual Gram E_g'E_g is drawn exactly from its law given B
+   as J_g J_g', J_g = V_g R_g + C_g^1/2 T_g: V_g = Sigma K_g (I in rows o,
+   the gain Sigma_mo Sigma_oo^-1 in rows m), C_g the conditional
+   covariance of the missing responses, R_g the residuals of the
+   pattern's r_g virtual rows (see _Patterns), and T_g standard normals
+   against them beside a factor of Wishart(N_g - r_g, I). Few or repeated
+   rows just make r_g small.
 
 Inverse-Wishart convention used throughout: IW(scale, df) has density
 proportional to |S|^-(df+n+1)/2 * exp(-tr(scale S^-1)/2), giving the
@@ -29,10 +30,11 @@ Reproducibility: the chains advance together, one lockstep sweep per
 iteration that builds every chain's conditionals, precisions and residual
 Grams in the same batched calls. Each chain draws from its own generator,
 spawned from numpy's SeedSequence(seed), in a fixed order: per iteration
-the normals of B and of the patterns in one call, the pattern and
-Bartlett chi-squares in a second, the Bartlett normals in a third. So a
-chain's draws do not depend on the other chains or on how many there
-are, bit for bit, and equal those of the chain run alone.
+the normals of B (for _coefficient_step) and of the patterns in one call,
+the pattern and Bartlett chi-squares in a second, the Bartlett normals in
+a third (all for _sigma_step). So a chain's draws do not depend on the
+other chains or on how many there are, bit for bit, and equal those of
+the chain run alone.
 """
 
 from __future__ import annotations
@@ -75,7 +77,7 @@ class ModelSpec:
     seed: int = 0
 
     def __post_init__(self):
-        if self.coef_prior_var <= 0:
+        if not self.coef_prior_var > 0:  # NaN too; inf is a flat prior
             raise ValueError("coefficient prior variance must be positive")
         if self.iterations <= 0:
             raise ValueError("iterations must be positive")
@@ -168,14 +170,6 @@ def _precision(XtX: np.ndarray, XtY: np.ndarray, K: np.ndarray,
     P = P.reshape(C, n, n, q, q).swapaxes(-3, -2).reshape(C, n * q, n * q)
     P.reshape(C, -1)[:, ::n * q + 1] += 1.0 / prior_var
     return P, (XtY @ K).sum(axis=-3).swapaxes(-1, -2).reshape(C, n * q)
-
-
-def _coefficient_draw(P: np.ndarray, h: np.ndarray, z: np.ndarray) -> np.ndarray:
-    """mu + L'^-1 z for the precision P = L L' and mu solving P mu = h."""
-    L = _chol(P, "coefficient precision")
-    mu, _ = lapack.dpotrs(L, h, lower=1)
-    noise, _ = lapack.dtrtrs(L, z, lower=1, trans=1)
-    return mu + noise
 
 
 class _Patterns:
@@ -289,49 +283,64 @@ def _conditionals(pat: _Patterns, Sigma: np.ndarray) -> tuple[np.ndarray, ...]:
     return K, SK, Lc
 
 
+def _coefficient_step(P: np.ndarray, h: np.ndarray, z: np.ndarray, n: int) -> tuple:
+    """Theta given Sigma for each chain of the (C, nq, nq) precisions P and
+    (C, nq) linear terms h: vec(Theta) = mu + L'^-1 z with P = L L' and
+    P mu = h. Returns Theta (C, q, n), mu (C, nq) and L (C, nq, nq)."""
+    L = np.empty_like(P).swapaxes(-1, -2)  # column-major blocks, dpotrf's layout: plain copies
+    mu, noise = np.empty_like(h), np.empty_like(h)
+    for c in range(len(P)):
+        try:
+            L[c] = Lp = _chol(P[c], "coefficient precision")
+        except np.linalg.LinAlgError as exc:
+            raise _ChainFailure(c, exc) from None
+        mu[c] = lapack.dpotrs(Lp, h[c], lower=1)[0]
+        noise[c] = lapack.dtrtrs(Lp, z[c], lower=1, trans=1)[0]
+    return (mu + noise).reshape(len(P), n, -1).swapaxes(-1, -2), mu, L
+
+
+def _sigma_step(pat: _Patterns, Theta: np.ndarray, SK: np.ndarray, Lc: np.ndarray,
+                T: np.ndarray, iw_scale: np.ndarray, root: np.ndarray, rngs) -> np.ndarray:
+    """Sigma given Theta for each chain, IW(iw_scale + sum_g E_g'E_g, iw_df
+    + l), by its Bartlett factor: ``root`` (C, n) holds the roots of the
+    chi-squares on its diagonal, and each chain's generator the normals below."""
+    C, n = root.shape
+    scale = iw_scale + _residual_gram(pat, Theta, SK, Lc, T)
+    A = np.zeros_like(scale)
+    A.reshape(C, -1)[:, ::n + 1] = root
+    for c, r in enumerate(rngs):
+        try:
+            scale[c] = _bartlett(scale[c], A[c], r)
+        except np.linalg.LinAlgError as exc:
+            raise _ChainFailure(c, exc) from None
+    return scale
+
+
 def _sweep(pat: _Patterns, Sigma: np.ndarray, prior_var: float, iw_scale: np.ndarray,
            iw_df: float, rngs) -> tuple[np.ndarray, np.ndarray]:
-    """One collapsed sweep of C chains in lockstep, Theta given Sigma and
-    then Sigma given Theta, from a (C, n, n) Sigma and C generators.
-
-    The conditionals, precisions and residual Grams of all chains are
-    built together; only the draws and each chain's nq x nq and n x n
-    factorisations run chain by chain. Each generator is called three
-    times, in one fixed order: the normals of B and of T, the chi-squares
-    of T and of the Bartlett diagonal, then the Bartlett normals. A
-    factorisation that fails raises _ChainFailure, which names the lowest
-    failing chain of the first step that fails.
+    """One collapsed sweep of C chains in lockstep from a (C, n, n) Sigma
+    and C generators: _coefficient_step draws Theta given Sigma, then
+    _sigma_step Sigma given Theta. Each generator is called three times,
+    in one fixed order: the normals of B and of T, the chi-squares of T
+    and of the Bartlett diagonal, then, inside _sigma_step, the Bartlett
+    normals. The normals of B feed _coefficient_step and all the rest
+    _sigma_step. Only the draws and each chain's factorisations run chain
+    by chain. A factorisation that fails raises _ChainFailure, naming the
+    lowest failing chain of the first step that fails.
     """
     C, n, _ = Sigma.shape
     nq, k = n * pat.XtX.shape[-1], pat.chi_df.size
     K, SK, Lc = _conditionals(pat, Sigma)
     P, h = _precision(pat.XtX, pat.XtY, K, prior_var)
     chi_df = np.concatenate([pat.chi_df, iw_df + pat.l - np.arange(n)])
-    z = np.empty((C, nq + pat.noise_flat.size))
-    chi = np.empty((C, chi_df.size))
-    vec = np.empty((C, nq))
-    for c, r in enumerate(rngs):
-        z[c] = r.standard_normal(z.shape[1])
-        chi[c] = r.chisquare(chi_df)
-        try:
-            vec[c] = _coefficient_draw(P[c], h[c], z[c, :nq])
-        except np.linalg.LinAlgError as exc:
-            raise _ChainFailure(c, exc) from None
-    root = np.sqrt(chi)
-    Theta = vec.reshape(C, n, -1).swapaxes(-1, -2)
+    z = np.array([r.standard_normal(nq + pat.noise_flat.size) for r in rngs])
+    root = np.sqrt([r.chisquare(chi_df) for r in rngs])
+    Theta = _coefficient_step(P, h, z[:, :nq], n)[0]
     T = np.zeros((C,) + pat.noise.shape)
     flat = T.reshape(C, -1)
     flat[:, pat.noise_flat] = z[:, nq:]
     flat[:, pat.chi_flat] = root[:, :k]
-    scale = iw_scale + _residual_gram(pat, Theta, SK, Lc, T)
-    A = np.zeros_like(scale)
-    A.reshape(C, -1)[:, ::n + 1] = root[:, k:]
-    for c, r in enumerate(rngs):
-        try:
-            scale[c] = _bartlett(scale[c], A[c], r)
-        except np.linalg.LinAlgError as exc:
-            raise _ChainFailure(c, exc) from None
-    return Theta, scale
+    return Theta, _sigma_step(pat, Theta, SK, Lc, T, iw_scale, root[:, k:], rngs)
 
 
 def _fit_setup(d: Dataset, spec: ModelSpec):

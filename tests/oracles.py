@@ -7,7 +7,8 @@ vector, and the chains of a fit run one after another, one sweep of one
 chain at a time. The package computes the same quantities for every
 location, or every chain, at once. The one-chain Gibbs updates here,
 draw_coefficients and invwishart, are also the reference sampler of the
-joint-distribution tests.
+joint-distribution tests, and sigma_log_density is the target of the
+Sigma update, log p(Sigma | B, Y_obs), summed one row at a time.
 """
 
 from __future__ import annotations
@@ -188,3 +189,19 @@ def serial_gibbs_fit(d: Dataset, spec: ModelSpec) -> tuple[np.ndarray, np.ndarra
                 B.append(Theta.T)
                 S.append(Sigma)
     return np.array(B), np.array(S)
+
+
+def sigma_log_density(Sigma, B, X, Y, mask, iw_scale, iw_df):
+    """log p(Sigma | B, Y_obs) up to a constant that does not depend on
+    Sigma: the IW(iw_scale, iw_df) log prior density, plus the log density
+    of each row's observed responses y_o under N((B x)_o, Sigma_oo), taken
+    row by row. B is (n, q); rows with no observed response add nothing."""
+    n = Sigma.shape[0]
+    out = (-0.5 * (iw_df + n + 1) * np.linalg.slogdet(Sigma)[1]
+           - 0.5 * np.trace(iw_scale @ np.linalg.inv(Sigma)))
+    for x, y, o in zip(X, Y, np.asarray(mask, dtype=bool)):
+        if o.any():
+            S, r = Sigma[np.ix_(o, o)], y[o] - (B @ x)[o]
+            out -= 0.5 * (np.linalg.slogdet(S)[1] + r @ np.linalg.solve(S, r)
+                          + o.sum() * np.log(2 * np.pi))
+    return out

@@ -163,11 +163,12 @@ def test_burnin_at_least_iterations_is_an_error(pipeline, tmp_path):
 @pytest.mark.parametrize("argv, words", [
     (["--iters", 5, "--burnin", 2], "at least 4 draws per chain"),
     (["--chains", 1, "--iters", 150, "--burnin", 100], "at least 2 chains or 100 draws"),
-], ids=["three_draws_a_chain", "one_chain_of_fifty"])
+    (["--iters", 20, "--burnin", 5, "--prior-var", "nan"], "prior variance"),
+], ids=["three_draws_a_chain", "one_chain_of_fifty", "nan_prior_variance"])
 def test_undiagnosable_run_is_refused_before_the_sweep(pipeline, tmp_path, capsys,
                                                        monkeypatch, argv, words):
-    # too few kept draws for the convergence summary: one error line and
-    # no output, before any sweep
+    # too few kept draws for the convergence summary, or a NaN prior
+    # variance: one error line and no output, before any sweep
     def no_sweep(d, spec):
         raise AssertionError("gibbs_fit ran")
 
@@ -409,6 +410,18 @@ def test_unknown_measure_response_is_error(pipeline, tmp_path):
     assert rc == 1
 
 
+@pytest.mark.parametrize("measure", ["det", "cmvpv:y1"])
+def test_repeated_measure_is_one_error_line(pipeline, tmp_path, capsys, measure):
+    # a repeated measure would write its column twice, which tree refuses
+    capsys.readouterr()
+    assert run("score", "--draws", pipeline["fit"], "--data", pipeline["sim"] / "dataset.csv",
+               "--measure", measure, "--measure", "trace", "--measure", measure,
+               "--out", tmp_path / "s") == 1
+    [line] = capsys.readouterr().err.splitlines()
+    assert line.startswith("error: ") and repr(measure) in line, line
+    assert not (tmp_path / "s" / "scores.csv").exists()
+
+
 def test_tree_uses_raw_covariate_units(pipeline):
     doc = json.loads((pipeline["tree"] / "tree.json").read_text())
     header, rows = read_csv(pipeline["sim"] / "dataset.csv")
@@ -631,6 +644,25 @@ def test_bad_json_input_is_one_error_line(pipeline, tmp_path, capsys, case):
     [line] = capsys.readouterr().err.splitlines()
     assert line.startswith("error: ") and str(path) in line, line
     assert all(word in line.replace(str(path), "") for word in words), line
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("field, value", [
+    ("l", "40"), ("l", 40.5), ("n", 0), ("leverage_scale", "x"), ("with_coords", "no"),
+    ("missing_prob", "x"),
+], ids=["l_string", "l_fraction", "n_zero", "leverage_scale_string", "with_coords_string",
+        "missing_prob_string"])
+def test_bad_synth_spec_field_is_one_error_line(tmp_path, capsys, field, value):
+    # a value of the wrong type or range fails in simulate, naming its
+    # field, rather than deep in the generator, silently ("no" is truthy)
+    # or not at all (n = 0 wrote a dataset without responses)
+    path = tmp_path / "synth.json"
+    path.write_text(json.dumps({"l": 40, "n": 2, "q": 3, field: value}))
+    capsys.readouterr()
+    assert run("simulate", "--spec", path, "--out", tmp_path / "out") == 1
+    err = capsys.readouterr().err
+    [line] = err.splitlines()
+    assert line.startswith(f"error: {field} ") and "Traceback" not in err, line
     assert not (tmp_path / "out").exists()
 
 

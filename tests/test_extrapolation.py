@@ -300,6 +300,12 @@ def test_cutoff_token_parsing():
     assert CutoffSpec.parse("q:0.5").name == "q50"
     with pytest.raises(ValueError):
         CutoffSpec.parse("median")
+    # a level that is no number names the token; one out of range keeps
+    # its own message
+    with pytest.raises(ValueError, match=r"^unknown cutoff token 'q:abc'$"):
+        CutoffSpec.parse("q:abc")
+    with pytest.raises(ValueError, match="quantile level"):
+        CutoffSpec.parse("q:1.5")
 
 
 # -- score_locations (sampled) --------------------------------------------------

@@ -18,6 +18,7 @@ from extrapolmv.sampler import (
 )
 
 from conftest import make_dataset, make_draws
+import oracles
 from oracles import draw_coefficients, invwishart, predictive_mean_draws, serial_gibbs_fit
 
 
@@ -31,6 +32,9 @@ def test_spec_validation():
         ModelSpec(iterations=10, burn_in=10)
     with pytest.raises(ValueError, match="prior variance"):
         ModelSpec(coef_prior_var=0.0)
+    with pytest.raises(ValueError, match="prior variance"):
+        ModelSpec(coef_prior_var=float("nan"))
+    ModelSpec(coef_prior_var=float("inf"))  # a flat prior
     with pytest.raises(ValueError, match="chain"):
         ModelSpec(chains=0)
 
@@ -68,10 +72,16 @@ def test_invwishart_draws_pd_and_deterministic():
 
 
 def _complete_data_precision(XtX, XtY, Sigma, prior_var):
-    """_precision for one chain on one pattern of complete rows, K = Sigma^-1."""
-    P, h = sampler._precision(XtX[None], XtY[None], np.linalg.inv(Sigma)[None, None],
+    """_precision for a one-chain stack on one pattern of complete rows,
+    K = Sigma^-1."""
+    return sampler._precision(XtX[None], XtY[None], np.linalg.inv(Sigma)[None, None],
                               prior_var)
-    return P[0], h[0]
+
+
+def _one_chain_draw(P, h, z, n):
+    """vec(Theta), ordered as the precision, that _coefficient_step draws
+    from the normals z for the one-chain stacks P and h."""
+    return sampler._coefficient_step(P, h, z[None], n)[0][0].T.ravel()
 
 
 def test_coefficient_update_matches_closed_form_full_conditional():
@@ -94,7 +104,7 @@ def test_coefficient_update_matches_closed_form_full_conditional():
     P_code, h = _complete_data_precision(XtX, XtY, Sigma, prior_var)
     draws = np.empty((N, n * q))
     for i in range(N):
-        draws[i] = sampler._coefficient_draw(P_code, h, draw_rng.standard_normal(n * q))
+        draws[i] = _one_chain_draw(P_code, h, draw_rng.standard_normal(n * q), n)
 
     se_mean = np.sqrt(np.diag(cov) / N)
     assert np.all(np.abs(draws.mean(axis=0) - mean) <= 3 * se_mean)
@@ -122,12 +132,68 @@ def test_coefficient_draw_is_the_dense_kronecker_form_exactly():
     P_code, h = _complete_data_precision(XtX, XtY, Sigma, prior_var)
 
     def draw(z):
-        return sampler._coefficient_draw(P_code, h, z)
+        return _one_chain_draw(P_code, h, z, n)
 
     got_mean = draw(np.zeros(n * q))
     M = np.column_stack([draw(e) - got_mean for e in np.eye(n * q)])
     np.testing.assert_allclose(got_mean, mean, rtol=1e-12, atol=1e-12)
     np.testing.assert_allclose(M @ M.T, cov, rtol=1e-12, atol=1e-12 * np.abs(cov).max())
+
+
+def test_coefficient_step_returns_each_chains_mean_and_factor():
+    # three chains with different Sigma on the same patterns: for each,
+    # P mu = h, L L' = P with L lower triangular, and Theta = mu + L'^-1 z
+    rng = np.random.default_rng(36)
+    n, q, prior_var = 3, 2, 10.0
+    masks = [[1, 1, 1]] * 5 + [[0, 1, 1]] * 4 + [[1, 0, 0]] * 3
+    order, patterns, bounds = _sorted_patterns(masks)
+    M = np.asarray(masks, dtype=bool)[order]
+    X = np.column_stack([np.ones(M.shape[0]), rng.standard_normal(M.shape[0])])
+    pat = sampler._Patterns(X, np.where(M, rng.standard_normal(M.shape), 0.0), patterns, bounds)
+    Sigmas = [A @ A.T + 0.5 * np.eye(n) for A in rng.standard_normal((3, n, n))]
+    K = np.stack([_padded_precisions(S, patterns) for S in Sigmas])
+    P, h = sampler._precision(pat.XtX, pat.XtY, K, prior_var)
+    z = rng.standard_normal((3, n * q))
+    Theta, mu, L = sampler._coefficient_step(P, h, z, n)
+    assert Theta.shape == (3, q, n) and mu.shape == (3, n * q) and L.shape == P.shape
+    for c in range(3):
+        scale = np.abs(P[c]).max()
+        np.testing.assert_allclose(P[c] @ mu[c], h[c], rtol=1e-12, atol=1e-12 * np.abs(h[c]).max())
+        np.testing.assert_array_equal(np.tril(L[c]), L[c])
+        np.testing.assert_allclose(L[c] @ L[c].T, P[c], rtol=1e-12, atol=1e-12 * scale)
+        np.testing.assert_allclose(Theta[c].T.ravel(), mu[c] + np.linalg.solve(L[c].T, z[c]),
+                                   rtol=1e-12, atol=1e-12)
+        # and a chain draws the same bytes alone as beside the others
+        alone = sampler._coefficient_step(P[c:c + 1], h[c:c + 1], z[c:c + 1], n)
+        assert all(a[0].tobytes() == b[c].tobytes() for a, b in zip(alone, (Theta, mu, L)))
+
+
+def test_sigma_log_density_is_the_complete_data_iw_posterior():
+    # with every response observed, Sigma given B is IW(Psi + E'E, nu + l):
+    # the oracle's prior plus row-by-row likelihood must differ from that
+    # log density by one constant over Sigma
+    from scipy.stats import invwishart as iw
+    rng = np.random.default_rng(37)
+    l, q, n = 30, 2, 3
+    X = np.column_stack([np.ones(l), rng.standard_normal(l)])
+    B = rng.standard_normal((n, q))
+    Y = X @ B.T + rng.standard_normal((l, n))
+    E = Y - X @ B.T
+    nu, Psi = 6.0, np.array([[2.0, 0.3, 0.0], [0.3, 1.0, 0.2], [0.0, 0.2, 1.5]])
+    Sigmas = [A @ A.T / n + 0.2 * np.eye(n) for A in rng.standard_normal((8, n, n))]
+    mask = np.ones((l, n), dtype=bool)
+
+    def spread(iw_scale, iw_df, df):
+        diff = [oracles.sigma_log_density(S, B, X, Y, mask, iw_scale, iw_df)
+                - iw.logpdf(S, df, Psi + E.T @ E) for S in Sigmas]
+        return np.ptp(diff)
+
+    assert spread(Psi, nu, nu + l) <= 1e-10
+    # the check has teeth: the likelihood alone (the prior term vanishes
+    # for a zero scale and df = -(n + 1)) or a posterior df off by one is
+    # far from constant
+    assert spread(np.zeros((n, n)), -(n + 1.0), nu + l) > 1.0
+    assert spread(Psi, nu, nu + l + 1) > 0.1
 
 
 def test_pattern_conditionals_match_conditional_mvn_for_every_pattern():
@@ -268,7 +334,7 @@ def test_collapsed_coefficient_draw_is_the_dense_per_row_form_exactly():
     P_code, h = sampler._precision(pat.XtX, pat.XtY, K[None], prior_var)
 
     def draw(z):
-        return sampler._coefficient_draw(P_code[0], h[0], z)
+        return _one_chain_draw(P_code, h, z, n)
 
     got_mean = draw(np.zeros(n * q))
     M_map = np.column_stack([draw(e) - got_mean for e in np.eye(n * q)])
