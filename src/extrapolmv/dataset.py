@@ -106,6 +106,30 @@ def _from_json(cls, raw, where: str):
     return cls(**raw)
 
 
+def _check_types(record, integers=(), reals=()) -> None:
+    """ValueError naming the first field of the dataclass ``record`` in
+    ``integers`` that holds no integer, or in ``reals`` no real number (a
+    bool is neither): a record read from JSON may hold any value."""
+    for names, kind, what in ((integers, numbers.Integral, "an integer"),
+                              (reals, numbers.Real, "a number")):
+        for name in names:
+            value = getattr(record, name)
+            if isinstance(value, bool) or not isinstance(value, kind):
+                raise ValueError(f"{name} must be {what}, not {value!r}")
+
+
+def _finite_matrix(value, name: str, shape: tuple[int, int]) -> np.ndarray:
+    """``value`` as a float array of ``shape`` with finite entries, or
+    ValueError naming ``name``."""
+    try:
+        a = np.asarray(value, dtype=float)
+    except (TypeError, ValueError):
+        a = None
+    if a is None or a.shape != shape or not np.isfinite(a).all():
+        raise ValueError(f"{name} must be a {shape[0]} x {shape[1]} matrix of finite numbers")
+    return a
+
+
 class RankDeficientError(ValueError):
     """Design matrix has linearly dependent columns."""
 
@@ -604,7 +628,8 @@ class SynthSpec:
     ``missing_prob`` is one probability for all responses or one per
     response. ``planted_high_leverage`` rows get their non-intercept
     covariates multiplied by ``leverage_scale``. A field of the wrong type
-    or out of range raises ValueError naming it.
+    or out of range raises ValueError naming it; B must be n x q and Sigma
+    n x n, both finite, and Sigma symmetric positive definite.
     """
 
     l: int
@@ -618,19 +643,15 @@ class SynthSpec:
     with_coords: bool = True
 
     def __post_init__(self):
-        for name in ("l", "n", "q", "planted_high_leverage"):
-            value = getattr(self, name)
-            if isinstance(value, bool) or not isinstance(value, numbers.Integral):
-                raise ValueError(f"{name} must be an integer, not {value!r}")
+        _check_types(self, integers=("l", "n", "q", "planted_high_leverage"),
+                     reals=("leverage_scale",))
         for name, low in (("n", 1), ("q", 1), ("planted_high_leverage", 0)):
             if getattr(self, name) < low:
                 raise ValueError(f"{name} must be at least {low}, not {getattr(self, name)}")
         if self.l < self.q + 2:
             raise ValueError(f"l must be at least q + 2 = {self.q + 2}, not {self.l}")
-        scale = self.leverage_scale
-        if isinstance(scale, bool) or not isinstance(scale, numbers.Real) \
-                or not math.isfinite(scale):
-            raise ValueError(f"leverage_scale must be a finite number, not {scale!r}")
+        if not math.isfinite(self.leverage_scale):
+            raise ValueError(f"leverage_scale must be a finite number, not {self.leverage_scale!r}")
         if not isinstance(self.with_coords, bool):
             raise ValueError(f"with_coords must be true or false, not {self.with_coords!r}")
         try:
@@ -641,6 +662,16 @@ class SynthSpec:
         if not valid:
             raise ValueError(f"missing_prob must be one probability in [0, 1] or {self.n} such "
                              f"probabilities, not {self.missing_prob!r}")
+        if self.B is not None:
+            self.B = _finite_matrix(self.B, "B", (self.n, self.q))
+        if self.Sigma is not None:
+            self.Sigma = _finite_matrix(self.Sigma, "Sigma", (self.n, self.n))
+            try:  # a Cholesky factor reads one triangle
+                if not np.array_equal(self.Sigma, self.Sigma.T):
+                    raise np.linalg.LinAlgError
+                np.linalg.cholesky(self.Sigma)
+            except np.linalg.LinAlgError:
+                raise ValueError("Sigma must be symmetric positive definite") from None
 
     @classmethod
     def from_json(cls, path) -> "SynthSpec":
@@ -656,22 +687,9 @@ def synthesize(gen: SynthSpec, seed: int) -> tuple[Dataset, dict]:
     """
     rng = np.random.default_rng(seed)
 
-    B = gen.B
-    if B is None:
-        B = rng.standard_normal((gen.n, gen.q))
-    else:
-        B = np.asarray(B, dtype=float)
-        if B.shape != (gen.n, gen.q):
-            raise ValueError(f"B must be (n, q) = ({gen.n}, {gen.q})")
-
-    Sigma = np.eye(gen.n) if gen.Sigma is None else np.asarray(gen.Sigma, dtype=float)
-    if Sigma.shape != (gen.n, gen.n):
-        raise ValueError(f"Sigma must be (n, n) = ({gen.n}, {gen.n})")
-    try:
-        L = np.linalg.cholesky(Sigma)
-    except np.linalg.LinAlgError:
-        raise ValueError("Sigma must be positive definite") from None
-
+    B = rng.standard_normal((gen.n, gen.q)) if gen.B is None else gen.B
+    Sigma = np.eye(gen.n) if gen.Sigma is None else gen.Sigma
+    L = np.linalg.cholesky(Sigma)
     probs = np.broadcast_to(np.asarray(gen.missing_prob, dtype=float), (gen.n,)).copy()
 
     C = rng.standard_normal((gen.l, gen.q - 1))

@@ -28,18 +28,20 @@ scale/(df-n-1).
 
 Reproducibility: the chains advance together, one lockstep sweep per
 iteration that builds every chain's conditionals, precisions and residual
-Grams in the same batched calls. Each chain draws from its own generator,
-spawned from numpy's SeedSequence(seed), in a fixed order: per iteration
-the normals of B (for _coefficient_step) and of the patterns in one call,
-the pattern and Bartlett chi-squares in a second, the Bartlett normals in
-a third (all for _sigma_step). So a chain's draws do not depend on the
-other chains or on how many there are, bit for bit, and equal those of
-the chain run alone.
+Grams in the same batched calls. Each chain draws from two generators,
+spawned in turn from its child of numpy's SeedSequence(seed): the first
+gives every standard normal (per sweep, those of B for _coefficient_step,
+then those of the patterns and of the Bartlett factor for _sigma_step),
+the second every chi-square (per sweep, the pattern cells, then the
+Bartlett diagonal). _random_inputs reads both streams strictly in order, a
+block of sweeps at a time, and lays them out as the sweeps read them. So a
+chain's draws depend neither on the block length nor on the other chains
+or how many there are, bit for bit: they equal those of the chain run
+alone, and a shorter run's draws are a prefix of a longer run's.
 """
 
 from __future__ import annotations
 
-import functools
 import os
 from dataclasses import asdict, dataclass, field
 
@@ -47,8 +49,8 @@ import numpy as np
 from scipy.linalg import lapack
 
 from extrapolmv.dataset import (_ARCHIVE_ERRORS, Dataset, _atomic_open, _check_arrays,
-                                _from_json, _load_json, _pattern_groups, _to_json,
-                                _write_json)
+                                _check_types, _from_json, _load_json, _pattern_groups,
+                                _to_json, _write_json)
 
 DRAWS_FILE = "draws.csv"
 NPZ_FILE = "draws.npz"
@@ -56,6 +58,9 @@ META_FILE = "meta.json"
 _EPS = np.finfo(float).eps
 # the draws.npz arrays, in the order they are written
 _NPZ_KEYS = ("B_draws", "Sigma_draws", "chain", "draw", "fit_rows")
+# the random inputs of one block of sweeps, all chains, are drawn and laid
+# out at once within about this many bytes
+_BLOCK_BYTES = 2 << 20
 
 
 @dataclass
@@ -64,7 +69,8 @@ class ModelSpec:
 
     ``iw_scale`` defaults to the identity and ``iw_df`` to q + 1 (resolved
     against the dataset at fit time); gibbs_fit rejects an ``iw_scale``
-    that is not finite, symmetric and positive definite.
+    that is not finite, symmetric and positive definite. A field of the
+    wrong type or out of range raises ValueError naming it.
     """
 
     coef_prior_var: float = 100.0
@@ -77,6 +83,8 @@ class ModelSpec:
     seed: int = 0
 
     def __post_init__(self):
+        _check_types(self, integers=("iterations", "burn_in", "thin", "chains", "seed"),
+                     reals=("coef_prior_var",) + (() if self.iw_df is None else ("iw_df",)))
         if not self.coef_prior_var > 0:  # NaN too; inf is a flat prior
             raise ValueError("coefficient prior variance must be positive")
         if self.iterations <= 0:
@@ -88,7 +96,10 @@ class ModelSpec:
         if self.chains < 1:
             raise ValueError("need at least one chain")
         if self.iw_scale is not None:
-            self.iw_scale = np.asarray(self.iw_scale, dtype=float)
+            try:
+                self.iw_scale = np.asarray(self.iw_scale, dtype=float)
+            except (TypeError, ValueError):
+                raise ValueError("iw_scale must be a matrix of numbers") from None
 
     @property
     def kept_per_chain(self) -> int:
@@ -131,22 +142,10 @@ def _chol(a: np.ndarray, what: str) -> np.ndarray:
     return c
 
 
-@functools.cache
-def _strictly_lower(p: int) -> tuple[np.ndarray, np.ndarray]:
-    """np.tril_indices(p, -1), read-only: the strictly lower triangle,
-    row-major. One call costs more than the rest of a small Bartlett draw,
-    so each p's is kept."""
-    rows, cols = np.tril_indices(p, -1)
-    rows.flags.writeable = cols.flags.writeable = False
-    return rows, cols
-
-
-def _bartlett(scale: np.ndarray, A: np.ndarray, rng: np.random.Generator) -> np.ndarray:
+def _bartlett(scale: np.ndarray, A: np.ndarray) -> np.ndarray:
     """The inverse-Wishart draw U'U, U = A^-1 C' with C C' = scale, of the
-    Bartlett factor A: the roots of chi-squares on its diagonal, as given,
-    and below it standard normals, drawn here from rng into A."""
-    p = scale.shape[0]
-    A[_strictly_lower(p)] = rng.standard_normal(p * (p - 1) // 2)
+    Bartlett factor A: the roots of chi-squares on its diagonal and standard
+    normals below it."""
     C = _chol(scale, "inverse-Wishart scale")
     U, info = lapack.dtrtrs(A, C.T, lower=1)
     if info != 0:
@@ -300,47 +299,70 @@ def _coefficient_step(P: np.ndarray, h: np.ndarray, z: np.ndarray, n: int) -> tu
 
 
 def _sigma_step(pat: _Patterns, Theta: np.ndarray, SK: np.ndarray, Lc: np.ndarray,
-                T: np.ndarray, iw_scale: np.ndarray, root: np.ndarray, rngs) -> np.ndarray:
+                T: np.ndarray, iw_scale: np.ndarray, A: np.ndarray) -> np.ndarray:
     """Sigma given Theta for each chain, IW(iw_scale + sum_g E_g'E_g, iw_df
-    + l), by its Bartlett factor: ``root`` (C, n) holds the roots of the
-    chi-squares on its diagonal, and each chain's generator the normals below."""
-    C, n = root.shape
+    + l), from each chain's Bartlett factor in the (C, n, n) stack A."""
     scale = iw_scale + _residual_gram(pat, Theta, SK, Lc, T)
-    A = np.zeros_like(scale)
-    A.reshape(C, -1)[:, ::n + 1] = root
-    for c, r in enumerate(rngs):
+    for c, a in enumerate(A):
         try:
-            scale[c] = _bartlett(scale[c], A[c], r)
+            scale[c] = _bartlett(scale[c], a)
         except np.linalg.LinAlgError as exc:
             raise _ChainFailure(c, exc) from None
     return scale
 
 
 def _sweep(pat: _Patterns, Sigma: np.ndarray, prior_var: float, iw_scale: np.ndarray,
-           iw_df: float, rngs) -> tuple[np.ndarray, np.ndarray]:
-    """One collapsed sweep of C chains in lockstep from a (C, n, n) Sigma
-    and C generators: _coefficient_step draws Theta given Sigma, then
-    _sigma_step Sigma given Theta. Each generator is called three times,
-    in one fixed order: the normals of B and of T, the chi-squares of T
-    and of the Bartlett diagonal, then, inside _sigma_step, the Bartlett
-    normals. The normals of B feed _coefficient_step and all the rest
-    _sigma_step. Only the draws and each chain's factorisations run chain
-    by chain. A factorisation that fails raises _ChainFailure, naming the
-    lowest failing chain of the first step that fails.
+           z: np.ndarray, T: np.ndarray, A: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """One collapsed sweep of C chains in lockstep from a (C, n, n) Sigma and
+    one sweep's random inputs of _random_inputs: _coefficient_step draws
+    Theta given Sigma from the normals z, then _sigma_step Sigma given Theta
+    from T and A. Only each chain's factorisations run chain by chain. A
+    factorisation that fails raises _ChainFailure, naming the lowest failing
+    chain of the first step that fails.
     """
-    C, n, _ = Sigma.shape
-    nq, k = n * pat.XtX.shape[-1], pat.chi_df.size
     K, SK, Lc = _conditionals(pat, Sigma)
     P, h = _precision(pat.XtX, pat.XtY, K, prior_var)
-    chi_df = np.concatenate([pat.chi_df, iw_df + pat.l - np.arange(n)])
-    z = np.array([r.standard_normal(nq + pat.noise_flat.size) for r in rngs])
-    root = np.sqrt([r.chisquare(chi_df) for r in rngs])
-    Theta = _coefficient_step(P, h, z[:, :nq], n)[0]
-    T = np.zeros((C,) + pat.noise.shape)
-    flat = T.reshape(C, -1)
-    flat[:, pat.noise_flat] = z[:, nq:]
-    flat[:, pat.chi_flat] = root[:, :k]
-    return Theta, _sigma_step(pat, Theta, SK, Lc, T, iw_scale, root[:, k:], rngs)
+    Theta = _coefficient_step(P, h, z, Sigma.shape[-1])[0]
+    return Theta, _sigma_step(pat, Theta, SK, Lc, T, iw_scale, A)
+
+
+def _chi_df(pat: _Patterns, iw_df: float) -> np.ndarray:
+    """The degrees of freedom of one sweep's chi-squares, in the order they
+    are drawn: the pattern cells of T, then the Bartlett diagonal."""
+    return np.concatenate([pat.chi_df, iw_df + pat.l - np.arange(pat.noise.shape[1])])
+
+
+def _random_inputs(pat: _Patterns, chi_df: np.ndarray, gens, sweeps: int) -> tuple:
+    """The random inputs of `sweeps` lockstep sweeps, each chain's read in
+    order from its (normal, chi-square) generator pair in gens, laid out
+    sweep by sweep as _sweep reads them: z (S, C, nq), the normals of B; T
+    (S, C, G, n, q + n), normals at pat.noise_flat and the roots of
+    chi-squares at pat.chi_flat; and A (S, C, n, n), the Bartlett factors,
+    roots on the diagonal and normals below. Per sweep a chain takes its
+    normals for z, T and A in that order, and its chi-squares for T, then A."""
+    C, (n, w) = len(gens), pat.noise.shape[1:]
+    nq, k = n * (w - n), pat.chi_flat.size
+    m = nq + pat.noise_flat.size
+    normal = np.stack([g.standard_normal((sweeps, m + n * (n - 1) // 2)) for g, _ in gens], axis=1)
+    root = np.sqrt(np.stack([g.chisquare(chi_df, (sweeps, chi_df.size)) for _, g in gens], axis=1))
+    T = np.zeros((sweeps, C) + pat.noise.shape)
+    flat = T.reshape(sweeps, C, -1)
+    flat[..., pat.noise_flat] = normal[..., nq:m]
+    flat[..., pat.chi_flat] = root[..., :k]
+    A = np.zeros((sweeps, C, n, n))
+    flat = A.reshape(sweeps, C, -1)
+    rows, cols = np.tril_indices(n, -1)
+    flat[..., rows * n + cols] = normal[..., m:]
+    flat[..., ::n + 1] = root[..., k:]
+    return normal[..., :nq], T, A
+
+
+def _block_sweeps(pat: _Patterns, chains: int) -> int:
+    """Sweeps per block of random inputs: as many as fit _BLOCK_BYTES, at
+    least one. A sweep's inputs take about twice T and A (the draws, then
+    their layout) for each chain."""
+    n = pat.noise.shape[1]
+    return max(1, _BLOCK_BYTES // (16 * chains * (pat.noise.size + n * n)))
 
 
 def _fit_setup(d: Dataset, spec: ModelSpec):
@@ -381,31 +403,36 @@ def gibbs_fit(d: Dataset, spec: ModelSpec) -> PosteriorDraws:
     """Fit the joint linear model on the rows with any observed response.
 
     Deterministic for a fixed spec. The chains advance together, one
-    lockstep sweep per iteration, each on its own generator spawned from
-    SeedSequence(spec.seed) and drawn from in the order a chain run alone
-    would draw, so chain c's draws do not depend on the number of chains.
+    lockstep sweep per iteration, each on its own two generators spawned
+    from SeedSequence(spec.seed) and read in the order a chain run alone
+    would read them, so chain c's draws do not depend on the number of
+    chains, and those of a shorter run are a prefix of a longer run's.
     A failed factorisation raises LinAlgError naming the earliest failing
     iteration and, within it, the lowest chain that failed at the first
     failing step.
     """
     fit_rows, pat, Sigma0, iw_scale, iw_df = _fit_setup(d, spec)
     n, q = d.n_responses, d.X.shape[1]
-    rngs = [np.random.default_rng(s)
-            for s in np.random.SeedSequence(spec.seed).spawn(spec.chains)]
+    gens = [tuple(np.random.default_rng(s) for s in child.spawn(2))
+            for child in np.random.SeedSequence(spec.seed).spawn(spec.chains)]
+    chi_df = _chi_df(pat, iw_df)
+    block = _block_sweeps(pat, spec.chains)
     per_chain = spec.kept_per_chain
     B_out = np.empty((spec.chains, per_chain, n, q))
     S_out = np.empty((spec.chains, per_chain, n, n))
     Sigma = np.repeat(Sigma0[None], spec.chains, axis=0)
-    for t in range(spec.iterations):
-        try:
-            Theta, Sigma = _sweep(pat, Sigma, spec.coef_prior_var, iw_scale, iw_df, rngs)
-        except _ChainFailure as exc:
-            raise np.linalg.LinAlgError(
-                f"chain {exc.chain}, iteration {t + 1}: {exc}") from exc
-        r, skip = divmod(t - spec.burn_in, spec.thin)
-        if r >= 0 and not skip:
-            B_out[:, r] = Theta.swapaxes(-1, -2)
-            S_out[:, r] = Sigma
+    for start in range(0, spec.iterations, block):
+        inputs = _random_inputs(pat, chi_df, gens, min(block, spec.iterations - start))
+        for t, (z, T, A) in enumerate(zip(*inputs), start):
+            try:
+                Theta, Sigma = _sweep(pat, Sigma, spec.coef_prior_var, iw_scale, z, T, A)
+            except _ChainFailure as exc:
+                raise np.linalg.LinAlgError(
+                    f"chain {exc.chain}, iteration {t + 1}: {exc}") from exc
+            r, skip = divmod(t - spec.burn_in, spec.thin)
+            if r >= 0 and not skip:
+                B_out[:, r] = Theta.swapaxes(-1, -2)
+                S_out[:, r] = Sigma
 
     return PosteriorDraws(
         B_draws=B_out.reshape(-1, n, q),
@@ -617,10 +644,12 @@ def load_fit(fitdir) -> tuple[PosteriorDraws, dict]:
     if absent:
         raise ValueError(f"{meta_path}: missing or malformed keys {absent}; "
                          "re-run fit to rewrite it")
+    where = f"{meta_path} spec"
     try:
-        spec = _from_json(ModelSpec, meta.get("spec"), f"{meta_path} spec")
-    except ValueError as exc:
-        raise ValueError(f"{exc}; re-run fit to rewrite it") from None
+        spec = _from_json(ModelSpec, meta.get("spec"), where)
+    except ValueError as exc:  # a field's own error does not name the file
+        named = str(exc) if str(exc).startswith(where) else f"{where}: {exc}"
+        raise ValueError(f"{named}; re-run fit to rewrite it") from None
     try:
         with np.load(npz_path) as npz:
             arrays = {key: npz[key] for key in _NPZ_KEYS if key in npz.files}

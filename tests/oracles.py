@@ -144,47 +144,54 @@ def draw_coefficients(XtX, XtY, K, prior_var, rng):
     return (mu + noise).reshape(n, q).T
 
 
-def invwishart(df, scale, rng):
-    """IW(scale, df) by the Bartlett decomposition."""
+def invwishart(df, scale, rng, chi_rng=None):
+    """IW(scale, df) by the Bartlett decomposition: the chi-squares from
+    chi_rng (rng if None), then the normals from rng."""
     p = scale.shape[0]
     C, info = lapack.dpotrf(scale, lower=1, clean=1)
     assert info == 0
-    A = np.diag(np.sqrt(rng.chisquare(df - np.arange(p))))
+    A = np.diag(np.sqrt((rng if chi_rng is None else chi_rng).chisquare(df - np.arange(p))))
     A[np.tril_indices(p, -1)] = rng.standard_normal(p * (p - 1) // 2)
     U, info = lapack.dtrtrs(A, C.T, lower=1)
     assert info == 0
     return U.T @ U
 
 
-def serial_sweep(pat, Sigma, prior_var, iw_scale, iw_df, rng):
+def serial_sweep(pat, Sigma, prior_var, iw_scale, iw_df, normal, chi):
     """One chain's collapsed sweep on the (G, ...) pattern stacks of
-    sampler._Patterns: Theta given Sigma, then Sigma given Theta."""
+    sampler._Patterns: Theta given Sigma, then Sigma given Theta, every
+    normal from the generator normal and every chi-square from chi."""
     M = Sigma * pat.oo + pat.eye_m
     np.linalg.cholesky(M)
     K = np.linalg.inv(M) * pat.oo
     SK = Sigma @ K
     Lc = np.linalg.cholesky((Sigma - SK @ Sigma) * pat.mm + pat.eye_o)
-    Theta = draw_coefficients(pat.XtX, pat.XtY, K, prior_var, rng)
+    Theta = draw_coefficients(pat.XtX, pat.XtY, K, prior_var, normal)
     T = np.zeros(pat.noise.shape)
     flat = T.reshape(-1)
-    flat[pat.noise_flat] = rng.standard_normal(pat.noise_flat.size)
-    flat[pat.chi_flat] = np.sqrt(rng.chisquare(pat.chi_df))
+    flat[pat.noise_flat] = normal.standard_normal(pat.noise_flat.size)
+    flat[pat.chi_flat] = np.sqrt(chi.chisquare(pat.chi_df))
     W = pat.W.copy()  # [X, Y] W = Y - X Theta
     W[:Theta.shape[0]] = -Theta
     J = SK @ np.swapaxes(pat.rows @ W, 1, 2) + Lc @ T
-    return Theta, invwishart(iw_df + pat.l, iw_scale + np.einsum("gij,gkj->ik", J, J), rng)
+    return Theta, invwishart(iw_df + pat.l, iw_scale + np.einsum("gij,gkj->ik", J, J),
+                             normal, chi)
 
 
 def serial_gibbs_fit(d: Dataset, spec: ModelSpec) -> tuple[np.ndarray, np.ndarray]:
     """The kept (B_draws, Sigma_draws) of gibbs_fit, chain-major, with the
-    chains run one after another by serial_sweep, chain c on the c-th
-    generator spawned from SeedSequence(spec.seed)."""
+    chains run one after another by serial_sweep, one sweep's draws at a
+    time: chain c on the two generators spawned from the c-th child of
+    SeedSequence(spec.seed), the first for normals, the second for
+    chi-squares."""
     _rows, pat, Sigma0, iw_scale, iw_df = sampler._fit_setup(d, spec)
     B, S = [], []
     for seed in np.random.SeedSequence(spec.seed).spawn(spec.chains):
-        rng, Sigma = np.random.default_rng(seed), Sigma0
+        normal, chi = (np.random.default_rng(s) for s in seed.spawn(2))
+        Sigma = Sigma0
         for t in range(spec.iterations):
-            Theta, Sigma = serial_sweep(pat, Sigma, spec.coef_prior_var, iw_scale, iw_df, rng)
+            Theta, Sigma = serial_sweep(pat, Sigma, spec.coef_prior_var, iw_scale, iw_df,
+                                        normal, chi)
             if t >= spec.burn_in and (t - spec.burn_in) % spec.thin == 0:
                 B.append(Theta.T)
                 S.append(Sigma)

@@ -586,6 +586,9 @@ def _bad_json_input(case, pipeline, tmp_path):
     elif case == "meta_spec_with_snapshot_keys":  # written before Z was dropped
         meta["spec"].update(store_z=True, z_thin=50)
         words = ["store_z", "z_thin", "re-run fit"]
+    elif case == "meta_spec_thin_string":  # a field of the wrong type, not a traceback
+        meta["spec"]["thin"] = "2"
+        words = ["thin", "re-run fit"]
     elif case == "meta_transform_constants_list":
         meta["transform_constants"] = list(meta["transform_constants"].values())
         words = ["transform_constants", "re-run fit"]
@@ -618,7 +621,7 @@ def _bad_json_input(case, pipeline, tmp_path):
 @pytest.mark.parametrize("case", ["synth_spec_misspelled_key",
                                   "ingest_config_without_responses",
                                   "meta_spec_unknown_key", "meta_without_spec",
-                                  "meta_spec_with_snapshot_keys",
+                                  "meta_spec_with_snapshot_keys", "meta_spec_thin_string",
                                   "meta_without_response_names",
                                   "meta_without_covariate_names",
                                   "meta_without_transform_constants",
@@ -649,13 +652,18 @@ def test_bad_json_input_is_one_error_line(pipeline, tmp_path, capsys, case):
 
 @pytest.mark.parametrize("field, value", [
     ("l", "40"), ("l", 40.5), ("n", 0), ("leverage_scale", "x"), ("with_coords", "no"),
-    ("missing_prob", "x"),
+    ("missing_prob", "x"), ("Sigma", [[1, "x"], ["x", 1]]),
+    ("Sigma", [[1, float("nan")], [float("nan"), 1]]), ("Sigma", [[1, 0.5], [0, 1]]),
+    ("Sigma", [[1, 2], [2, 1]]), ("B", [[1, 2], [3, 4]]),
 ], ids=["l_string", "l_fraction", "n_zero", "leverage_scale_string", "with_coords_string",
-        "missing_prob_string"])
+        "missing_prob_string", "sigma_string", "sigma_nan", "sigma_asymmetric",
+        "sigma_indefinite", "b_shape"])
 def test_bad_synth_spec_field_is_one_error_line(tmp_path, capsys, field, value):
     # a value of the wrong type or range fails in simulate, naming its
-    # field, rather than deep in the generator, silently ("no" is truthy)
-    # or not at all (n = 0 wrote a dataset without responses)
+    # field, rather than deep in the generator, silently ("no" is truthy,
+    # an asymmetric Sigma was read by one triangle) or not at all (n = 0
+    # wrote a dataset without responses, a NaN Sigma failed later as
+    # non-finite response cells)
     path = tmp_path / "synth.json"
     path.write_text(json.dumps({"l": 40, "n": 2, "q": 3, field: value}))
     capsys.readouterr()

@@ -37,6 +37,13 @@ def test_spec_validation():
     ModelSpec(coef_prior_var=float("inf"))  # a flat prior
     with pytest.raises(ValueError, match="chain"):
         ModelSpec(chains=0)
+    # a spec read from a fit's meta.json may hold any JSON value
+    with pytest.raises(ValueError, match="thin must be an integer"):
+        ModelSpec(thin="2")
+    with pytest.raises(ValueError, match="coef_prior_var must be a number"):
+        ModelSpec(coef_prior_var=True)
+    with pytest.raises(ValueError, match="iw_scale"):
+        ModelSpec(iw_scale=[[1.0, "x"], ["x", 1.0]])
 
 
 # -- inverse-Wishart ----------------------------------------------------------------
@@ -44,10 +51,12 @@ def test_spec_validation():
 
 def _bartlett_draw(df, scale, rng):
     """IW(scale, df) through the sweep's Bartlett step: the roots of
-    chi-squares on the factor's diagonal, the normals below it drawn by
-    _bartlett."""
-    root = np.sqrt(rng.chisquare(df - np.arange(scale.shape[0])))
-    return sampler._bartlett(scale, np.diag(root), rng)
+    chi-squares on the factor's diagonal, then normals below it, both
+    drawn from rng."""
+    p = scale.shape[0]
+    A = np.diag(np.sqrt(rng.chisquare(df - np.arange(p))))
+    A[np.tril_indices(p, -1)] = rng.standard_normal(p * (p - 1) // 2)
+    return sampler._bartlett(scale, A)
 
 
 def test_invwishart_mean_matches_formula():
@@ -293,6 +302,14 @@ def test_gibbs_updates_preserve_joint_distribution():
     assert z_scores(successive_chain(4)).max() > 6.0
 
 
+def _one_sweep(pat, Sigma, prior_var, iw_scale, iw_df, normal, chi):
+    """One chain's _sweep from Sigma, its random inputs for the one sweep
+    drawn by _random_inputs from the generators normal and chi."""
+    inputs = sampler._random_inputs(pat, sampler._chi_df(pat, iw_df), [(normal, chi)], 1)
+    return (a[0] for a in sampler._sweep(pat, Sigma[None], prior_var, iw_scale,
+                                          *(x[0] for x in inputs)))
+
+
 def _sorted_patterns(masks):
     """Pattern-sorted rows as gibbs_fit lays them out: (order, patterns, bounds)."""
     masks = np.asarray(masks, dtype=bool)
@@ -452,8 +469,7 @@ def test_collapsed_sweep_preserves_joint_distribution_with_missing_data(monkeypa
             pat = sampler._Patterns(X, Y, patterns, bounds)
             if df_offset is not None:
                 pat.chi_df = pat.chi_df + df_offset(pat)
-            Theta, Sigma = (a[0] for a in sampler._sweep(pat, Sigma[None], prior_var, Psi,
-                                                         nu, [r2]))
+            Theta, Sigma = _one_sweep(pat, Sigma, prior_var, Psi, nu, r2, r2)
             sc[i] = functionals(Theta, Sigma, Y)
         se1 = mc.std(axis=0, ddof=1) / np.sqrt(N)
         se2 = sc.std(axis=0, ddof=1) / np.sqrt([ess(c[None, :]) for c in sc.T])
@@ -528,6 +544,39 @@ def test_lockstep_chains_are_the_serial_chains_bit_for_bit(chains):
     assert p.Sigma_draws.tobytes() == S.tobytes()
 
 
+def test_draws_do_not_depend_on_the_block_length(monkeypatch, missing_dataset):
+    # each chain's two streams are read strictly in order, so blocks of one
+    # sweep, or of 7 sweeps (7 does not divide 60), give the bytes of the
+    # run drawn as one block
+    d, _ = missing_dataset
+    spec = ModelSpec(iterations=60, burn_in=20, chains=2, seed=31)
+    pat = sampler._fit_setup(d, spec)[1]
+    assert sampler._block_sweeps(pat, 2) >= 60
+    whole = gibbs_fit(d, spec)
+    monkeypatch.setattr(sampler, "_BLOCK_BYTES", 1)
+    assert sampler._block_sweeps(pat, 2) == 1
+    one = gibbs_fit(d, spec)
+    monkeypatch.setattr(sampler, "_block_sweeps", lambda pat, chains: 7)
+    seven = gibbs_fit(d, spec)
+    for blocks, p in (("one sweep", one), ("seven sweeps", seven)):
+        for name in ("B_draws", "Sigma_draws"):
+            assert getattr(p, name).tobytes() == getattr(whole, name).tobytes(), (blocks, name)
+
+
+def test_a_shorter_run_draws_a_prefix_of_a_longer_run(missing_dataset):
+    # the same seed and burn-in: the 60-iteration fit keeps exactly the
+    # first 40 draws of each chain of the 75-iteration fit
+    d, _ = missing_dataset
+    short = gibbs_fit(d, ModelSpec(iterations=60, burn_in=20, chains=2, seed=29))
+    long = gibbs_fit(d, ModelSpec(iterations=75, burn_in=20, chains=2, seed=29))
+    for c in range(2):
+        for name in ("B_draws", "Sigma_draws"):
+            a = getattr(short, name)[short.chain == c]
+            b = getattr(long, name)[long.chain == c]
+            assert len(a) == 40 and len(b) == 55
+            assert a.tobytes() == b[:40].tobytes(), (c, name)
+
+
 def test_draw_count_and_shapes(missing_dataset):
     d, _ = missing_dataset
     spec = ModelSpec(iterations=100, burn_in=40, thin=2, chains=2, seed=1)
@@ -545,22 +594,23 @@ def test_every_sigma_draw_is_pd(missing_dataset):
 
 
 def test_complete_data_sweep_is_the_complete_data_gibbs_update():
-    # fully observed rows are the one-pattern case: from one generator state
-    # the sweep draws what the reference coefficient and IW updates draw
+    # fully observed rows are the one-pattern case: from the same two
+    # generator states the sweep draws what the reference coefficient and
+    # IW updates draw
     rng = np.random.default_rng(8)
     l, q, n = 60, 3, 2
     X = np.column_stack([np.ones(l), rng.standard_normal((l, q - 1))])
     Y = rng.standard_normal((l, n))
     Sigma = np.array([[1.0, 0.3], [0.3, 0.8]])
     pat = sampler._Patterns(X, Y, np.ones((1, n), dtype=bool), np.array([0, l]))
-    Theta, S = (a[0] for a in sampler._sweep(pat, Sigma[None], 10.0, np.eye(n), 4.0,
-                                             [np.random.default_rng(21)]))
+    Theta, S = _one_sweep(pat, Sigma, 10.0, np.eye(n), 4.0,
+                          np.random.default_rng(21), np.random.default_rng(22))
 
-    r = np.random.default_rng(21)
+    r, chi = np.random.default_rng(21), np.random.default_rng(22)
     Theta_ref = draw_coefficients((X.T @ X)[None], (X.T @ Y)[None], np.linalg.inv(Sigma)[None],
                                   10.0, r)
     E = Y - X @ Theta_ref
-    S_ref = invwishart(4.0 + l, np.eye(n) + E.T @ E, r)
+    S_ref = invwishart(4.0 + l, np.eye(n) + E.T @ E, r, chi)
     np.testing.assert_allclose(Theta, Theta_ref, rtol=1e-10, atol=1e-12)
     np.testing.assert_allclose(S, S_ref, rtol=1e-10, atol=1e-12)
 
@@ -570,7 +620,7 @@ def test_sweep_failure_names_the_pattern(monkeypatch, missing_dataset):
     # response 2; the first of them in sorted order misses response 0. The
     # sweep of iteration 2 meets the bad first Sigma draw.
     monkeypatch.setattr(sampler, "_bartlett",
-                        lambda scale, A, rng: np.diag([1.0, 1.0, -1.0]))
+                        lambda scale, A: np.diag([1.0, 1.0, -1.0]))
     with pytest.raises(np.linalg.LinAlgError,
                        match=r"chain 0, iteration 2: Sigma_oo is not positive "
                              r"definite for the pattern with missing responses \[0"):
@@ -579,24 +629,27 @@ def test_sweep_failure_names_the_pattern(monkeypatch, missing_dataset):
 
 def test_singular_sigma_oo_names_the_pattern(monkeypatch, missing_dataset):
     # a Sigma_oo that cannot be inverted is named like one that is not PD
-    monkeypatch.setattr(sampler, "_bartlett", lambda scale, A, rng: np.diag([1.0, 1.0, 0.0]))
+    monkeypatch.setattr(sampler, "_bartlett", lambda scale, A: np.diag([1.0, 1.0, 0.0]))
     with pytest.raises(np.linalg.LinAlgError,
                        match=r"chain 0, iteration 2: Sigma_oo is not positive "
                              r"definite for the pattern with missing responses \[0"):
         gibbs_fit(missing_dataset[0], ModelSpec(iterations=5, burn_in=0, chains=1, seed=1))
 
 
-def _singular_sigma_draws(monkeypatch, bad):
+def _singular_sigma_draws(monkeypatch, bad, chains):
     """Make the Sigma step return a matrix of ones, which is not PD, as the
     k-th draw of chain c for each (c, k) in bad. Calls are counted per
-    generator, and chain c's generator is the c-th one the step meets."""
-    calls = {}
+    chain: each sweep of `chains` chains calls _bartlett once per chain,
+    chain 0 first, so the i-th call (from 0) is chain i % chains's draw
+    i // chains + 1."""
+    calls = []
     real = sampler._bartlett
 
-    def singular(scale, A, rng):
-        calls[rng] = calls.get(rng, 0) + 1
-        S = real(scale, A, rng)
-        return np.ones_like(S) if (list(calls).index(rng), calls[rng]) in bad else S
+    def singular(scale, A):
+        k, c = divmod(len(calls), chains)
+        calls.append(c)
+        S = real(scale, A)
+        return np.ones_like(S) if (c, k + 1) in bad else S
 
     monkeypatch.setattr(sampler, "_bartlett", singular)
 
@@ -610,7 +663,7 @@ def test_chain_failure_names_chain_and_iteration(monkeypatch, missing_dataset,
         d, _ = missing_dataset
     else:
         d, _ = synthesize(SynthSpec(l=60, n=3, q=3, missing_prob=0.0), seed=2)
-    _singular_sigma_draws(monkeypatch, {(1, 4)})
+    _singular_sigma_draws(monkeypatch, {(1, 4)}, chains=2)
     with pytest.raises(np.linalg.LinAlgError, match=r"chain 1, iteration 5: .*Sigma"):
         gibbs_fit(d, ModelSpec(iterations=12, burn_in=2, chains=2, seed=1))
 
@@ -621,7 +674,7 @@ def test_failure_names_the_earliest_iteration_then_the_lowest_chain(
         monkeypatch, missing_dataset, bad, named):
     # the chains advance together: a later failure of a lower chain, or a
     # failure of a higher chain in the same sweep, is not the one named
-    _singular_sigma_draws(monkeypatch, bad)
+    _singular_sigma_draws(monkeypatch, bad, chains=3)
     with pytest.raises(np.linalg.LinAlgError, match=named + ": Sigma_oo"):
         gibbs_fit(missing_dataset[0], ModelSpec(iterations=12, burn_in=2, chains=3, seed=1))
 
