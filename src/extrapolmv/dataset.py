@@ -25,7 +25,8 @@ and of a fit's draws.npz, against the dtypes and shapes they were written with.
 
 The JSON records (ingestion config, synthesis spec, a fit's model spec)
 go through one codec, _to_json and _from_json: a record must have every
-required field and no other key, or ValueError names the source and keys.
+required field and no other key, or ValueError names the source and keys;
+a field value its dataclass refuses names the field, then the source.
 _load_json reads a JSON file and names it when the text is not JSON;
 _write_json writes every JSON file the pipeline makes but tree.json.
 """
@@ -95,7 +96,8 @@ def _write_json(path, value) -> None:
 def _from_json(cls, raw, where: str):
     """``cls(**raw)`` for a JSON object ``raw`` that has every required
     field of the dataclass ``cls`` and no other key. Anything else raises
-    ValueError naming ``where`` and the keys."""
+    ValueError naming ``where`` and the keys; a field value the dataclass
+    refuses raises its error with ``where`` appended."""
     if not isinstance(raw, dict):
         raise ValueError(f"{where}: expected a JSON object, got {json.dumps(raw)[:40]}")
     unknown = sorted(raw.keys() - {f.name for f in fields(cls)})
@@ -103,15 +105,20 @@ def _from_json(cls, raw, where: str):
               and f.default is MISSING and f.default_factory is MISSING]
     if unknown or absent:
         raise ValueError(f"{where}: unknown keys {unknown}, missing keys {absent}")
-    return cls(**raw)
+    try:
+        return cls(**raw)
+    except ValueError as exc:  # a field's own error, which starts with its name
+        raise ValueError(f"{exc} (in {where})") from None
 
 
-def _check_types(record, integers=(), reals=()) -> None:
+def _check_types(record, integers=(), reals=(), strings=()) -> None:
     """ValueError naming the first field of the dataclass ``record`` in
-    ``integers`` that holds no integer, or in ``reals`` no real number (a
-    bool is neither): a record read from JSON may hold any value."""
+    ``integers`` that holds no integer, in ``reals`` no real number (a
+    bool is neither) or in ``strings`` no string: a record read from JSON
+    may hold any value."""
     for names, kind, what in ((integers, numbers.Integral, "an integer"),
-                              (reals, numbers.Real, "a number")):
+                              (reals, numbers.Real, "a number"),
+                              (strings, str, "a string")):
         for name in names:
             value = getattr(record, name)
             if isinstance(value, bool) or not isinstance(value, kind):
@@ -278,13 +285,11 @@ class TransformSpec:
         ``cfg["responses"]`` is either a single tag applied to every
         response or a name -> tag mapping (unlisted names get "none");
         ``cfg["standardize"]`` is a bool for all covariates or a
-        name -> bool mapping (unlisted default True). An entry that is no
-        mapping, any other key, a value of another type, or a mapping name
-        that is no response (no non-intercept covariate) raises ValueError
-        naming it.
+        name -> bool mapping (unlisted default True). ``cfg`` is a dict, as
+        IngestConfig checks. Any other key, a value of another type, or a
+        mapping name that is no response (no non-intercept covariate)
+        raises ValueError naming it.
         """
-        if not isinstance(cfg, dict):
-            raise ValueError(f"transforms: expected a JSON object, got {cfg!r}")
         unknown = sorted(cfg.keys() - {"responses", "standardize"})
         if unknown:
             raise ValueError(f"transforms: unknown keys {unknown}")
@@ -358,7 +363,13 @@ def apply_transforms(d: Dataset, t: TransformSpec) -> Dataset:
 
 @dataclass
 class IngestConfig:
-    """Names the columns of an input CSV and the missing-value token."""
+    """Names the columns of an input CSV and the missing-value token.
+
+    ``covariates`` and ``responses`` are lists of strings in which no name
+    appears twice, in one list or across both; the other columns are
+    strings (``lon_col`` and ``lat_col`` may be None), ``transforms`` an
+    object or None. Anything else raises ValueError naming the field.
+    """
 
     id_col: str
     covariates: list[str]
@@ -367,6 +378,22 @@ class IngestConfig:
     lat_col: str | None = None
     missing_token: str = MISSING_TOKEN
     transforms: dict | None = None
+
+    def __post_init__(self):
+        _check_types(self, strings=("id_col", "missing_token") + tuple(
+            name for name in ("lon_col", "lat_col") if getattr(self, name) is not None))
+        for name in ("covariates", "responses"):
+            names = getattr(self, name)
+            if not (isinstance(names, list) and all(isinstance(v, str) for v in names)):
+                raise ValueError(f"{name} must be a list of strings, not {names!r}")
+            repeated = [v for i, v in enumerate(names) if v in names[:i]]
+            if repeated:
+                raise ValueError(f"{name} names {repeated[0]!r} more than once")
+        both = [v for v in self.responses if v in self.covariates]
+        if both:
+            raise ValueError(f"covariates and responses both name {both[0]!r}")
+        if not isinstance(self.transforms, (dict, type(None))):
+            raise ValueError(f"transforms must be an object or null, not {self.transforms!r}")
 
     @classmethod
     def from_json(cls, path) -> "IngestConfig":

@@ -1,8 +1,8 @@
 """Design-matrix diagnostics: leverage, hull membership, influence.
 
-Quadratic forms in (X'X)^-1 are computed through triangular solves
-against a Cholesky factor, never by forming the l x l hat matrix or an
-explicit inverse. All functions are pure and safe to call concurrently.
+Quadratic forms in (X'X)^-1 are squared norms |R x|^2, with R = L^-1 for
+the Cholesky factor L of X'X, never read off the l x l hat matrix. All
+functions are pure and safe to call concurrently.
 """
 
 from __future__ import annotations
@@ -10,7 +10,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import cho_factor, cho_solve
 
 # Leverages this far above 1 are treated as roundoff and clamped; anything
 # beyond is a genuine numerical failure.
@@ -28,14 +27,13 @@ class HighLeverageRule:
             raise ValueError("factor cannot be negative")
 
 
-def _gram_cholesky(X: np.ndarray):
-    X = np.asarray(X, dtype=float)
-    if X.ndim != 2:
-        raise ValueError("X must be a matrix")
+def _inverse_cholesky(S: np.ndarray, what: str = "X'X") -> np.ndarray:
+    """R = L^-1 for the lower Cholesky factor L of S, so S^-1 = R'R;
+    LinAlgError "<what> is singular" unless S is positive definite."""
     try:
-        return cho_factor(X.T @ X, lower=True)
+        return np.linalg.inv(np.linalg.cholesky(S))
     except np.linalg.LinAlgError:
-        raise np.linalg.LinAlgError("X'X is singular") from None
+        raise np.linalg.LinAlgError(f"{what} is singular") from None
 
 
 def hat_diagonal(X: np.ndarray) -> np.ndarray:
@@ -56,13 +54,17 @@ def ivh_value(X: np.ndarray, x0: np.ndarray) -> float:
 
 
 def ivh_values(X: np.ndarray, X0: np.ndarray) -> np.ndarray:
-    """Row-wise ivh_value for a matrix of candidate rows."""
+    """Row-wise ivh_value for a matrix of candidate rows: the squared
+    column norms of R X0'."""
     X = np.asarray(X, dtype=float)
-    c = _gram_cholesky(X)
+    if X.ndim != 2:
+        raise ValueError("X must be a matrix")
+    R = _inverse_cholesky(X.T @ X)
     X0 = np.asarray(X0, dtype=float)
     if X0.shape[1] != X.shape[1]:
         raise ValueError("candidate rows do not match design width")
-    v = np.einsum("ij,ji->i", X0, cho_solve(c, X0.T))
+    W = R @ X0.T
+    v = np.einsum("ij,ij->j", W, W)
     # values in (1, 1 + slack] are roundoff; clamped to 1, a design row's
     # quadratic form never lands a hair above its own leverage
     return np.where((v > 1.0) & (v <= 1.0 + _LEVERAGE_SLACK), 1.0, v)
@@ -80,12 +82,8 @@ def mahalanobis_sq(x: np.ndarray, xbar: np.ndarray, S: np.ndarray) -> float:
     S = np.asarray(S, dtype=float)
     if x.shape != xbar.shape or S.shape != (x.size, x.size):
         raise ValueError("dimension mismatch between x, xbar and S")
-    try:
-        c = cho_factor(S, lower=True)
-    except np.linalg.LinAlgError:
-        raise np.linalg.LinAlgError("covariance matrix is singular") from None
-    d = x - xbar
-    return float(d @ cho_solve(c, d))
+    w = _inverse_cholesky(S, "covariance matrix") @ (x - xbar)
+    return float(w @ w)
 
 
 def leverage_from_mahalanobis(md2: float, l: int) -> float:
@@ -110,8 +108,8 @@ def cooks_distance(X: np.ndarray, y: np.ndarray) -> np.ndarray:
         raise ValueError("response length != row count")
     if l <= q:
         raise ValueError("need more rows than covariates for residual variance")
-    c = _gram_cholesky(X)
-    beta = cho_solve(c, X.T @ y)
+    R = _inverse_cholesky(X.T @ X)
+    beta = R.T @ (R @ (X.T @ y))
     r = y - X @ beta
     rss = float(r @ r)
     # residuals at roundoff level mean an exact fit: studentizing them

@@ -33,10 +33,9 @@ from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
 import numpy as np
-from scipy.linalg import cho_solve
 
 from extrapolmv.dataset import _BLOCK_ROWS, Dataset, _pattern_groups, _write_table, row_status
-from extrapolmv.diagnostics import _gram_cholesky, high_leverage_set, ivh_values
+from extrapolmv.diagnostics import _inverse_cholesky, high_leverage_set, ivh_values
 
 if TYPE_CHECKING:  # pragma: no cover
     from extrapolmv.sampler import PosteriorDraws
@@ -391,10 +390,12 @@ def _flags_and_ratio(v: np.ndarray, tie: np.ndarray | None, k: float,
 
 
 def _assemble_report(d: Dataset, measures: list[str], traces, logdets, fit_rows,
-                     cmvpv: dict, cutoff_specs, hvals: np.ndarray) -> ExtrapolationReport:
+                     cmvpv: dict, cutoff_specs) -> ExtrapolationReport:
     """Cutoffs and flags of each measure, from its (values, tie values or
     None, observed rows): trace and det over the fit rows, det with the
-    trace to break its ties; ``cmvpv`` maps each CMVPV measure to its own."""
+    trace to break its ties; ``cmvpv`` maps each CMVPV measure to its own.
+    The "lev" cutoff reads leverages against the fit rows' design."""
+    hvals = ivh_values(d.X[fit_rows], d.X)
     table = {"trace": (traces, None, fit_rows), "det": (logdets, traces, fit_rows), **cmvpv}
     reports = []
     for key in measures:
@@ -433,7 +434,8 @@ def score_locations(p: "PosteriorDraws", d: Dataset, measures=DEFAULT_MEASURES,
     per-cutoff columns of the exported scores file. MVPV cutoffs are
     derived from all rows used in the fit; CMVPV cutoffs from the rows
     where the target response itself is observed. A ``timings`` dict
-    receives the seconds spent on the measures and on the cutoffs.
+    receives the seconds spent on the measures and on the cutoffs, the
+    leverages they read included.
     """
     start = time.perf_counter()
     measures = _parse_measures(measures, d.response_names)
@@ -451,8 +453,6 @@ def score_locations(p: "PosteriorDraws", d: Dataset, measures=DEFAULT_MEASURES,
         raise ValueError(f"measure 'det' needs more kept draws than the {n} responses, "
                          f"got {A}: every predictive covariance would be singular")
 
-    hvals = ivh_values(d.X[fit_rows], d.X)
-
     traces = logdets = None
     if {"trace", "det"} & set(measures):
         traces, logdets = _mvpv_arrays(_draw_cov(p.B_draws.reshape(A, n * q)), d.X,
@@ -464,8 +464,7 @@ def score_locations(p: "PosteriorDraws", d: Dataset, measures=DEFAULT_MEASURES,
             t = d.response_names.index(m.split(":", 1)[1])
             cmvpv[m] = _cmvpv_array(p, d, t), None, np.flatnonzero(d.mask[:, t])
     middle = time.perf_counter()
-    report = _assemble_report(d, measures, traces, logdets, fit_rows, cmvpv,
-                              cutoff_specs, hvals)
+    report = _assemble_report(d, measures, traces, logdets, fit_rows, cmvpv, cutoff_specs)
     if timings is not None:
         timings.update(measures=middle - start, cutoffs=time.perf_counter() - middle)
     return report
@@ -496,7 +495,8 @@ def score_locations_analytic(d: Dataset, measures=DEFAULT_MEASURES,
         if complete.size < d.n_covariates + 2:
             raise ValueError("too few complete rows to estimate Sigma")
         Xc, Yc = d.X[complete], d.Y[complete]
-        E = Yc - Xc @ cho_solve(_gram_cholesky(Xc), Xc.T @ Yc)
+        R = _inverse_cholesky(Xc.T @ Xc)
+        E = Yc - Xc @ (R.T @ (R @ (Xc.T @ Yc)))
         sigma = E.T @ E / complete.size
     else:
         sigma = np.asarray(sigma, dtype=float)
@@ -505,10 +505,9 @@ def score_locations_analytic(d: Dataset, measures=DEFAULT_MEASURES,
     sigma = _check_symmetric(sigma)
     _logdet_psd(sigma)  # raises unless sigma is PSD within tolerance
 
-    hvals = ivh_values(d.X[fit_rows], d.X)
-    gram_inv = cho_solve(_gram_cholesky(d.X[fit_rows]), np.eye(d.n_covariates))
-    traces, logdets = _mvpv_arrays(np.kron(sigma, gram_inv), d.X, "det" in measures)
-    return _assemble_report(d, measures, traces, logdets, fit_rows, {}, cutoff_specs, hvals)
+    R = _inverse_cholesky(d.X[fit_rows].T @ d.X[fit_rows])
+    traces, logdets = _mvpv_arrays(np.kron(sigma, R.T @ R), d.X, "det" in measures)
+    return _assemble_report(d, measures, traces, logdets, fit_rows, {}, cutoff_specs)
 
 
 # ---------------------------------------------------------------------------
@@ -526,10 +525,8 @@ def write_scores_csv(report: ExtrapolationReport, path) -> None:
     values = {m.measure: m.values for m in report.measures}
     ordered = value_order([m.measure for m in report.measures])
     header = ["id", "lon", "lat", "status"] + [measure_column(m) for m in ordered]
-    if report.coords is None:
-        coords = [[""] * len(report.ids)] * 2
-    else:
-        coords = [list(map(repr, report.coords[:, j].tolist())) for j in (0, 1)]
+    # float columns: a float's %s is its repr
+    coords = [[""] * len(report.ids)] * 2 if report.coords is None else list(report.coords.T)
     columns = [report.ids, *coords, report.status]
     columns += [values[m] for m in ordered]
     for c in primary.cutoffs:

@@ -95,6 +95,8 @@ class ModelSpec:
             raise ValueError("thinning factor must be at least 1")
         if self.chains < 1:
             raise ValueError("need at least one chain")
+        if self.seed < 0:
+            raise ValueError(f"seed must be non-negative, not {self.seed}")
         if self.iw_scale is not None:
             try:
                 self.iw_scale = np.asarray(self.iw_scale, dtype=float)
@@ -644,12 +646,10 @@ def load_fit(fitdir) -> tuple[PosteriorDraws, dict]:
     if absent:
         raise ValueError(f"{meta_path}: missing or malformed keys {absent}; "
                          "re-run fit to rewrite it")
-    where = f"{meta_path} spec"
     try:
-        spec = _from_json(ModelSpec, meta.get("spec"), where)
-    except ValueError as exc:  # a field's own error does not name the file
-        named = str(exc) if str(exc).startswith(where) else f"{where}: {exc}"
-        raise ValueError(f"{named}; re-run fit to rewrite it") from None
+        spec = _from_json(ModelSpec, meta.get("spec"), f"{meta_path} spec")
+    except ValueError as exc:
+        raise ValueError(f"{exc}; re-run fit to rewrite it") from None
     try:
         with np.load(npz_path) as npz:
             arrays = {key: npz[key] for key in _NPZ_KEYS if key in npz.files}

@@ -164,11 +164,12 @@ def test_burnin_at_least_iterations_is_an_error(pipeline, tmp_path):
     (["--iters", 5, "--burnin", 2], "at least 4 draws per chain"),
     (["--chains", 1, "--iters", 150, "--burnin", 100], "at least 2 chains or 100 draws"),
     (["--iters", 20, "--burnin", 5, "--prior-var", "nan"], "prior variance"),
-], ids=["three_draws_a_chain", "one_chain_of_fifty", "nan_prior_variance"])
+    (["--iters", 20, "--burnin", 5, "--seed", -1], "seed must be non-negative, not -1"),
+], ids=["three_draws_a_chain", "one_chain_of_fifty", "nan_prior_variance", "negative_seed"])
 def test_undiagnosable_run_is_refused_before_the_sweep(pipeline, tmp_path, capsys,
                                                        monkeypatch, argv, words):
-    # too few kept draws for the convergence summary, or a NaN prior
-    # variance: one error line and no output, before any sweep
+    # too few kept draws for the convergence summary, a NaN prior variance
+    # or a negative seed: one error line and no output, before any sweep
     def no_sweep(d, spec):
         raise AssertionError("gibbs_fit ran")
 
@@ -536,12 +537,23 @@ def _bad_json_input(case, pipeline, tmp_path):
         path = tmp_path / "synth.json"
         path.write_text(json.dumps({"l": 60, "n": 2, "q": 3, "missing_prb": 0.1}))
         return ["simulate", "--spec", path], path, ["missing_prb"]
-    if case == "ingest_config_without_responses":
-        del cfg["responses"]
+    if case.startswith("ingest_config_"):
+        if case == "ingest_config_without_responses":
+            del cfg["responses"]
+            words = ["responses"]
+        elif case == "ingest_config_covariates_string":  # was read character by character
+            cfg["covariates"] = cfg["covariates"][0]
+            words = ["covariates", "list of strings"]
+        elif case == "ingest_config_missing_token_int":  # was never matched
+            cfg["missing_token"] = 5
+            words = ["missing_token", "string"]
+        else:  # ingest_config_repeated_response, which was fitted twice
+            cfg["responses"].insert(1, cfg["responses"][0])
+            words = ["responses", repr(cfg["responses"][0])]
         path = tmp_path / "cfg.json"
         path.write_text(json.dumps(cfg))
         return ["fit", "--data", data, "--config", path, "--iters", 20, "--burnin", 5], \
-            path, ["responses"]
+            path, words
     if case.startswith("score_manifest_"):  # a score output whose manifest.json is bad
         manifest = json.loads((pipeline["scores"] / "manifest.json").read_text())
         scores = tmp_path / "scores"
@@ -620,6 +632,9 @@ def _bad_json_input(case, pipeline, tmp_path):
 
 @pytest.mark.parametrize("case", ["synth_spec_misspelled_key",
                                   "ingest_config_without_responses",
+                                  "ingest_config_covariates_string",
+                                  "ingest_config_missing_token_int",
+                                  "ingest_config_repeated_response",
                                   "meta_spec_unknown_key", "meta_without_spec",
                                   "meta_spec_with_snapshot_keys", "meta_spec_thin_string",
                                   "meta_without_response_names",

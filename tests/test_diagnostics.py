@@ -1,6 +1,10 @@
+import ast
+from pathlib import Path
+
 import numpy as np
 import pytest
 
+import extrapolmv
 from extrapolmv.diagnostics import (
     HighLeverageRule,
     cooks_distance,
@@ -299,3 +303,24 @@ def test_rule_parameters_validated():
 def test_empty_leverage_vector_rejected():
     with pytest.raises(ValueError):
         high_leverage_set(np.array([]))
+
+
+# -- scipy stays with the sweep -------------------------------------------------
+
+
+def test_only_the_sampler_imports_a_scipy_submodule():
+    # leverage, Cook's distance and the analytic path are numpy only;
+    # cli.py imports the bare package for the version its manifests record
+    submodule, bare = set(), set()
+    for path in Path(extrapolmv.__file__).parent.glob("*.py"):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.Import):
+                names = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom):
+                names = [f"{node.module}.{alias.name}" for alias in node.names]
+            else:
+                continue
+            submodule.update(path.name for name in names if name.startswith("scipy."))
+            bare.update(path.name for name in names if name == "scipy")
+    assert submodule == {"sampler.py"}
+    assert bare == {"cli.py"}

@@ -37,6 +37,8 @@ def test_spec_validation():
     ModelSpec(coef_prior_var=float("inf"))  # a flat prior
     with pytest.raises(ValueError, match="chain"):
         ModelSpec(chains=0)
+    with pytest.raises(ValueError, match="seed must be non-negative, not -1"):
+        ModelSpec(seed=-1)
     # a spec read from a fit's meta.json may hold any JSON value
     with pytest.raises(ValueError, match="thin must be an integer"):
         ModelSpec(thin="2")
