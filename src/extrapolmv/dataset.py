@@ -367,8 +367,9 @@ class IngestConfig:
 
     ``covariates`` and ``responses`` are lists of strings in which no name
     appears twice, in one list or across both; the other columns are
-    strings (``lon_col`` and ``lat_col`` may be None), ``transforms`` an
-    object or None. Anything else raises ValueError naming the field.
+    strings (``lon_col`` and ``lat_col`` may be None, but only together),
+    ``transforms`` an object or None. Anything else raises ValueError
+    naming the field.
     """
 
     id_col: str
@@ -392,6 +393,9 @@ class IngestConfig:
         both = [v for v in self.responses if v in self.covariates]
         if both:
             raise ValueError(f"covariates and responses both name {both[0]!r}")
+        if bool(self.lon_col) != bool(self.lat_col):
+            raise ValueError(f"lon_col and lat_col must be set together, not "
+                             f"{self.lon_col!r} and {self.lat_col!r}")
         if not isinstance(self.transforms, (dict, type(None))):
             raise ValueError(f"transforms must be an object or null, not {self.transforms!r}")
 

@@ -480,6 +480,9 @@ def score_locations_analytic(d: Dataset, measures=DEFAULT_MEASURES,
     strictly increasing functions of that leverage-style quadratic form.
     The sampled path's kernel computes them. Supports the trace and det
     measures only; mainly a verification path for the sampled pipeline.
+    Without ``sigma``, Sigma is the OLS estimate from the complete rows,
+    which must number at least q + max(2, n) for it to be positive
+    definite.
     """
     measures = _parse_measures(measures, d.response_names)
     if any(m.startswith("cmvpv:") for m in measures):
@@ -492,8 +495,10 @@ def score_locations_analytic(d: Dataset, measures=DEFAULT_MEASURES,
 
     if sigma is None:
         complete = np.flatnonzero(d.mask.all(axis=1))
-        if complete.size < d.n_covariates + 2:
-            raise ValueError("too few complete rows to estimate Sigma")
+        need = d.n_covariates + max(2, d.n_responses)
+        if complete.size < need:
+            raise ValueError(f"too few complete rows to estimate Sigma: "
+                             f"{complete.size}, need {need}")
         Xc, Yc = d.X[complete], d.Y[complete]
         R = _inverse_cholesky(Xc.T @ Xc)
         E = Yc - Xc @ (R.T @ (R @ (Xc.T @ Yc)))

@@ -38,6 +38,11 @@ block of sweeps at a time, and lays them out as the sweeps read them. So a
 chain's draws depend neither on the block length nor on the other chains
 or how many there are, bit for bit: they equal those of the chain run
 alone, and a shorter run's draws are a prefix of a longer run's.
+
+Convergence: one array computation, _split_diagnostics, gives every
+parameter's split-R-hat and ESS. Draws that are all equal have R-hat 1
+and an ESS of their count; chains stuck at different values have R-hat
+inf (Infinity in meta.json).
 """
 
 from __future__ import annotations
@@ -58,8 +63,9 @@ META_FILE = "meta.json"
 _EPS = np.finfo(float).eps
 # the draws.npz arrays, in the order they are written
 _NPZ_KEYS = ("B_draws", "Sigma_draws", "chain", "draw", "fit_rows")
-# the random inputs of one block of sweeps, all chains, are drawn and laid
-# out at once within about this many bytes
+# the work arrays of one block stay within about this many bytes: the random
+# inputs of a block of sweeps, all chains, drawn and laid out at once, and
+# the FFTs of a block of parameters' convergence diagnostics
 _BLOCK_BYTES = 2 << 20
 
 
@@ -67,8 +73,10 @@ _BLOCK_BYTES = 2 << 20
 class ModelSpec:
     """Prior and run-length configuration for gibbs_fit.
 
-    ``iw_scale`` defaults to the identity and ``iw_df`` to q + 1 (resolved
-    against the dataset at fit time); gibbs_fit rejects an ``iw_scale``
+    ``iw_scale`` defaults to the identity and ``iw_df`` to max(q + 1, n),
+    q counting the intercept and n the responses, which is proper (above
+    n - 1) however few the covariates (resolved against the dataset at fit
+    time); gibbs_fit rejects an ``iw_scale``
     that is not finite, symmetric and positive definite. A field of the
     wrong type or out of range raises ValueError naming it.
     """
@@ -383,7 +391,7 @@ def _fit_setup(d: Dataset, spec: ModelSpec):
     if not (np.isfinite(iw_scale).all() and np.array_equal(iw_scale, iw_scale.T)):
         raise ValueError("IW scale is not a finite symmetric matrix")
     _chol(iw_scale, "IW scale")
-    iw_df = float(q + 1) if spec.iw_df is None else float(spec.iw_df)
+    iw_df = float(max(q + 1, n)) if spec.iw_df is None else float(spec.iw_df)
     if iw_df <= n - 1:
         raise ValueError("IW degrees of freedom must exceed n - 1 for a proper prior")
 
@@ -452,69 +460,57 @@ def gibbs_fit(d: Dataset, spec: ModelSpec) -> PosteriorDraws:
 # ---------------------------------------------------------------------------
 
 
-def _split_moments(chains) -> tuple[np.ndarray, float, float] | None:
-    """Split halves of (n_chains, n_draws) chains, their mean within-half
-    variance W and the pooled variance estimate; None if constant."""
-    x = np.asarray(chains, dtype=float)
-    if x.ndim == 1:
-        x = x[None, :]
-    if x.shape[1] < 4:
+def _split_diagnostics(x: np.ndarray) -> tuple[np.ndarray, ...]:
+    """Split-R-hat, ESS, mean and sd of every parameter of a (params,
+    chains, draws) array, all parameters at once.
+
+    Each chain is split into two halves (an odd last draw is dropped). W is
+    the mean within-half variance and var_plus the pooled variance estimate;
+    R-hat is sqrt(var_plus / W), floored at 1. ESS is the draw count over 1
+    + 2 tau, where tau sums Geyer's running minimum of the pair sums of
+    consecutive autocorrelations (from one batched FFT) while it stays
+    positive. A parameter whose draws are all equal has R-hat 1 and ESS the
+    draw count; one with W = 0 whose draws still differ (chains stuck at
+    different values) has R-hat inf.
+    """
+    # C order: each chain, each split half and each parameter's draws are
+    # then summed as one contiguous row, as a lone chain is
+    x = np.ascontiguousarray(x, dtype=float)
+    m, N = x.shape[1:]
+    if N < 4:
         raise ValueError("need at least 4 draws per chain")
-    if np.all(x == x.flat[0]):
-        return None
-    half = x.shape[1] // 2
-    s = np.concatenate([x[:, :half], x[:, half:2 * half]], axis=0)
-    n = s.shape[1]
-    W = s.var(axis=1, ddof=1).mean()
-    B = n * s.mean(axis=1).var(ddof=1)
-    return s, W, (n - 1) / n * W + B / n
+    n = N // 2
+    s = np.concatenate([x[..., :n], x[..., n:2 * n]], axis=1)
+    W = s.var(axis=-1, ddof=1).mean(axis=-1)
+    B = n * s.mean(axis=-1).var(axis=-1, ddof=1)
+    var_plus = (n - 1) / n * W + B / n
+    constant = (x == x[:, :1, :1]).all(axis=(1, 2))
+    nfft = 1 << (2 * n - 1).bit_length()
+    f = np.fft.rfft(s - s.mean(axis=-1, keepdims=True), nfft)
+    acov = np.fft.irfft(f * np.conj(f), nfft)[..., :n] / n
+    with np.errstate(divide="ignore", invalid="ignore"):
+        split_rhat = np.where(constant, 1.0, np.maximum(1.0, np.sqrt(var_plus / W)))
+        rho = 1.0 - (W[:, None] - acov.mean(axis=1)) / var_plus[:, None]
+    # the running minimum never rises, so it is positive exactly up to the
+    # first pair sum that is not
+    k = (n - 1) // 2
+    pair = np.minimum.accumulate(rho[:, 1:2 * k:2] + rho[:, 2:2 * k + 1:2], axis=-1)
+    tau = np.where(pair > 0, pair, 0.0).sum(axis=-1)
+    draws = x.reshape(len(x), -1)
+    return (split_rhat, np.where(constant, m * N, m * N / (1.0 + 2.0 * tau)),
+            draws.mean(axis=-1), draws.std(axis=-1, ddof=1))
 
 
 def rhat(chains: np.ndarray) -> float:
-    """Split-R-hat of one scalar parameter; chains is (n_chains, n_draws).
-
-    Constant chains report exactly 1 by convention, and estimates that
-    fall below 1 through sampling noise are floored at 1 (values under 1
-    carry no diagnostic meaning).
-    """
-    moments = _split_moments(chains)
-    if moments is None or moments[1] == 0:
-        return 1.0
-    _s, W, var_plus = moments
-    return float(max(1.0, np.sqrt(var_plus / W)))
-
-
-def _autocov(x: np.ndarray) -> np.ndarray:
-    n = x.size
-    xc = x - x.mean()
-    nfft = 1 << int(np.ceil(np.log2(2 * n)))
-    f = np.fft.rfft(xc, nfft)
-    return np.fft.irfft(f * np.conj(f), nfft)[:n].real / n
+    """Split-R-hat of one scalar parameter; chains is (n_chains, n_draws),
+    or one chain's draws. Conventions as in _split_diagnostics."""
+    return float(_split_diagnostics(np.atleast_2d(chains)[None])[0][0])
 
 
 def ess(chains: np.ndarray) -> float:
-    """Effective sample size via paired autocorrelations (Geyer truncation).
-
-    Capped at the total draw count; constant chains report the total
-    draw count by convention.
-    """
-    total = np.size(chains)
-    moments = _split_moments(chains)
-    if moments is None or moments[1] == 0 or moments[2] == 0:
-        return float(total)
-    s, W, var_plus = moments
-    n = s.shape[1]
-    acov = np.mean([_autocov(c) for c in s], axis=0)
-    rho = 1.0 - (W - acov) / var_plus
-    rho[0] = 1.0
-    # Geyer: sum consecutive pairs while they stay positive and decreasing
-    tau, pair = 0.0, np.inf
-    for t in range(1, n - 1, 2):
-        pair = min(rho[t] + rho[t + 1], pair)
-        if pair <= 0:
-            break
-        tau += pair
-    return float(min(total, total / (1.0 + 2.0 * tau)))
+    """Effective sample size of one scalar parameter, chains as for rhat, by
+    Geyer's truncated paired autocorrelations (see _split_diagnostics)."""
+    return float(_split_diagnostics(np.atleast_2d(chains)[None])[1][0])
 
 
 @dataclass
@@ -558,18 +554,24 @@ def check_draw_counts(chains: int, per_chain: int) -> None:
 
 
 def convergence_summary(p: PosteriorDraws) -> ConvergenceSummary:
-    """Split-R-hat, ESS, mean and sd for every B and Sigma entry."""
+    """Split-R-hat, ESS, mean and sd for every B and Sigma entry, from
+    _split_diagnostics over blocks of parameters."""
     chains, counts = np.unique(p.chain, return_counts=True)
     check_draw_counts(chains.size, min(counts, default=0))
-    _A, n, q = p.B_draws.shape
-    entries = [(f"B[{r},{c}]", p.B_draws[:, r, c]) for r in range(n) for c in range(q)]
-    entries += [(f"Sigma[{r},{c}]", p.Sigma_draws[:, r, c])
-                for r in range(n) for c in range(r, n)]
-    params = []
-    for name, values in entries:
-        s = np.stack([values[p.chain == c] for c in chains])
-        params.append(ParamDiag(name, rhat(s), ess(s), float(s.mean()), float(s.std(ddof=1))))
-    return ConvergenceSummary(params=params)
+    A, n, q = p.B_draws.shape
+    upper = np.triu_indices(n)
+    flat = np.hstack([p.B_draws.reshape(A, n * q), p.Sigma_draws[:, upper[0], upper[1]]])
+    in_chain = [p.chain == c for c in chains]
+    # the FFT's work arrays take up to 16 bytes per byte of draws: blocks of
+    # parameters, each stacked (params, chains, draws), keep them within
+    # about _BLOCK_BYTES
+    per = max(1, _BLOCK_BYTES // (16 * flat[:, 0].nbytes))
+    columns = zip(*(_split_diagnostics(np.stack([flat[r, i:i + per].T for r in in_chain], axis=1))
+                    for i in range(0, flat.shape[1], per)))
+    names = [f"B[{r},{c}]" for r in range(n) for c in range(q)]
+    names += [f"Sigma[{r},{c}]" for r, c in zip(*upper)]
+    return ConvergenceSummary([ParamDiag(*row) for row in zip(
+        names, *(np.concatenate(column).tolist() for column in columns))])
 
 
 # ---------------------------------------------------------------------------

@@ -9,6 +9,8 @@ location, or every chain, at once. The one-chain Gibbs updates here,
 draw_coefficients and invwishart, are also the reference sampler of the
 joint-distribution tests, and sigma_log_density is the target of the
 Sigma update, log p(Sigma | B, Y_obs), summed one row at a time.
+split_rhat and split_ess diagnose one parameter at a time, with Geyer's
+truncation as a loop over the autocorrelation pairs.
 """
 
 from __future__ import annotations
@@ -212,3 +214,64 @@ def sigma_log_density(Sigma, B, X, Y, mask, iw_scale, iw_df):
             out -= 0.5 * (np.linalg.slogdet(S)[1] + r @ np.linalg.solve(S, r)
                           + o.sum() * np.log(2 * np.pi))
     return out
+
+
+def split_moments(chains):
+    """Split halves of one parameter's (n_chains, n_draws) chains, their
+    mean within-half variance W and the pooled variance estimate; None if
+    every draw is equal."""
+    x = np.asarray(chains, dtype=float)
+    if x.ndim == 1:
+        x = x[None, :]
+    if x.shape[1] < 4:
+        raise ValueError("need at least 4 draws per chain")
+    if np.all(x == x.flat[0]):
+        return None
+    half = x.shape[1] // 2
+    s = np.concatenate([x[:, :half], x[:, half:2 * half]], axis=0)
+    n = s.shape[1]
+    W = s.var(axis=1, ddof=1).mean()
+    B = n * s.mean(axis=1).var(ddof=1)
+    return s, W, (n - 1) / n * W + B / n
+
+
+def split_rhat(chains) -> float:
+    """Split-R-hat of one parameter, floored at 1: exactly 1 if every draw
+    is equal, inf if the halves are constant but differ."""
+    moments = split_moments(chains)
+    if moments is None:
+        return 1.0
+    _s, W, var_plus = moments
+    return float(max(1.0, np.sqrt(var_plus / W))) if W else np.inf
+
+
+def autocov(x: np.ndarray) -> np.ndarray:
+    """Autocovariances (divisor n) of one series at lags 0..n-1, by FFT."""
+    n = x.size
+    xc = x - x.mean()
+    nfft = 1 << int(np.ceil(np.log2(2 * n)))
+    f = np.fft.rfft(xc, nfft)
+    return np.fft.irfft(f * np.conj(f), nfft)[:n].real / n
+
+
+def split_ess(chains) -> float:
+    """ESS of one parameter by paired autocorrelations of the split halves,
+    summed one Geyer pair at a time; the total draw count if every draw is
+    equal."""
+    total = np.size(chains)
+    moments = split_moments(chains)
+    if moments is None:
+        return float(total)
+    s, W, var_plus = moments
+    n = s.shape[1]
+    acov = np.mean([autocov(c) for c in s], axis=0)
+    rho = 1.0 - (W - acov) / var_plus
+    rho[0] = 1.0
+    # Geyer: sum consecutive pairs while they stay positive and decreasing
+    tau, pair = 0.0, np.inf
+    for t in range(1, n - 1, 2):
+        pair = min(rho[t] + rho[t + 1], pair)
+        if pair <= 0:
+            break
+        tau += pair
+    return float(min(total, total / (1.0 + 2.0 * tau)))

@@ -547,6 +547,9 @@ def _bad_json_input(case, pipeline, tmp_path):
         elif case == "ingest_config_missing_token_int":  # was never matched
             cfg["missing_token"] = 5
             words = ["missing_token", "string"]
+        elif case == "ingest_config_lon_without_lat":  # fitted with blank coordinates
+            cfg["lat_col"] = None
+            words = ["lon_col", "lat_col"]
         else:  # ingest_config_repeated_response, which was fitted twice
             cfg["responses"].insert(1, cfg["responses"][0])
             words = ["responses", repr(cfg["responses"][0])]
@@ -634,6 +637,7 @@ def _bad_json_input(case, pipeline, tmp_path):
                                   "ingest_config_without_responses",
                                   "ingest_config_covariates_string",
                                   "ingest_config_missing_token_int",
+                                  "ingest_config_lon_without_lat",
                                   "ingest_config_repeated_response",
                                   "meta_spec_unknown_key", "meta_without_spec",
                                   "meta_spec_with_snapshot_keys", "meta_spec_thin_string",

@@ -632,6 +632,16 @@ def test_analytic_rejects_rank_deficient_complete_rows():
         score_locations_analytic(d)
 
 
+@pytest.mark.parametrize("measures", [("det", "trace"), ("trace",)])
+def test_analytic_needs_q_plus_n_complete_rows(measures):
+    # 5 complete rows leave 2 residual degrees of freedom for 3 responses:
+    # the OLS Sigma is singular (det failed at the cutoff, trace went on)
+    d, _ = synthesize(SynthSpec(l=70, n=3, q=3, missing_prob=0.46875), seed=1616)
+    assert np.count_nonzero(d.mask.all(axis=1)) == 5
+    with pytest.raises(ValueError, match="too few complete rows to estimate Sigma: 5, need 6"):
+        score_locations_analytic(d, measures=measures)
+
+
 def test_analytic_rejects_cmvpv(analytic_setup):
     with pytest.raises(ValueError, match="analytic mode"):
         score_locations_analytic(analytic_setup, measures=("cmvpv:y1",))

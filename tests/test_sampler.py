@@ -48,6 +48,19 @@ def test_spec_validation():
         ModelSpec(iw_scale=[[1.0, "x"], ["x", 1.0]])
 
 
+def test_default_iw_df_is_proper_without_covariates():
+    # with the intercept alone (q = 1) and three responses, q + 1 = 2 does
+    # not exceed n - 1 = 2: the default is max(q + 1, n)
+    rng = np.random.default_rng(31)
+    Y = rng.standard_normal((50, 3))
+    mask = np.ones(Y.shape, dtype=bool)
+    d = make_dataset(np.ones((50, 1)), Y, mask)
+    assert sampler._fit_setup(d, ModelSpec())[-1] == 3.0
+    gibbs_fit(d, ModelSpec(iterations=20, burn_in=5, seed=1))
+    d = make_dataset(np.column_stack([np.ones(50), rng.standard_normal((50, 3))]), Y, mask)
+    assert sampler._fit_setup(d, ModelSpec())[-1] == 5.0
+
+
 # -- inverse-Wishart ----------------------------------------------------------------
 
 
@@ -789,6 +802,36 @@ def test_constant_chain_conventions():
     assert ess(chains) == 1000.0
 
 
+def test_stuck_chains_are_not_converged():
+    # two chains stuck at different values have no within-half variance;
+    # only draws that are all equal take the constant-chain convention
+    chains = np.array([[1.0] * 500, [2.0] * 500])
+    assert rhat(chains) == np.inf
+    assert ess(chains) == 1000 / 497  # every autocorrelation is 1: 124 pairs of 2
+    p = make_draws(np.repeat([1.0, 2.0], 100).reshape(200, 1, 1),
+                   np.tile(np.eye(1), (200, 1, 1)), [0])
+    p.chain = np.repeat([0, 1], 100)
+    assert convergence_summary(p).max_rhat == np.inf
+
+
+@pytest.mark.parametrize("chains, draws", [(1, 301), (2, 400), (2, 97), (3, 1001)])
+def test_split_diagnostics_are_the_per_parameter_oracle(chains, draws):
+    # every parameter at once against one at a time: AR(1) chains of five
+    # correlations, one constant parameter and one whose halves are stuck
+    rng = np.random.default_rng(draws)
+    phi = np.array([0.0, 0.5, 0.9, 0.99, -0.6])[:, None]
+    x = np.empty((phi.size + 2, chains, draws))
+    x[:phi.size, :, 0] = rng.standard_normal((phi.size, chains))
+    for t in range(1, draws):
+        x[:phi.size, :, t] = phi * x[:phi.size, :, t - 1] + rng.standard_normal((phi.size, chains))
+    x[-2] = 1.5
+    x[-1] = np.arange(chains)[:, None] + (np.arange(draws) >= draws // 2)
+    r, e, mean, sd = sampler._split_diagnostics(x)
+    assert r.tolist() == [oracles.split_rhat(c) for c in x]
+    assert (mean.tolist(), sd.tolist()) == ([c.mean() for c in x], [c.std(ddof=1) for c in x])
+    np.testing.assert_allclose(e, [oracles.split_ess(c) for c in x], rtol=1e-14, atol=0)
+
+
 def test_rhat_never_below_one():
     rng = np.random.default_rng(70)
     for _ in range(50):
@@ -820,6 +863,27 @@ def test_convergence_summary_shape(missing_dataset):
     assert all(pd.ess <= p.n_draws for pd in conv.params)
     names = {pd.name for pd in conv.params}
     assert "B[0,0]" in names and "Sigma[2,2]" in names
+
+
+@pytest.mark.parametrize("per_block", [None, 5])
+def test_convergence_summary_is_the_per_parameter_oracle(missing_dataset, monkeypatch,
+                                                          per_block):
+    # each parameter's chains as the loop over parameters stacked them: the
+    # layout convergence_summary gives the kernel must leave R-hat, mean
+    # and sd unchanged to the bit (3 chains of 201 draws, 18 parameters, in
+    # one block or in blocks of 5)
+    d, _ = missing_dataset
+    p = gibbs_fit(d, ModelSpec(iterations=301, burn_in=100, chains=3, seed=4))
+    if per_block:
+        monkeypatch.setattr(sampler, "_BLOCK_BYTES", per_block * 16 * p.B_draws[:, 0, 0].nbytes)
+    n, q = p.B_draws.shape[1:]
+    entries = [p.B_draws[:, r, c] for r in range(n) for c in range(q)]
+    entries += [p.Sigma_draws[:, r, c] for r in range(n) for c in range(r, n)]
+    for diag, values in zip(convergence_summary(p).params, entries, strict=True):
+        s = np.stack([values[p.chain == c] for c in range(3)])
+        assert (diag.rhat, diag.mean, diag.sd) == (oracles.split_rhat(s), float(s.mean()),
+                                                   float(s.std(ddof=1))), diag.name
+        assert diag.ess == pytest.approx(oracles.split_ess(s), rel=1e-14, abs=0), diag.name
 
 
 def test_convergence_needs_enough_draws():
