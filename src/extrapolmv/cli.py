@@ -326,6 +326,8 @@ def _read_scores(scores, names: list[str]) -> tuple[dict, IngestConfig, dict]:
 
 
 def _cmd_tree(args) -> int:
+    params = TreeParams(max_depth=args.max_depth, min_leaf=args.min_leaf,
+                        min_split_gain=args.min_gain)
     cols, config, manifest = _read_scores(args.scores, ["id", args.label])
     bad = set(cols[args.label]) - {"0", "1"}
     if bad:
@@ -344,8 +346,6 @@ def _cmd_tree(args) -> int:
         raise CliError(f"scores file has no row for id {exc.args[0]!r}") from None
 
     os.makedirs(args.out, exist_ok=True)
-    params = TreeParams(max_depth=args.max_depth, min_leaf=args.min_leaf,
-                        min_split_gain=args.min_gain)
     constant = labels.min() == labels.max()
     if constant:
         print(f"warning: label column {args.label!r} is constant; "

@@ -407,9 +407,10 @@ class IngestConfig:
 def _read_table(path):
     """Yield a CSV file's header, then (first line, lines) blocks of at
     most _BLOCK_ROWS raw text lines, one row per line; the header is line
-    1. An empty file, duplicate header names or a line whose field count
-    is not the header's raise ValueError."""
-    with open(path, encoding="utf-8") as fh:
+    1. A UTF-8 byte-order mark before the header is dropped. An empty
+    file, duplicate header names or a line whose field count is not the
+    header's raise ValueError."""
+    with open(path, encoding="utf-8-sig") as fh:
         first = fh.readline()
         if not first:
             raise ValueError(f"{path}: empty file")

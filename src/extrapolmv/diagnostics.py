@@ -59,10 +59,12 @@ def ivh_values(X: np.ndarray, X0: np.ndarray) -> np.ndarray:
     X = np.asarray(X, dtype=float)
     if X.ndim != 2:
         raise ValueError("X must be a matrix")
-    R = _inverse_cholesky(X.T @ X)
     X0 = np.asarray(X0, dtype=float)
+    if X0.ndim != 2:
+        raise ValueError("candidate rows must be a matrix; ivh_value takes one row")
     if X0.shape[1] != X.shape[1]:
         raise ValueError("candidate rows do not match design width")
+    R = _inverse_cholesky(X.T @ X)
     W = R @ X0.T
     v = np.einsum("ij,ij->j", W, W)
     # values in (1, 1 + slack] are roundoff; clamped to 1, a design row's

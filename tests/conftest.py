@@ -4,6 +4,16 @@ import pytest
 from extrapolmv.dataset import Dataset, SynthSpec, synthesize
 from extrapolmv.sampler import ModelSpec, PosteriorDraws
 
+try:
+    from hypothesis import settings
+except ImportError:  # test_properties.py is skipped without hypothesis
+    pass
+else:
+    # the same examples on every run, in every checkout: a failure does not
+    # depend on the run, nor on a .hypothesis/ database that recorded it
+    settings.register_profile("derandomized", derandomize=True)
+    settings.load_profile("derandomized")
+
 
 @pytest.fixture
 def small_dataset():

@@ -28,11 +28,12 @@ def pipeline(tmp_path_factory):
     return _run_pipeline(tmp_path_factory.mktemp("pipe"))
 
 
-def _run_pipeline(root):
-    """One full simulate -> fit -> score -> tree -> report run."""
+def _run_pipeline(root, **spec):
+    """One full simulate -> fit -> score -> tree -> report run; spec
+    entries are added to the synthesis spec."""
     spec_path = root / "synth.json"
     spec_path.write_text(json.dumps(
-        {"l": 400, "n": 3, "q": 6, "missing_prob": [0.3, 0.1, 0.0]}))
+        {"l": 400, "n": 3, "q": 6, "missing_prob": [0.3, 0.1, 0.0], **spec}))
     sim, fit, scores, tree, rep = (root / n for n in
                                    ("sim", "fit", "scores", "tree", "rep"))
     assert run("simulate", "--spec", spec_path, "--seed", 11, "--out", sim) == 0
@@ -48,6 +49,19 @@ def _run_pipeline(root):
     assert run("report", "--scores", scores, "--tree", tree, "--out", rep) == 0
     return {"root": root, "sim": sim, "fit": fit, "scores": scores,
             "tree": tree, "rep": rep, "spec": spec_path}
+
+
+def test_pipeline_without_coordinates(tmp_path):
+    # a dataset without lon/lat goes through every command; scores.csv
+    # keeps its lon and lat columns, blank in every row
+    pipe = _run_pipeline(tmp_path, with_coords=False)
+    header, _ = read_csv(pipe["sim"] / "dataset.csv")
+    assert "lon" not in header and "lat" not in header
+    assert json.loads((pipe["sim"] / "config.json").read_text())["lon_col"] is None
+    header, rows = read_csv(pipe["scores"] / "scores.csv")
+    assert len(rows) == 400
+    assert {r[header.index(c)] for r in rows for c in ("lon", "lat")} == {""}
+    assert (pipe["rep"] / "report.md").stat().st_size > 0
 
 
 def test_outputs_and_manifests_exist(pipeline):
@@ -151,6 +165,25 @@ def test_fit_same_seed_byte_identical(pipeline, tmp_path):
         (out2 / "meta.json").read_bytes()
     assert (pipeline["fit"] / "draws.npz").read_bytes() == \
         (out2 / "draws.npz").read_bytes()
+
+
+def test_fit_without_covariates(pipeline, tmp_path, monkeypatch):
+    # the intercept alone, fewer covariates than responses, has a proper
+    # default inverse-Wishart prior, and load_csv reads no covariate column
+    cfg = json.loads((pipeline["sim"] / "config.json").read_text())
+    cfg["covariates"] = []
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps(cfg))
+    loaded = []
+    real = cli.load_csv
+    monkeypatch.setattr(cli, "load_csv", lambda *a: loaded.append(real(*a)) or loaded[-1])
+    assert run("fit", "--data", pipeline["sim"] / "dataset.csv", "--config", path,
+               "--iters", 300, "--burnin", 100, "--seed", 5,
+               "--out", tmp_path / "fit") in (0, 2)
+    [d] = loaded
+    assert d.covariate_names == ["intercept"] and d.X.shape == (400, 1)
+    meta = json.loads((tmp_path / "fit" / "meta.json").read_text())
+    assert meta["covariate_names"] == ["intercept"]
 
 
 def test_burnin_at_least_iterations_is_an_error(pipeline, tmp_path):
@@ -404,6 +437,16 @@ def test_tree_warns_when_data_is_not_the_scored_file(pipeline, tmp_path, capsys)
     assert (tmp_path / "t" / "tree.json").exists()
 
 
+def test_cmvpv_rescore_is_byte_identical(pipeline, tmp_path):
+    # scoring the same fit again on the CMVPV path writes the same bytes
+    argv = ["score", "--draws", pipeline["fit"], "--data", pipeline["sim"] / "dataset.csv",
+            "--measure", "cmvpv:y1", "--measure", "cmvpv:y2"]
+    assert run(*argv, "--out", tmp_path / "a") == 0
+    assert run(*argv, "--out", tmp_path / "b") == 0
+    assert (tmp_path / "a" / "scores.csv").read_bytes() == \
+        (tmp_path / "b" / "scores.csv").read_bytes()
+
+
 def test_unknown_measure_response_is_error(pipeline, tmp_path):
     rc = run("score", "--draws", pipeline["fit"],
              "--data", pipeline["sim"] / "dataset.csv",
@@ -476,6 +519,19 @@ def test_non_binary_label_column_is_error(pipeline, tmp_path, capsys, label):
              "--label", label, "--out", tmp_path / "t")
     assert rc == 1
     assert f"label column {label!r}" in capsys.readouterr().err
+    assert not (tmp_path / "t").exists()
+
+
+@pytest.mark.parametrize("option", [["--min-leaf", 0], ["--max-depth", 0],
+                                    ["--min-gain", -1]],
+                         ids=["min_leaf_zero", "max_depth_zero", "min_gain_negative"])
+def test_bad_tree_option_is_one_error_line(pipeline, tmp_path, capsys, option):
+    # refused before any file is read or made: no empty --out is left behind
+    capsys.readouterr()
+    assert run("tree", "--scores", pipeline["scores"], "--data", pipeline["sim"] / "dataset.csv",
+               *option, "--out", tmp_path / "t") == 1
+    [line] = capsys.readouterr().err.splitlines()
+    assert line.startswith("error: "), line
     assert not (tmp_path / "t").exists()
 
 

@@ -208,6 +208,21 @@ def test_csv_round_trip_exact(tmp_path):
     assert back.ids == d.ids
 
 
+def test_load_csv_drops_a_byte_order_mark(tmp_path):
+    # Excel's "CSV UTF-8" export starts the file with a BOM, which must not
+    # become part of the first header name
+    d, _ = synthesize(SynthSpec(l=40, n=3, q=4, missing_prob=0.2), seed=3)
+    cfg = IngestConfig(id_col="id", covariates=d.covariate_names[1:],
+                       responses=d.response_names, lon_col="lon", lat_col="lat")
+    plain, bom = tmp_path / "plain.csv", tmp_path / "bom.csv"
+    write_csv(d, plain, cfg)
+    bom.write_bytes(b"\xef\xbb\xbf" + plain.read_bytes())
+    a, b = load_csv(plain, cfg), load_csv(bom, cfg)
+    assert b.ids == a.ids
+    for name in ("X", "Y", "mask", "coords"):
+        np.testing.assert_array_equal(getattr(b, name), getattr(a, name))
+
+
 def test_record_rejects_an_id_with_a_line_break(tmp_path):
     d = make_dataset(np.column_stack([np.ones(4), np.arange(4.0)]), np.zeros((4, 1)),
                      np.ones((4, 1), dtype=bool))

@@ -155,6 +155,11 @@ def test_ivh_value_dimension_mismatch():
         ivh_value(THREE_POINT, np.array([1.0, 2.0, 3.0]))
 
 
+def test_ivh_values_needs_a_matrix_of_candidates():
+    with pytest.raises(ValueError, match="candidate rows must be a matrix"):
+        ivh_values(THREE_POINT, np.array([1.0, 2.0]))
+
+
 def test_ivh_values_matches_scalar():
     rng = np.random.default_rng(8)
     X = random_design(rng, 25, 3)
