@@ -196,7 +196,6 @@ def _cmd_fit(args) -> int:
     conv = convergence_summary(draws)
     marks.append(time.perf_counter())
 
-    os.makedirs(args.out, exist_ok=True)
     save_fit(draws, args.out, extra_meta={
         "dataset_hash": dataset_hash,
         "ingest_config": _to_json(config),
@@ -472,16 +471,17 @@ def build_parser() -> argparse.ArgumentParser:
                      description="Predictive-variance extrapolation detection "
                                  "for multivariate-response regression")
     sub = parser.add_subparsers(dest="command", required=True)
+    model, tree = ModelSpec(), TreeParams()
 
     p = sub.add_parser("fit", parents=[], help="fit the joint model by Gibbs sampling")
     p.add_argument("--data", required=True)
     p.add_argument("--config", required=True, help="ingestion config JSON")
-    p.add_argument("--iters", type=int, default=20000)
-    p.add_argument("--burnin", type=int, default=10000)
-    p.add_argument("--thin", type=int, default=1)
-    p.add_argument("--chains", type=int, default=2)
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--prior-var", type=float, default=100.0)
+    p.add_argument("--iters", type=int, default=model.iterations)
+    p.add_argument("--burnin", type=int, default=model.burn_in)
+    p.add_argument("--thin", type=int, default=model.thin)
+    p.add_argument("--chains", type=int, default=model.chains)
+    p.add_argument("--seed", type=int, default=model.seed)
+    p.add_argument("--prior-var", type=float, default=model.coef_prior_var)
     p.add_argument("--out", required=True)
     p.set_defaults(func=_cmd_fit)
 
@@ -502,9 +502,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--scores", required=True, help="score output directory")
     p.add_argument("--data", required=True)
     p.add_argument("--label", default="e_q95")
-    p.add_argument("--max-depth", type=int, default=5)
-    p.add_argument("--min-leaf", type=int, default=20)
-    p.add_argument("--min-gain", type=float, default=1e-4)
+    p.add_argument("--max-depth", type=int, default=tree.max_depth)
+    p.add_argument("--min-leaf", type=int, default=tree.min_leaf)
+    p.add_argument("--min-gain", type=float, default=tree.min_split_gain)
     p.add_argument("--out", required=True)
     p.set_defaults(func=_cmd_tree)
 

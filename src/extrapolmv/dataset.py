@@ -5,17 +5,20 @@ response matrix that may be only partially observed. Covariates are never
 missing; responses carry an observation mask. All structures are plain
 numpy arrays and are treated as immutable after construction.
 
-Every pipeline table goes through one reader and one writer. _read_table
-yields blocks of _BLOCK_ROWS raw lines, one row per line, with checked
-field counts. load_csv parses a block with numpy's C tokenizer: covariate
-and coordinate columns straight to floats, the id and the responses as
-text, so that the missing-token test sees each response cell before
-float() does (a literal "nan" is observed, and rejected as non-finite).
-A block the C path rejects goes to _parse_floats, which names the faulty
-cell as path:line. _write_table formats a block with one %-format row
-string and quotes text as csv.writer does, so the bytes are csv.writer's.
-Neither holds a whole file as strings. Every file the pipeline writes goes
-through _atomic_open, a temp file renamed over its final name.
+Every pipeline table but draws.csv goes through one reader and one
+writer; sampler._write_draws_csv writes draws.csv itself, one draw's lines
+per write, because through _write_table the same bytes took over twice as
+long. _read_table yields blocks of _BLOCK_ROWS raw lines, one row per
+line, with checked field counts. load_csv parses a block with numpy's C
+tokenizer: covariate and coordinate columns straight to floats, the id
+and the responses as text, so that the missing-token test sees each
+response cell before float() does (a literal "nan" is observed, and
+rejected as non-finite). A block the C path rejects goes to
+_parse_floats, which names the faulty cell as path:line. _write_table
+formats a block with one %-format row string and quotes text as
+csv.writer does, so the bytes are csv.writer's. Neither holds a whole
+file as strings. Every file the pipeline writes goes through
+_atomic_open, a temp file renamed over its final name.
 
 write_record stores the table load_csv parsed as an uncompressed .npz
 beside the CSV's and the config's hashes; load_record gives the same
@@ -26,9 +29,11 @@ and of a fit's draws.npz, against the dtypes and shapes they were written with.
 The JSON records (ingestion config, synthesis spec, a fit's model spec)
 go through one codec, _to_json and _from_json: a record must have every
 required field and no other key, or ValueError names the source and keys;
-a field value its dataclass refuses names the field, then the source.
-_load_json reads a JSON file and names it when the text is not JSON;
-_write_json writes every JSON file the pipeline makes but tree.json.
+a field value its dataclass refuses names the field, then the source. A
+numeric field takes real numbers only, never a string or a bool
+(_check_types for scalars, _real_array for arrays). _load_json reads a
+JSON file, byte-order mark or not, and names it when the text is not
+JSON; _write_json writes every JSON file the pipeline makes but tree.json.
 """
 
 from __future__ import annotations
@@ -70,7 +75,7 @@ def _to_json(record) -> dict:
 def _load_json(path):
     """The JSON value in the file ``path``; text that is not JSON raises
     ValueError naming the file."""
-    with open(path, encoding="utf-8") as fh:
+    with open(path, encoding="utf-8-sig") as fh:  # a byte-order mark is dropped
         try:
             return json.load(fh)
         except json.JSONDecodeError as exc:
@@ -125,11 +130,22 @@ def _check_types(record, integers=(), reals=(), strings=()) -> None:
                 raise ValueError(f"{name} must be {what}, not {value!r}")
 
 
+def _real_array(value) -> np.ndarray:
+    """``value`` as a float array, or TypeError when an entry is not a
+    real number or is a bool: np.asarray(value, dtype=float) would read
+    the strings and booleans a JSON record may hold as numbers."""
+    entries = np.asarray(value, dtype=object)
+    if not all(isinstance(v, numbers.Real) and not isinstance(v, (bool, np.bool_))
+               for v in entries.flat):
+        raise TypeError(f"not an array of real numbers: {value!r}")
+    return entries.astype(float)
+
+
 def _finite_matrix(value, name: str, shape: tuple[int, int]) -> np.ndarray:
     """``value`` as a float array of ``shape`` with finite entries, or
     ValueError naming ``name``."""
     try:
-        a = np.asarray(value, dtype=float)
+        a = _real_array(value)
     except (TypeError, ValueError):
         a = None
     if a is None or a.shape != shape or not np.isfinite(a).all():
@@ -687,7 +703,7 @@ class SynthSpec:
         if not isinstance(self.with_coords, bool):
             raise ValueError(f"with_coords must be true or false, not {self.with_coords!r}")
         try:
-            probs = np.broadcast_to(np.asarray(self.missing_prob, dtype=float), (self.n,))
+            probs = np.broadcast_to(_real_array(self.missing_prob), (self.n,))
             valid = np.all((probs >= 0) & (probs <= 1))  # NaN is not
         except (TypeError, ValueError):
             valid = False

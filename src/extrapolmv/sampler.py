@@ -55,7 +55,7 @@ from scipy.linalg import lapack
 
 from extrapolmv.dataset import (_ARCHIVE_ERRORS, Dataset, _atomic_open, _check_arrays,
                                 _check_types, _from_json, _load_json, _pattern_groups,
-                                _to_json, _write_json)
+                                _real_array, _to_json, _write_json)
 
 DRAWS_FILE = "draws.csv"
 NPZ_FILE = "draws.npz"
@@ -107,7 +107,7 @@ class ModelSpec:
             raise ValueError(f"seed must be non-negative, not {self.seed}")
         if self.iw_scale is not None:
             try:
-                self.iw_scale = np.asarray(self.iw_scale, dtype=float)
+                self.iw_scale = _real_array(self.iw_scale)
             except (TypeError, ValueError):
                 raise ValueError("iw_scale must be a matrix of numbers") from None
 

@@ -1,6 +1,8 @@
 import csv
+import itertools
 import json
 import os
+import shlex
 import shutil
 import subprocess
 import sys
@@ -11,6 +13,10 @@ import pytest
 
 import extrapolmv.cli as cli
 from extrapolmv.cli import main
+
+README = Path(__file__).resolve().parents[1] / "README.md"
+# the quick start's fit, and the shorter one the tests and CI run in its place
+QUICK_FIT = ("--iters 4000 --burnin 1000", "--iters 400 --burnin 100")
 
 
 def run(*argv):
@@ -165,6 +171,38 @@ def test_fit_same_seed_byte_identical(pipeline, tmp_path):
         (out2 / "meta.json").read_bytes()
     assert (pipeline["fit"] / "draws.npz").read_bytes() == \
         (out2 / "draws.npz").read_bytes()
+
+
+def test_json_inputs_may_start_with_a_byte_order_mark(pipeline, tmp_path):
+    # Windows Notepad saves "UTF-8 with BOM"; the mark is dropped, as in
+    # the dataset CSV, and the outputs are those of the unmarked file
+    spec, config = tmp_path / "synth.json", tmp_path / "config.json"
+    spec.write_bytes(b"\xef\xbb\xbf" + pipeline["spec"].read_bytes())
+    config.write_bytes(b"\xef\xbb\xbf" + (pipeline["sim"] / "config.json").read_bytes())
+    assert run("simulate", "--spec", spec, "--seed", 11, "--out", tmp_path / "sim") == 0
+    assert (tmp_path / "sim" / "dataset.csv").read_bytes() == \
+        (pipeline["sim"] / "dataset.csv").read_bytes()
+    assert run("fit", "--data", pipeline["sim"] / "dataset.csv", "--config", config,
+               "--iters", 300, "--burnin", 100, "--chains", 2, "--seed", 5,
+               "--out", tmp_path / "fit") == 0
+    assert (tmp_path / "fit" / "draws.npz").read_bytes() == \
+        (pipeline["fit"] / "draws.npz").read_bytes()
+
+
+def test_refused_fit_save_leaves_no_directory(pipeline, tmp_path, monkeypatch, capsys):
+    # save_fit checks the draws before it makes the output directory
+    fit = cli.gibbs_fit
+    def fit_with_nan(d, spec):
+        p = fit(d, spec)
+        p.B_draws[0, 0, 0] = np.nan
+        return p
+    monkeypatch.setattr(cli, "gibbs_fit", fit_with_nan)
+    capsys.readouterr()
+    assert run("fit", "--data", pipeline["sim"] / "dataset.csv",
+               "--config", pipeline["sim"] / "config.json",
+               "--iters", 20, "--burnin", 5, "--out", tmp_path / "out") == 1
+    assert "non-finite B draw values" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
 
 
 def test_fit_without_covariates(pipeline, tmp_path, monkeypatch):
@@ -727,18 +765,21 @@ def test_bad_json_input_is_one_error_line(pipeline, tmp_path, capsys, case):
 
 @pytest.mark.parametrize("field, value", [
     ("l", "40"), ("l", 40.5), ("n", 0), ("leverage_scale", "x"), ("with_coords", "no"),
-    ("missing_prob", "x"), ("Sigma", [[1, "x"], ["x", 1]]),
+    ("missing_prob", "x"), ("missing_prob", "0.5"), ("missing_prob", [True, 0.5]),
+    ("Sigma", [[1, "x"], ["x", 1]]), ("Sigma", [[1, "0.1"], ["0.1", True]]),
+    ("Sigma", [[True, 0], [0, 1]]),
     ("Sigma", [[1, float("nan")], [float("nan"), 1]]), ("Sigma", [[1, 0.5], [0, 1]]),
     ("Sigma", [[1, 2], [2, 1]]), ("B", [[1, 2], [3, 4]]),
 ], ids=["l_string", "l_fraction", "n_zero", "leverage_scale_string", "with_coords_string",
-        "missing_prob_string", "sigma_string", "sigma_nan", "sigma_asymmetric",
-        "sigma_indefinite", "b_shape"])
+        "missing_prob_string", "missing_prob_number_string", "missing_prob_bool",
+        "sigma_string", "sigma_number_string_and_bool", "sigma_bool", "sigma_nan",
+        "sigma_asymmetric", "sigma_indefinite", "b_shape"])
 def test_bad_synth_spec_field_is_one_error_line(tmp_path, capsys, field, value):
     # a value of the wrong type or range fails in simulate, naming its
     # field, rather than deep in the generator, silently ("no" is truthy,
-    # an asymmetric Sigma was read by one triangle) or not at all (n = 0
-    # wrote a dataset without responses, a NaN Sigma failed later as
-    # non-finite response cells)
+    # an asymmetric Sigma was read by one triangle, "0.5" and true were
+    # read as numbers) or not at all (n = 0 wrote a dataset without
+    # responses, a NaN Sigma failed later as non-finite response cells)
     path = tmp_path / "synth.json"
     path.write_text(json.dumps({"l": 40, "n": 2, "q": 3, field: value}))
     capsys.readouterr()
@@ -843,3 +884,45 @@ def test_outputs_do_not_depend_on_blas_threads(tmp_path):
         outputs.append([(out / name).read_bytes() for name in
                         ("fit/draws.npz", "fit/draws.csv", "scores/scores.csv")])
     assert outputs[0] == outputs[1]
+
+
+def quick_start_commands() -> list[list[str]]:
+    """The arguments of each extrapolmv command in the sh block of the
+    README's "## Quick start", with the fit shortened to QUICK_FIT[1],
+    after writing the block's heredoc files into the working directory.
+    A line that is not a comment, a heredoc or an extrapolmv command
+    fails."""
+    section = README.read_text(encoding="utf-8").split("\n## Quick start", 1)[1]
+    block = section.split("```sh\n", 1)[1].split("\n```", 1)[0]
+    assert QUICK_FIT[0] in block, f"the quick start no longer runs fit {QUICK_FIT[0]}"
+    lines = iter(block.replace(*QUICK_FIT).replace("\\\n", " ").splitlines())
+    commands = []
+    for line in lines:
+        words = shlex.split(line, comments=True)
+        if len(words) == 4 and words[:2] == ["cat", ">"] and words[3] == "<<EOF":
+            body = itertools.takewhile(lambda text: text != "EOF", lines)
+            Path(words[2]).write_text("".join(f"{text}\n" for text in body))
+        elif words:
+            assert words[0] == "extrapolmv", f"not an extrapolmv command: {line}"
+            commands.append(words[1:])
+    return commands
+
+
+def run_quick_start(run_command) -> None:
+    """Run the README's quick start through ``run_command(argv) -> exit
+    code`` in the working directory: fit exits 0 or 2 (a split-R-hat
+    above 1.1 is likely in a short run), every other command 0."""
+    for argv in quick_start_commands():
+        code = run_command(argv)
+        assert code in ((0, 2) if argv[0] == "fit" else (0,)), (argv, code)
+
+
+def test_readme_quick_start_runs(tmp_path, monkeypatch):
+    def run_main(argv):
+        try:
+            return main(argv)
+        except SystemExit as exc:  # argparse refused the arguments
+            return exc.code
+    monkeypatch.chdir(tmp_path)
+    run_quick_start(run_main)
+    assert (tmp_path / "report" / "report.md").stat().st_size > 0

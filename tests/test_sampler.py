@@ -46,6 +46,9 @@ def test_spec_validation():
         ModelSpec(coef_prior_var=True)
     with pytest.raises(ValueError, match="iw_scale"):
         ModelSpec(iw_scale=[[1.0, "x"], ["x", 1.0]])
+    for scale in ([["1", 0], [0, 1]], [[1, 0], [0, True]], [["1", 0], [0, True]]):
+        with pytest.raises(ValueError, match="iw_scale must be a matrix of numbers"):
+            ModelSpec(iw_scale=scale)  # not read as numbers
 
 
 def test_default_iw_df_is_proper_without_covariates():
