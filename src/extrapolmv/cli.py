@@ -27,6 +27,7 @@ manifests say which source ran.
 from __future__ import annotations
 
 import argparse
+import collections
 import hashlib
 import json
 import os
@@ -43,6 +44,7 @@ from extrapolmv.dataset import (
     SynthSpec,
     TransformSpec,
     _atomic_open,
+    _cores,
     _from_json,
     _load_json,
     _read_table,
@@ -105,13 +107,6 @@ def _sha256_file(path) -> str:
 def _sha256_json(obj) -> str:
     return hashlib.sha256(
         json.dumps(obj, sort_keys=True, separators=(",", ":")).encode()).hexdigest()
-
-
-def _cores() -> int:
-    try:
-        return len(os.sched_getaffinity(0))
-    except AttributeError:  # platforms without CPU affinity
-        return os.cpu_count() or 1
 
 
 def _write_manifest(outdir, command: str, params: dict,
@@ -333,6 +328,10 @@ def _cmd_tree(args) -> int:
         raise CliError(f"label column {args.label!r} holds {min(bad)!r}; "
                        "a tree label must be 0 or 1")
     labels_by_id = dict(zip(cols["id"], map(int, cols[args.label])))
+    if len(labels_by_id) < len(cols["id"]):
+        repeated = next(i for i, k in collections.Counter(cols["id"]).items() if k > 1)
+        raise CliError(f"id {repeated!r} appears more than once in "
+                       f"{os.path.join(args.scores, 'scores.csv')}")
 
     # raw covariates: thresholds stay in original units
     dataset_hash = _sha256_file(args.data)

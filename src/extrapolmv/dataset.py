@@ -15,10 +15,21 @@ and the responses as text, so that the missing-token test sees each
 response cell before float() does (a literal "nan" is observed, and
 rejected as non-finite). A block the C path rejects goes to
 _parse_floats, which names the faulty cell as path:line. _write_table
-formats a block with one %-format row string and quotes text as
-csv.writer does, so the bytes are csv.writer's. Neither holds a whole
-file as strings. Every file the pipeline writes goes through
+formats a block with one %-format row string (_format_rows) and quotes
+text as csv.writer does, so the bytes are csv.writer's. Neither holds a
+whole file as strings. Every file the pipeline writes goes through
 _atomic_open, a temp file renamed over its final name.
+
+Formatting floats with repr is most of a large write, so a table of at
+least _SPLIT_CELLS cells (rows x columns), where os.fork exists and a
+process of one thread may run on two cores or more, is formatted on two
+cores: a forked _RowWorker formats rows n//2..n while the parent formats
+and writes rows 0..n//2, then copies the worker's bytes from a pipe.
+Rows are formatted independently, so the file is the same bytes either
+way. The worker holds its half as encoded text (about half the file)
+until it is all formatted. Below the threshold the fork and the pages it
+copies on write cost more than the second core saves (the constant's
+comment has the measured break-even).
 
 write_record stores the table load_csv parsed as an uncompressed .npz
 beside the CSV's and the config's hashes; load_record gives the same
@@ -45,6 +56,9 @@ import json
 import math
 import numbers
 import os
+import shutil
+import signal
+import threading
 import zipfile
 from dataclasses import MISSING, dataclass, field, fields
 
@@ -56,6 +70,14 @@ INTERCEPT_NAME = "intercept"
 # np.loadtxt call has a fixed cost, and 512-row blocks made the survey
 # benchmark 0.1 s slower without lowering its peak RSS.
 _BLOCK_ROWS = 2048
+# Cells (rows x columns) from which _write_table formats the second half of
+# a table's rows in a forked worker. Forking, and the pages both processes
+# then copy on write, cost a roughly fixed time, and on a shared 2-core
+# machine the worker did not always get the second core at once: inside
+# `score` (20 columns) the split lost at 10k rows (1.10-1.13x the serial
+# time) and was mixed at 20k-22.5k (0.60-1.06x); from 25k rows it won in
+# every measurement (0.55-0.65x).
+_SPLIT_CELLS = 500_000
 # np.loadtxt splitting a line as csv.reader does, into str (not bytes) cells
 _LOADTXT = {"delimiter": ",", "quotechar": '"', "comments": None, "encoding": None}
 # Characters that make csv.writer (QUOTE_MINIMAL) quote a cell.
@@ -639,16 +661,105 @@ def _text(column, missing: str) -> list:
     return list(map(_quote, cells)) if any(ch in joined for ch in _QUOTED) else cells
 
 
+def _cores() -> int:
+    """The cores this process may run on."""
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:  # platforms without CPU affinity
+        return os.cpu_count() or 1
+
+
+def _format_rows(columns, lo: int, hi: int, missing: str):
+    """Rows lo..hi of equal-length columns as csv.writer's UTF-8 bytes, one
+    block of _BLOCK_ROWS rows at a time: a "%s,...,%s" CRLF row format
+    applied per row."""
+    row = ",".join(["%s"] * len(columns)) + "\r\n"
+    for a in range(lo, hi, _BLOCK_ROWS):
+        block = [_text(c[a:min(a + _BLOCK_ROWS, hi)], missing) for c in columns]
+        yield "".join([row % cells for cells in zip(*block)]).encode()
+
+
+class _RowWorker:
+    """A forked worker that formats rows lo..hi of a table.
+
+    It formats every block before it sends one, so a full pipe never stalls
+    the formatting, then sends b"\\0" and the rows' bytes, or b"\\1" and
+    the error that stopped it. It leaves only through os._exit, so it runs
+    no atexit handler and flushes no buffer it inherited. On leaving the
+    with block the pipe is closed and the worker reaped, killed first
+    unless copy_into has already reaped it.
+    """
+
+    def __init__(self, columns, lo: int, hi: int, missing: str):
+        self.rows = f"rows {lo}..{hi}"
+        r, w = os.pipe()
+        try:
+            self.pid = os.fork()
+        except OSError:
+            os.close(r)
+            os.close(w)
+            raise
+        if self.pid == 0:
+            status = 1
+            try:
+                os.close(r)
+                with open(w, "wb") as out:
+                    try:
+                        blocks = list(_format_rows(columns, lo, hi, missing))
+                    except Exception as exc:
+                        out.write(b"\1" + f"{type(exc).__name__}: {exc}".encode())
+                    else:
+                        out.write(b"\0")
+                        out.writelines(blocks)
+                        status = 0
+            finally:
+                os._exit(status)
+        os.close(w)
+        self.pipe = open(r, "rb")
+
+    def __enter__(self):
+        return self
+
+    def copy_into(self, fh, path) -> None:
+        """Copy the worker's rows to ``fh`` and reap it; ChildProcessError
+        naming ``path`` unless it sent them all and exited with status 0."""
+        sent = self.pipe.read(1) == b"\0"
+        if sent:
+            shutil.copyfileobj(self.pipe, fh, 1 << 20)
+        error = self.pipe.read().decode(errors="replace")
+        _, status = os.waitpid(self.pid, 0)
+        self.pid = None
+        code = os.waitstatus_to_exitcode(status)
+        if not sent or code:
+            why = error or (f"exit status {code}" if code > 0 else f"signal {-code}")
+            raise ChildProcessError(f"{path}: the worker writing {self.rows} failed: {why}")
+
+    def __exit__(self, *exc_info):
+        self.pipe.close()
+        if self.pid is not None:
+            os.kill(self.pid, signal.SIGKILL)
+            os.waitpid(self.pid, 0)
+
+
 def _write_table(path, header: list[str], columns: list, missing: str = "nan") -> None:
     """Write equal-length columns (at least two) under ``header`` with the
-    bytes csv.writer would write: each block of _BLOCK_ROWS rows is one
-    "%s,...,%s" CRLF row format applied per row and one write."""
-    row = ",".join(["%s"] * len(columns)) + "\r\n"
-    with _atomic_open(path) as fh:
-        fh.write(",".join(_text(header, missing)) + "\r\n")
-        for lo in range(0, len(columns[0]), _BLOCK_ROWS):
-            block = [_text(c[lo:lo + _BLOCK_ROWS], missing) for c in columns]
-            fh.write("".join([row % cells for cells in zip(*block)]))
+    bytes csv.writer would write, one _format_rows block per write. A
+    table of at least _SPLIT_CELLS cells, in a process of one thread that
+    may run on two cores or more, has its second half formatted by a
+    _RowWorker."""
+    n = len(columns[0])
+    # the child of a fork has only the forking thread: a lock another thread
+    # held then would never be released in it
+    split = (n * len(columns) >= _SPLIT_CELLS and hasattr(os, "fork") and _cores() > 1
+             and threading.active_count() == 1)
+    mid = n // 2 if split else n
+    # the worker is forked before the temp file is opened, so it holds no copy of it
+    with _RowWorker(columns, mid, n, missing) if split else contextlib.nullcontext() as worker, \
+            _atomic_open(path, binary=True) as fh:
+        fh.write((",".join(_text(header, missing)) + "\r\n").encode())
+        fh.writelines(_format_rows(columns, 0, mid, missing))
+        if split:
+            worker.copy_into(fh, path)
 
 
 def write_csv(d: Dataset, path, config: IngestConfig) -> None:

@@ -560,6 +560,23 @@ def test_non_binary_label_column_is_error(pipeline, tmp_path, capsys, label):
     assert not (tmp_path / "t").exists()
 
 
+def test_repeated_id_in_scores_is_one_error_line(pipeline, tmp_path, capsys):
+    # a copy of the first row with e_q95 flipped: neither row may win silently
+    scores = tmp_path / "scores"
+    shutil.copytree(pipeline["scores"], scores)
+    header, rows = read_csv(scores / "scores.csv")
+    row = list(rows[0])
+    row[header.index("e_q95")] = "1" if row[header.index("e_q95")] == "0" else "0"
+    with open(scores / "scores.csv", "a", newline="", encoding="utf-8") as fh:
+        csv.writer(fh).writerow(row)
+    capsys.readouterr()
+    assert run("tree", "--scores", scores, "--data", pipeline["sim"] / "dataset.csv",
+               "--label", "e_q95", "--out", tmp_path / "t") == 1
+    [line] = capsys.readouterr().err.splitlines()
+    assert line == f"error: id {row[0]!r} appears more than once in {scores / 'scores.csv'}"
+    assert not (tmp_path / "t").exists()
+
+
 @pytest.mark.parametrize("option", [["--min-leaf", 0], ["--max-depth", 0],
                                     ["--min-gain", -1]],
                          ids=["min_leaf_zero", "max_depth_zero", "min_gain_negative"])

@@ -1,6 +1,12 @@
+import os
+import signal
+import threading
+from unittest import mock
+
 import numpy as np
 import pytest
 
+from extrapolmv import dataset
 from extrapolmv.dataset import (
     IngestConfig,
     RankDeficientError,
@@ -369,3 +375,72 @@ def test_synthesize_planted_rows_have_high_leverage():
                       seed=12)
     h = hat_diagonal(d.X)
     assert set(np.argsort(h)[-2:]) == {198, 199}
+
+
+def _split_table(n):
+    return ["id", "x"], [[f"r{i}" for i in range(n)], np.arange(n) / 7]
+
+
+def test_write_table_forks_one_worker_from_the_threshold(tmp_path, monkeypatch):
+    monkeypatch.setattr(dataset, "_SPLIT_CELLS", 100)
+    monkeypatch.setattr(dataset, "_cores", lambda: 2)
+    fork = mock.Mock(wraps=os.fork)
+    monkeypatch.setattr(os, "fork", fork)
+    dataset._write_table(tmp_path / "below.csv", *_split_table(49))  # 98 cells
+    assert fork.call_count == 0
+    dataset._write_table(tmp_path / "above.csv", *_split_table(50))  # 100 cells
+    assert fork.call_count == 1
+    assert (tmp_path / "above.csv").read_bytes().startswith(
+        (tmp_path / "below.csv").read_bytes())
+    # with another thread running the table is written by this process alone
+    done = threading.Event()
+    thread = threading.Thread(target=done.wait)
+    thread.start()
+    try:
+        dataset._write_table(tmp_path / "threads.csv", *_split_table(50))
+    finally:
+        done.set()
+        thread.join(timeout=10)
+    assert not thread.is_alive()
+    assert fork.call_count == 1
+    assert (tmp_path / "threads.csv").read_bytes() == (tmp_path / "above.csv").read_bytes()
+
+
+@pytest.mark.parametrize("half", ["worker", "parent", "worker_killed", "worker_send"])
+def test_a_failed_half_leaves_no_output_and_no_process(tmp_path, monkeypatch, half):
+    monkeypatch.setattr(dataset, "_SPLIT_CELLS", 0)
+    monkeypatch.setattr(dataset, "_BLOCK_ROWS", 8)
+    monkeypatch.setattr(dataset, "_cores", lambda: 2)
+    format_rows = dataset._format_rows
+    parent = os.getpid()
+
+    def failing(columns, lo, hi, missing):
+        in_worker = os.getpid() != parent
+        if half == "parent" and not in_worker:
+            raise ValueError("parent cannot format")
+        if half == "worker" and in_worker:
+            raise ValueError("worker cannot format")
+        if half == "worker_killed" and in_worker:
+            os.kill(os.getpid(), signal.SIGKILL)
+        if half == "worker_send" and in_worker:
+            # formatted, but the send stops partway: the parent gets a truncated half
+            return [*format_rows(columns, lo, hi, missing), "not bytes"]
+        return format_rows(columns, lo, hi, missing)
+
+    monkeypatch.setattr(dataset, "_format_rows", failing)
+    kept = tmp_path / "kept.csv"
+    kept.write_bytes(b"before\r\n")
+    for path in (tmp_path / "new.csv", kept):
+        # the parent's half raises what the serial writer would
+        error, message = (ValueError, "parent cannot format") if half == "parent" else (
+            ChildProcessError, f"{path}: the worker writing rows 20..40 failed: " + {
+                "worker": "ValueError: worker cannot format",
+                "worker_killed": "signal 9",
+                "worker_send": "exit status 1"}[half])
+        with pytest.raises(error) as info:
+            dataset._write_table(path, *_split_table(40))
+        assert str(info.value) == message
+        with pytest.raises(ChildProcessError):  # no child left, running or not reaped
+            os.waitpid(-1, os.WNOHANG)
+    assert not (tmp_path / "new.csv").exists()
+    assert kept.read_bytes() == b"before\r\n"

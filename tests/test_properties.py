@@ -206,11 +206,15 @@ def test_write_table_bytes_are_csv_writer_bytes(table, missing):
     for row in zip(*(c.tolist() if isinstance(c, np.ndarray) else c for c in columns)):
         writer.writerow([(missing if v != v else repr(v)) if isinstance(v, float) else v
                          for v in row])
-    with tempfile.TemporaryDirectory() as tmp, \
-            mock.patch.object(dataset, "_BLOCK_ROWS", 4):
-        _write_table(f"{tmp}/t.csv", header, columns, missing=missing)
-        with open(f"{tmp}/t.csv", "rb") as fh:
-            assert fh.read() == ref.getvalue().encode("utf-8")
+    # serial, then with the second half of the rows from a forked worker
+    for split_cells in (dataset._SPLIT_CELLS, 0):
+        with tempfile.TemporaryDirectory() as tmp, \
+                mock.patch.object(dataset, "_BLOCK_ROWS", 4), \
+                mock.patch.object(dataset, "_SPLIT_CELLS", split_cells), \
+                mock.patch.object(dataset, "_cores", lambda: 2):
+            _write_table(f"{tmp}/t.csv", header, columns, missing=missing)
+            with open(f"{tmp}/t.csv", "rb") as fh:
+                assert fh.read() == ref.getvalue().encode("utf-8")
 
 
 @settings(max_examples=60, deadline=None)
