@@ -5,11 +5,9 @@ response matrix that may be only partially observed. Covariates are never
 missing; responses carry an observation mask. All structures are plain
 numpy arrays and are treated as immutable after construction.
 
-Every pipeline table but draws.csv goes through one reader and one
-writer; sampler._write_draws_csv writes draws.csv itself, one draw's lines
-per write, because through _write_table the same bytes took over twice as
-long. _read_table yields blocks of _BLOCK_ROWS raw lines, one row per
-line, with checked field counts. load_csv parses a block with numpy's C
+Every pipeline table goes through one reader and one writer.
+_read_table yields blocks of _BLOCK_ROWS raw lines, one row per line,
+with checked field counts. load_csv parses a block with numpy's C
 tokenizer: covariate and coordinate columns straight to floats, the id
 and the responses as text, so that the missing-token test sees each
 response cell before float() does (a literal "nan" is observed, and
@@ -107,10 +105,16 @@ def _load_json(path):
 @contextlib.contextmanager
 def _atomic_open(path, binary: bool = False):
     """``path``.tmp open for bytes, or for UTF-8 text with no newline
-    translation; renamed to ``path`` when the block ends without raising."""
+    translation; renamed to ``path`` when the block ends without raising,
+    deleted when it raises."""
     tmp = f"{path}.tmp"
-    with open(tmp, "wb") if binary else open(tmp, "w", encoding="utf-8", newline="") as fh:
-        yield fh
+    fh = open(tmp, "wb") if binary else open(tmp, "w", encoding="utf-8", newline="")
+    try:
+        with fh:
+            yield fh
+    except BaseException:
+        os.remove(tmp)
+        raise
     os.replace(tmp, path)
 
 

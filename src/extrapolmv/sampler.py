@@ -55,7 +55,7 @@ from scipy.linalg import lapack
 
 from extrapolmv.dataset import (_ARCHIVE_ERRORS, Dataset, _atomic_open, _check_arrays,
                                 _check_types, _from_json, _load_json, _pattern_groups,
-                                _real_array, _to_json, _write_json)
+                                _real_array, _to_json, _write_json, _write_table)
 
 DRAWS_FILE = "draws.csv"
 NPZ_FILE = "draws.npz"
@@ -553,14 +553,22 @@ def check_draw_counts(chains: int, per_chain: int) -> None:
         raise ValueError(f"need at least 4 draws per chain, not {per_chain}")
 
 
-def convergence_summary(p: PosteriorDraws) -> ConvergenceSummary:
-    """Split-R-hat, ESS, mean and sd for every B and Sigma entry, from
-    _split_diagnostics over blocks of parameters."""
-    chains, counts = np.unique(p.chain, return_counts=True)
-    check_draw_counts(chains.size, min(counts, default=0))
+def _parameters(p: PosteriorDraws) -> tuple[list[str], np.ndarray]:
+    """The names and the (A, k) draws of every parameter: B's entries row by
+    row, then Sigma's upper triangle row by row (Sigma is symmetric)."""
     A, n, q = p.B_draws.shape
     upper = np.triu_indices(n)
-    flat = np.hstack([p.B_draws.reshape(A, n * q), p.Sigma_draws[:, upper[0], upper[1]]])
+    names = [f"B[{r},{c}]" for r in range(n) for c in range(q)]
+    names += [f"Sigma[{r},{c}]" for r, c in zip(*upper)]
+    return names, np.hstack([p.B_draws.reshape(A, n * q), p.Sigma_draws[:, upper[0], upper[1]]])
+
+
+def convergence_summary(p: PosteriorDraws) -> ConvergenceSummary:
+    """Split-R-hat, ESS, mean and sd for every parameter of _parameters,
+    from _split_diagnostics over blocks of parameters."""
+    chains, counts = np.unique(p.chain, return_counts=True)
+    check_draw_counts(chains.size, min(counts, default=0))
+    names, flat = _parameters(p)
     in_chain = [p.chain == c for c in chains]
     # the FFT's work arrays take up to 16 bytes per byte of draws: blocks of
     # parameters, each stacked (params, chains, draws), keep them within
@@ -568,8 +576,6 @@ def convergence_summary(p: PosteriorDraws) -> ConvergenceSummary:
     per = max(1, _BLOCK_BYTES // (16 * flat[:, 0].nbytes))
     columns = zip(*(_split_diagnostics(np.stack([flat[r, i:i + per].T for r in in_chain], axis=1))
                     for i in range(0, flat.shape[1], per)))
-    names = [f"B[{r},{c}]" for r in range(n) for c in range(q)]
-    names += [f"Sigma[{r},{c}]" for r, c in zip(*upper)]
     return ConvergenceSummary([ParamDiag(*row) for row in zip(
         names, *(np.concatenate(column).tolist() for column in columns))])
 
@@ -579,38 +585,26 @@ def convergence_summary(p: PosteriorDraws) -> ConvergenceSummary:
 # ---------------------------------------------------------------------------
 
 
-def _write_draws_csv(p: PosteriorDraws, fh) -> None:
-    """draw,chain,param,value rows, quoted and terminated as csv.writer
-    writes them, one draw's lines per write."""
-    n, q = p.B_draws.shape[1:]
-    names = ([f'"B[{r},{c}]"' for r in range(n) for c in range(q)]
-             + [f'"Sigma[{r},{c}]"' for r in range(n) for c in range(n)])
-    fh.write("draw,chain,param,value\r\n")
-    for a, (dr, ch) in enumerate(zip(p.draw.tolist(), p.chain.tolist())):
-        # repr of a python float is the shortest exact round-trip form
-        prefix = f"{dr},{ch},"
-        values = p.B_draws[a].ravel().tolist() + p.Sigma_draws[a].ravel().tolist()
-        fh.write("".join([f"{prefix}{name},{v!r}\r\n" for name, v in zip(names, values)]))
-
-
 def save_fit(p: PosteriorDraws, outdir, extra_meta: dict | None = None) -> None:
     """Write draws.csv, draws.npz and meta.json into outdir.
 
-    draws.csv (draw,chain,param,value) is the interchange file for other
-    tools; draws.npz holds the same values in binary, plus fit_rows, and
-    is what load_fit reads. draws.npz is written uncompressed: deflate
-    took most of its write time and saved about a third of its size
-    (load_fit reads compressed files from earlier versions as well). Each
-    file goes through a temp-file rename. Draws holding any non-finite
-    value raise ValueError before a file is made.
+    draws.csv, one row per kept draw with columns draw, chain and the
+    _parameters names, is the interchange file for other tools. draws.npz
+    holds the draws in binary, full Sigma and fit_rows included, and is
+    what load_fit reads. It is written uncompressed: deflate took most of
+    its write time and saved about a third of its size (load_fit reads
+    compressed files from earlier versions as well). Each file goes
+    through a temp-file rename. Draws holding any non-finite value raise
+    ValueError before a file is made.
     """
     for name, values in (("B", p.B_draws), ("Sigma", p.Sigma_draws)):
         bad = values.size - np.count_nonzero(np.isfinite(values))
         if bad:
             raise ValueError(f"{bad} non-finite {name} draw values; nothing written")
     os.makedirs(outdir, exist_ok=True)
-    with _atomic_open(os.path.join(outdir, DRAWS_FILE)) as fh:
-        _write_draws_csv(p, fh)
+    names, values = _parameters(p)
+    _write_table(os.path.join(outdir, DRAWS_FILE), ["draw", "chain", *names],
+                 [p.draw, p.chain, *values.T])
     with _atomic_open(os.path.join(outdir, NPZ_FILE), binary=True) as fh:
         np.savez(fh, **{key: getattr(p, key) for key in _NPZ_KEYS})
     meta = {

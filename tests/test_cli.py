@@ -1,4 +1,5 @@
 import csv
+import io
 import itertools
 import json
 import os
@@ -93,8 +94,9 @@ def test_outputs_and_manifests_exist(pipeline):
 
 
 def test_outputs_go_through_one_writer(pipeline):
-    # every file is renamed from its temp file, and every JSON file but
-    # tree.json comes from one writer (export_tree writes the same format)
+    # every file is renamed from its temp file, every JSON file but
+    # tree.json comes from one writer (export_tree writes the same format),
+    # and every CSV file has csv.writer's bytes
     outputs = [p for key in ("sim", "fit", "scores", "tree", "rep")
                for p in pipeline[key].iterdir()]
     assert not [p for p in outputs if p.name.endswith(".tmp")]
@@ -105,6 +107,13 @@ def test_outputs_go_through_one_writer(pipeline):
     for name in json_files:
         text = (pipeline["root"] / name).read_text(encoding="utf-8")
         assert text == json.dumps(json.loads(text), indent=1, sort_keys=True) + "\n", name
+    csv_files = sorted(f"{p.parent.name}/{p.name}" for p in outputs if p.suffix == ".csv")
+    assert csv_files == ["fit/draws.csv", "scores/scores.csv", "sim/dataset.csv"]
+    for name in csv_files:
+        data = (pipeline["root"] / name).read_bytes()
+        written = io.StringIO(newline="")
+        csv.writer(written).writerows(csv.reader(io.StringIO(data.decode(), newline="")))
+        assert data == written.getvalue().encode(), name
 
 
 def test_scores_columns_and_monotone_counts(pipeline):
@@ -540,6 +549,24 @@ def test_constant_label_gives_single_leaf(pipeline, tmp_path, capsys):
     assert line.startswith("warning: ") and "'e_q95' is constant" in line, line
     doc = json.loads((treedir / "tree.json").read_text())
     assert "feature" not in doc
+    assert run("report", "--scores", pipeline["scores"], "--tree", treedir,
+               "--out", tmp_path / "rep") == 0
+    report = (tmp_path / "rep" / "report.md").read_text(encoding="utf-8")
+    assert report.endswith("## Top tree splits\n\n- single leaf (no splits)\n")
+
+
+def test_data_id_missing_from_scores_is_one_error_line(pipeline, tmp_path, capsys):
+    # the dataset gains a row the score run never saw: no label to give it
+    header, rows = read_csv(pipeline["sim"] / "dataset.csv")
+    extra = tmp_path / "extra.csv"
+    with open(extra, "w", newline="", encoding="utf-8") as fh:
+        csv.writer(fh).writerows([header, *rows, ["extra01", *rows[0][1:]]])
+    capsys.readouterr()
+    assert run("tree", "--scores", pipeline["scores"], "--data", extra,
+               "--label", "e_q95", "--out", tmp_path / "t") == 1
+    [line] = capsys.readouterr().err.splitlines()
+    assert line == "error: scores file has no row for id 'extra01'"
+    assert not (tmp_path / "t").exists()
 
 
 def test_missing_label_column_is_error(pipeline, tmp_path):

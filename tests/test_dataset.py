@@ -444,3 +444,14 @@ def test_a_failed_half_leaves_no_output_and_no_process(tmp_path, monkeypatch, ha
             os.waitpid(-1, os.WNOHANG)
     assert not (tmp_path / "new.csv").exists()
     assert kept.read_bytes() == b"before\r\n"
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["kept.csv"]  # no temp file left
+
+
+def test_a_json_write_that_raises_leaves_no_temp_file(tmp_path):
+    kept = tmp_path / "kept.json"
+    kept.write_text("{}\n")
+    for path in (tmp_path / "new.json", kept):
+        with pytest.raises(TypeError, match="not JSON serializable"):
+            dataset._write_json(path, {"x": object()})
+    assert kept.read_text() == "{}\n"
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["kept.json"]

@@ -457,6 +457,22 @@ def test_degenerate_draws_det_ties_resolved_by_trace():
         score_locations(p, d, measures=("det",), cutoffs=("q95",))
 
 
+def test_singular_det_max_cutoff_ratio_is_the_trace_ratio():
+    # only y1's coefficients vary: every V has a zero y2 row, so every
+    # log-det and the max cutoff are -inf, and r falls back to trace / k_tie
+    d, _ = synthesize(SynthSpec(l=20, n=2, q=3, missing_prob=0.0), seed=63)
+    rng = np.random.default_rng(64)
+    B = np.tile(np.array([[1.0, 0.25, -0.5], [0.5, 0.0, 2.0]]), (16, 1, 1))
+    B[:, 0] += rng.standard_normal((16, 3))
+    p = make_draws(B, np.tile(np.eye(2), (16, 1, 1)), np.arange(20))
+    [det, trace] = score_locations(p, d, measures=("det", "trace"), cutoffs=("max",)).measures
+    [c] = det.cutoffs
+    assert np.all(det.values == -np.inf) and c.k == -np.inf
+    assert c.k_tie == trace.values.max() > 0
+    np.testing.assert_array_equal(c.r, trace.values / c.k_tie)
+    assert c.e.sum() == 0
+
+
 def test_det_needs_more_draws_than_responses():
     # A kept draws give Cov(vec B) rank at most A - 1, so with A <= n every
     # V_i is singular and only rounding would decide its log-determinant

@@ -904,24 +904,24 @@ def test_draws_csv_matches_npz(tmp_path, missing_dataset):
     save_fit(p, tmp_path)
     q, _meta = load_fit(tmp_path)  # reads draws.npz
 
-    # rebuild every draw from the interchange CSV by parameter name
-    A, n, k = q.B_draws.shape
-    B = np.full((A, n, k), np.nan)
-    S = np.full((A, n, n), np.nan)
-    row_of = {key: a for a, key in enumerate(zip(q.chain.tolist(), q.draw.tolist()))}
+    # one row per draw; after draw and chain, the convergence parameters
+    # in their order, each column the draws.npz entry it names
     with open(tmp_path / "draws.csv", newline="", encoding="utf-8") as fh:
-        reader = csv.reader(fh)
-        assert next(reader) == ["draw", "chain", "param", "value"]
-        for dr, ch, param, value in reader:
-            key = (int(ch), int(dr))
-            r, c = (int(i) for i in param[param.index("[") + 1:-1].split(","))
-            if param.startswith("B["):
-                B[row_of[key], r, c] = float(value)
-            else:
-                assert param.startswith("Sigma[")
-                S[row_of[key], r, c] = float(value)
-    np.testing.assert_array_equal(B, q.B_draws)
-    np.testing.assert_array_equal(S, q.Sigma_draws)
+        header, *rows = csv.reader(fh)
+    names = [diag.name for diag in convergence_summary(q).params]
+    assert header == ["draw", "chain", *names]
+    assert len(rows) == q.n_draws
+    columns = dict(zip(header, zip(*rows)))
+    np.testing.assert_array_equal(np.array(columns["draw"], dtype=int), q.draw)
+    np.testing.assert_array_equal(np.array(columns["chain"], dtype=int), q.chain)
+    n = q.Sigma_draws.shape[1]
+    assert len(set(names)) == q.B_draws[0].size + n * (n + 1) // 2
+    for name in names:
+        key, index = name[:-1].split("[")
+        r, c = (int(i) for i in index.split(","))
+        assert key == "B" or r <= c
+        np.testing.assert_array_equal(np.array(columns[name], dtype=float),
+                                      {"B": q.B_draws, "Sigma": q.Sigma_draws}[key][:, r, c])
 
     # an npz from before fit_rows moved out of meta.json
     with np.load(tmp_path / "draws.npz") as npz:
