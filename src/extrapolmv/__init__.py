@@ -19,7 +19,6 @@ from extrapolmv.dataset import (
     write_csv,
 )
 from extrapolmv.diagnostics import (
-    HighLeverageRule,
     cooks_distance,
     hat_diagonal,
     high_leverage_set,
@@ -69,7 +68,6 @@ __all__ = [
     "load_csv",
     "synthesize",
     "write_csv",
-    "HighLeverageRule",
     "cooks_distance",
     "hat_diagonal",
     "high_leverage_set",

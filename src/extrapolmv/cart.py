@@ -19,6 +19,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from extrapolmv.dataset import _check_types
+
 
 @dataclass
 class TreeParams:
@@ -29,12 +31,13 @@ class TreeParams:
     min_split_gain: float = 1e-4
 
     def __post_init__(self):
+        _check_types(self, integers=("max_depth", "min_leaf"), reals=("min_split_gain",))
         if self.max_depth < 1:
             raise ValueError("max_depth must be at least 1")
         if self.min_leaf < 1:
             raise ValueError("min_leaf must be at least 1")
-        if self.min_split_gain < 0:
-            raise ValueError("min_split_gain cannot be negative")
+        if not self.min_split_gain >= 0:  # NaN is not
+            raise ValueError(f"min_split_gain must be at least 0, not {self.min_split_gain}")
 
 
 @dataclass

@@ -315,7 +315,7 @@ def _read_scores(scores, names: list[str]) -> tuple[dict, IngestConfig, dict]:
     kept = {name: [] for name in names}
     for _line, lines in table:
         for name, cells in zip(names, _text_columns(lines, cols)):
-            kept[name] += cells
+            kept[name] += cells.tolist()
     return kept, config, manifest
 
 

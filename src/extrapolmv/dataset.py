@@ -14,9 +14,11 @@ response cell before float() does (a literal "nan" is observed, and
 rejected as non-finite). A block the C path rejects goes to
 _parse_floats, which names the faulty cell as path:line. _write_table
 formats a block with one %-format row string (_format_rows) and quotes
-text as csv.writer does, so the bytes are csv.writer's. Neither holds a
-whole file as strings. Every file the pipeline writes goes through
-_atomic_open, a temp file renamed over its final name.
+text as csv.writer does, so the bytes are csv.writer's. It knows no
+missing token: it writes an object array's cells as they are, and
+write_csv passes each response column as its floats and the quoted
+token. Neither holds a whole file as strings. Every file the pipeline
+writes goes through _atomic_open, a temp file renamed over its final name.
 
 Formatting floats with repr is most of a large write, so a table of at
 least _SPLIT_CELLS cells (rows x columns), where os.fork exists and a
@@ -32,8 +34,10 @@ comment has the measured break-even).
 write_record stores the table load_csv parsed as an uncompressed .npz
 beside the CSV's and the config's hashes; load_record gives the same
 Dataset back when both hashes match, so a CSV is parsed once and read
-from its record after that. _check_arrays checks the arrays of a record,
-and of a fit's draws.npz, against the dtypes and shapes they were written with.
+from its record after that. _read_archive reads every .npz (a record, a
+fit's draws.npz) and opens the file itself: np.load leaves the file it
+opens open when the archive is cut short. _check_arrays checks the arrays
+against the dtypes and shapes they were written with.
 
 The JSON records (ingestion config, synthesis spec, a fit's model spec)
 go through one codec, _to_json and _from_json: a record must have every
@@ -474,9 +478,9 @@ def _read_table(path):
             line += len(lines)
 
 
-def _text_columns(lines, usecols: list[int]) -> list[list[str]]:
-    """The chosen columns of a block of table lines, as lists of cell text."""
-    return np.loadtxt(lines, dtype=object, usecols=usecols, ndmin=2, **_LOADTXT).T.tolist()
+def _text_columns(lines, usecols: list[int]) -> np.ndarray:
+    """The chosen columns of a block of table lines: a row of cell text each."""
+    return np.loadtxt(lines, dtype=object, usecols=usecols, ndmin=2, **_LOADTXT).T
 
 
 def _parse_floats(cells, token: str, where: str, line: int,
@@ -532,10 +536,9 @@ def load_csv(path, config: IngestConfig) -> Dataset:
         split = r
     ids, values, missing = [], [], []
     for line, lines in table:
-        text = np.loadtxt(lines, dtype=object, usecols=[id_col] + cols[split:], ndmin=2,
-                          **_LOADTXT)
-        ids += text[:, 0].tolist()
-        text = text[:, 1:]
+        text = _text_columns(lines, [id_col] + cols[split:])
+        ids += text[0].tolist()
+        text = text[1:].T
         absent = (text == token) | (text == "")
         try:
             # float() of each other cell: a literal "nan" stays observed, and a
@@ -595,8 +598,15 @@ def write_record(d: Dataset, path, source_sha256: str, config_sha256: str) -> No
         np.savez(fh, **arrays)
 
 
-# what np.load and reading an array raise for a cut or corrupt .npz archive
-_ARCHIVE_ERRORS = (ValueError, KeyError, OSError, EOFError, zipfile.BadZipFile)
+def _read_archive(path, keys=None) -> dict:
+    """The arrays of the .npz archive ``path`` (those in ``keys``, when
+    given); ValueError naming ``path`` when it cannot be read."""
+    try:
+        with open(path, "rb") as fh, np.load(fh, allow_pickle=False) as npz:
+            return {key: npz[key] for key in npz.files if keys is None or key in keys}
+    # what np.load and reading an array raise for a cut or corrupt archive
+    except (ValueError, KeyError, OSError, EOFError, zipfile.BadZipFile) as exc:
+        raise ValueError(f"{path}: unreadable archive ({exc}); re-run fit to rewrite it") from None
 
 
 def _check_arrays(arrays: dict, want: dict) -> None:
@@ -619,18 +629,16 @@ def load_record(path, config: IngestConfig, source_sha256: str,
                 config_sha256: str) -> Dataset | None:
     """The Dataset load_csv(csv, config) gives, read from the write_record
     file ``path``; None when there is no such file or it was written for
-    another CSV or config (a hash differs). A record whose hashes match
-    but whose arrays are not the ones write_record writes for ``config``
-    raises ValueError naming ``path``."""
+    another CSV or config (a hash differs). An unreadable record, or one
+    whose hashes match but whose arrays are not the ones write_record
+    writes for ``config``, raises ValueError naming ``path``."""
     if not os.path.exists(path):
         return None
-    q, n = len(config.covariates) + 1, len(config.responses)
+    a = _read_archive(path)
     try:
-        with np.load(path, allow_pickle=False) as npz:
-            if (str(npz["source_sha256"]), str(npz["config_sha256"])) != \
-                    (source_sha256, config_sha256):
-                return None
-            a = {key: npz[key] for key in npz.files}
+        if (str(a["source_sha256"]), str(a["config_sha256"])) != (source_sha256, config_sha256):
+            return None
+        q, n = len(config.covariates) + 1, len(config.responses)
         coords = bool(config.lon_col and config.lat_col)
         _check_arrays(a, {"X": ("f8", ("l", q)), "Y": ("f8", ("l", n)),
                           "mask": ("?", ("l", n)), "ids": ("u1", ("bytes",)),
@@ -640,7 +648,7 @@ def load_record(path, config: IngestConfig, source_sha256: str,
                        response_names=list(config.responses),
                        covariate_names=[INTERCEPT_NAME] + list(config.covariates),
                        coords=a["coords"] if coords else None)
-    except _ARCHIVE_ERRORS as exc:
+    except (KeyError, ValueError) as exc:
         raise ValueError(f"{path}: malformed dataset record ({exc}); "
                          "re-run fit to rewrite it") from None
 
@@ -653,12 +661,11 @@ def _quote(cell: str) -> str:
     return cell
 
 
-def _text(column, missing: str) -> list:
-    """One column block as %s arguments: floats, whose str is their repr,
-    with NaN as ``missing``; ints; and text, quoted by _quote."""
-    if isinstance(column, np.ndarray) and column.dtype.kind in "biuf":
-        if column.dtype.kind == "f" and missing != "nan" and np.isnan(column).any():
-            column = np.where(np.isnan(column), missing, column.astype(object))
+def _text(column) -> list:
+    """One column block as %s arguments: numbers, whose str is their repr
+    (NaN's is nan); the cells of an object array as they are; and text,
+    quoted by _quote."""
+    if isinstance(column, np.ndarray) and column.dtype.kind in "biufO":
         return column.tolist()
     cells = list(map(str, column.tolist())) if isinstance(column, np.ndarray) else column
     joined = "".join(cells)
@@ -673,13 +680,13 @@ def _cores() -> int:
         return os.cpu_count() or 1
 
 
-def _format_rows(columns, lo: int, hi: int, missing: str):
+def _format_rows(columns, lo: int, hi: int):
     """Rows lo..hi of equal-length columns as csv.writer's UTF-8 bytes, one
     block of _BLOCK_ROWS rows at a time: a "%s,...,%s" CRLF row format
     applied per row."""
     row = ",".join(["%s"] * len(columns)) + "\r\n"
     for a in range(lo, hi, _BLOCK_ROWS):
-        block = [_text(c[a:min(a + _BLOCK_ROWS, hi)], missing) for c in columns]
+        block = [_text(c[a:min(a + _BLOCK_ROWS, hi)]) for c in columns]
         yield "".join([row % cells for cells in zip(*block)]).encode()
 
 
@@ -694,7 +701,7 @@ class _RowWorker:
     unless copy_into has already reaped it.
     """
 
-    def __init__(self, columns, lo: int, hi: int, missing: str):
+    def __init__(self, columns, lo: int, hi: int):
         self.rows = f"rows {lo}..{hi}"
         r, w = os.pipe()
         try:
@@ -709,7 +716,7 @@ class _RowWorker:
                 os.close(r)
                 with open(w, "wb") as out:
                     try:
-                        blocks = list(_format_rows(columns, lo, hi, missing))
+                        blocks = list(_format_rows(columns, lo, hi))
                     except Exception as exc:
                         out.write(b"\1" + f"{type(exc).__name__}: {exc}".encode())
                     else:
@@ -745,7 +752,7 @@ class _RowWorker:
             os.waitpid(self.pid, 0)
 
 
-def _write_table(path, header: list[str], columns: list, missing: str = "nan") -> None:
+def _write_table(path, header: list[str], columns: list) -> None:
     """Write equal-length columns (at least two) under ``header`` with the
     bytes csv.writer would write, one _format_rows block per write. A
     table of at least _SPLIT_CELLS cells, in a process of one thread that
@@ -758,24 +765,28 @@ def _write_table(path, header: list[str], columns: list, missing: str = "nan") -
              and threading.active_count() == 1)
     mid = n // 2 if split else n
     # the worker is forked before the temp file is opened, so it holds no copy of it
-    with _RowWorker(columns, mid, n, missing) if split else contextlib.nullcontext() as worker, \
+    with _RowWorker(columns, mid, n) if split else contextlib.nullcontext() as worker, \
             _atomic_open(path, binary=True) as fh:
-        fh.write((",".join(_text(header, missing)) + "\r\n").encode())
-        fh.writelines(_format_rows(columns, 0, mid, missing))
+        fh.write((",".join(_text(header)) + "\r\n").encode())
+        fh.writelines(_format_rows(columns, 0, mid))
         if split:
             worker.copy_into(fh, path)
 
 
 def write_csv(d: Dataset, path, config: IngestConfig) -> None:
-    """Write a dataset back to CSV, mirroring the ingestion schema."""
+    """Write a dataset back to CSV, mirroring the ingestion schema; a missing
+    response is the config's token, quoted where csv.writer would quote it."""
     header = [config.id_col]
     columns = [list(d.ids)]
     if d.coords is not None:
         header += [config.lon_col or "lon", config.lat_col or "lat"]
         columns += [d.coords[:, 0], d.coords[:, 1]]
     header += d.covariate_names[1:] + d.response_names
-    columns += list(d.X[:, 1:].T) + list(d.Y.T)
-    _write_table(path, header, columns, missing=config.missing_token)
+    columns += list(d.X[:, 1:].T)
+    for y, observed in zip(d.Y.T, d.mask.T):  # object arrays: the floats and the token
+        columns.append(y.astype(object))
+        columns[-1][~observed] = _quote(config.missing_token)
+    _write_table(path, header, columns)
 
 
 # ---------------------------------------------------------------------------
@@ -848,6 +859,8 @@ def synthesize(gen: SynthSpec, seed: int) -> tuple[Dataset, dict]:
     generating parameters (B, Sigma, seed and the generator fields) for oracle
     comparisons.
     """
+    if seed < 0:
+        raise ValueError(f"seed must be non-negative, not {seed}")
     rng = np.random.default_rng(seed)
 
     B = rng.standard_normal((gen.n, gen.q)) if gen.B is None else gen.B

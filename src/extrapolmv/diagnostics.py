@@ -7,24 +7,12 @@ functions are pure and safe to call concurrently.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 # Leverages this far above 1 are treated as roundoff and clamped; anything
 # beyond is a genuine numerical failure.
 _LEVERAGE_SLACK = 1e-10
-
-
-@dataclass
-class HighLeverageRule:
-    """Flags h_ii > factor * mean(h), the classic 3q/l rule at factor 3."""
-
-    factor: float = 3.0
-
-    def __post_init__(self):
-        if self.factor < 0:
-            raise ValueError("factor cannot be negative")
+_HIGH_LEVERAGE_FACTOR = 3.0  # high_leverage_set's h_ii > 3 mean(h), the 3q/l rule
 
 
 def _inverse_cholesky(S: np.ndarray, what: str = "X'X") -> np.ndarray:
@@ -128,9 +116,9 @@ def cooks_distance(X: np.ndarray, y: np.ndarray) -> np.ndarray:
     return D
 
 
-def high_leverage_set(h: np.ndarray, rule: HighLeverageRule | None = None) -> np.ndarray:
-    """Indices flagged as high leverage under the rule; deterministic."""
+def high_leverage_set(h: np.ndarray) -> np.ndarray:
+    """Indices of the leverages h_ii > 3 mean(h), in increasing order."""
     h = np.asarray(h, dtype=float).ravel()
     if h.size == 0:
         raise ValueError("empty leverage vector")
-    return np.flatnonzero(h > (rule or HighLeverageRule()).factor * h.mean())
+    return np.flatnonzero(h > _HIGH_LEVERAGE_FACTOR * h.mean())

@@ -53,8 +53,8 @@ from dataclasses import asdict, dataclass, field
 import numpy as np
 from scipy.linalg import lapack
 
-from extrapolmv.dataset import (_ARCHIVE_ERRORS, Dataset, _atomic_open, _check_arrays,
-                                _check_types, _from_json, _load_json, _pattern_groups,
+from extrapolmv.dataset import (Dataset, _atomic_open, _check_arrays, _check_types,
+                                _from_json, _load_json, _pattern_groups, _read_archive,
                                 _real_array, _to_json, _write_json, _write_table)
 
 DRAWS_FILE = "draws.csv"
@@ -628,7 +628,7 @@ def load_fit(fitdir) -> tuple[PosteriorDraws, dict]:
     ValueError, as does a meta.json that is not JSON, has no list
     response_names or covariate_names, or whose spec is not a ModelSpec
     record (one written before store_z and z_thin went away is not), a
-    draws.npz that is not a readable archive (cut short, say), and a
+    draws.npz that _read_archive cannot read (cut short, say), and a
     draws.npz array whose dtype or shape is not the one save_fit writes
     for meta's names. Other arrays in draws.npz are ignored.
     """
@@ -646,12 +646,7 @@ def load_fit(fitdir) -> tuple[PosteriorDraws, dict]:
         spec = _from_json(ModelSpec, meta.get("spec"), f"{meta_path} spec")
     except ValueError as exc:
         raise ValueError(f"{exc}; re-run fit to rewrite it") from None
-    try:
-        with np.load(npz_path) as npz:
-            arrays = {key: npz[key] for key in _NPZ_KEYS if key in npz.files}
-    except _ARCHIVE_ERRORS as exc:
-        raise ValueError(f"{npz_path}: unreadable archive ({exc}); "
-                         "re-run fit to rewrite it") from None
+    arrays = _read_archive(npz_path, _NPZ_KEYS)
     n, q = len(meta["response_names"]), len(meta["covariate_names"])
     try:
         _check_arrays(arrays, {"B_draws": ("f8", ("A", n, q)), "Sigma_draws": ("f8", ("A", n, n)),

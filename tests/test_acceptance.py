@@ -16,7 +16,6 @@ from extrapolmv.cart import TreeParams, grow_tree, predict_tree, tree_splits
 from extrapolmv.cli import main as cli_main
 from extrapolmv.dataset import SynthSpec, synthesize
 from extrapolmv.diagnostics import (
-    HighLeverageRule,
     cooks_distance,
     hat_diagonal,
     high_leverage_set,
@@ -175,7 +174,7 @@ def test_criterion_06_mvpv_leverage_agreement(big_fit):
     hvals = ivh_values(d_an.X[fit_rows], d_an.X)
     h_obs = hvals[fit_rows]
     keep = np.setdiff1d(np.arange(h_obs.size),
-                        high_leverage_set(h_obs, HighLeverageRule()))
+                        high_leverage_set(h_obs))
     k_by_name = {"max": h_obs.max(), "lev": h_obs[keep].max(),
                  "q99": np.quantile(h_obs, 0.99),
                  "q95": np.quantile(h_obs, 0.95)}

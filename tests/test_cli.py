@@ -168,6 +168,15 @@ def test_simulate_is_deterministic(pipeline, tmp_path):
         (tmp_path / "again" / "dataset.csv").read_bytes()
 
 
+def test_simulate_negative_seed_is_one_error_line(pipeline, tmp_path, capsys):
+    # refused as fit refuses it, naming the seed, before --out is made
+    capsys.readouterr()
+    assert run("simulate", "--spec", pipeline["spec"], "--seed", -1,
+               "--out", tmp_path / "sim") == 1
+    assert capsys.readouterr().err.splitlines() == ["error: seed must be non-negative, not -1"]
+    assert not (tmp_path / "sim").exists()
+
+
 def test_fit_same_seed_byte_identical(pipeline, tmp_path):
     out2 = tmp_path / "fit2"
     assert run("fit", "--data", pipeline["sim"] / "dataset.csv",
@@ -398,9 +407,11 @@ def test_fit_record_is_byte_deterministic(pipeline, tmp_path):
 
 
 @pytest.mark.parametrize("case", ["without_X", "Y_wrong_shape", "mask_not_bool",
-                                  "duplicate_ids", "tree_without_X"])
+                                  "duplicate_ids", "truncated", "tree_without_X",
+                                  "tree_truncated"])
 def test_malformed_fit_record_is_one_error_line(pipeline, tmp_path, capsys, case):
-    # the hashes match, so the record is meant for --data, but its arrays are bad
+    # the hashes match, so the record is meant for --data, but its arrays are
+    # bad; or the record is cut short, and must leave no file open
     fit = tmp_path / "fit"
     fit.mkdir()
     for name in ("draws.npz", "meta.json"):
@@ -413,9 +424,13 @@ def test_malformed_fit_record_is_one_error_line(pipeline, tmp_path, capsys, case
         arrays["Y"] = arrays["Y"][:, 1:]
     elif case == "mask_not_bool":
         arrays["mask"] = arrays["mask"].astype(float)
-    else:
+    elif case == "duplicate_ids":
         arrays["ids"] = np.frombuffer("\n".join(["a"] * len(arrays["X"])).encode(), np.uint8)
-    np.savez(fit / "dataset.npz", **arrays)
+    if case.endswith("truncated"):  # an archive cut short: not a zip file
+        record = (pipeline["fit"] / "dataset.npz").read_bytes()
+        (fit / "dataset.npz").write_bytes(record[:len(record) // 2])
+    else:
+        np.savez(fit / "dataset.npz", **arrays)
     data = pipeline["sim"] / "dataset.csv"
     if case.startswith("tree_"):
         scores = tmp_path / "scores"
@@ -605,8 +620,9 @@ def test_repeated_id_in_scores_is_one_error_line(pipeline, tmp_path, capsys):
 
 
 @pytest.mark.parametrize("option", [["--min-leaf", 0], ["--max-depth", 0],
-                                    ["--min-gain", -1]],
-                         ids=["min_leaf_zero", "max_depth_zero", "min_gain_negative"])
+                                    ["--min-gain", -1], ["--min-gain", "nan"]],
+                         ids=["min_leaf_zero", "max_depth_zero", "min_gain_negative",
+                              "min_gain_nan"])
 def test_bad_tree_option_is_one_error_line(pipeline, tmp_path, capsys, option):
     # refused before any file is read or made: no empty --out is left behind
     capsys.readouterr()

@@ -414,7 +414,7 @@ def test_a_failed_half_leaves_no_output_and_no_process(tmp_path, monkeypatch, ha
     format_rows = dataset._format_rows
     parent = os.getpid()
 
-    def failing(columns, lo, hi, missing):
+    def failing(columns, lo, hi):
         in_worker = os.getpid() != parent
         if half == "parent" and not in_worker:
             raise ValueError("parent cannot format")
@@ -424,8 +424,8 @@ def test_a_failed_half_leaves_no_output_and_no_process(tmp_path, monkeypatch, ha
             os.kill(os.getpid(), signal.SIGKILL)
         if half == "worker_send" and in_worker:
             # formatted, but the send stops partway: the parent gets a truncated half
-            return [*format_rows(columns, lo, hi, missing), "not bytes"]
-        return format_rows(columns, lo, hi, missing)
+            return [*format_rows(columns, lo, hi), "not bytes"]
+        return format_rows(columns, lo, hi)
 
     monkeypatch.setattr(dataset, "_format_rows", failing)
     kept = tmp_path / "kept.csv"

@@ -6,7 +6,6 @@ import pytest
 
 import extrapolmv
 from extrapolmv.diagnostics import (
-    HighLeverageRule,
     cooks_distance,
     hat_diagonal,
     high_leverage_set,
@@ -292,17 +291,6 @@ def test_planted_extreme_row_is_flagged():
     h = hat_diagonal(d.X)
     assert 149 in high_leverage_set(h)
     assert h.sum() == pytest.approx(4.0, abs=1e-8)
-
-
-def test_factor_zero_flags_everything():
-    h = np.array([0.1, 0.2, 0.3])
-    flagged = high_leverage_set(h, HighLeverageRule(factor=0.0))
-    assert list(flagged) == [0, 1, 2]
-
-
-def test_rule_parameters_validated():
-    with pytest.raises(ValueError, match="factor"):
-        HighLeverageRule(factor=-1.0)
 
 
 def test_empty_leverage_vector_rejected():

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from extrapolmv.dataset import _BLOCK_ROWS, SynthSpec, synthesize
-from extrapolmv.diagnostics import HighLeverageRule, high_leverage_set, ivh_values
+from extrapolmv.diagnostics import high_leverage_set, ivh_values
 from extrapolmv.extrapolation import (
     CutoffSpec,
     _conditional_gain,
@@ -581,7 +581,7 @@ def test_analytic_mvpv_flags_equal_ivh_flags(analytic_setup):
     hvals = ivh_values(d.X[fit_rows], d.X)
     h_obs = hvals[fit_rows]
 
-    flagged = high_leverage_set(h_obs, HighLeverageRule())
+    flagged = high_leverage_set(h_obs)
     keep = np.setdiff1d(np.arange(h_obs.size), flagged)
     k_by_name = {
         "max": h_obs.max(),
