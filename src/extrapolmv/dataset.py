@@ -7,29 +7,50 @@ numpy arrays and are treated as immutable after construction.
 
 Every pipeline table goes through one reader and one writer.
 _read_table yields blocks of _BLOCK_ROWS raw lines, one row per line,
-with checked field counts. load_csv parses a block with numpy's C
-tokenizer: covariate and coordinate columns straight to floats, the id
-and the responses as text, so that the missing-token test sees each
-response cell before float() does (a literal "nan" is observed, and
-rejected as non-finite). A block the C path rejects goes to
-_parse_floats, which names the faulty cell as path:line. _write_table
-formats a block with one %-format row string (_format_rows) and quotes
-text as csv.writer does, so the bytes are csv.writer's. It knows no
-missing token: it writes an object array's cells as they are, and
-write_csv passes each response column as its floats and the quoted
-token. Neither holds a whole file as strings. Every file the pipeline
-writes goes through _atomic_open, a temp file renamed over its final name.
+with checked field counts (_blocks). load_csv parses the blocks with
+_parse_rows, which uses numpy's C tokenizer: covariate and coordinate
+columns straight to floats, the id and the responses as text, so that
+the missing-token test sees each response cell before float() does (a
+literal "nan" is observed, and rejected as non-finite). A block the C
+path rejects goes to _parse_floats. A faulty line raises ValueError
+naming path:line, and the line named is the file's first faulty one,
+whatever the fault. _write_table formats a block with one %-format row
+string (_format_rows) and quotes text as csv.writer does, so the bytes
+are csv.writer's. It knows no missing token: it writes an object array's
+cells as they are, and write_csv passes each response column as its
+floats and the quoted token. Neither holds a whole file as strings.
+Every file the pipeline writes goes through _atomic_open, a temp file
+renamed over its final name.
 
-Formatting floats with repr is most of a large write, so a table of at
-least _SPLIT_CELLS cells (rows x columns), where os.fork exists and a
-process of one thread may run on two cores or more, is formatted on two
-cores: a forked _RowWorker formats rows n//2..n while the parent formats
-and writes rows 0..n//2, then copies the worker's bytes from a pipe.
-Rows are formatted independently, so the file is the same bytes either
-way. The worker holds its half as encoded text (about half the file)
-until it is all formatted. Below the threshold the fork and the pages it
-copies on write cost more than the second core saves (the constant's
-comment has the measured break-even).
+Parsing floats is most of a large read and formatting them with repr
+most of a large write, so both run on two cores where _may_fork: os.fork
+exists, and the process runs one thread and may run on two cores or
+more. One helper, _Worker, forks a process that runs a task and sends
+its bytes back through a pipe.
+
+- _write_table, from _SPLIT_CELLS cells (rows x columns): the worker
+  formats rows n//2..n while the parent formats and writes rows 0..n//2,
+  then copies the worker's bytes. Rows are formatted independently, so
+  the file is the same bytes either way. The worker holds its half as
+  encoded text (about half the file) until it is all formatted.
+- load_csv, from _SPLIT_BYTES bytes: _split_point cuts the file at the
+  first b"\\n" after the midpoint of the bytes that follow the header.
+  The worker parses the lines after the cut, numbered on from the lines
+  before it (a "\\r\\n" or a lone "\\r" ends one line, as in one pass),
+  and sends back its ids, values and missing mask, pickled. The parent
+  parses the lines before the cut, then joins the halves in file order.
+  Each half raises its first faulty line, the parent's first, so a split
+  read raises what a serial one does. (Bytes that are not UTF-8 raise
+  UnicodeDecodeError either way, but its position counts from where the
+  process that met them began to decode.)
+
+Below the thresholds the fork, the pages both processes then copy on
+write and the transfer cost more than the second core saves; each
+constant's comment has the measured break-even. On a shared 2-core
+machine load_csv's split lost at 1 and 2 MB, was mixed at 3 MB, and won
+from 4 MB, 0.65-0.97x the serial time. tree's _read_scores reads
+scores.csv serially: a split prototype took 0.087 s against 0.059 s
+serial.
 
 write_record stores the table load_csv parsed as an uncompressed .npz
 beside the CSV's and the config's hashes; load_record gives the same
@@ -53,11 +74,14 @@ from __future__ import annotations
 
 import contextlib
 import csv
+import functools
+import io
 import itertools
 import json
 import math
 import numbers
 import os
+import pickle
 import shutil
 import signal
 import threading
@@ -80,6 +104,16 @@ _BLOCK_ROWS = 2048
 # time) and was mixed at 20k-22.5k (0.60-1.06x); from 25k rows it won in
 # every measurement (0.55-0.65x).
 _SPLIT_CELLS = 500_000
+# Bytes from which load_csv parses the lines after a CSV's midpoint in a
+# forked worker. The fork, the line count before the cut and the pickled
+# half sent back cost a roughly fixed time, and on a shared 2-core machine
+# the two processes often ran slower side by side than one alone. Serial
+# against split, in alternating pairs of calls on survey-like CSVs (about
+# 247 bytes a row): at 1.0 MB the split took 1.46-1.49x the serial median
+# and won 0 of 52 pairs; at 2.0 MB 1.31-1.49x, 7 of 73; at 3.0 MB it was
+# mixed (1.02-1.33x, 39 of 104) and at 3.5 MB mostly won (0.87-0.95x, 66
+# of 83); from 4.0 MB to 12.3 MB it won 343 of 395 (0.65-0.97x).
+_SPLIT_BYTES = 4_000_000
 # np.loadtxt splitting a line as csv.reader does, into str (not bytes) cells
 _LOADTXT = {"delimiter": ",", "quotechar": '"', "comments": None, "encoding": None}
 # Characters that make csv.writer (QUOTE_MINIMAL) quote a cell.
@@ -450,32 +484,48 @@ class IngestConfig:
         return _from_json(cls, _load_json(path), str(path))
 
 
+def _read_header(fh, path) -> list[str]:
+    """The header of the CSV text file ``fh`` (named ``path``): its first
+    line, split as csv.reader splits it. An empty file or duplicate header
+    names raise ValueError."""
+    first = fh.readline()
+    if not first:
+        raise ValueError(f"{path}: empty file")
+    header = next(csv.reader([first]))
+    if len(set(header)) != len(header):
+        raise ValueError(f"{path}: duplicate column names in header")
+    return header
+
+
+def _blocks(lines, path, fields: int, line: int):
+    """Yield (first line, lines) blocks of at most _BLOCK_ROWS of the
+    text lines ``lines`` of ``path``, one row per line, the first being
+    line ``line``. A line that does not hold ``fields`` fields raises
+    ValueError, after the lines before it in its block are yielded, so
+    that a fault on one of those is found first."""
+    lines = iter(lines)
+    while block := list(itertools.islice(lines, _BLOCK_ROWS)):
+        # fields - 1 commas on each line, none quoted and none blank, is that many fields
+        commas = list(map(str.count, block, itertools.repeat(",")))
+        if commas.count(fields - 1) != len(block) or '"' in "".join(block) or "\n" in block:
+            counts = [len(next(csv.reader([ln]))) for ln in block]
+            bad = [i for i, k in enumerate(counts) if k != fields]
+            if bad:
+                if bad[0]:
+                    yield line, block[:bad[0]]
+                raise ValueError(f"{path}:{line + bad[0]}: expected {fields} fields, "
+                                 f"got {counts[bad[0]]}")
+        yield line, block
+        line += len(block)
+
+
 def _read_table(path):
-    """Yield a CSV file's header, then (first line, lines) blocks of at
-    most _BLOCK_ROWS raw text lines, one row per line; the header is line
-    1. A UTF-8 byte-order mark before the header is dropped. An empty
-    file, duplicate header names or a line whose field count is not the
-    header's raise ValueError."""
+    """Yield a CSV file's header, then its _blocks; the header is line 1.
+    A UTF-8 byte-order mark before the header is dropped."""
     with open(path, encoding="utf-8-sig") as fh:
-        first = fh.readline()
-        if not first:
-            raise ValueError(f"{path}: empty file")
-        header = next(csv.reader([first]))
-        if len(set(header)) != len(header):
-            raise ValueError(f"{path}: duplicate column names in header")
+        header = _read_header(fh, path)
         yield header
-        n, line = len(header), 2
-        while lines := list(itertools.islice(fh, _BLOCK_ROWS)):
-            # n - 1 commas on each line, none quoted and none blank, is n fields
-            commas = list(map(str.count, lines, itertools.repeat(",")))
-            if commas.count(n - 1) != len(lines) or '"' in "".join(lines) or "\n" in lines:
-                counts = [len(next(csv.reader([ln]))) for ln in lines]
-                bad = [i for i, k in enumerate(counts) if k != n]
-                if bad:
-                    raise ValueError(f"{path}:{line + bad[0]}: expected {n} fields, "
-                                     f"got {counts[bad[0]]}")
-            yield line, lines
-            line += len(lines)
+        yield from _blocks(fh, path, len(header), 2)
 
 
 def _text_columns(lines, usecols: list[int]) -> np.ndarray:
@@ -483,22 +533,95 @@ def _text_columns(lines, usecols: list[int]) -> np.ndarray:
     return np.loadtxt(lines, dtype=object, usecols=usecols, ndmin=2, **_LOADTXT).T
 
 
-def _parse_floats(cells, token: str, where: str, line: int,
-                  column: str) -> tuple[np.ndarray, np.ndarray]:
-    """Floats of one column block, NaN where a cell is missing, and the
-    missing mask: the exact parse of a block that np.loadtxt rejected. A
-    cell is missing when it equals the token or is blank; any other cell
-    that float() cannot read raises ValueError naming where:line and
-    ``column``."""
+def _parse_floats(cells, token: str) -> tuple[np.ndarray, np.ndarray, int]:
+    """Floats of one column block, NaN where a cell is missing, the missing
+    mask, and the index of the first cell that float() cannot read
+    (len(cells) when it reads them all): the exact parse of a block that
+    np.loadtxt rejected. A cell is missing when it equals the token or is
+    blank."""
     missing = np.array([c == token or not c.strip() for c in cells], dtype=bool)
     values = np.full(len(cells), np.nan)
     for i in np.flatnonzero(~missing).tolist():
         try:
             values[i] = float(cells[i])
         except ValueError:
-            raise ValueError(f"{where}:{line + i}: non-numeric {column}: "
-                             f"{cells[i]!r}") from None
-    return values, missing
+            return values, missing, i
+    return values, missing, len(cells)
+
+
+def _parse_rows(lines, line: int, path, fields: int, id_col: int, cols: list[int],
+                labels: list[str], token: str,
+                numeric: int) -> tuple[list[str], np.ndarray, np.ndarray]:
+    """The ids, values (NaN where missing) and missing mask of the text
+    lines ``lines`` of the CSV ``path``, the first being line ``line``:
+    the id from column ``id_col`` and the values from columns ``cols``,
+    which ``labels`` name in errors ("covariate 'a'"). A cell is missing
+    when it equals ``token`` or is blank.
+
+    The C tokenizer parses the first ``numeric`` of ``cols`` as floats; it
+    reads the rest as text for the token/blank test, then float() reads
+    each other cell, so a literal "nan" stays observed. A block the C path
+    rejects goes to _parse_floats. A faulty line raises ValueError naming
+    path:line, the first such line of ``lines`` whatever its fault."""
+    ids = []  # the empty arrays let a half with no lines concatenate
+    values = [np.empty((0, len(cols)))]
+    missing = [np.empty((0, len(cols)), dtype=bool)]
+    for line, block in _blocks(lines, path, fields, line):
+        text = _text_columns(block, [id_col] + cols[numeric:])
+        ids += text[0].tolist()
+        text = text[1:].T
+        absent = (text == token) | (text == "")
+        try:
+            # a cell of spaces fails here and is read as missing by _parse_floats
+            floats = np.full(text.shape, np.nan)
+            floats[~absent] = text[~absent].astype(float)
+            V = np.column_stack([np.loadtxt(block, usecols=cols[:numeric], ndmin=2, **_LOADTXT),
+                                 floats])
+            M = np.column_stack([np.zeros((len(block), numeric), dtype=bool), absent])
+        except ValueError:
+            cells = list(zip(*csv.reader(block)))
+            parsed = [_parse_floats(cells[j], token) for j in cols]
+            # the first faulty line, and on it the first faulty column of cols
+            i, k = min((bad, k) for k, (_, _, bad) in enumerate(parsed))
+            if i < len(block):
+                raise ValueError(f"{path}:{line + i}: non-numeric {labels[k]}: "
+                                 f"{cells[cols[k]][i]!r}")
+            V = np.column_stack([v for v, _, _ in parsed])
+            M = np.column_stack([m for _, m, _ in parsed])
+        values.append(V)
+        missing.append(M)
+    return ids, np.concatenate(values), np.concatenate(missing)
+
+
+def _split_point(path) -> tuple[int, int] | None:
+    """Where load_csv splits the CSV ``path`` between two processes: the
+    offset just past the first b"\\n" after the midpoint of the bytes
+    that follow the header line, and the text lines before that offset,
+    header included, counted as universal newlines count them (a "\\r\\n"
+    is one line end, and so is a lone "\\r"). None when no b"\\n" follows
+    the midpoint."""
+    with open(path, "rb") as raw:
+        start = len(raw.readline())
+        raw.seek((start + os.fstat(raw.fileno()).st_size) // 2)
+        if not raw.readline().endswith(b"\n"):
+            return None
+        cut = raw.tell()
+        raw.seek(0)
+        head = raw.read(cut)
+    return cut, head.count(b"\n") + head.count(b"\r") - head.count(b"\r\n")
+
+
+def _parse_tail(parse, path, cut: int, line: int) -> list[bytes]:
+    """Run in a _Worker: ``parse`` (a bound _parse_rows) of the lines of
+    ``path`` from byte ``cut`` on, numbered from ``line``, pickled; or the
+    ValueError that names a faulty line, pickled, for load_csv to raise."""
+    try:
+        with open(path, "rb") as raw:
+            raw.seek(cut)
+            result = parse(io.TextIOWrapper(raw, encoding="utf-8"), line)
+    except ValueError as exc:
+        result = exc
+    return [pickle.dumps(result, protocol=pickle.HIGHEST_PROTOCOL)]
 
 
 def load_csv(path, config: IngestConfig) -> Dataset:
@@ -508,62 +631,63 @@ def load_csv(path, config: IngestConfig) -> Dataset:
     unobserved; missing covariate and coordinate cells are rejected, and
     so is a literal non-finite response. An intercept column is prepended
     to the covariates.
-    """
-    table = _read_table(path)
-    header = next(table)
-    want_coords = bool(config.lon_col and config.lat_col)
-    # responses last: the columns before them may not be missing
-    names = list(config.covariates)
-    names += [config.lon_col, config.lat_col] if want_coords else []
-    q, r = len(config.covariates), len(names)
-    names += config.responses
-    kinds = ["covariate"] * q + ["coordinate"] * (r - q) + ["response"] * (len(names) - r)
-    for name in [config.id_col, config.lon_col, config.lat_col] + names:
-        if name and name not in header:
-            raise ValueError(f"{path}: column {name!r} not in header")
 
-    token = config.missing_token
-    id_col = header.index(config.id_col)
-    cols = [header.index(name) for name in names]
-    # The C tokenizer parses the columns before ``split`` as floats; the
-    # rest are read as text for the token/blank test. That is the
-    # responses, and every column if the tokenizer would read the token
-    # as a number.
-    try:
-        float(token)
-        split = 0
-    except (TypeError, ValueError):
-        split = r
-    ids, values, missing = [], [], []
-    for line, lines in table:
-        text = _text_columns(lines, [id_col] + cols[split:])
-        ids += text[0].tolist()
-        text = text[1:].T
-        absent = (text == token) | (text == "")
+    A file of at least _SPLIT_BYTES bytes, in a process of one thread that
+    may run on two cores or more, is parsed on two cores: a forked
+    _Worker parses the lines after _split_point while this process parses
+    the lines before it, and the halves are joined in file order. A faulty
+    line raises the ValueError a serial parse raises, the first half's
+    before the second's.
+    """
+    with open(path, encoding="utf-8-sig") as fh:
+        header = _read_header(fh, path)
+        want_coords = bool(config.lon_col and config.lat_col)
+        # responses last: the columns before them may not be missing
+        names = list(config.covariates)
+        names += [config.lon_col, config.lat_col] if want_coords else []
+        q, r = len(config.covariates), len(names)
+        names += config.responses
+        kinds = ["covariate"] * q + ["coordinate"] * (r - q) + ["response"] * (len(names) - r)
+        labels = [f"{kind} {name!r}" for kind, name in zip(kinds, names)]
+        for name in [config.id_col, config.lon_col, config.lat_col] + names:
+            if name and name not in header:
+                raise ValueError(f"{path}: column {name!r} not in header")
+
+        token = config.missing_token
+        # The C tokenizer parses the columns before the responses as floats,
+        # unless it would read the token as a number.
         try:
-            # float() of each other cell: a literal "nan" stays observed, and a
-            # cell of spaces fails here and is read as missing by _parse_floats
-            floats = np.full(text.shape, np.nan)
-            floats[~absent] = text[~absent].astype(float)
-            V = np.column_stack([np.loadtxt(lines, usecols=cols[:split], ndmin=2, **_LOADTXT),
-                                 floats])
-            M = np.column_stack([np.zeros((len(lines), split), dtype=bool), absent])
-        except ValueError:
-            cells = list(zip(*csv.reader(lines)))
-            parsed = [_parse_floats(cells[j], token, path, line, f"{kind} {name!r}")
-                      for j, name, kind in zip(cols, names, kinds)]
-            V = np.column_stack([v for v, _ in parsed])
-            M = np.column_stack([m for _, m in parsed])
-        values.append(V)
-        missing.append(M)
+            float(token)
+            numeric = 0
+        except (TypeError, ValueError):
+            numeric = r
+        parse = functools.partial(
+            _parse_rows, path=path, fields=len(header), id_col=header.index(config.id_col),
+            cols=[header.index(name) for name in names], labels=labels, token=token,
+            numeric=numeric)
+        halves = (_split_point(path) if os.fstat(fh.fileno()).st_size >= _SPLIT_BYTES
+                  and _may_fork() else None)
+        if halves is None:
+            ids, V, M = parse(fh, 2)
+        else:
+            cut, before = halves
+            with _Worker(functools.partial(_parse_tail, parse, path, cut, before + 1),
+                         f"reading from line {before + 1}") as worker:
+                ids, V, M = parse(itertools.islice(fh, before - 1), 2)
+                sent = io.BytesIO()
+                worker.copy_into(sent, path)
+            tail = pickle.loads(sent.getbuffer())
+            if isinstance(tail, ValueError):
+                raise tail
+            ids += tail[0]
+            V, M = np.concatenate([V, tail[1]]), np.concatenate([M, tail[2]])
     if not ids:
         raise ValueError(f"{path}: no data rows")
-    V, M = np.concatenate(values), np.concatenate(missing)
 
     bad = np.argwhere(M[:, :r])
     if bad.size:
         i, j = bad[0]
-        raise ValueError(f"{path}:{i + 2}: missing {kinds[j]} {names[j]!r}")
+        raise ValueError(f"{path}:{i + 2}: missing {labels[j]}")
     if len(set(ids)) != len(ids):
         _, first = np.unique(ids, return_index=True)
         i = int(np.setdiff1d(np.arange(len(ids)), first)[0])
@@ -602,8 +726,12 @@ def _read_archive(path, keys=None) -> dict:
     """The arrays of the .npz archive ``path`` (those in ``keys``, when
     given); ValueError naming ``path`` when it cannot be read."""
     try:
-        with open(path, "rb") as fh, np.load(fh, allow_pickle=False) as npz:
-            return {key: npz[key] for key in npz.files if keys is None or key in keys}
+        with open(path, "rb") as fh:
+            npz = np.load(fh, allow_pickle=False)
+            if not isinstance(npz, np.lib.npyio.NpzFile):  # np.load reads a .npy file too
+                raise ValueError("one .npy array, not an .npz archive")
+            with npz:
+                return {key: npz[key] for key in npz.files if keys is None or key in keys}
     # what np.load and reading an array raise for a cut or corrupt archive
     except (ValueError, KeyError, OSError, EOFError, zipfile.BadZipFile) as exc:
         raise ValueError(f"{path}: unreadable archive ({exc}); re-run fit to rewrite it") from None
@@ -680,6 +808,14 @@ def _cores() -> int:
         return os.cpu_count() or 1
 
 
+def _may_fork() -> bool:
+    """Whether a table may be split with a _Worker: os.fork exists, this
+    process may run on two cores or more, and it runs one thread (the
+    child of a fork has only the forking thread: a lock another thread
+    held then would never be released in it)."""
+    return hasattr(os, "fork") and _cores() > 1 and threading.active_count() == 1
+
+
 def _format_rows(columns, lo: int, hi: int):
     """Rows lo..hi of equal-length columns as csv.writer's UTF-8 bytes, one
     block of _BLOCK_ROWS rows at a time: a "%s,...,%s" CRLF row format
@@ -690,19 +826,21 @@ def _format_rows(columns, lo: int, hi: int):
         yield "".join([row % cells for cells in zip(*block)]).encode()
 
 
-class _RowWorker:
-    """A forked worker that formats rows lo..hi of a table.
+class _Worker:
+    """A forked worker that runs ``task``, a callable that returns an
+    iterable of bytes, and sends the bytes back; ``what`` names its work in
+    errors ("writing rows 10..20").
 
-    It formats every block before it sends one, so a full pipe never stalls
-    the formatting, then sends b"\\0" and the rows' bytes, or b"\\1" and
+    It runs the task to the end before it sends anything, so a full pipe
+    never stalls the work, then sends b"\\0" and the bytes, or b"\\1" and
     the error that stopped it. It leaves only through os._exit, so it runs
     no atexit handler and flushes no buffer it inherited. On leaving the
     with block the pipe is closed and the worker reaped, killed first
     unless copy_into has already reaped it.
     """
 
-    def __init__(self, columns, lo: int, hi: int):
-        self.rows = f"rows {lo}..{hi}"
+    def __init__(self, task, what: str):
+        self.what = what
         r, w = os.pipe()
         try:
             self.pid = os.fork()
@@ -716,7 +854,7 @@ class _RowWorker:
                 os.close(r)
                 with open(w, "wb") as out:
                     try:
-                        blocks = list(_format_rows(columns, lo, hi))
+                        blocks = list(task())
                     except Exception as exc:
                         out.write(b"\1" + f"{type(exc).__name__}: {exc}".encode())
                     else:
@@ -732,7 +870,7 @@ class _RowWorker:
         return self
 
     def copy_into(self, fh, path) -> None:
-        """Copy the worker's rows to ``fh`` and reap it; ChildProcessError
+        """Copy the worker's bytes to ``fh`` and reap it; ChildProcessError
         naming ``path`` unless it sent them all and exited with status 0."""
         sent = self.pipe.read(1) == b"\0"
         if sent:
@@ -743,7 +881,7 @@ class _RowWorker:
         code = os.waitstatus_to_exitcode(status)
         if not sent or code:
             why = error or (f"exit status {code}" if code > 0 else f"signal {-code}")
-            raise ChildProcessError(f"{path}: the worker writing {self.rows} failed: {why}")
+            raise ChildProcessError(f"{path}: the worker {self.what} failed: {why}")
 
     def __exit__(self, *exc_info):
         self.pipe.close()
@@ -755,17 +893,14 @@ class _RowWorker:
 def _write_table(path, header: list[str], columns: list) -> None:
     """Write equal-length columns (at least two) under ``header`` with the
     bytes csv.writer would write, one _format_rows block per write. A
-    table of at least _SPLIT_CELLS cells, in a process of one thread that
-    may run on two cores or more, has its second half formatted by a
-    _RowWorker."""
+    table of at least _SPLIT_CELLS cells, where _may_fork, has its second
+    half formatted by a _Worker."""
     n = len(columns[0])
-    # the child of a fork has only the forking thread: a lock another thread
-    # held then would never be released in it
-    split = (n * len(columns) >= _SPLIT_CELLS and hasattr(os, "fork") and _cores() > 1
-             and threading.active_count() == 1)
+    split = n * len(columns) >= _SPLIT_CELLS and _may_fork()
     mid = n // 2 if split else n
     # the worker is forked before the temp file is opened, so it holds no copy of it
-    with _RowWorker(columns, mid, n) if split else contextlib.nullcontext() as worker, \
+    with _Worker(functools.partial(_format_rows, columns, mid, n), f"writing rows {mid}..{n}") \
+            if split else contextlib.nullcontext() as worker, \
             _atomic_open(path, binary=True) as fh:
         fh.write((",".join(_text(header)) + "\r\n").encode())
         fh.writelines(_format_rows(columns, 0, mid))

@@ -407,7 +407,7 @@ def test_fit_record_is_byte_deterministic(pipeline, tmp_path):
 
 
 @pytest.mark.parametrize("case", ["without_X", "Y_wrong_shape", "mask_not_bool",
-                                  "duplicate_ids", "truncated", "tree_without_X",
+                                  "duplicate_ids", "truncated", "npy", "tree_without_X",
                                   "tree_truncated"])
 def test_malformed_fit_record_is_one_error_line(pipeline, tmp_path, capsys, case):
     # the hashes match, so the record is meant for --data, but its arrays are
@@ -429,6 +429,9 @@ def test_malformed_fit_record_is_one_error_line(pipeline, tmp_path, capsys, case
     if case.endswith("truncated"):  # an archive cut short: not a zip file
         record = (pipeline["fit"] / "dataset.npz").read_bytes()
         (fit / "dataset.npz").write_bytes(record[:len(record) // 2])
+    elif case == "npy":  # one array saved under the archive's name
+        with open(fit / "dataset.npz", "wb") as fh:
+            np.save(fh, arrays["X"])
     else:
         np.savez(fit / "dataset.npz", **arrays)
     data = pipeline["sim"] / "dataset.csv"
@@ -451,7 +454,7 @@ def test_malformed_fit_record_is_one_error_line(pipeline, tmp_path, capsys, case
 
 
 @pytest.mark.parametrize("case", ["B_axis_dropped", "Sigma_axis_dropped", "B_4_of_6_covariates",
-                                  "without_B", "float_fit_rows", "truncated"])
+                                  "without_B", "float_fit_rows", "truncated", "npy"])
 def test_malformed_draws_npz_is_one_error_line(pipeline, tmp_path, capsys, case):
     # meta.json is sound; draws.npz is not the archive save_fit writes for it
     fit = tmp_path / "fit"
@@ -470,6 +473,9 @@ def test_malformed_draws_npz_is_one_error_line(pipeline, tmp_path, capsys, case)
         arrays["fit_rows"] = arrays["fit_rows"].astype(float)
     if case == "truncated":  # an archive cut short: not a zip file
         (fit / "draws.npz").write_bytes((fit / "draws.npz").read_bytes()[:5000])
+    elif case == "npy":  # one array saved under the archive's name
+        with open(fit / "draws.npz", "wb") as fh:
+            np.save(fh, arrays["B_draws"])
     else:
         np.savez(fit / "draws.npz", **arrays)
     capsys.readouterr()

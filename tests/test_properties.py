@@ -125,17 +125,21 @@ def datasets(draw):
        block_rows=st.integers(1, 5))
 def test_write_load_csv_round_trip_is_exact(d, token, block_rows):
     # values, ids and mask come back bit for bit, across block boundaries,
-    # also for a token that has to be quoted
+    # also for a token that has to be quoted, read in one process or two
     cfg = IngestConfig(id_col="id", covariates=d.covariate_names[1:],
                        responses=d.response_names, lon_col="lon", lat_col="lat",
                        missing_token=token)
     with tempfile.TemporaryDirectory() as tmp, \
-            mock.patch.object(dataset, "_BLOCK_ROWS", block_rows):
+            mock.patch.object(dataset, "_BLOCK_ROWS", block_rows), \
+            mock.patch.object(dataset, "_cores", lambda: 2):
         write_csv(d, f"{tmp}/d.csv", cfg)
-        back = load_csv(f"{tmp}/d.csv", cfg)
-    assert back.ids == d.ids
-    for name in ("X", "Y", "mask", "coords"):
-        assert getattr(back, name).tobytes() == getattr(d, name).tobytes(), name
+        # serial, then with the lines after the midpoint from a forked worker
+        for split_bytes in (float("inf"), 0):
+            with mock.patch.object(dataset, "_SPLIT_BYTES", split_bytes):
+                back = load_csv(f"{tmp}/d.csv", cfg)
+            assert back.ids == d.ids
+            for name in ("X", "Y", "mask", "coords"):
+                assert getattr(back, name).tobytes() == getattr(d, name).tobytes(), name
 
 
 @st.composite
