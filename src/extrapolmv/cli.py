@@ -3,7 +3,7 @@
 The pipeline is file-mediated so one expensive fit can back many
 measure/cutoff experiments. Every command writes a manifest.json
 (resolved parameters, input hashes, library versions, cores and BLAS
-thread variables; for ``fit`` and ``score`` also per-stage seconds)
+thread variables, and the seconds each stage took)
 alongside its outputs, and all file writes go through a temp-file rename
 so partial outputs never appear. ``score`` writes one table,
 scores.csv, which holds every per-location figure, map columns included.
@@ -47,8 +47,8 @@ from extrapolmv.dataset import (
     _cores,
     _from_json,
     _load_json,
-    _read_table,
-    _text_columns,
+    _open_table,
+    _parse_rows,
     _to_json,
     _write_json,
     apply_transforms,
@@ -109,14 +109,12 @@ def _sha256_json(obj) -> str:
         json.dumps(obj, sort_keys=True, separators=(",", ":")).encode()).hexdigest()
 
 
-def _write_manifest(outdir, command: str, params: dict,
-                    timings: dict | None = None, **hashes) -> None:
+def _write_manifest(outdir, command: str, params: dict, timings: dict, **hashes) -> None:
     """Write manifest.json: parameters, versions, environment and hashes.
 
     The manifest is the one output that is not byte-deterministic: it
-    records the machine (cores, BLAS thread variables) and, for ``fit``
-    and ``score``, the seconds each stage took.
-    """
+    records the machine (cores, BLAS thread variables) and the seconds
+    each stage of the command took."""
     manifest = {
         "command": command,
         "params": params,
@@ -131,9 +129,8 @@ def _write_manifest(outdir, command: str, params: dict,
             "cores": _cores(),
             "blas_env": {name: os.environ.get(name) for name in BLAS_ENV},
         },
+        "timings": {stage: round(float(s), 6) for stage, s in timings.items()},
     }
-    if timings is not None:
-        manifest["timings"] = {stage: round(float(s), 6) for stage, s in timings.items()}
     manifest.update(hashes)
     _write_json(os.path.join(outdir, "manifest.json"), manifest)
 
@@ -301,35 +298,31 @@ def _read_score_manifest(scores) -> tuple[dict, IngestConfig, str]:
     return manifest, config, manifest_path
 
 
-def _read_scores(scores, names: list[str]) -> tuple[dict, IngestConfig, dict]:
-    """The columns ``names`` of a score output directory's scores.csv, each
-    a list of cells, and its checked manifest and ingestion config."""
+def _read_scores(scores, label: str) -> tuple[list[str], list[int], IngestConfig, dict]:
+    """The ids and the 0/1 labels in column ``label`` of a score output
+    directory's scores.csv, read by the table parser (a blank label is a
+    missing one), and its checked manifest and ingestion config."""
     manifest, config, _ = _read_score_manifest(scores)
     path = os.path.join(scores, "scores.csv")
-    table = _read_table(path)
-    header = next(table)
-    absent = [name for name in names if name not in header]
-    if absent:
-        raise CliError(f"column {absent[0]!r} not present in {path}")
-    cols = [header.index(name) for name in names]
-    kept = {name: [] for name in names}
-    for _line, lines in table:
-        for name, cells in zip(names, _text_columns(lines, cols)):
-            kept[name] += cells.tolist()
-    return kept, config, manifest
+    with _open_table(path, ["id", label]) as (fh, header):
+        ids, values, _ = _parse_rows(fh, 2, path, len(header), header.index("id"),
+                                     [header.index(label)], [f"label {label!r}"], "",
+                                     required=1, numeric=0)
+    bad = values[(values != 0) & (values != 1)]
+    if bad.size:
+        raise CliError(f"label column {label!r} holds {float(bad[0])!r}; "
+                       "a tree label must be 0 or 1")
+    return ids, values[:, 0].astype(int).tolist(), config, manifest
 
 
 def _cmd_tree(args) -> int:
+    marks = [time.perf_counter()]
     params = TreeParams(max_depth=args.max_depth, min_leaf=args.min_leaf,
                         min_split_gain=args.min_gain)
-    cols, config, manifest = _read_scores(args.scores, ["id", args.label])
-    bad = set(cols[args.label]) - {"0", "1"}
-    if bad:
-        raise CliError(f"label column {args.label!r} holds {min(bad)!r}; "
-                       "a tree label must be 0 or 1")
-    labels_by_id = dict(zip(cols["id"], map(int, cols[args.label])))
-    if len(labels_by_id) < len(cols["id"]):
-        repeated = next(i for i, k in collections.Counter(cols["id"]).items() if k > 1)
+    ids, flags, config, manifest = _read_scores(args.scores, args.label)
+    labels_by_id = dict(zip(ids, flags))
+    if len(labels_by_id) < len(ids):
+        repeated = next(i for i, k in collections.Counter(ids).items() if k > 1)
         raise CliError(f"id {repeated!r} appears more than once in "
                        f"{os.path.join(args.scores, 'scores.csv')}")
 
@@ -348,15 +341,19 @@ def _cmd_tree(args) -> int:
     if constant:
         print(f"warning: label column {args.label!r} is constant; "
               "emitting a single-leaf tree", file=sys.stderr)
+    marks.append(time.perf_counter())
     tree = grow_tree(d.X[:, 1:], labels, params,
                      feature_names=d.covariate_names[1:])
+    marks.append(time.perf_counter())
     for name, fmt in (("tree.json", "json"), ("tree.txt", "text")):
         with _atomic_open(os.path.join(args.out, name)) as fh:
             fh.write(export_tree(tree, fmt))
+    marks.append(time.perf_counter())
     _write_manifest(args.out, "tree",
                     {"scores": str(args.scores), "data": str(args.data),
                      "label": args.label, "max_depth": args.max_depth,
                      "min_leaf": args.min_leaf, "min_gain": args.min_gain},
+                    timings=dict(zip(("load", "grow", "write"), np.diff(marks))),
                     dataset_hash=dataset_hash,
                     config_hash=_sha256_json(_to_json(config)), data_source=source)
     if dataset_hash != manifest.get("dataset_hash"):
@@ -373,8 +370,10 @@ def _cmd_tree(args) -> int:
 
 
 def _cmd_simulate(args) -> int:
+    marks = [time.perf_counter()]
     gen = SynthSpec.from_json(args.spec)
     d, truth = synthesize(gen, args.seed)
+    marks.append(time.perf_counter())
     os.makedirs(args.out, exist_ok=True)
 
     config = IngestConfig(
@@ -389,8 +388,10 @@ def _cmd_simulate(args) -> int:
     write_csv(d, data_path, config)
     _write_json(os.path.join(args.out, "truth.json"), truth)
     _write_json(os.path.join(args.out, "config.json"), _to_json(config))
+    marks.append(time.perf_counter())
     _write_manifest(args.out, "simulate",
                     {"spec": str(args.spec), "seed": args.seed},
+                    timings=dict(zip(("synthesize", "write"), np.diff(marks))),
                     dataset_hash=_sha256_file(data_path))
     return 0
 
@@ -420,6 +421,7 @@ def _read_cutoff_summary(manifest: dict, path) -> tuple[int, list[dict]]:
 
 
 def _cmd_report(args) -> int:
+    marks = [time.perf_counter()]
     manifest, _config, path = _read_score_manifest(args.scores)
     measures = manifest["params"]["measures"]
     locations, cutoffs = _read_cutoff_summary(manifest, path)
@@ -452,11 +454,14 @@ def _cmd_report(args) -> int:
         else:
             lines.append("- single leaf (no splits)")
 
+    marks.append(time.perf_counter())
     os.makedirs(args.out, exist_ok=True)
     with _atomic_open(os.path.join(args.out, "report.md")) as fh:
         fh.write("\n".join(lines) + "\n")
+    marks.append(time.perf_counter())
     _write_manifest(args.out, "report",
-                    {"scores": str(args.scores), "tree": args.tree and str(args.tree)})
+                    {"scores": str(args.scores), "tree": args.tree and str(args.tree)},
+                    timings=dict(zip(("read", "write"), np.diff(marks))))
     return 0
 
 

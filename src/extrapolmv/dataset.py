@@ -5,20 +5,22 @@ response matrix that may be only partially observed. Covariates are never
 missing; responses carry an observation mask. All structures are plain
 numpy arrays and are treated as immutable after construction.
 
-Every pipeline table goes through one reader and one writer.
-_read_table yields blocks of _BLOCK_ROWS raw lines, one row per line,
-with checked field counts (_blocks). load_csv parses the blocks with
-_parse_rows, which uses numpy's C tokenizer: covariate and coordinate
-columns straight to floats, the id and the responses as text, so that
-the missing-token test sees each response cell before float() does (a
-literal "nan" is observed, and rejected as non-finite). A block the C
-path rejects goes to _parse_floats. A faulty line raises ValueError
-naming path:line, and the line named is the file's first faulty one,
-whatever the fault. _write_table formats a block with one %-format row
-string (_format_rows) and quotes text as csv.writer does, so the bytes
-are csv.writer's. It knows no missing token: it writes an object array's
-cells as they are, and write_csv passes each response column as its
-floats and the quoted token. Neither holds a whole file as strings.
+Every pipeline table goes through one reader and one writer. The reader,
+_parse_rows, reads dataset CSVs for load_csv and scores.csv for tree,
+block by block, by one fast path (numpy's C tokenizer: covariates and
+coordinates straight to floats, the id and the responses as text, so
+that the missing-token test sees each response cell before float() does)
+or, for a block the fast path rejects, one exact path (_parse_exact:
+csv.reader and float(), line by line). A faulty line raises ValueError
+naming path:line, the file's first faulty one whatever the fault: a byte
+that is not UTF-8 (read by surrogateescape), the wrong field count, a
+missing covariate or coordinate, a cell that is not a number. Duplicate
+ids are found after the parse. _write_table formats a block with one
+%-format row string (_format_rows) and quotes text as csv.writer does,
+so the bytes are csv.writer's. It knows no missing token: it writes an
+object array's cells as they are, and write_csv passes each response
+column as its floats and the quoted token. Neither holds a whole file as
+strings.
 Every file the pipeline writes goes through _atomic_open, a temp file
 renamed over its final name.
 
@@ -40,9 +42,7 @@ its bytes back through a pipe.
   and sends back its ids, values and missing mask, pickled. The parent
   parses the lines before the cut, then joins the halves in file order.
   Each half raises its first faulty line, the parent's first, so a split
-  read raises what a serial one does. (Bytes that are not UTF-8 raise
-  UnicodeDecodeError either way, but its position counts from where the
-  process that met them began to decode.)
+  read raises what a serial one does.
 
 Below the thresholds the fork, the pages both processes then copy on
 write and the transfer cost more than the second core saves; each
@@ -92,7 +92,7 @@ import numpy as np
 
 MISSING_TOKEN = "NA"
 INTERCEPT_NAME = "intercept"
-# Rows per block read or written by _read_table and _write_table. Each
+# Rows per block read or written by _parse_rows and _write_table. Each
 # np.loadtxt call has a fixed cost, and 512-row blocks made the survey
 # benchmark 0.1 s slower without lowering its peak RSS.
 _BLOCK_ROWS = 2048
@@ -484,112 +484,114 @@ class IngestConfig:
         return _from_json(cls, _load_json(path), str(path))
 
 
-def _read_header(fh, path) -> list[str]:
-    """The header of the CSV text file ``fh`` (named ``path``): its first
-    line, split as csv.reader splits it. An empty file or duplicate header
-    names raise ValueError."""
-    first = fh.readline()
-    if not first:
-        raise ValueError(f"{path}: empty file")
-    header = next(csv.reader([first]))
-    if len(set(header)) != len(header):
-        raise ValueError(f"{path}: duplicate column names in header")
-    return header
+@contextlib.contextmanager
+def _open_table(path, names):
+    """The CSV file ``path`` open as text, and its header. A UTF-8 byte-order
+    mark is dropped; surrogateescape reads a byte that is not UTF-8, for its
+    line to be named. An empty file, a header with such a byte or repeated
+    names, or a name of ``names`` not in it raises ValueError."""
+    with open(path, encoding="utf-8-sig", errors="surrogateescape") as fh:
+        first = fh.readline()
+        if not first:
+            raise ValueError(f"{path}: empty file")
+        _check_utf8(first, f"{path}:1")
+        header = next(csv.reader([first]))
+        if len(set(header)) != len(header):
+            raise ValueError(f"{path}: duplicate column names in header")
+        for name in names:
+            if name not in header:
+                raise ValueError(f"{path}: column {name!r} not in header")
+        yield fh, header
 
 
-def _blocks(lines, path, fields: int, line: int):
-    """Yield (first line, lines) blocks of at most _BLOCK_ROWS of the
-    text lines ``lines`` of ``path``, one row per line, the first being
-    line ``line``. A line that does not hold ``fields`` fields raises
-    ValueError, after the lines before it in its block are yielded, so
-    that a fault on one of those is found first."""
-    lines = iter(lines)
-    while block := list(itertools.islice(lines, _BLOCK_ROWS)):
-        # fields - 1 commas on each line, none quoted and none blank, is that many fields
-        commas = list(map(str.count, block, itertools.repeat(",")))
-        if commas.count(fields - 1) != len(block) or '"' in "".join(block) or "\n" in block:
-            counts = [len(next(csv.reader([ln]))) for ln in block]
-            bad = [i for i, k in enumerate(counts) if k != fields]
-            if bad:
-                if bad[0]:
-                    yield line, block[:bad[0]]
-                raise ValueError(f"{path}:{line + bad[0]}: expected {fields} fields, "
-                                 f"got {counts[bad[0]]}")
-        yield line, block
-        line += len(block)
+def _check_utf8(text: str, where: str) -> None:
+    """ValueError naming ``where`` (path:line) and the first byte of the
+    line ``text`` that surrogateescape read, with its column."""
+    try:
+        text.encode()
+    except UnicodeEncodeError as exc:
+        raise ValueError(f"{where}: not UTF-8 text: byte 0x{ord(text[exc.start]) - 0xDC00:02x}"
+                         f" at column {exc.start + 1}") from None
 
 
-def _read_table(path):
-    """Yield a CSV file's header, then its _blocks; the header is line 1.
-    A UTF-8 byte-order mark before the header is dropped."""
-    with open(path, encoding="utf-8-sig") as fh:
-        header = _read_header(fh, path)
-        yield header
-        yield from _blocks(fh, path, len(header), 2)
-
-
-def _text_columns(lines, usecols: list[int]) -> np.ndarray:
-    """The chosen columns of a block of table lines: a row of cell text each."""
-    return np.loadtxt(lines, dtype=object, usecols=usecols, ndmin=2, **_LOADTXT).T
-
-
-def _parse_floats(cells, token: str) -> tuple[np.ndarray, np.ndarray, int]:
-    """Floats of one column block, NaN where a cell is missing, the missing
-    mask, and the index of the first cell that float() cannot read
-    (len(cells) when it reads them all): the exact parse of a block that
-    np.loadtxt rejected. A cell is missing when it equals the token or is
-    blank."""
-    missing = np.array([c == token or not c.strip() for c in cells], dtype=bool)
-    values = np.full(len(cells), np.nan)
-    for i in np.flatnonzero(~missing).tolist():
-        try:
-            values[i] = float(cells[i])
-        except ValueError:
-            return values, missing, i
-    return values, missing, len(cells)
+def _parse_exact(block: list[str], line: int, path, fields: int, id_col: int, cols: list[int],
+                 labels: list[str], token: str, required: int):
+    """_parse_rows of the text lines ``block``, read line by line with
+    csv.reader and float(). The first faulty line raises, whatever its
+    fault; on one line a byte that is not UTF-8 is found first, then the
+    wrong field count, then the first missing or non-numeric cell."""
+    ids = []
+    values = np.full((len(block), len(cols)), np.nan)
+    missing = np.zeros(values.shape, dtype=bool)
+    for i, text in enumerate(block):
+        where = f"{path}:{line + i}"
+        _check_utf8(text, where)
+        cells = next(csv.reader([text]))
+        if len(cells) != fields:
+            raise ValueError(f"{where}: expected {fields} fields, got {len(cells)}")
+        ids.append(cells[id_col])
+        for k, j in enumerate(cols):
+            if cells[j] == token or not cells[j].strip():
+                if k < required:
+                    raise ValueError(f"{where}: missing {labels[k]}")
+                missing[i, k] = True
+                continue
+            try:
+                values[i, k] = float(cells[j])
+            except ValueError:
+                raise ValueError(f"{where}: non-numeric {labels[k]}: {cells[j]!r}") from None
+    return ids, values, missing
 
 
 def _parse_rows(lines, line: int, path, fields: int, id_col: int, cols: list[int],
-                labels: list[str], token: str,
+                labels: list[str], token: str, required: int,
                 numeric: int) -> tuple[list[str], np.ndarray, np.ndarray]:
     """The ids, values (NaN where missing) and missing mask of the text
     lines ``lines`` of the CSV ``path``, the first being line ``line``:
     the id from column ``id_col`` and the values from columns ``cols``,
     which ``labels`` name in errors ("covariate 'a'"). A cell is missing
-    when it equals ``token`` or is blank.
+    when it equals ``token`` or is blank; the first ``required`` of
+    ``cols`` may not be. A faulty line raises ValueError naming
+    path:line, the first such line whatever its fault.
 
-    The C tokenizer parses the first ``numeric`` of ``cols`` as floats; it
-    reads the rest as text for the token/blank test, then float() reads
-    each other cell, so a literal "nan" stays observed. A block the C path
-    rejects goes to _parse_floats. A faulty line raises ValueError naming
-    path:line, the first such line of ``lines`` whatever its fault."""
+    Blocks of _BLOCK_ROWS lines take the fast path, numpy's C tokenizer:
+    the first ``numeric`` of ``cols`` (at most ``required``) as floats, the
+    id and the rest as text for the token/blank test, then float() (so a
+    literal "nan" is observed). A block it rejects goes to _parse_exact."""
     ids = []  # the empty arrays let a half with no lines concatenate
     values = [np.empty((0, len(cols)))]
     missing = [np.empty((0, len(cols)), dtype=bool)]
-    for line, block in _blocks(lines, path, fields, line):
-        text = _text_columns(block, [id_col] + cols[numeric:])
-        ids += text[0].tolist()
-        text = text[1:].T
-        absent = (text == token) | (text == "")
+    lines = iter(lines)
+    while block := list(itertools.islice(lines, _BLOCK_ROWS)):
         try:
-            # a cell of spaces fails here and is read as missing by _parse_floats
-            floats = np.full(text.shape, np.nan)
-            floats[~absent] = text[~absent].astype(float)
-            V = np.column_stack([np.loadtxt(block, usecols=cols[:numeric], ndmin=2, **_LOADTXT),
-                                 floats])
-            M = np.column_stack([np.zeros((len(block), numeric), dtype=bool), absent])
+            joined = "".join(block)
+            if not joined.isascii():  # O(1): str keeps an ASCII flag
+                joined.encode()  # a byte that surrogateescape read raises UnicodeEncodeError
+            # fields - 1 commas on each line, none quoted and none blank, is that many fields
+            commas = list(map(str.count, block, itertools.repeat(",")))
+            if (commas.count(fields - 1) != len(block) or '"' in joined or "\n" in block) \
+                    and any(len(next(csv.reader([ln]))) != fields for ln in block):
+                raise ValueError("a line holds the wrong number of fields")
+            text = np.loadtxt(block, dtype=object, usecols=[id_col] + cols[numeric:], ndmin=2,
+                              **_LOADTXT)
+            absent = (text[:, 1:] == token) | (text[:, 1:] == "")
+            if absent[:, :required - numeric].any():
+                raise ValueError("a required cell is missing")
+            # a cell of spaces fails here and is read as missing by _parse_exact
+            floats = np.full(absent.shape, np.nan)
+            floats[~absent] = text[:, 1:][~absent].astype(float)
+            # with no numeric columns loadtxt would still tokenize the block
+            head = np.loadtxt(block, usecols=cols[:numeric], ndmin=2, **_LOADTXT) if numeric \
+                else np.empty((len(block), 0))
+            block_ids, V = text[:, 0].tolist(), np.column_stack([head, floats])
+            M = np.column_stack([np.zeros(head.shape, dtype=bool), absent])
         except ValueError:
-            cells = list(zip(*csv.reader(block)))
-            parsed = [_parse_floats(cells[j], token) for j in cols]
-            # the first faulty line, and on it the first faulty column of cols
-            i, k = min((bad, k) for k, (_, _, bad) in enumerate(parsed))
-            if i < len(block):
-                raise ValueError(f"{path}:{line + i}: non-numeric {labels[k]}: "
-                                 f"{cells[cols[k]][i]!r}")
-            V = np.column_stack([v for v, _, _ in parsed])
-            M = np.column_stack([m for _, m, _ in parsed])
+            block_ids, V, M = _parse_exact(block, line, path, fields, id_col, cols, labels,
+                                           token, required)
+        ids += block_ids
         values.append(V)
         missing.append(M)
+        line += len(block)
     return ids, np.concatenate(values), np.concatenate(missing)
 
 
@@ -618,7 +620,8 @@ def _parse_tail(parse, path, cut: int, line: int) -> list[bytes]:
     try:
         with open(path, "rb") as raw:
             raw.seek(cut)
-            result = parse(io.TextIOWrapper(raw, encoding="utf-8"), line)
+            result = parse(io.TextIOWrapper(raw, encoding="utf-8", errors="surrogateescape"),
+                           line)
     except ValueError as exc:
         result = exc
     return [pickle.dumps(result, protocol=pickle.HIGHEST_PROTOCOL)]
@@ -632,27 +635,22 @@ def load_csv(path, config: IngestConfig) -> Dataset:
     so is a literal non-finite response. An intercept column is prepended
     to the covariates.
 
-    A file of at least _SPLIT_BYTES bytes, in a process of one thread that
-    may run on two cores or more, is parsed on two cores: a forked
-    _Worker parses the lines after _split_point while this process parses
-    the lines before it, and the halves are joined in file order. A faulty
-    line raises the ValueError a serial parse raises, the first half's
-    before the second's.
+    _parse_rows names the file's first faulty line, whatever the fault; a
+    repeated id is named after the parse. A file of at least _SPLIT_BYTES
+    bytes, in a process of one thread that may run on two cores or more,
+    is parsed on two cores: a forked _Worker parses the lines after
+    _split_point while this process parses the lines before it, and the
+    halves are joined in file order, the first half's error first.
     """
-    with open(path, encoding="utf-8-sig") as fh:
-        header = _read_header(fh, path)
-        want_coords = bool(config.lon_col and config.lat_col)
-        # responses last: the columns before them may not be missing
-        names = list(config.covariates)
-        names += [config.lon_col, config.lat_col] if want_coords else []
-        q, r = len(config.covariates), len(names)
-        names += config.responses
-        kinds = ["covariate"] * q + ["coordinate"] * (r - q) + ["response"] * (len(names) - r)
-        labels = [f"{kind} {name!r}" for kind, name in zip(kinds, names)]
-        for name in [config.id_col, config.lon_col, config.lat_col] + names:
-            if name and name not in header:
-                raise ValueError(f"{path}: column {name!r} not in header")
-
+    want_coords = bool(config.lon_col and config.lat_col)
+    # responses last: the columns before them may not be missing
+    names = list(config.covariates)
+    names += [config.lon_col, config.lat_col] if want_coords else []
+    q, r = len(config.covariates), len(names)
+    names += config.responses
+    kinds = ["covariate"] * q + ["coordinate"] * (r - q) + ["response"] * (len(names) - r)
+    labels = [f"{kind} {name!r}" for kind, name in zip(kinds, names)]
+    with _open_table(path, [config.id_col] + names) as (fh, header):
         token = config.missing_token
         # The C tokenizer parses the columns before the responses as floats,
         # unless it would read the token as a number.
@@ -664,7 +662,7 @@ def load_csv(path, config: IngestConfig) -> Dataset:
         parse = functools.partial(
             _parse_rows, path=path, fields=len(header), id_col=header.index(config.id_col),
             cols=[header.index(name) for name in names], labels=labels, token=token,
-            numeric=numeric)
+            required=r, numeric=numeric)
         halves = (_split_point(path) if os.fstat(fh.fileno()).st_size >= _SPLIT_BYTES
                   and _may_fork() else None)
         if halves is None:
@@ -684,10 +682,6 @@ def load_csv(path, config: IngestConfig) -> Dataset:
     if not ids:
         raise ValueError(f"{path}: no data rows")
 
-    bad = np.argwhere(M[:, :r])
-    if bad.size:
-        i, j = bad[0]
-        raise ValueError(f"{path}:{i + 2}: missing {labels[j]}")
     if len(set(ids)) != len(ids):
         _, first = np.unique(ids, return_index=True)
         i = int(np.setdiff1d(np.arange(len(ids)), first)[0])

@@ -93,6 +93,17 @@ def test_outputs_and_manifests_exist(pipeline):
     assert "timings" not in (pipeline["scores"] / "scores.csv").read_text()
 
 
+def test_every_command_records_its_stage_timings(pipeline):
+    for key, stages in [("sim", {"synthesize", "write"}),
+                        ("fit", {"ingest", "sweep", "diagnostics", "write"}),
+                        ("scores", {"load", "measures", "cutoffs", "write"}),
+                        ("tree", {"load", "grow", "write"}),
+                        ("rep", {"read", "write"})]:
+        timings = json.loads((pipeline[key] / "manifest.json").read_text())["timings"]
+        assert set(timings) == stages, key
+        assert all(s >= 0 for s in timings.values()), key
+
+
 def test_outputs_go_through_one_writer(pipeline):
     # every file is renamed from its temp file, every JSON file but
     # tree.json comes from one writer (export_tree writes the same format),
@@ -605,6 +616,38 @@ def test_non_binary_label_column_is_error(pipeline, tmp_path, capsys, label):
              "--label", label, "--out", tmp_path / "t")
     assert rc == 1
     assert f"label column {label!r}" in capsys.readouterr().err
+    assert not (tmp_path / "t").exists()
+
+
+@pytest.mark.parametrize("fault", ["short_line", "blank_label", "label_two", "not_utf8"])
+def test_a_faulty_scores_file_is_one_error_line(pipeline, tmp_path, capsys, fault):
+    # tree reads scores.csv through the table parser: a faulty line is named
+    scores = tmp_path / "scores"
+    shutil.copytree(pipeline["scores"], scores)
+    path = scores / "scores.csv"
+    header, rows = read_csv(path)
+    line, label = 30, header.index("e_q95")
+    row = rows[line - 2]
+    if fault == "short_line":
+        row.pop()
+    elif fault == "blank_label":
+        row[label] = ""
+    elif fault == "label_two":
+        row[label] = "2"
+    else:  # the byte 0xff after the id, written through surrogateescape
+        row[0] += "\udcff"
+    with open(path, "w", newline="", encoding="utf-8", errors="surrogateescape") as fh:
+        csv.writer(fh).writerows([header] + rows)
+    capsys.readouterr()
+    assert run("tree", "--scores", scores, "--data", pipeline["sim"] / "dataset.csv",
+               "--label", "e_q95", "--out", tmp_path / "t") == 1
+    [err] = capsys.readouterr().err.splitlines()
+    assert err == "error: " + {
+        "short_line": f"{path}:{line}: expected {len(header)} fields, got {len(header) - 1}",
+        "blank_label": f"{path}:{line}: missing label 'e_q95'",
+        "label_two": "label column 'e_q95' holds 2.0; a tree label must be 0 or 1",
+        "not_utf8": f"{path}:{line}: not UTF-8 text: byte 0xff at column {len(row[0])}",
+    }[fault]
     assert not (tmp_path / "t").exists()
 
 

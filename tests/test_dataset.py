@@ -208,17 +208,21 @@ LOCATED = IngestConfig(id_col="id", covariates=["a", "b"], responses=["u", "v"],
     (4005, "v", "1,5", "non-numeric response 'v': '1,5'"),
     # a quoted field may not span lines
     (7, "id", "p\n5", "expected 7 fields, got 1"),
+    # two faulty lines, {line: (column, cell)}: the first is named, whatever its fault
+    (4, {4: ("a", ""), 16: ("u", "oops")}, None, "missing covariate 'a'"),
 ])
 def test_load_csv_error_names_line_and_column(tmp_path, line, column, cell, message):
     header = ["id", "lon", "lat", "a", "b", "u", "v"]
     rows = [[f"p{i}", "-80.5", "40.25", str(i % 7), str(i % 5 / 3), "1.5", "NA"]
             for i in range(9100)]
     rows[3998][0] = "p,3998"
-    row = rows[line - 2]
-    if column is None:
-        row.pop()
-    else:
-        row[header.index(column)] = cell
+    faults = column if isinstance(column, dict) else {line: (column, cell)}
+    for at, (column, cell) in faults.items():
+        row = rows[at - 2]
+        if column is None:
+            row.pop()
+        else:
+            row[header.index(column)] = cell
     f = tmp_path / "d.csv"
     write_lines(f, [",".join(header)] + [",".join(f'"{c}"' if "," in c or "\n" in c else c
                                                   for c in r) for r in rows])
@@ -512,6 +516,22 @@ def test_a_faulty_line_in_the_workers_half_is_named_by_its_line(tmp_path, ends):
     with pytest.raises(ValueError) as exc:
         read_both_ways(f, LOCATED)
     assert str(exc.value) == f"{f}:{line}: non-numeric response 'u': '1x5'"
+
+
+@pytest.mark.parametrize("where", ["header", "parent", "worker"])
+def test_a_byte_that_is_not_utf8_is_named_by_its_line_and_column(tmp_path, where):
+    # the same message read in one process or two, wherever the byte falls
+    f = tmp_path / "d.csv"
+    _located_table(f)
+    cut, before = dataset._split_point(f)
+    line = {"header": 1, "parent": before // 2, "worker": before + 7}[where]
+    lines = f.read_bytes().split(b"\n")
+    lines[line - 1] = lines[line - 1][:4] + b"\xff" + lines[line - 1][5:]
+    f.write_bytes(b"\n".join(lines))
+    assert dataset._split_point(f) == (cut, before)
+    with pytest.raises(ValueError) as exc:
+        read_both_ways(f, LOCATED)
+    assert str(exc.value) == f"{f}:{line}: not UTF-8 text: byte 0xff at column 5"
 
 
 @pytest.mark.parametrize("second", ["short", "covariate"])

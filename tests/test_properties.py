@@ -142,6 +142,62 @@ def test_write_load_csv_round_trip_is_exact(d, token, block_rows):
                 assert getattr(back, name).tobytes() == getattr(d, name).tobytes(), name
 
 
+@settings(max_examples=25, deadline=None)
+@given(d=datasets(), block_rows=st.integers(1, 5), data=st.data())
+def test_a_faulty_table_names_its_first_faulty_line(d, block_rows, data):
+    # 1-3 faults of mixed kinds on distinct lines: read in one process or
+    # two, across block boundaries, the error names the first faulty line
+    # and its fault
+    cfg = IngestConfig(id_col="id", covariates=d.covariate_names[1:],
+                       responses=d.response_names, lon_col="lon", lat_col="lat")
+    kinds = ["coordinate", "response", "short", "extra", "byte"]
+    kinds += ["covariate"] if cfg.covariates else []
+    with tempfile.TemporaryDirectory() as tmp, \
+            mock.patch.object(dataset, "_BLOCK_ROWS", block_rows), \
+            mock.patch.object(dataset, "_cores", lambda: 2):
+        path = f"{tmp}/d.csv"
+        write_csv(d, path, cfg)
+        with open(path, newline="", encoding="utf-8") as fh:
+            header, *rows = csv.reader(fh)
+        fields = len(header)
+        faulty = data.draw(st.lists(st.integers(0, len(rows) - 1), min_size=1, max_size=3,
+                                    unique=True))
+        expected = {}
+        for i in faulty:
+            row, kind = rows[i], data.draw(st.sampled_from(kinds))
+            if kind == "covariate":
+                name = data.draw(st.sampled_from(cfg.covariates))
+                row[header.index(name)] = ""
+                expected[i + 2] = f"missing covariate {name!r}"
+            elif kind == "coordinate":
+                name = data.draw(st.sampled_from(["lon", "lat"]))
+                row[header.index(name)] = "NA"
+                expected[i + 2] = f"missing coordinate {name!r}"
+            elif kind == "response":
+                row[-1] = "oops"
+                expected[i + 2] = f"non-numeric response {cfg.responses[-1]!r}: 'oops'"
+            elif kind == "short":
+                row.pop()
+                expected[i + 2] = f"expected {fields} fields, got {fields - 1}"
+            elif kind == "extra":
+                row.append("1")
+                expected[i + 2] = f"expected {fields} fields, got {fields + 1}"
+            else:  # the byte 0xff, written through surrogateescape
+                row[-1] = "1\udcff"
+                text = io.StringIO()
+                csv.writer(text).writerow(row)
+                column = text.getvalue().index("\udcff") + 1
+                expected[i + 2] = f"not UTF-8 text: byte 0xff at column {column}"
+        with open(path, "w", newline="", encoding="utf-8", errors="surrogateescape") as fh:
+            csv.writer(fh).writerows([header, *rows])
+        first = min(expected)
+        for split_bytes in (float("inf"), 0):
+            with mock.patch.object(dataset, "_SPLIT_BYTES", split_bytes), \
+                    pytest.raises(ValueError) as exc:
+                load_csv(path, cfg)
+            assert str(exc.value) == f"{path}:{first}: {expected[first]}"
+
+
 @st.composite
 def recorded_tables(draw):
     """A dataset from datasets() whose ids may be empty and hold any
