@@ -16,12 +16,16 @@ nothing else of a score: the manifest's cutoff_summary holds the
 location count and each primary cutoff's value and flag counts, so
 scores.csv is not parsed again.
 
-Only ``fit`` needs to parse the dataset CSV. It writes the parsed table
-to dataset.npz in its output directory, and ``score`` (from ``--draws``)
-and ``tree`` (from the fit directory the score manifest names by its
-absolute path) read that record instead whenever ``--data`` has the hash
-it was written for. Any other ``--data`` is parsed from CSV. Their
-manifests say which source ran.
+A dataset CSV is parsed at most once. ``simulate`` records the table it
+writes to dataset.csv in dataset.npz beside it, and ``fit`` reads that
+record instead of parsing ``--data`` when both its hashes are those of
+``--data`` and the config; any other file of that name is a miss, and
+``fit`` parses the CSV. ``fit`` writes the table to dataset.npz in its
+output directory, and ``score`` (from ``--draws``) and ``tree`` (from the
+fit directory the score manifest names by its absolute path) read that
+record instead whenever ``--data`` has the hash it was written for; a
+fit record that cannot be read is an error. Any other ``--data`` is
+parsed from CSV. The fit, score and tree manifests say which source ran.
 """
 
 from __future__ import annotations
@@ -78,7 +82,7 @@ from extrapolmv.sampler import (
     save_fit,
 )
 
-RECORD_FILE = "dataset.npz"  # the parsed --data table, written by fit
+RECORD_FILE = "dataset.npz"  # a parsed table: beside simulate's CSV, in a fit directory
 BLAS_ENV = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS",
             "BLIS_NUM_THREADS", "VECLIB_MAXIMUM_THREADS")
 RHAT_WARN = 1.1
@@ -147,29 +151,41 @@ def _load_raw(data_path, config: IngestConfig, record=None, data_hash=None):
     return load_csv(data_path, config), "csv"
 
 
-def _load_transformed(data_path, config: IngestConfig, constants: dict | None = None,
-                      record=None, data_hash=None):
-    """Load a table as _load_raw does and apply the transforms the config
-    explicitly names, standardizing with a fit's checked
-    ``transform_constants`` if given. Returns the raw and transformed
-    tables, the transform spec and the table's source."""
+def _check_transforms(config: IngestConfig) -> None:
     if config.transforms is None:
         raise CliError(
             "ingestion config must set 'transforms' explicitly (for example "
             '{"responses": "none", "standardize": true}); silent defaults are '
             "not applied")
-    raw, source = _load_raw(data_path, config, record, data_hash)
+
+
+def _transformed(raw, config: IngestConfig, constants: dict | None = None):
+    """``raw`` with the transforms the config names applied, standardizing
+    with a fit's checked ``transform_constants`` if given, and the
+    transform spec."""
     t = TransformSpec.from_config(config.transforms, raw.response_names,
                                   raw.covariate_names)
     if constants is not None:
         t.centers = np.asarray(constants["centers"], dtype=float)
         t.scales = np.asarray(constants["scales"], dtype=float)
-    return raw, apply_transforms(raw, t), t, source
+    return apply_transforms(raw, t), t
 
 
 # ---------------------------------------------------------------------------
 # fit
 # ---------------------------------------------------------------------------
+
+
+def _simulated_record(data_path, config: IngestConfig, data_hash, config_hash):
+    """The table simulate recorded beside ``data_path``, when it is the
+    one load_csv would parse from it with this config; else None. A file
+    of that name that cannot be read as such a record is no error: the
+    directory of a user's CSV may hold a dataset.npz of its own."""
+    try:
+        return load_record(os.path.join(os.path.dirname(data_path), RECORD_FILE),
+                           config, data_hash, config_hash)
+    except ValueError:
+        return None
 
 
 def _cmd_fit(args) -> int:
@@ -179,9 +195,13 @@ def _cmd_fit(args) -> int:
                      coef_prior_var=args.prior_var)
     check_draw_counts(spec.chains, spec.kept_per_chain)  # refuse before sweeping, not after
     config = IngestConfig.from_json(args.config)
-    raw, d, t, _ = _load_transformed(args.data, config)
+    _check_transforms(config)
     dataset_hash = _sha256_file(args.data)
     config_hash = _sha256_json(_to_json(config))
+    raw, source = _simulated_record(args.data, config, dataset_hash, config_hash), "record"
+    if raw is None:
+        raw, source = load_csv(args.data, config), "csv"
+    d, t = _transformed(raw, config)
     marks.append(time.perf_counter())
     draws = gibbs_fit(d, spec)
     marks.append(time.perf_counter())
@@ -202,7 +222,7 @@ def _cmd_fit(args) -> int:
               "chains": args.chains, "seed": args.seed,
               "prior_var": args.prior_var, "threads": 1}
     _write_manifest(args.out, "fit", params, timings=timings,
-                    dataset_hash=dataset_hash, config_hash=config_hash)
+                    dataset_hash=dataset_hash, config_hash=config_hash, data_source=source)
     if conv.max_rhat > RHAT_WARN:
         print(f"warning: max split-R-hat {conv.max_rhat:.3f} exceeds "
               f"{RHAT_WARN}; chains may not have converged", file=sys.stderr)
@@ -246,8 +266,10 @@ def _cmd_score(args) -> int:
         raise CliError(
             f"dataset hash {dataset_hash[:12]} does not match the hash the "
             f"draws were fitted on ({recorded[:12]}); pass --force to override")
-    _, d, _, source = _load_transformed(args.data, config, constants,
-                                        os.path.join(args.draws, RECORD_FILE), dataset_hash)
+    _check_transforms(config)
+    raw, source = _load_raw(args.data, config, os.path.join(args.draws, RECORD_FILE),
+                            dataset_hash)
+    d, _ = _transformed(raw, config, constants)
 
     measures = args.measure or DEFAULT_MEASURES
     cutoffs = [tok.strip() for tok in args.cutoffs.split(",") if tok.strip()]
@@ -387,12 +409,17 @@ def _cmd_simulate(args) -> int:
     data_path = os.path.join(args.out, "dataset.csv")
     write_csv(d, data_path, config)
     _write_json(os.path.join(args.out, "truth.json"), truth)
-    _write_json(os.path.join(args.out, "config.json"), _to_json(config))
+    config_json = _to_json(config)
+    _write_json(os.path.join(args.out, "config.json"), config_json)
+    # the table fit would parse from dataset.csv, so that fit reads it instead
+    dataset_hash = _sha256_file(data_path)
+    write_record(d, os.path.join(args.out, RECORD_FILE), dataset_hash,
+                 _sha256_json(config_json))
     marks.append(time.perf_counter())
     _write_manifest(args.out, "simulate",
                     {"spec": str(args.spec), "seed": args.seed},
                     timings=dict(zip(("synthesize", "write"), np.diff(marks))),
-                    dataset_hash=_sha256_file(data_path))
+                    dataset_hash=dataset_hash)
     return 0
 
 

@@ -52,10 +52,12 @@ from 4 MB, 0.65-0.97x the serial time. tree's _read_scores reads
 scores.csv serially: a split prototype took 0.087 s against 0.059 s
 serial.
 
-write_record stores the table load_csv parsed as an uncompressed .npz
-beside the CSV's and the config's hashes; load_record gives the same
-Dataset back when both hashes match, so a CSV is parsed once and read
-from its record after that. _read_archive reads every .npz (a record, a
+write_record stores a table as an uncompressed .npz beside the CSV's
+and the config's hashes: the table write_csv wrote (simulate's record)
+or the one load_csv parsed (a fit's), which are the same bytes.
+load_record gives the same Dataset back when both hashes match, so a
+CSV the package wrote is never parsed, and any other is parsed once and
+read from its record after that. _read_archive reads every .npz (a record, a
 fit's draws.npz) and opens the file itself: np.load leaves the file it
 opens open when the archive is cut short. _check_arrays checks the arrays
 against the dtypes and shapes they were written with.

@@ -281,7 +281,7 @@ def test_criterion_10_cli_determinism(tmp_path):
     a = run_pipeline("a")
     b = run_pipeline("b")
     compared = 0
-    for rel in ("sim/dataset.csv", "sim/truth.json", "sim/config.json",
+    for rel in ("sim/dataset.csv", "sim/dataset.npz", "sim/truth.json", "sim/config.json",
                 "fit/draws.csv", "fit/meta.json",
                 "scores/scores.csv",
                 "tree/tree.json", "tree/tree.txt", "rep/report.md"):

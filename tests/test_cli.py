@@ -35,15 +35,18 @@ def pipeline(tmp_path_factory):
     return _run_pipeline(tmp_path_factory.mktemp("pipe"))
 
 
-def _run_pipeline(root, **spec):
+def _run_pipeline(root, keep_record=True, **spec):
     """One full simulate -> fit -> score -> tree -> report run; spec
-    entries are added to the synthesis spec."""
+    entries are added to the synthesis spec. Without keep_record, the
+    record simulate writes beside dataset.csv is deleted before fit."""
     spec_path = root / "synth.json"
     spec_path.write_text(json.dumps(
         {"l": 400, "n": 3, "q": 6, "missing_prob": [0.3, 0.1, 0.0], **spec}))
     sim, fit, scores, tree, rep = (root / n for n in
                                    ("sim", "fit", "scores", "tree", "rep"))
     assert run("simulate", "--spec", spec_path, "--seed", 11, "--out", sim) == 0
+    if not keep_record:
+        (sim / "dataset.npz").unlink()
     assert run("fit", "--data", sim / "dataset.csv",
                "--config", sim / "config.json",
                "--iters", 300, "--burnin", 100, "--chains", 2, "--seed", 5,
@@ -401,12 +404,65 @@ def test_tree_finds_the_fit_record_of_a_relative_draws_path(pipeline, tmp_path, 
 
 
 def test_pipeline_parses_the_csv_once(tmp_path, monkeypatch):
-    # fit parses dataset.csv; score and tree read the table fit recorded
+    # fit reads the table simulate recorded, so no command parses
+    # dataset.csv; without that record fit parses it, and score and tree
+    # read the table fit recorded
     calls = []
     real = cli.load_csv
     monkeypatch.setattr(cli, "load_csv", lambda *a: calls.append(a) or real(*a))
-    _run_pipeline(tmp_path)
+    recorded, parsed = tmp_path / "recorded", tmp_path / "parsed"
+    recorded.mkdir()
+    parsed.mkdir()
+    _run_pipeline(recorded)
+    assert len(calls) == 0
+    pipe = _run_pipeline(parsed, keep_record=False)
     assert len(calls) == 1
+    assert [json.loads((pipe[d] / "manifest.json").read_text())["data_source"]
+            for d in ("fit", "scores", "tree")] == ["csv", "fit record", "fit record"]
+
+
+def _fit(sim, out, config=None):
+    """A short fit of sim/dataset.csv; its exit code and data_source."""
+    rc = run("fit", "--data", sim / "dataset.csv", "--config", config or sim / "config.json",
+             "--iters", 20, "--burnin", 5, "--seed", 5, "--out", out)
+    return rc, json.loads((out / "manifest.json").read_text())["data_source"]
+
+
+@pytest.mark.parametrize("case", ["absent", "foreign", "not_zip", "edited_csv",
+                                  "other_config"])
+def test_fit_parses_the_csv_when_the_record_beside_it_misses(pipeline, tmp_path, case):
+    # simulate's record is read only when it holds --data for this config;
+    # any other dataset.npz beside the CSV is no error, and fit writes what
+    # it writes when it parses the CSV with no record beside it
+    sim, bare = tmp_path / "sim", tmp_path / "bare"
+    shutil.copytree(pipeline["sim"], sim)
+    config = None
+    if case == "absent":
+        (sim / "dataset.npz").unlink()
+    elif case == "foreign":
+        np.savez(sim / "dataset.npz", a=np.arange(3))
+    elif case == "not_zip":
+        (sim / "dataset.npz").write_bytes(b"not a zip archive\n")
+    elif case == "edited_csv":  # the last row dropped
+        lines = (sim / "dataset.csv").read_bytes().splitlines(keepends=True)
+        (sim / "dataset.csv").write_bytes(b"".join(lines[:-1]))
+    else:  # the covariates reversed: a table of the record's shape, but not its table
+        cfg = json.loads((sim / "config.json").read_text())
+        cfg["covariates"] = cfg["covariates"][::-1]
+        config = tmp_path / "other_config.json"
+        config.write_text(json.dumps(cfg))
+    bare.mkdir()
+    for name in ("dataset.csv", "config.json"):
+        (bare / name).write_bytes((sim / name).read_bytes())
+    rc, source = _fit(sim, tmp_path / "fit", config)
+    assert (rc, source) == (_fit(bare, tmp_path / "parsed", config)[0], "csv")
+    if case in ("absent", "foreign", "not_zip"):  # --data is simulate's: as a hit
+        assert _fit(pipeline["sim"], tmp_path / "hit") == (rc, "record")
+    for name in ("draws.npz", "dataset.npz", "meta.json"):
+        want = (tmp_path / "parsed" / name).read_bytes()
+        assert (tmp_path / "fit" / name).read_bytes() == want, name
+        if case in ("absent", "foreign", "not_zip"):
+            assert (tmp_path / "hit" / name).read_bytes() == want, name
 
 
 def test_fit_record_is_byte_deterministic(pipeline, tmp_path):
