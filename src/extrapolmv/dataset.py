@@ -298,17 +298,6 @@ def row_status(d: Dataset) -> list[str]:
     return _STATUS_LABELS[codes].tolist()
 
 
-def _pattern_groups(mask: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Rows grouped by missingness pattern: the distinct (G, n) patterns in
-    lexicographic order (all-observed last), a stable argsort of the rows
-    by pattern, and bounds, so pattern g owns order[bounds[g]:bounds[g + 1]]."""
-    bits = 1 << np.arange(mask.shape[1] - 1, -1, -1)
-    codes, pattern_of = np.unique(mask @ bits, return_inverse=True)
-    order = np.argsort(pattern_of, kind="stable")
-    bounds = np.concatenate([[0], np.cumsum(np.bincount(pattern_of))])
-    return (codes[:, None] & bits) > 0, order, bounds
-
-
 # ---------------------------------------------------------------------------
 # Transforms
 # ---------------------------------------------------------------------------

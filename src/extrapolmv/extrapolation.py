@@ -21,9 +21,9 @@ dataset._BLOCK_ROWS rows at a time: one BLAS product of the block with
 C (q x n*n*q, 2*n*n*q*q flops per location), one batched product with
 x_i (2*n*n*q), then a batched n x n Cholesky, so nothing of size
 (l, n, n) is held. CMVPV groups its rows by sibling pattern with
-dataset._pattern_groups, as the sampler groups its fit rows, and takes
+posterior._pattern_groups, as the sampler groups its fit rows, and takes
 each group's gains and Schur complements over the stack of Sigma draws
-from _conditional_gain, the function conditional_mvn calls for one Sigma.
+from posterior._conditional_gain, which conditional_mvn calls for one Sigma.
 """
 
 from __future__ import annotations
@@ -34,7 +34,8 @@ from typing import TYPE_CHECKING
 
 import numpy as np
 
-from extrapolmv.dataset import _BLOCK_ROWS, Dataset, _pattern_groups, _write_table, row_status
+from extrapolmv import posterior
+from extrapolmv.dataset import _BLOCK_ROWS, Dataset, _write_table, row_status
 from extrapolmv.diagnostics import _inverse_cholesky, high_leverage_set, ivh_values
 
 if TYPE_CHECKING:  # pragma: no cover
@@ -89,26 +90,6 @@ def _logdet_psd(V: np.ndarray):
 # ---------------------------------------------------------------------------
 
 
-def _conditional_gain(sigma: np.ndarray, target, given) -> tuple[np.ndarray, np.ndarray]:
-    """Gain Sigma_tg Sigma_gg^-1 and conditional covariance
-    Sigma_tt - G Sigma_gt, of one Sigma or of each in a (..., n, n) stack.
-
-    Both depend on Sigma alone, not on the conditioning values:
-    conditional_mvn passes one Sigma, CMVPV scoring the stack of draws.
-    The sampler batches the same conditional over its missingness
-    patterns instead (sampler._conditionals).
-    """
-    t, g = np.asarray(target, dtype=int), np.asarray(given, dtype=int)
-    S_tg = sigma[..., t[:, None], g]
-    try:
-        G = np.linalg.solve(sigma[..., g[:, None], g], np.swapaxes(S_tg, -1, -2))
-    except np.linalg.LinAlgError:
-        raise np.linalg.LinAlgError("conditioning block of Sigma is singular") from None
-    G = np.swapaxes(G, -1, -2)
-    S_bar = sigma[..., t[:, None], t] - np.einsum("...tg,...ug->...tu", G, S_tg)
-    return G, 0.5 * (S_bar + np.swapaxes(S_bar, -1, -2))
-
-
 def conditional_mvn(mu: np.ndarray, sigma: np.ndarray, target, given,
                     a) -> tuple[np.ndarray, np.ndarray]:
     """Conditional mean and covariance of target components given others.
@@ -142,7 +123,7 @@ def conditional_mvn(mu: np.ndarray, sigma: np.ndarray, target, given,
     except np.linalg.LinAlgError:
         raise np.linalg.LinAlgError(f"conditioning block of Sigma on components {g.tolist()} "
                                     "is not positive definite") from None
-    G, S_bar = _conditional_gain(sigma, t, g)
+    G, S_bar = posterior._conditional_gain(sigma, t, g)
     mu_bar = mu[t] + G @ (a - mu[g])
     return mu_bar, S_bar
 
@@ -351,15 +332,15 @@ def _cmvpv_array(p: "PosteriorDraws", d: Dataset, target: int) -> np.ndarray:
     For sibling set g each draw's conditional mean is c_a' z with
     c_a = [B_a[t] - G_a B_a[g], G_a] and z = [x; y_g], so the measure is
     z' Cov(c) z (_mvpv_arrays with n = 1) plus the mean Schur complement;
-    g may be empty. Rows are grouped by sibling pattern (_pattern_groups).
+    g may be empty. Rows are grouped by sibling pattern (posterior._pattern_groups).
     """
     B = p.B_draws
     others = np.delete(np.arange(B.shape[1]), target)
-    patterns, order, bounds = _pattern_groups(d.mask[:, others])
+    patterns, order, bounds = posterior._pattern_groups(d.mask[:, others])
     vals = np.empty(d.n_rows)
     for seen, lo, hi in zip(patterns, bounds[:-1], bounds[1:]):
         rows, g = order[lo:hi], others[seen]
-        G, S_bar = _conditional_gain(p.Sigma_draws, [target], g)
+        G, S_bar = posterior._conditional_gain(p.Sigma_draws, [target], g)
         G = G[:, 0]
         c = np.concatenate(
             [B[:, target, :] - np.einsum("ag,agq->aq", G, B[:, g, :]), G], axis=1)

@@ -4,22 +4,19 @@ Model: y_i = B x_i + e_i with e_i ~ N(0, Sigma) iid across rows, fitted
 on every row with at least one observed response. Priors are independent
 N(0, coef_prior_var) entries on B and an inverse-Wishart on Sigma.
 
-The fit rows are grouped once by missingness pattern g (observed
-responses o, missing m, N_g rows) into Gram matrices of [X_g, Y_g] with
-missing cells as 0; no sweep touches a row. A sweep is an exact two-block
-Gibbs sampler over (B, Y_mis) and Sigma, batched over the patterns:
+A sweep is an exact two-block Gibbs sampler over (B, Y_mis) and Sigma,
+batched over posterior.py's patterns g (o observed, m missing, N_g rows):
 
 1. _coefficient_step: B given Sigma and Y_obs, the missing cells
    integrated out, from the precision sum_g K_g kron X_g'X_g +
-   I/coef_prior_var with K_g the zero-padded Sigma_oo^-1 (see _precision).
+   I/coef_prior_var, K_g the zero-padded Sigma_oo^-1 (posterior._precision).
 2. _sigma_step: Sigma from IW(prior_df + l, prior_scale + sum_g E_g'E_g),
    where each residual Gram E_g'E_g is drawn exactly from its law given B
    as J_g J_g', J_g = V_g R_g + C_g^1/2 T_g: V_g = Sigma K_g (I in rows o,
    the gain Sigma_mo Sigma_oo^-1 in rows m), C_g the conditional
    covariance of the missing responses, R_g the residuals of the
-   pattern's r_g virtual rows (see _Patterns), and T_g standard normals
-   against them beside a factor of Wishart(N_g - r_g, I). Few or repeated
-   rows just make r_g small.
+   pattern's r_g virtual rows (posterior._Patterns), and T_g standard normals
+   against them beside a factor of Wishart(N_g - r_g, I).
 
 Inverse-Wishart convention used throughout: IW(scale, df) has density
 proportional to |S|^-(df+n+1)/2 * exp(-tr(scale S^-1)/2), giving the
@@ -53,14 +50,14 @@ from dataclasses import asdict, dataclass, field
 import numpy as np
 from scipy.linalg import lapack
 
+from extrapolmv import posterior
 from extrapolmv.dataset import (Dataset, _atomic_open, _check_arrays, _check_types,
-                                _from_json, _load_json, _pattern_groups, _read_archive,
-                                _real_array, _to_json, _write_json, _write_table)
+                                _from_json, _load_json, _read_archive, _real_array, _to_json,
+                                _write_json, _write_table)
 
 DRAWS_FILE = "draws.csv"
 NPZ_FILE = "draws.npz"
 META_FILE = "meta.json"
-_EPS = np.finfo(float).eps
 # the draws.npz arrays, in the order they are written
 _NPZ_KEYS = ("B_draws", "Sigma_draws", "chain", "draw", "fit_rows")
 # the work arrays of one block stay within about this many bytes: the random
@@ -168,93 +165,7 @@ def _bartlett(scale: np.ndarray, A: np.ndarray) -> np.ndarray:
 # ---------------------------------------------------------------------------
 
 
-def _precision(XtX: np.ndarray, XtY: np.ndarray, K: np.ndarray,
-               prior_var: float) -> tuple[np.ndarray, np.ndarray]:
-    """Precision P = sum_g K_g kron X_g'X_g + I/prior_var of vec(Theta) and
-    its linear term vec(sum_g X_g'Y_g K_g), for each chain of a (C, G, n, n)
-    stack K: P is (C, nq, nq) and the term (C, nq)."""
-    C, G, n, _ = K.shape
-    q = XtX.shape[-1]
-    P = K.reshape(C, G, n * n).swapaxes(-1, -2) @ XtX.reshape(G, q * q)
-    P = P.reshape(C, n, n, q, q).swapaxes(-3, -2).reshape(C, n * q, n * q)
-    P.reshape(C, -1)[:, ::n * q + 1] += 1.0 / prior_var
-    return P, (XtY @ K).sum(axis=-3).swapaxes(-1, -2).reshape(C, n * q)
-
-
-class _Patterns:
-    """Constants of the pattern-sorted fit rows, stacked over the G patterns.
-
-    ``patterns`` (G, n) marks each pattern's observed responses, and
-    pattern g owns rows bounds[g]:bounds[g + 1]; the missing cells of ``Y``
-    hold 0. The N_g rows Z_g = [X_g, Y_g] of a pattern are kept only as
-    r_g virtual rows F_g with F_g'F_g = Z_g'Z_g,
-    r_g the rank (at most N_g, and q + |o| as the columns m are 0), so
-    Z_g = U_g F_g for some U_g with orthonormal columns.
-
-    What every sweep reuses is fixed here: the flat indices of ``noise``
-    and of the chi-square cells ``chi_at`` in the (G, n, q + n) normals
-    T, and ``W``, the (q + n, n) template [0; I] of [-Theta; I].
-    """
-
-    def __init__(self, X: np.ndarray, Y: np.ndarray, patterns: np.ndarray,
-                 bounds: np.ndarray):
-        (G, n), q = patterns.shape, X.shape[1]
-        w, miss, spans = q + n, ~patterns, list(zip(bounds[:-1], bounds[1:]))
-        self.l = int(bounds[-1])
-        XY = np.hstack([X, Y])
-        self.oo, self.mm = (v[:, :, None] & v[:, None, :] for v in (patterns, miss))
-        self.eye_o, self.eye_m = (v[:, :, None] * np.eye(n) for v in (patterns, miss))
-        gram = np.stack([XY[a:b].T @ XY[a:b] for a, b in spans])
-        self.XtX, self.XtY = gram[:, :q, :q], gram[:, :q, q:]
-        # T_g takes normals in rows m: against the r_g virtual rows (the
-        # imputation noise projected on U_g), then a factor of the part
-        # orthogonal to U_g, Wishart(N_g - r_g, I): Bartlett, chi-squares on
-        # its diagonal, when N_g - r_g >= |m|, else N_g - r_g plain columns
-        self.rows = np.zeros((G, w, w))
-        self.noise = np.zeros((G, n, w), dtype=bool)
-        chi = []
-        for g, (a, b) in enumerate(spans):
-            m = np.flatnonzero(miss[g])
-            lam, vec = np.linalg.eigh(gram[g])
-            r = min(b - a, w - m.size, np.count_nonzero(lam > lam[-1] * w * _EPS))
-            self.rows[g, :r] = np.sqrt(lam[w - r:, None]) * vec[:, w - r:].T
-            d = b - a - r
-            self.noise[g, m, :r + min(d, m.size)] = True
-            if d >= m.size:
-                self.noise[g][np.ix_(m, r + np.arange(m.size))] = np.tri(m.size, k=-1, dtype=bool)
-                chi += [(g, mi, r + i, d - i) for i, mi in enumerate(m)]
-        chi = np.array(chi, dtype=int).reshape(-1, 4)
-        self.chi_at, self.chi_df = tuple(chi[:, :3].T), chi[:, 3].astype(float)
-        self.noise_flat = np.flatnonzero(self.noise)
-        self.chi_flat = np.ravel_multi_index(self.chi_at, self.noise.shape)
-        self.W = np.vstack([np.zeros((q, n)), np.eye(n)])
-
-
-class _ChainFailure(np.linalg.LinAlgError):
-    """A factorisation failed in one chain of a sweep; ``chain`` says which."""
-
-    def __init__(self, chain: int, message):
-        super().__init__(str(message))
-        self.chain = chain
-
-
-def _pattern_chol(A: np.ndarray, pat: _Patterns, what: str) -> np.ndarray:
-    """Lower Cholesky factors of a (C, G, n, n) stack, one (G, n, n) stack
-    per chain. If any block is not PD, the blocks are redone one at a time:
-    the error names the lowest failing chain and the missing responses of
-    its first such pattern."""
-    try:
-        return np.linalg.cholesky(A)
-    except np.linalg.LinAlgError:
-        blocks = A.reshape(-1, *A.shape[-2:])
-        i = next((i for i, a in enumerate(blocks) if lapack.dpotrf(a, lower=1)[1]), 0)
-        chain, g = divmod(i, len(pat.oo))
-        raise _ChainFailure(chain, f"{what} is not positive definite for the pattern with "
-                            f"missing responses {np.flatnonzero(pat.mm[g].diagonal()).tolist()}"
-                            ) from None
-
-
-def _residual_gram(pat: _Patterns, Theta: np.ndarray, SK: np.ndarray,
+def _residual_gram(pat: posterior._Patterns, Theta: np.ndarray, SK: np.ndarray,
                    Lc: np.ndarray, T: np.ndarray) -> np.ndarray:
     """sum_g E_g'E_g of each chain as sum_g J_g J_g' with J_g = SK_g R_g +
     Lc_g T_g, where R_g = (F_g W)' holds the residuals of the virtual rows;
@@ -267,31 +178,6 @@ def _residual_gram(pat: _Patterns, Theta: np.ndarray, SK: np.ndarray,
     return np.einsum("...gij,...gkj->...ik", J, J)
 
 
-def _conditionals(pat: _Patterns, Sigma: np.ndarray) -> tuple[np.ndarray, ...]:
-    """The normal of y_m given y_o for each chain of a (C, n, n) Sigma,
-    stacked (C, G, n, n) over the patterns: K_g, the zero-padded Sigma_oo^-1;
-    SK_g = Sigma K_g, I in rows o and the gain Sigma_mo Sigma_oo^-1 in rows
-    m (columns m zero); Lc_g, the Cholesky factor of the conditional
-    covariance C_g in block m and I in block o. Each Sigma_oo must be PD:
-    one stacked Cholesky checks them beside factoring the C_g."""
-    Sigma = Sigma[..., None, :, :]
-    M = Sigma * pat.oo + pat.eye_m
-    try:
-        K = np.linalg.inv(M) * pat.oo
-    except np.linalg.LinAlgError:
-        _pattern_chol(M, pat, "Sigma_oo")  # a singular Sigma_oo is not PD
-        raise
-    SK = Sigma @ K
-    G = len(pat.oo)
-    MC = np.concatenate([M, (Sigma - SK @ Sigma) * pat.mm + pat.eye_o], axis=-3)
-    try:
-        Lc = np.linalg.cholesky(MC)[..., G:, :, :]
-    except np.linalg.LinAlgError:  # the failing block is in one half: name it
-        _pattern_chol(M, pat, "Sigma_oo")
-        _pattern_chol(MC[..., G:, :, :], pat, "conditional covariance of the missing responses")
-    return K, SK, Lc
-
-
 def _coefficient_step(P: np.ndarray, h: np.ndarray, z: np.ndarray, n: int) -> tuple:
     """Theta given Sigma for each chain of the (C, nq, nq) precisions P and
     (C, nq) linear terms h: vec(Theta) = mu + L'^-1 z with P = L L' and
@@ -302,13 +188,13 @@ def _coefficient_step(P: np.ndarray, h: np.ndarray, z: np.ndarray, n: int) -> tu
         try:
             L[c] = Lp = _chol(P[c], "coefficient precision")
         except np.linalg.LinAlgError as exc:
-            raise _ChainFailure(c, exc) from None
+            raise posterior._ChainFailure(c, exc) from None
         mu[c] = lapack.dpotrs(Lp, h[c], lower=1)[0]
         noise[c] = lapack.dtrtrs(Lp, z[c], lower=1, trans=1)[0]
     return (mu + noise).reshape(len(P), n, -1).swapaxes(-1, -2), mu, L
 
 
-def _sigma_step(pat: _Patterns, Theta: np.ndarray, SK: np.ndarray, Lc: np.ndarray,
+def _sigma_step(pat: posterior._Patterns, Theta: np.ndarray, SK: np.ndarray, Lc: np.ndarray,
                 T: np.ndarray, iw_scale: np.ndarray, A: np.ndarray) -> np.ndarray:
     """Sigma given Theta for each chain, IW(iw_scale + sum_g E_g'E_g, iw_df
     + l), from each chain's Bartlett factor in the (C, n, n) stack A."""
@@ -317,11 +203,11 @@ def _sigma_step(pat: _Patterns, Theta: np.ndarray, SK: np.ndarray, Lc: np.ndarra
         try:
             scale[c] = _bartlett(scale[c], a)
         except np.linalg.LinAlgError as exc:
-            raise _ChainFailure(c, exc) from None
+            raise posterior._ChainFailure(c, exc) from None
     return scale
 
 
-def _sweep(pat: _Patterns, Sigma: np.ndarray, prior_var: float, iw_scale: np.ndarray,
+def _sweep(pat: posterior._Patterns, Sigma: np.ndarray, prior_var: float, iw_scale: np.ndarray,
            z: np.ndarray, T: np.ndarray, A: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """One collapsed sweep of C chains in lockstep from a (C, n, n) Sigma and
     one sweep's random inputs of _random_inputs: _coefficient_step draws
@@ -330,19 +216,19 @@ def _sweep(pat: _Patterns, Sigma: np.ndarray, prior_var: float, iw_scale: np.nda
     factorisation that fails raises _ChainFailure, naming the lowest failing
     chain of the first step that fails.
     """
-    K, SK, Lc = _conditionals(pat, Sigma)
-    P, h = _precision(pat.XtX, pat.XtY, K, prior_var)
+    K, SK, Lc = posterior._conditionals(pat, Sigma)
+    P, h = posterior._precision(pat.XtX, pat.XtY, K, prior_var)
     Theta = _coefficient_step(P, h, z, Sigma.shape[-1])[0]
     return Theta, _sigma_step(pat, Theta, SK, Lc, T, iw_scale, A)
 
 
-def _chi_df(pat: _Patterns, iw_df: float) -> np.ndarray:
+def _chi_df(pat: posterior._Patterns, iw_df: float) -> np.ndarray:
     """The degrees of freedom of one sweep's chi-squares, in the order they
     are drawn: the pattern cells of T, then the Bartlett diagonal."""
     return np.concatenate([pat.chi_df, iw_df + pat.l - np.arange(pat.noise.shape[1])])
 
 
-def _random_inputs(pat: _Patterns, chi_df: np.ndarray, gens, sweeps: int) -> tuple:
+def _random_inputs(pat: posterior._Patterns, chi_df: np.ndarray, gens, sweeps: int) -> tuple:
     """The random inputs of `sweeps` lockstep sweeps, each chain's read in
     order from its (normal, chi-square) generator pair in gens, laid out
     sweep by sweep as _sweep reads them: z (S, C, nq), the normals of B; T
@@ -367,46 +253,12 @@ def _random_inputs(pat: _Patterns, chi_df: np.ndarray, gens, sweeps: int) -> tup
     return normal[..., :nq], T, A
 
 
-def _block_sweeps(pat: _Patterns, chains: int) -> int:
+def _block_sweeps(pat: posterior._Patterns, chains: int) -> int:
     """Sweeps per block of random inputs: as many as fit _BLOCK_BYTES, at
     least one. A sweep's inputs take about twice T and A (the draws, then
     their layout) for each chain."""
     n = pat.noise.shape[1]
     return max(1, _BLOCK_BYTES // (16 * chains * (pat.noise.size + n * n)))
-
-
-def _fit_setup(d: Dataset, spec: ModelSpec):
-    """What every chain of a fit starts from: the fit rows, their
-    _Patterns, the starting Sigma and the resolved IW scale and df."""
-    fit_rows = np.flatnonzero(d.mask.any(axis=1))
-    if fit_rows.size == 0:
-        raise ValueError("no rows with observed responses to fit on")
-    M = d.mask[fit_rows]
-    q, n = d.X.shape[1], d.n_responses
-
-    iw_scale = np.eye(n) if spec.iw_scale is None else np.asarray(spec.iw_scale, float)
-    if iw_scale.shape != (n, n):
-        raise ValueError("IW scale must be n x n")
-    # a Cholesky factor reads one triangle, and passes inf and NaN through
-    if not (np.isfinite(iw_scale).all() and np.array_equal(iw_scale, iw_scale.T)):
-        raise ValueError("IW scale is not a finite symmetric matrix")
-    _chol(iw_scale, "IW scale")
-    iw_df = float(max(q + 1, n)) if spec.iw_df is None else float(spec.iw_df)
-    if iw_df <= n - 1:
-        raise ValueError("IW degrees of freedom must exceed n - 1 for a proper prior")
-
-    # rows sorted by missingness pattern, so each pattern is one slice
-    patterns, order, bounds = _pattern_groups(M)
-    M_sorted = M[order]
-    Yobs = np.where(M_sorted, d.Y[fit_rows[order]], 0.0)
-    pat = _Patterns(d.X[fit_rows[order]], Yobs, patterns, bounds)
-    if lapack.dpotrf(pat.XtX.sum(axis=0))[1]:
-        raise np.linalg.LinAlgError("X'X is singular on the fitted rows")
-
-    # deterministic, scale-safe start: observed response variances plus I
-    Sigma0 = np.diag([Yobs[M_sorted[:, j], j].var() if M_sorted[:, j].any() else 0.0
-                      for j in range(n)]) + np.eye(n)
-    return fit_rows, pat, Sigma0, iw_scale, iw_df
 
 
 def gibbs_fit(d: Dataset, spec: ModelSpec) -> PosteriorDraws:
@@ -421,7 +273,7 @@ def gibbs_fit(d: Dataset, spec: ModelSpec) -> PosteriorDraws:
     iteration and, within it, the lowest chain that failed at the first
     failing step.
     """
-    fit_rows, pat, Sigma0, iw_scale, iw_df = _fit_setup(d, spec)
+    fit_rows, pat, Sigma0, iw_scale, iw_df = posterior._fit_setup(d, spec)
     n, q = d.n_responses, d.X.shape[1]
     gens = [tuple(np.random.default_rng(s) for s in child.spawn(2))
             for child in np.random.SeedSequence(spec.seed).spawn(spec.chains)]
@@ -436,7 +288,7 @@ def gibbs_fit(d: Dataset, spec: ModelSpec) -> PosteriorDraws:
         for t, (z, T, A) in enumerate(zip(*inputs), start):
             try:
                 Theta, Sigma = _sweep(pat, Sigma, spec.coef_prior_var, iw_scale, z, T, A)
-            except _ChainFailure as exc:
+            except posterior._ChainFailure as exc:
                 raise np.linalg.LinAlgError(
                     f"chain {exc.chain}, iteration {t + 1}: {exc}") from exc
             r, skip = divmod(t - spec.burn_in, spec.thin)

@@ -20,7 +20,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.linalg import lapack
 
-from extrapolmv import sampler
+from extrapolmv import posterior
 from extrapolmv.dataset import Dataset
 from extrapolmv.extrapolation import CutoffSpec, _cutoff_with_tie, _logdet_psd
 from extrapolmv.sampler import ModelSpec, PosteriorDraws
@@ -161,7 +161,7 @@ def invwishart(df, scale, rng, chi_rng=None):
 
 def serial_sweep(pat, Sigma, prior_var, iw_scale, iw_df, normal, chi):
     """One chain's collapsed sweep on the (G, ...) pattern stacks of
-    sampler._Patterns: Theta given Sigma, then Sigma given Theta, every
+    posterior._Patterns: Theta given Sigma, then Sigma given Theta, every
     normal from the generator normal and every chi-square from chi."""
     M = Sigma * pat.oo + pat.eye_m
     np.linalg.cholesky(M)
@@ -186,7 +186,7 @@ def serial_gibbs_fit(d: Dataset, spec: ModelSpec) -> tuple[np.ndarray, np.ndarra
     time: chain c on the two generators spawned from the c-th child of
     SeedSequence(spec.seed), the first for normals, the second for
     chi-squares."""
-    _rows, pat, Sigma0, iw_scale, iw_df = sampler._fit_setup(d, spec)
+    _rows, pat, Sigma0, iw_scale, iw_df = posterior._fit_setup(d, spec)
     B, S = [], []
     for seed in np.random.SeedSequence(spec.seed).spawn(spec.chains):
         normal, chi = (np.random.default_rng(s) for s in seed.spawn(2))

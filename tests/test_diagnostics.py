@@ -317,3 +317,51 @@ def test_only_the_sampler_imports_a_scipy_submodule():
             bare.update(path.name for name in names if name == "scipy")
     assert submodule == {"sampler.py"}
     assert bare == {"cli.py"}
+
+
+def _imports(module: str, type_checking: bool) -> set[str]:
+    """The full names a package module imports, by AST: ``from a import b``
+    gives "a.b"; with type_checking False, none under ``if TYPE_CHECKING:``."""
+    path = Path(extrapolmv.__file__).parent / f"{module}.py"
+    tree = ast.parse(path.read_text(encoding="utf-8"))
+    skipped = set() if type_checking else {
+        id(n) for node in ast.walk(tree)
+        if isinstance(node, ast.If) and getattr(node.test, "id", None) == "TYPE_CHECKING"
+        for stmt in node.body for n in ast.walk(stmt)}
+    names = set()
+    for node in ast.walk(tree):
+        if id(node) in skipped:
+            continue
+        if isinstance(node, ast.Import):
+            names.update(alias.name for alias in node.names)
+        elif isinstance(node, ast.ImportFrom):
+            names.update(f"{node.module}.{alias.name}" for alias in node.names)
+    return names
+
+
+def _package_modules(names: set[str]) -> set[str]:
+    """The package modules that imported names load: "extrapolmv.x..." is
+    x when x.py exists, and any other "extrapolmv..." name __init__."""
+    here, modules = Path(extrapolmv.__file__).parent, set()
+    for parts in (name.split(".") for name in names):
+        if parts[0] == "extrapolmv":
+            known = len(parts) > 1 and (here / f"{parts[1]}.py").exists()
+            modules.add(parts[1] if known else "__init__")
+    return modules
+
+
+def test_the_posterior_and_what_it_imports_use_no_scipy_and_not_the_sampler():
+    # conditioning on a missingness pattern is numpy only: posterior.py and
+    # every package module it imports, TYPE_CHECKING ones too, name no scipy
+    # and never reach sampler.py; CMVPV's module imports the sampler only
+    # for annotations
+    seen, todo, names = set(), ["posterior"], set()
+    while todo:
+        module = todo.pop()
+        seen.add(module)
+        imported = _imports(module, type_checking=True)
+        names |= imported
+        todo += sorted(_package_modules(imported) - seen)
+    assert "sampler" not in seen
+    assert not [name for name in names if name == "scipy" or name.startswith("scipy.")]
+    assert "sampler" not in _package_modules(_imports("extrapolation", type_checking=False))

@@ -7,7 +7,6 @@ from extrapolmv.dataset import _BLOCK_ROWS, SynthSpec, synthesize
 from extrapolmv.diagnostics import high_leverage_set, ivh_values
 from extrapolmv.extrapolation import (
     CutoffSpec,
-    _conditional_gain,
     _draw_cov,
     _logdet_psd,
     _mvpv_arrays,
@@ -17,6 +16,7 @@ from extrapolmv.extrapolation import (
     score_locations_analytic,
     write_scores_csv,
 )
+from extrapolmv.posterior import _conditional_gain
 from extrapolmv.sampler import ModelSpec, gibbs_fit
 
 from conftest import make_dataset, make_draws

@@ -35,6 +35,7 @@ from extrapolmv.dataset import (  # noqa: E402
     write_record,
 )
 from extrapolmv.extrapolation import score_locations, score_locations_analytic  # noqa: E402
+from extrapolmv.posterior import _pattern_groups  # noqa: E402
 from extrapolmv.sampler import ModelSpec, PosteriorDraws, load_fit, save_fit  # noqa: E402
 
 from conftest import make_draws  # noqa: E402
@@ -317,7 +318,7 @@ def test_write_table_bytes_are_csv_writer_bytes(table):
 @settings(max_examples=60, deadline=None)
 @given(mask=arrays(np.bool_, st.tuples(st.integers(0, 40), st.integers(0, 5))))
 def test_pattern_groups_partition_the_rows(mask):
-    patterns, order, bounds = dataset._pattern_groups(mask)
+    patterns, order, bounds = _pattern_groups(mask)
     assert patterns.shape == (bounds.size - 1, mask.shape[1])
     assert bounds[0] == 0 and bounds[-1] == mask.shape[0] and np.all(np.diff(bounds) > 0)
     np.testing.assert_array_equal(np.sort(order), np.arange(mask.shape[0]))

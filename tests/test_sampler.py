@@ -4,9 +4,11 @@ import itertools
 import numpy as np
 import pytest
 
+import extrapolmv.posterior as posterior
 import extrapolmv.sampler as sampler
 from extrapolmv.dataset import SynthSpec, synthesize
-from extrapolmv.extrapolation import _conditional_gain, conditional_mvn
+from extrapolmv.extrapolation import conditional_mvn
+from extrapolmv.posterior import _conditional_gain
 from extrapolmv.sampler import (
     ModelSpec,
     convergence_summary,
@@ -58,10 +60,10 @@ def test_default_iw_df_is_proper_without_covariates():
     Y = rng.standard_normal((50, 3))
     mask = np.ones(Y.shape, dtype=bool)
     d = make_dataset(np.ones((50, 1)), Y, mask)
-    assert sampler._fit_setup(d, ModelSpec())[-1] == 3.0
+    assert posterior._fit_setup(d, ModelSpec())[-1] == 3.0
     gibbs_fit(d, ModelSpec(iterations=20, burn_in=5, seed=1))
     d = make_dataset(np.column_stack([np.ones(50), rng.standard_normal((50, 3))]), Y, mask)
-    assert sampler._fit_setup(d, ModelSpec())[-1] == 5.0
+    assert posterior._fit_setup(d, ModelSpec())[-1] == 5.0
 
 
 # -- inverse-Wishart ----------------------------------------------------------------
@@ -101,8 +103,8 @@ def test_invwishart_draws_pd_and_deterministic():
 def _complete_data_precision(XtX, XtY, Sigma, prior_var):
     """_precision for a one-chain stack on one pattern of complete rows,
     K = Sigma^-1."""
-    return sampler._precision(XtX[None], XtY[None], np.linalg.inv(Sigma)[None, None],
-                              prior_var)
+    return posterior._precision(XtX[None], XtY[None], np.linalg.inv(Sigma)[None, None],
+                                prior_var)
 
 
 def _one_chain_draw(P, h, z, n):
@@ -176,10 +178,10 @@ def test_coefficient_step_returns_each_chains_mean_and_factor():
     order, patterns, bounds = _sorted_patterns(masks)
     M = np.asarray(masks, dtype=bool)[order]
     X = np.column_stack([np.ones(M.shape[0]), rng.standard_normal(M.shape[0])])
-    pat = sampler._Patterns(X, np.where(M, rng.standard_normal(M.shape), 0.0), patterns, bounds)
+    pat = posterior._Patterns(X, np.where(M, rng.standard_normal(M.shape), 0.0), patterns, bounds)
     Sigmas = [A @ A.T + 0.5 * np.eye(n) for A in rng.standard_normal((3, n, n))]
     K = np.stack([_padded_precisions(S, patterns) for S in Sigmas])
-    P, h = sampler._precision(pat.XtX, pat.XtY, K, prior_var)
+    P, h = posterior._precision(pat.XtX, pat.XtY, K, prior_var)
     z = rng.standard_normal((3, n * q))
     Theta, mu, L = sampler._coefficient_step(P, h, z, n)
     assert Theta.shape == (3, q, n) and mu.shape == (3, n * q) and L.shape == P.shape
@@ -233,9 +235,9 @@ def test_pattern_conditionals_match_conditional_mvn_for_every_pattern():
                          if 0 < sum(p) < n])
     mask = np.repeat(patterns, 2, axis=0)
     X = np.column_stack([np.ones(mask.shape[0]), rng.standard_normal(mask.shape[0])])
-    pat = sampler._Patterns(X, np.where(mask, rng.standard_normal(mask.shape), 0.0),
-                            patterns, np.arange(len(patterns) + 1) * 2)
-    K, SK, Lc = (a[0] for a in sampler._conditionals(pat, Sigma[None]))
+    pat = posterior._Patterns(X, np.where(mask, rng.standard_normal(mask.shape), 0.0),
+                              patterns, np.arange(len(patterns) + 1) * 2)
+    K, SK, Lc = (a[0] for a in posterior._conditionals(pat, Sigma[None]))
     mu = rng.standard_normal(n)
     y = rng.standard_normal(n)
     assert np.count_nonzero(pat.mm.any(axis=(1, 2))) == 2 ** n - 2
@@ -357,7 +359,7 @@ def test_collapsed_coefficient_draw_is_the_dense_per_row_form_exactly():
     Y = np.where(M, rng.standard_normal(M.shape), 0.0)
     A = rng.standard_normal((n, n))
     Sigma = A @ A.T + 0.5 * np.eye(n)
-    pat = sampler._Patterns(X, Y, patterns, bounds)
+    pat = posterior._Patterns(X, Y, patterns, bounds)
     K = _padded_precisions(Sigma, patterns)
 
     K_row = K[np.repeat(np.arange(len(patterns)), np.diff(bounds))]
@@ -366,7 +368,7 @@ def test_collapsed_coefficient_draw_is_the_dense_per_row_form_exactly():
     mean = np.linalg.solve(P, b)
     cov = np.linalg.inv(P)
 
-    P_code, h = sampler._precision(pat.XtX, pat.XtY, K[None], prior_var)
+    P_code, h = posterior._precision(pat.XtX, pat.XtY, K[None], prior_var)
 
     def draw(z):
         return _one_chain_draw(P_code, h, z, n)
@@ -404,7 +406,7 @@ def test_pattern_gram_is_the_row_level_residual_gram():
     Theta = rng.standard_normal((q, n))
     A = rng.standard_normal((n, n))
     Sigma = A @ A.T + 0.5 * np.eye(n)
-    pat = sampler._Patterns(X, Y, patterns, bounds)
+    pat = posterior._Patterns(X, Y, patterns, bounds)
     K = _padded_precisions(Sigma, patterns)
 
     Lc = np.tile(np.eye(n), (len(patterns), 1, 1))
@@ -484,7 +486,7 @@ def test_collapsed_sweep_preserves_joint_distribution_with_missing_data(monkeypa
         sc = np.empty((draws, 10))
         for i in range(draws):
             Y = observed_draw(Theta, Sigma, r2)
-            pat = sampler._Patterns(X, Y, patterns, bounds)
+            pat = posterior._Patterns(X, Y, patterns, bounds)
             if df_offset is not None:
                 pat.chi_df = pat.chi_df + df_offset(pat)
             Theta, Sigma = _one_sweep(pat, Sigma, prior_var, Psi, nu, r2, r2)
@@ -568,7 +570,7 @@ def test_draws_do_not_depend_on_the_block_length(monkeypatch, missing_dataset):
     # run drawn as one block
     d, _ = missing_dataset
     spec = ModelSpec(iterations=60, burn_in=20, chains=2, seed=31)
-    pat = sampler._fit_setup(d, spec)[1]
+    pat = posterior._fit_setup(d, spec)[1]
     assert sampler._block_sweeps(pat, 2) >= 60
     whole = gibbs_fit(d, spec)
     monkeypatch.setattr(sampler, "_BLOCK_BYTES", 1)
@@ -620,7 +622,7 @@ def test_complete_data_sweep_is_the_complete_data_gibbs_update():
     X = np.column_stack([np.ones(l), rng.standard_normal((l, q - 1))])
     Y = rng.standard_normal((l, n))
     Sigma = np.array([[1.0, 0.3], [0.3, 0.8]])
-    pat = sampler._Patterns(X, Y, np.ones((1, n), dtype=bool), np.array([0, l]))
+    pat = posterior._Patterns(X, Y, np.ones((1, n), dtype=bool), np.array([0, l]))
     Theta, S = _one_sweep(pat, Sigma, 10.0, np.eye(n), 4.0,
                           np.random.default_rng(21), np.random.default_rng(22))
 
@@ -652,6 +654,24 @@ def test_singular_sigma_oo_names_the_pattern(monkeypatch, missing_dataset):
                        match=r"chain 0, iteration 2: Sigma_oo is not positive "
                              r"definite for the pattern with missing responses \[0"):
         gibbs_fit(missing_dataset[0], ModelSpec(iterations=5, burn_in=0, chains=1, seed=1))
+
+
+def test_a_conditional_covariance_that_is_not_pd_raises(monkeypatch):
+    # the 2 x 2 Sigma_oo is PD but Sigma is not, so the conditional variance
+    # of response 2 is negative: the re-check names it, and a re-check that
+    # finds no failing block still leaves the batched Cholesky's error
+    Sigma = np.array([[1.0, 0.9, 0.9], [0.9, 1.0, -0.9], [0.9, -0.9, 1.0]])
+    X = np.column_stack([np.ones(4), np.arange(4.0)])
+    Y = np.column_stack([np.arange(4.0) ** 2, np.ones(4), np.zeros(4)])
+    pat = posterior._Patterns(X, Y, np.array([[True, True, False]]), np.array([0, 4]))
+    with pytest.raises(posterior._ChainFailure, match=r"conditional covariance of the "
+                       r"missing responses is not positive definite for the pattern with "
+                       r"missing responses \[2\]"):
+        posterior._conditionals(pat, Sigma[None])
+    monkeypatch.setattr(posterior, "_pattern_chol", lambda A, pat, what: None)
+    with pytest.raises(np.linalg.LinAlgError) as failure:
+        posterior._conditionals(pat, Sigma[None])
+    assert not isinstance(failure.value, posterior._ChainFailure)
 
 
 def _singular_sigma_draws(monkeypatch, bad, chains):
