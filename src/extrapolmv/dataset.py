@@ -14,10 +14,10 @@ or, for a block the fast path rejects, one exact path (_parse_exact:
 csv.reader and float(), line by line). A faulty line raises ValueError
 naming path:line, the file's first faulty one whatever the fault: a byte
 that is not UTF-8 (read by surrogateescape), the wrong field count, a
-missing covariate or coordinate, a cell that is not a number. Duplicate
-ids are found after the parse. _write_table formats a block with one
-%-format row string (_format_rows) and quotes text as csv.writer does,
-so the bytes are csv.writer's. It knows no missing token: it writes an
+missing covariate or coordinate, a cell that is not a number, a literal
+nan or inf. Duplicate ids are found after the parse. _write_table
+formats a block with one %-format row string (_format_rows) and quotes
+text as csv.writer does, so the bytes are csv.writer's. It knows no missing token: it writes an
 object array's cells as they are, and write_csv passes each response
 column as its floats and the quoted token. Neither holds a whole file as
 strings.
@@ -274,6 +274,8 @@ class Dataset:
             self.coords = np.asarray(self.coords, dtype=float)
             if self.coords.shape != (l, 2):
                 raise ValueError("coords must be (l, 2) lon/lat pairs")
+            if not np.all(np.isfinite(self.coords)):
+                raise ValueError("coords must be finite")
 
     @property
     def n_rows(self) -> int:
@@ -510,7 +512,8 @@ def _parse_exact(block: list[str], line: int, path, fields: int, id_col: int, co
     """_parse_rows of the text lines ``block``, read line by line with
     csv.reader and float(). The first faulty line raises, whatever its
     fault; on one line a byte that is not UTF-8 is found first, then the
-    wrong field count, then the first missing or non-numeric cell."""
+    wrong field count, then the first missing, non-numeric or non-finite
+    cell."""
     ids = []
     values = np.full((len(block), len(cols)), np.nan)
     missing = np.zeros(values.shape, dtype=bool)
@@ -531,6 +534,8 @@ def _parse_exact(block: list[str], line: int, path, fields: int, id_col: int, co
                 values[i, k] = float(cells[j])
             except ValueError:
                 raise ValueError(f"{where}: non-numeric {labels[k]}: {cells[j]!r}") from None
+            if not math.isfinite(values[i, k]):
+                raise ValueError(f"{where}: non-finite {labels[k]}: {cells[j]!r}")
     return ids, values, missing
 
 
@@ -548,7 +553,8 @@ def _parse_rows(lines, line: int, path, fields: int, id_col: int, cols: list[int
     Blocks of _BLOCK_ROWS lines take the fast path, numpy's C tokenizer:
     the first ``numeric`` of ``cols`` (at most ``required``) as floats, the
     id and the rest as text for the token/blank test, then float() (so a
-    literal "nan" is observed). A block it rejects goes to _parse_exact."""
+    literal "nan" is a value, not a missing cell). A block it rejects, or
+    whose values are not all finite, goes to _parse_exact."""
     ids = []  # the empty arrays let a half with no lines concatenate
     values = [np.empty((0, len(cols)))]
     missing = [np.empty((0, len(cols)), dtype=bool)]
@@ -576,6 +582,8 @@ def _parse_rows(lines, line: int, path, fields: int, id_col: int, cols: list[int
                 else np.empty((len(block), 0))
             block_ids, V = text[:, 0].tolist(), np.column_stack([head, floats])
             M = np.column_stack([np.zeros(head.shape, dtype=bool), absent])
+            if not (np.isfinite(V) | M).all():
+                raise ValueError("a value is not finite")
         except ValueError:
             block_ids, V, M = _parse_exact(block, line, path, fields, id_col, cols, labels,
                                            token, required)
@@ -623,8 +631,8 @@ def load_csv(path, config: IngestConfig) -> Dataset:
 
     Response cells equal to the missing token (or blank) become
     unobserved; missing covariate and coordinate cells are rejected, and
-    so is a literal non-finite response. An intercept column is prepended
-    to the covariates.
+    so is a literal non-finite cell in any column. An intercept column is
+    prepended to the covariates.
 
     _parse_rows names the file's first faulty line, whatever the fault; a
     repeated id is named after the parse. A file of at least _SPLIT_BYTES

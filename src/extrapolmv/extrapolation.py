@@ -7,8 +7,8 @@ conditioned on the responses observed alongside it. Cutoffs derived from
 the observed locations turn each measure into a binary extrapolation
 index and a relative (value / cutoff) score.
 
-Determinants are computed and compared in log space throughout; exact
-ties at -inf are broken by the trace. All operations are pure given the
+Determinants are computed and compared in log space throughout, and
+a location is flagged when value > k. All operations are pure given the
 posterior draws. Every measure is a quadratic form in the location: with
 C the covariance of vec(B), V_i = (I_n kron x_i)' C (I_n kron x_i),
 and CMVPV is z_i' Cov(c) z_i for per-draw coefficient rows c_a and
@@ -178,19 +178,16 @@ class CutoffSpec:
         return next(t for t, (kind, _) in _CUTOFF_TOKENS.items() if kind == self.kind)
 
 
-def _cutoff_with_tie(v_obs: np.ndarray, tie_obs: np.ndarray | None,
-                     spec: CutoffSpec, leverage: np.ndarray | None):
-    """Cutoff k of the observed values, and the tie-break value of the row
-    that sets a max-type k when ``tie_obs`` is given (None otherwise).
-    Ties only matter for log-det measures, broken by the trace."""
+def _cutoff(v_obs: np.ndarray, spec: CutoffSpec, leverage: np.ndarray | None) -> float:
+    """Cutoff k of the observed values ``v_obs``."""
     if v_obs.size == 0:
         raise ValueError("no observed values to derive a cutoff from")
     if spec.kind == "quantile":
-        if tie_obs is not None and not np.all(np.isfinite(v_obs)):
+        if not np.all(np.isfinite(v_obs)):
             raise ValueError(
                 "quantile cutoff undefined: some observed predictive "
                 "covariances are singular (log-determinant -inf)")
-        return float(np.quantile(v_obs, spec.level)), None
+        return float(np.quantile(v_obs, spec.level))
     # the max over all rows, or over those outside the high-leverage set,
     # which h > 3 mean(h) never covers entirely
     if spec.kind == "leverage_informed_max":
@@ -202,12 +199,7 @@ def _cutoff_with_tie(v_obs: np.ndarray, tie_obs: np.ndarray | None,
         keep = np.ones(v_obs.size, dtype=bool)
         keep[high_leverage_set(leverage)] = False
         v_obs = v_obs[keep]
-        tie_obs = None if tie_obs is None else tie_obs[keep]
-    k = v_obs.max()
-    if tie_obs is None:
-        return float(k), None
-    # the largest tie value among the rows that reach the max
-    return float(k), float(tie_obs[v_obs == k].max())
+    return float(v_obs.max())
 
 
 # ---------------------------------------------------------------------------
@@ -221,7 +213,6 @@ class CutoffResult:
     k: float
     e: np.ndarray
     r: np.ndarray
-    k_tie: float | None = None
 
 
 @dataclass
@@ -349,21 +340,13 @@ def _cmvpv_array(p: "PosteriorDraws", d: Dataset, target: int) -> np.ndarray:
     return vals
 
 
-def _flags_and_ratio(v: np.ndarray, tie: np.ndarray | None, k: float,
-                     k_tie: float | None, log_space: bool):
-    if tie is None or k_tie is None:
-        e = (v > k).astype(int)
-    else:
-        e = ((v > k) | ((v == k) & (tie > k_tie))).astype(int)
+def _flags_and_ratio(v: np.ndarray, k: float, log_space: bool):
+    """Flags e = v > k and ratios r = exp(v - k) (log space) or v / k,
+    where -inf against -inf and 0 against 0 read as 1."""
+    e = (v > k).astype(int)
     if log_space:
         with np.errstate(over="ignore", invalid="ignore"):
-            r = np.exp(v - k)
-        both_inf = np.isneginf(v) & np.isneginf(k)
-        if np.any(both_inf):
-            if tie is not None and k_tie is not None and k_tie > 0:
-                r = np.where(both_inf, tie / k_tie, r)
-            else:
-                r = np.where(both_inf, 1.0, r)
+            r = np.where(np.isneginf(v) & np.isneginf(k), 1.0, np.exp(v - k))
     else:
         with np.errstate(divide="ignore", invalid="ignore"):
             r = np.where((v == 0) & (k == 0), 1.0, v / k)
@@ -372,28 +355,23 @@ def _flags_and_ratio(v: np.ndarray, tie: np.ndarray | None, k: float,
 
 def _assemble_report(d: Dataset, measures: list[str], traces, logdets, fit_rows,
                      cmvpv: dict, cutoff_specs) -> ExtrapolationReport:
-    """Cutoffs and flags of each measure, from its (values, tie values or
-    None, observed rows): trace and det over the fit rows, det with the
-    trace to break its ties; ``cmvpv`` maps each CMVPV measure to its own.
-    The "lev" cutoff reads leverages against the fit rows' design."""
+    """Cutoffs and flags of each measure, from its (values, observed rows):
+    trace and det over the fit rows; ``cmvpv`` maps each CMVPV measure to
+    its own. The "lev" cutoff reads leverages against the fit rows' design."""
     hvals = ivh_values(d.X[fit_rows], d.X)
-    table = {"trace": (traces, None, fit_rows), "det": (logdets, traces, fit_rows), **cmvpv}
+    table = {"trace": (traces, fit_rows), "det": (logdets, fit_rows), **cmvpv}
     reports = []
     for key in measures:
-        values, tie, obs = table[key]
+        values, obs = table[key]
         if obs.size == 0:
             raise ValueError(f"measure {key!r} has no observed locations")
-        log_space = key == "det"
         results = []
         for spec in cutoff_specs:
-            k, k_tie = _cutoff_with_tie(values[obs], None if tie is None else tie[obs],
-                                        spec, hvals[obs])
-            e, r = _flags_and_ratio(values, tie, k, k_tie, log_space)
-            results.append(CutoffResult(name=spec.name, k=k, e=e, r=r, k_tie=k_tie))
+            k = _cutoff(values[obs], spec, hvals[obs])
+            e, r = _flags_and_ratio(values, k, key == "det")
+            results.append(CutoffResult(name=spec.name, k=k, e=e, r=r))
         # most conservative first: order by descending cutoff value
-        order = sorted(range(len(results)),
-                       key=lambda i: (-results[i].k,
-                                      -(results[i].k_tie or 0.0), i))
+        order = sorted(range(len(results)), key=lambda i: (-results[i].k, i))
         E = np.stack([results[j].e for j in order]).astype(bool)
         names = np.array([results[j].name for j in order] + [""])
         first = names[np.where(E.any(axis=0), E.argmax(axis=0), len(order))].tolist()
@@ -443,7 +421,7 @@ def score_locations(p: "PosteriorDraws", d: Dataset, measures=DEFAULT_MEASURES,
     for m in measures:
         if m.startswith("cmvpv:"):
             t = d.response_names.index(m.split(":", 1)[1])
-            cmvpv[m] = _cmvpv_array(p, d, t), None, np.flatnonzero(d.mask[:, t])
+            cmvpv[m] = _cmvpv_array(p, d, t), np.flatnonzero(d.mask[:, t])
     middle = time.perf_counter()
     report = _assemble_report(d, measures, traces, logdets, fit_rows, cmvpv, cutoff_specs)
     if timings is not None:

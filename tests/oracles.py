@@ -22,7 +22,7 @@ from scipy.linalg import lapack
 
 from extrapolmv import posterior
 from extrapolmv.dataset import Dataset
-from extrapolmv.extrapolation import CutoffSpec, _cutoff_with_tie, _logdet_psd
+from extrapolmv.extrapolation import CutoffSpec, _logdet_psd
 from extrapolmv.sampler import ModelSpec, PosteriorDraws
 
 
@@ -124,8 +124,16 @@ def cmvpv(p: PosteriorDraws, x: np.ndarray, target: int,
 
 def compute_cutoff(v_obs: np.ndarray, spec: CutoffSpec,
                    leverage: np.ndarray | None = None) -> float:
-    """Cutoff value k derived from the observed-location measure values."""
-    return _cutoff_with_tie(np.asarray(v_obs, dtype=float).ravel(), None, spec, leverage)[0]
+    """Cutoff value k derived from the observed-location measure values:
+    their max, their linearly interpolated quantile, or the max over the
+    rows whose leverage is at most 3 times the mean leverage."""
+    v_obs = np.asarray(v_obs, dtype=float).ravel()
+    if spec.kind == "quantile":
+        return float(np.quantile(v_obs, spec.level, method="linear"))
+    if spec.kind == "leverage_informed_max":
+        h = np.asarray(leverage, dtype=float).ravel()
+        v_obs = v_obs[h <= 3 * h.mean()]
+    return float(np.max(v_obs))
 
 
 # -- one Gibbs chain at a time ----------------------------------------------------

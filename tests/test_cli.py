@@ -675,7 +675,8 @@ def test_non_binary_label_column_is_error(pipeline, tmp_path, capsys, label):
     assert not (tmp_path / "t").exists()
 
 
-@pytest.mark.parametrize("fault", ["short_line", "blank_label", "label_two", "not_utf8"])
+@pytest.mark.parametrize("fault", ["short_line", "blank_label", "label_two", "label_nan",
+                                   "not_utf8"])
 def test_a_faulty_scores_file_is_one_error_line(pipeline, tmp_path, capsys, fault):
     # tree reads scores.csv through the table parser: a faulty line is named
     scores = tmp_path / "scores"
@@ -690,6 +691,8 @@ def test_a_faulty_scores_file_is_one_error_line(pipeline, tmp_path, capsys, faul
         row[label] = ""
     elif fault == "label_two":
         row[label] = "2"
+    elif fault == "label_nan":
+        row[label] = "nan"
     else:  # the byte 0xff after the id, written through surrogateescape
         row[0] += "\udcff"
     with open(path, "w", newline="", encoding="utf-8", errors="surrogateescape") as fh:
@@ -702,6 +705,7 @@ def test_a_faulty_scores_file_is_one_error_line(pipeline, tmp_path, capsys, faul
         "short_line": f"{path}:{line}: expected {len(header)} fields, got {len(header) - 1}",
         "blank_label": f"{path}:{line}: missing label 'e_q95'",
         "label_two": "label column 'e_q95' holds 2.0; a tree label must be 0 or 1",
+        "label_nan": f"{path}:{line}: non-finite label 'e_q95': 'nan'",
         "not_utf8": f"{path}:{line}: not UTF-8 text: byte 0xff at column {len(row[0])}",
     }[fault]
     assert not (tmp_path / "t").exists()

@@ -134,12 +134,13 @@ def test_load_csv_rejects_non_numeric(tmp_path):
 
 @pytest.mark.parametrize("literal", ["nan", "NaN", "inf", "-inf"])
 def test_load_csv_rejects_literal_nonfinite_response(tmp_path, literal):
-    # a literal nan is an observed cell, not a missing one
+    # a literal nan is an observed cell, not a missing one: its line is named
     f = tmp_path / "d.csv"
     write_lines(f, ["id,a,b,u,v", "p1,0.5,1.0,2.0,3.0", f"p2,1.5,-1.0,{literal},4.0",
                     "p3,2.5,0.3,5.0,6.0", "p4,0.1,0.7,1.0,2.0", "p5,0.9,0.2,0.5,0.1"])
-    with pytest.raises(ValueError, match="observed response cells must be finite"):
+    with pytest.raises(ValueError) as exc:
         load_csv(f, CONFIG)
+    assert str(exc.value) == f"{f}:3: non-finite response 'u': {literal!r}"
 
 
 def test_load_csv_numeric_missing_token(tmp_path):
@@ -210,6 +211,12 @@ LOCATED = IngestConfig(id_col="id", covariates=["a", "b"], responses=["u", "v"],
     (7, "id", "p\n5", "expected 7 fields, got 1"),
     # two faulty lines, {line: (column, cell)}: the first is named, whatever its fault
     (4, {4: ("a", ""), 16: ("u", "oops")}, None, "missing covariate 'a'"),
+    # a literal non-finite number is named, in a fast-path block or past it
+    (4, "a", "inf", "non-finite covariate 'a': 'inf'"),
+    (5, "v", "nan", "non-finite response 'v': 'nan'"),
+    (6, "lon", "-inf", "non-finite coordinate 'lon': '-inf'"),
+    (8300, "lat", "NaN", "non-finite coordinate 'lat': 'NaN'"),
+    (9, {9: ("u", "inf"), 12: ("b", "x")}, None, "non-finite response 'u': 'inf'"),
 ])
 def test_load_csv_error_names_line_and_column(tmp_path, line, column, cell, message):
     header = ["id", "lon", "lat", "a", "b", "u", "v"]
@@ -272,6 +279,16 @@ def test_dataset_requires_enough_rows():
     Y = np.zeros((4, 1))
     with pytest.raises(ValueError, match="at least q"):
         make_dataset(X[:3], Y[:3], np.ones((3, 1), dtype=bool))
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_dataset_rejects_non_finite_coords(bad):
+    # score would write the cell into scores.csv's lon or lat column
+    X = np.column_stack([np.ones(4), np.arange(4.0)])
+    coords = np.zeros((4, 2))
+    coords[2, 0] = bad
+    with pytest.raises(ValueError, match="coords must be finite"):
+        make_dataset(X, np.zeros((4, 1)), np.ones((4, 1), dtype=bool), coords)
 
 
 # -- transforms --------------------------------------------------------------

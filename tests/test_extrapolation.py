@@ -436,8 +436,8 @@ def test_mismatched_dataset_rejected(fitted):
 
 
 def test_degenerate_draws_det_ties_resolved_by_trace():
-    # all draws identical: V = 0 everywhere, logdet -inf; max cutoff falls
-    # back to the trace tie-break, quantile cutoffs are undefined
+    # all draws identical: V = 0 everywhere, logdet -inf; the max cutoff
+    # is -inf and flags nothing, quantile cutoffs are undefined
     d, _ = synthesize(SynthSpec(l=20, n=2, q=3, missing_prob=0.0), seed=60)
     # dyadic entries and a power-of-two draw count: the draw mean is exact,
     # so deviations (and V) are exactly zero
@@ -457,9 +457,10 @@ def test_degenerate_draws_det_ties_resolved_by_trace():
         score_locations(p, d, measures=("det",), cutoffs=("q95",))
 
 
-def test_singular_det_max_cutoff_ratio_is_the_trace_ratio():
+def test_singular_det_max_cutoff_flags_nothing_and_ratio_is_one():
     # only y1's coefficients vary: every V has a zero y2 row, so every
-    # log-det and the max cutoff are -inf, and r falls back to trace / k_tie
+    # log-det and the max cutoff are -inf; no value exceeds k, and -inf
+    # against -inf reads as 1, whatever the traces
     d, _ = synthesize(SynthSpec(l=20, n=2, q=3, missing_prob=0.0), seed=63)
     rng = np.random.default_rng(64)
     B = np.tile(np.array([[1.0, 0.25, -0.5], [0.5, 0.0, 2.0]]), (16, 1, 1))
@@ -468,9 +469,9 @@ def test_singular_det_max_cutoff_ratio_is_the_trace_ratio():
     [det, trace] = score_locations(p, d, measures=("det", "trace"), cutoffs=("max",)).measures
     [c] = det.cutoffs
     assert np.all(det.values == -np.inf) and c.k == -np.inf
-    assert c.k_tie == trace.values.max() > 0
-    np.testing.assert_array_equal(c.r, trace.values / c.k_tie)
-    assert c.e.sum() == 0
+    assert np.ptp(trace.values) > 0
+    np.testing.assert_array_equal(c.e, 0)
+    np.testing.assert_array_equal(c.r, 1.0)
 
 
 def test_det_needs_more_draws_than_responses():

@@ -416,6 +416,46 @@ def test_analytic_scores_are_affine_invariant(seed, l, n, q, missing):
             np.testing.assert_array_equal(c2.e[clear], c1.e[clear])
 
 
+@settings(max_examples=25, deadline=None)
+@given(seed=st.integers(0, 10_000), l=st.integers(20, 80), n=st.integers(1, 3),
+       q=st.integers(2, 4), missing=st.floats(0.2, 0.7), extra=st.integers(1, 20),
+       degenerate=st.booleans(), j=st.integers(0, 2))
+def test_a_flag_is_a_value_above_its_cutoff(seed, l, n, q, missing, extra, degenerate, j):
+    # e = values > k, r = exp(v - k) or v / k with -inf/-inf and 0/0 read
+    # as 1, and first_flagging names the largest cutoff that flags (the
+    # first given among equal ones). With one response's coefficients
+    # fixed at dyadic values every V_i is singular: each log-det and the
+    # max-type cutoffs are -inf, whatever the traces
+    d, _ = synthesize(SynthSpec(l=l, n=n, q=q, missing_prob=missing), seed=seed)
+    assume(d.mask.any(axis=0).all())
+    rng = np.random.default_rng(seed)
+    B = _draws(rng, n + extra, n, q)
+    cutoffs = ("max", "lev")
+    if degenerate:
+        B[:, j % n] = rng.integers(-8, 9, q) / 4
+    else:
+        cutoffs += ("q99", "q95", "q:0.5")
+    p = make_draws(B, np.tile(np.eye(n), (n + extra, 1, 1)), np.flatnonzero(d.mask.any(axis=1)))
+    report = score_locations(p, d, measures=("det", "trace", "cmvpv:y1"), cutoffs=cutoffs)
+    if degenerate:
+        assert np.all(report.measures[0].values == -np.inf)
+    for m in report.measures:
+        v = m.values
+        for c in m.cutoffs:
+            np.testing.assert_array_equal(c.e, v > c.k)
+            with np.errstate(all="ignore"):
+                if m.measure == "det":
+                    r = np.where(np.isneginf(v) & np.isneginf(c.k), 1.0, np.exp(v - c.k))
+                else:
+                    r = np.where((v == 0) & (c.k == 0), 1.0, v / c.k)
+            np.testing.assert_array_equal(c.r, r)
+        first = []
+        for i in range(v.size):
+            flagging = [c for c in m.cutoffs if c.e[i]]
+            first.append(max(flagging, key=lambda c: c.k).name if flagging else "")
+        assert m.first_flagging == first
+
+
 def tree_nodes(depth: int):
     counts = dict(n0=st.integers(0, 10 ** 6), n1=st.integers(0, 10 ** 6),
                   prediction=st.integers(0, 1), proportion=FLOATS, fraction=FLOATS)
