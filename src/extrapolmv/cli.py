@@ -330,9 +330,10 @@ def _read_scores(scores, label: str) -> tuple[list[str], list[int], IngestConfig
         ids, values, _ = _parse_rows(fh, 2, path, len(header), header.index("id"),
                                      [header.index(label)], [f"label {label!r}"], "",
                                      required=1, numeric=0)
-    bad = values[(values != 0) & (values != 1)]
-    if bad.size:
-        raise CliError(f"label column {label!r} holds {float(bad[0])!r}; "
+    bad = np.flatnonzero((values != 0) & (values != 1))
+    if bad.size:  # the first such row, named by its line as the parser names one
+        i = int(bad[0])
+        raise CliError(f"{path}:{i + 2}: label column {label!r} holds {float(values[i, 0])!r}; "
                        "a tree label must be 0 or 1")
     return ids, values[:, 0].astype(int).tolist(), config, manifest
 

@@ -24,33 +24,18 @@ strings.
 Every file the pipeline writes goes through _atomic_open, a temp file
 renamed over its final name.
 
-Parsing floats is most of a large read and formatting them with repr
-most of a large write, so both run on two cores where _may_fork: os.fork
-exists, and the process runs one thread and may run on two cores or
-more. One helper, _Worker, forks a process that runs a task and sends
-its bytes back through a pipe.
-
-- _write_table, from _SPLIT_CELLS cells (rows x columns): the worker
-  formats rows n//2..n while the parent formats and writes rows 0..n//2,
-  then copies the worker's bytes. Rows are formatted independently, so
-  the file is the same bytes either way. The worker holds its half as
-  encoded text (about half the file) until it is all formatted.
-- load_csv, from _SPLIT_BYTES bytes: _split_point cuts the file at the
-  first b"\\n" after the midpoint of the bytes that follow the header.
-  The worker parses the lines after the cut, numbered on from the lines
-  before it (a "\\r\\n" or a lone "\\r" ends one line, as in one pass),
-  and sends back its ids, values and missing mask, pickled. The parent
-  parses the lines before the cut, then joins the halves in file order.
-  Each half raises its first faulty line, the parent's first, so a split
-  read raises what a serial one does.
-
-Below the thresholds the fork, the pages both processes then copy on
-write and the transfer cost more than the second core saves; each
-constant's comment has the measured break-even. On a shared 2-core
-machine load_csv's split lost at 1 and 2 MB, was mixed at 3 MB, and won
-from 4 MB, 0.65-0.97x the serial time. tree's _read_scores reads
-scores.csv serially: a split prototype took 0.087 s against 0.059 s
-serial.
+Formatting floats with repr is most of a large write, so _write_table
+runs on two cores where _may_fork: os.fork exists, and the process runs
+one thread and may run on two cores or more. From _SPLIT_CELLS cells
+(rows x columns) a forked _Worker formats rows n//2..n and sends their
+bytes back through a pipe, while the parent formats and writes rows
+0..n//2, then copies the worker's bytes. Rows are formatted
+independently, so the file is the same bytes either way. The worker
+holds its half as encoded text (about half the file) until it is all
+formatted. Below _SPLIT_CELLS the fork and the pages both processes then
+copy on write cost more than the second core saves: inside score (20
+columns) on a shared 2-core machine the split lost at 10k rows and won
+from 25k. Every table is read on one core.
 
 write_record stores a table as an uncompressed .npz beside the CSV's
 and the config's hashes: the table write_csv wrote (simulate's record)
@@ -77,13 +62,11 @@ from __future__ import annotations
 import contextlib
 import csv
 import functools
-import io
 import itertools
 import json
 import math
 import numbers
 import os
-import pickle
 import shutil
 import signal
 import threading
@@ -106,16 +89,6 @@ _BLOCK_ROWS = 2048
 # time) and was mixed at 20k-22.5k (0.60-1.06x); from 25k rows it won in
 # every measurement (0.55-0.65x).
 _SPLIT_CELLS = 500_000
-# Bytes from which load_csv parses the lines after a CSV's midpoint in a
-# forked worker. The fork, the line count before the cut and the pickled
-# half sent back cost a roughly fixed time, and on a shared 2-core machine
-# the two processes often ran slower side by side than one alone. Serial
-# against split, in alternating pairs of calls on survey-like CSVs (about
-# 247 bytes a row): at 1.0 MB the split took 1.46-1.49x the serial median
-# and won 0 of 52 pairs; at 2.0 MB 1.31-1.49x, 7 of 73; at 3.0 MB it was
-# mixed (1.02-1.33x, 39 of 104) and at 3.5 MB mostly won (0.87-0.95x, 66
-# of 83); from 4.0 MB to 12.3 MB it won 343 of 395 (0.65-0.97x).
-_SPLIT_BYTES = 4_000_000
 # np.loadtxt splitting a line as csv.reader does, into str (not bytes) cells
 _LOADTXT = {"delimiter": ",", "quotechar": '"', "comments": None, "encoding": None}
 # Characters that make csv.writer (QUOTE_MINIMAL) quote a cell.
@@ -555,7 +528,7 @@ def _parse_rows(lines, line: int, path, fields: int, id_col: int, cols: list[int
     id and the rest as text for the token/blank test, then float() (so a
     literal "nan" is a value, not a missing cell). A block it rejects, or
     whose values are not all finite, goes to _parse_exact."""
-    ids = []  # the empty arrays let a half with no lines concatenate
+    ids = []  # the empty arrays let a file with no data lines concatenate
     values = [np.empty((0, len(cols)))]
     missing = [np.empty((0, len(cols)), dtype=bool)]
     lines = iter(lines)
@@ -594,38 +567,6 @@ def _parse_rows(lines, line: int, path, fields: int, id_col: int, cols: list[int
     return ids, np.concatenate(values), np.concatenate(missing)
 
 
-def _split_point(path) -> tuple[int, int] | None:
-    """Where load_csv splits the CSV ``path`` between two processes: the
-    offset just past the first b"\\n" after the midpoint of the bytes
-    that follow the header line, and the text lines before that offset,
-    header included, counted as universal newlines count them (a "\\r\\n"
-    is one line end, and so is a lone "\\r"). None when no b"\\n" follows
-    the midpoint."""
-    with open(path, "rb") as raw:
-        start = len(raw.readline())
-        raw.seek((start + os.fstat(raw.fileno()).st_size) // 2)
-        if not raw.readline().endswith(b"\n"):
-            return None
-        cut = raw.tell()
-        raw.seek(0)
-        head = raw.read(cut)
-    return cut, head.count(b"\n") + head.count(b"\r") - head.count(b"\r\n")
-
-
-def _parse_tail(parse, path, cut: int, line: int) -> list[bytes]:
-    """Run in a _Worker: ``parse`` (a bound _parse_rows) of the lines of
-    ``path`` from byte ``cut`` on, numbered from ``line``, pickled; or the
-    ValueError that names a faulty line, pickled, for load_csv to raise."""
-    try:
-        with open(path, "rb") as raw:
-            raw.seek(cut)
-            result = parse(io.TextIOWrapper(raw, encoding="utf-8", errors="surrogateescape"),
-                           line)
-    except ValueError as exc:
-        result = exc
-    return [pickle.dumps(result, protocol=pickle.HIGHEST_PROTOCOL)]
-
-
 def load_csv(path, config: IngestConfig) -> Dataset:
     """Load a dataset from a headered CSV file.
 
@@ -635,11 +576,7 @@ def load_csv(path, config: IngestConfig) -> Dataset:
     prepended to the covariates.
 
     _parse_rows names the file's first faulty line, whatever the fault; a
-    repeated id is named after the parse. A file of at least _SPLIT_BYTES
-    bytes, in a process of one thread that may run on two cores or more,
-    is parsed on two cores: a forked _Worker parses the lines after
-    _split_point while this process parses the lines before it, and the
-    halves are joined in file order, the first half's error first.
+    repeated id is named after the parse.
     """
     want_coords = bool(config.lon_col and config.lat_col)
     # responses last: the columns before them may not be missing
@@ -658,26 +595,9 @@ def load_csv(path, config: IngestConfig) -> Dataset:
             numeric = 0
         except (TypeError, ValueError):
             numeric = r
-        parse = functools.partial(
-            _parse_rows, path=path, fields=len(header), id_col=header.index(config.id_col),
-            cols=[header.index(name) for name in names], labels=labels, token=token,
-            required=r, numeric=numeric)
-        halves = (_split_point(path) if os.fstat(fh.fileno()).st_size >= _SPLIT_BYTES
-                  and _may_fork() else None)
-        if halves is None:
-            ids, V, M = parse(fh, 2)
-        else:
-            cut, before = halves
-            with _Worker(functools.partial(_parse_tail, parse, path, cut, before + 1),
-                         f"reading from line {before + 1}") as worker:
-                ids, V, M = parse(itertools.islice(fh, before - 1), 2)
-                sent = io.BytesIO()
-                worker.copy_into(sent, path)
-            tail = pickle.loads(sent.getbuffer())
-            if isinstance(tail, ValueError):
-                raise tail
-            ids += tail[0]
-            V, M = np.concatenate([V, tail[1]]), np.concatenate([M, tail[2]])
+        ids, V, M = _parse_rows(fh, 2, path, len(header), header.index(config.id_col),
+                                [header.index(name) for name in names], labels, token,
+                                required=r, numeric=numeric)
     if not ids:
         raise ValueError(f"{path}: no data rows")
 

@@ -704,7 +704,8 @@ def test_a_faulty_scores_file_is_one_error_line(pipeline, tmp_path, capsys, faul
     assert err == "error: " + {
         "short_line": f"{path}:{line}: expected {len(header)} fields, got {len(header) - 1}",
         "blank_label": f"{path}:{line}: missing label 'e_q95'",
-        "label_two": "label column 'e_q95' holds 2.0; a tree label must be 0 or 1",
+        "label_two": f"{path}:{line}: label column 'e_q95' holds 2.0; "
+                     "a tree label must be 0 or 1",
         "label_nan": f"{path}:{line}: non-finite label 'e_q95': 'nan'",
         "not_utf8": f"{path}:{line}: not UTF-8 text: byte 0xff at column {len(row[0])}",
     }[fault]

@@ -36,26 +36,6 @@ def assert_same_dataset(a, b):
             (got.shape, got.tobytes()) == (want.shape, want.tobytes()), name
 
 
-def read_both_ways(path, config):
-    """load_csv(path, config) in this process alone, then with the lines
-    after the midpoint parsed by a forked worker: both give the same
-    Dataset, which is returned, or raise the same error, which is raised."""
-    outcomes = []
-    for threshold in (float("inf"), 0):
-        with mock.patch.object(dataset, "_SPLIT_BYTES", threshold), \
-                mock.patch.object(dataset, "_cores", lambda: 2):
-            try:
-                outcomes.append(load_csv(path, config))
-            except Exception as exc:  # compared below, then raised
-                outcomes.append(exc)
-    serial, split = outcomes
-    if isinstance(serial, Exception):
-        assert (type(split), str(split)) == (type(serial), str(serial))
-        raise serial
-    assert_same_dataset(split, serial)
-    return serial
-
-
 def test_load_csv_missing_token_sets_mask(tmp_path):
     f = tmp_path / "d.csv"
     write_lines(f, [
@@ -122,7 +102,7 @@ def test_load_csv_rejects_malformed_row(tmp_path):
     f = tmp_path / "d.csv"
     write_lines(f, ["id,a,b,u,v", "p1,0.5,1.0,2.0"])
     with pytest.raises(ValueError, match="expected 5 fields"):
-        read_both_ways(f, CONFIG)
+        load_csv(f, CONFIG)
 
 
 def test_load_csv_rejects_non_numeric(tmp_path):
@@ -180,14 +160,14 @@ def test_load_csv_rejects_duplicate_id(tmp_path):
     f = tmp_path / "d.csv"
     write_lines(f, ["id,a,b,u,v", "p1,0.5,1.0,2.0,3.0", "p1,1.5,2.0,1.0,0.5"])
     with pytest.raises(ValueError, match="duplicate id"):
-        read_both_ways(f, CONFIG)
+        load_csv(f, CONFIG)
 
 
 def test_load_csv_rejects_missing_covariate(tmp_path):
     f = tmp_path / "d.csv"
     write_lines(f, ["id,a,b,u,v", "p1,NA,1.0,2.0,3.0"])
     with pytest.raises(ValueError, match="missing covariate"):
-        read_both_ways(f, CONFIG)
+        load_csv(f, CONFIG)
 
 
 LOCATED = IngestConfig(id_col="id", covariates=["a", "b"], responses=["u", "v"],
@@ -234,7 +214,7 @@ def test_load_csv_error_names_line_and_column(tmp_path, line, column, cell, mess
     write_lines(f, [",".join(header)] + [",".join(f'"{c}"' if "," in c or "\n" in c else c
                                                   for c in r) for r in rows])
     with pytest.raises(ValueError) as exc:
-        read_both_ways(f, LOCATED)
+        load_csv(f, LOCATED)
     assert str(exc.value) == f"{f}:{line}: {message}"
 
 
@@ -262,7 +242,7 @@ def test_load_csv_drops_a_byte_order_mark(tmp_path):
     plain, bom = tmp_path / "plain.csv", tmp_path / "bom.csv"
     write_csv(d, plain, cfg)
     bom.write_bytes(b"\xef\xbb\xbf" + plain.read_bytes())
-    assert_same_dataset(read_both_ways(plain, cfg), read_both_ways(bom, cfg))
+    assert_same_dataset(load_csv(plain, cfg), load_csv(bom, cfg))
 
 
 def test_record_rejects_an_id_with_a_line_break(tmp_path):
@@ -519,115 +499,63 @@ def _write_located(path, lines, ends):
 
 
 @pytest.mark.parametrize("ends", [("\n",), ("\r\n",), ("\r\n", "\r", "\n")])
-def test_a_faulty_line_in_the_workers_half_is_named_by_its_line(tmp_path, ends):
-    # the worker numbers its lines from the count of line ends before its
-    # half, a "\r\n" or a lone "\r" counting once, as in one pass
+def test_a_faulty_line_is_named_by_its_line_whatever_the_line_ends(tmp_path, ends):
+    # a "\r\n" or a lone "\r" ends one line, as a "\n" does
     f = tmp_path / "d.csv"
     lines = _located_table(f, ends=ends)
-    cut, before = dataset._split_point(f)
-    assert 100 < before < 300
-    line = before + 7  # the cell is replaced by one of its length: the cut stays
+    line = 209
     lines[line - 1][5] = "1x5"
     _write_located(f, lines, ends)
-    assert dataset._split_point(f) == (cut, before)
     with pytest.raises(ValueError) as exc:
-        read_both_ways(f, LOCATED)
+        load_csv(f, LOCATED)
     assert str(exc.value) == f"{f}:{line}: non-numeric response 'u': '1x5'"
 
 
-@pytest.mark.parametrize("where", ["header", "parent", "worker"])
+@pytest.mark.parametrize("where", ["header", "early", "late"])
 def test_a_byte_that_is_not_utf8_is_named_by_its_line_and_column(tmp_path, where):
-    # the same message read in one process or two, wherever the byte falls
+    # the same message wherever the byte falls
     f = tmp_path / "d.csv"
     _located_table(f)
-    cut, before = dataset._split_point(f)
-    line = {"header": 1, "parent": before // 2, "worker": before + 7}[where]
+    line = {"header": 1, "early": 101, "late": 209}[where]
     lines = f.read_bytes().split(b"\n")
     lines[line - 1] = lines[line - 1][:4] + b"\xff" + lines[line - 1][5:]
     f.write_bytes(b"\n".join(lines))
-    assert dataset._split_point(f) == (cut, before)
     with pytest.raises(ValueError) as exc:
-        read_both_ways(f, LOCATED)
+        load_csv(f, LOCATED)
     assert str(exc.value) == f"{f}:{line}: not UTF-8 text: byte 0xff at column 5"
 
 
 @pytest.mark.parametrize("second", ["short", "covariate"])
-def test_a_faulty_line_in_each_half_raises_the_first_halfs_error(tmp_path, second):
-    # in one pass both lines are in one block, whose field counts are checked
-    # before its cells and whose columns are parsed in config order: the
-    # first faulty line is still the one named
+def test_of_two_faulty_lines_the_first_is_named(tmp_path, second):
+    # both lines are in one block, whose field counts are checked before its
+    # cells and whose columns are parsed in config order: the first faulty
+    # line is still the one named
     f = tmp_path / "d.csv"
     lines = _located_table(f)
     lines[50][4] = "z"  # line 51: covariate b
-    if second == "short":  # line 351, past the cut: a field short
+    if second == "short":  # line 351: a field short
         lines[350].pop()
     else:  # covariate a, parsed before b
         lines[350][3] = "z"
     _write_located(f, lines, ("\n",))
-    assert dataset._split_point(f)[1] < 351
     with pytest.raises(ValueError) as exc:
-        read_both_ways(f, LOCATED)
+        load_csv(f, LOCATED)
     assert str(exc.value) == f"{f}:51: non-numeric covariate 'b': 'z'"
-    with pytest.raises(ChildProcessError):  # the worker was killed and reaped
-        os.waitpid(-1, os.WNOHANG)
 
 
-def test_load_csv_forks_one_worker_from_the_threshold(tmp_path, monkeypatch):
-    f = tmp_path / "d.csv"
-    _located_table(f)
-    size = f.stat().st_size
+def test_load_csv_forks_no_process(tmp_path, monkeypatch):
+    # a table of 4 MB or more is read by this process alone, also where it
+    # may run on two cores, and so is one whose lines end with a lone "\r"
+    d, _ = synthesize(SynthSpec(l=20_000, n=4, q=6, missing_prob=0.3), seed=5)
+    cfg = IngestConfig(id_col="id", covariates=d.covariate_names[1:],
+                       responses=d.response_names, lon_col="lon", lat_col="lat")
+    f, cr = tmp_path / "d.csv", tmp_path / "cr.csv"
+    write_csv(d, f, cfg)
+    assert f.stat().st_size >= 4_000_000
+    cr.write_bytes(f.read_bytes().replace(b"\r\n", b"\r"))
     monkeypatch.setattr(dataset, "_cores", lambda: 2)
     fork = mock.Mock(wraps=os.fork)
     monkeypatch.setattr(os, "fork", fork)
-    monkeypatch.setattr(dataset, "_SPLIT_BYTES", size + 1)
-    serial = load_csv(f, LOCATED)
+    assert_same_dataset(load_csv(f, cfg), d)
+    assert_same_dataset(load_csv(cr, cfg), d)
     assert fork.call_count == 0
-    monkeypatch.setattr(dataset, "_SPLIT_BYTES", size)
-    assert_same_dataset(load_csv(f, LOCATED), serial)
-    assert fork.call_count == 1
-    # no b"\n" after the midpoint: lines ending with a lone "\r" are read serially
-    cr = tmp_path / "cr.csv"
-    _located_table(cr, ends=("\r",))
-    assert dataset._split_point(cr) is None
-    assert_same_dataset(load_csv(cr, LOCATED), serial)
-    assert fork.call_count == 1
-    # with another thread running the table is read by this process alone
-    done = threading.Event()
-    thread = threading.Thread(target=done.wait)
-    thread.start()
-    try:
-        assert_same_dataset(load_csv(f, LOCATED), serial)
-    finally:
-        done.set()
-        thread.join(timeout=10)
-    assert not thread.is_alive()
-    assert fork.call_count == 1
-
-
-@pytest.mark.parametrize("failure", ["raises", "killed", "send_cut"])
-def test_a_failed_reading_worker_is_one_error_and_leaves_no_process(tmp_path, monkeypatch,
-                                                                   failure):
-    monkeypatch.setattr(dataset, "_SPLIT_BYTES", 0)
-    monkeypatch.setattr(dataset, "_cores", lambda: 2)
-    parse_tail = dataset._parse_tail
-
-    def failing(*args):  # runs in the worker only
-        if failure == "raises":
-            raise RuntimeError("worker cannot parse")
-        if failure == "killed":
-            os.kill(os.getpid(), signal.SIGKILL)
-        # parsed, but the send stops partway
-        return [*parse_tail(*args), "not bytes"]
-
-    monkeypatch.setattr(dataset, "_parse_tail", failing)
-    f = tmp_path / "d.csv"
-    _located_table(f)
-    line = dataset._split_point(f)[1] + 1
-    with pytest.raises(ChildProcessError) as info:
-        load_csv(f, LOCATED)
-    assert str(info.value) == f"{f}: the worker reading from line {line} failed: " + {
-        "raises": "RuntimeError: worker cannot parse",
-        "killed": "signal 9",
-        "send_cut": "exit status 1"}[failure]
-    with pytest.raises(ChildProcessError):  # no child left, running or not reaped
-        os.waitpid(-1, os.WNOHANG)

@@ -126,36 +126,30 @@ def datasets(draw):
        block_rows=st.integers(1, 5))
 def test_write_load_csv_round_trip_is_exact(d, token, block_rows):
     # values, ids and mask come back bit for bit, across block boundaries,
-    # also for a token that has to be quoted, read in one process or two
+    # also for a token that has to be quoted
     cfg = IngestConfig(id_col="id", covariates=d.covariate_names[1:],
                        responses=d.response_names, lon_col="lon", lat_col="lat",
                        missing_token=token)
     with tempfile.TemporaryDirectory() as tmp, \
-            mock.patch.object(dataset, "_BLOCK_ROWS", block_rows), \
-            mock.patch.object(dataset, "_cores", lambda: 2):
+            mock.patch.object(dataset, "_BLOCK_ROWS", block_rows):
         write_csv(d, f"{tmp}/d.csv", cfg)
-        # serial, then with the lines after the midpoint from a forked worker
-        for split_bytes in (float("inf"), 0):
-            with mock.patch.object(dataset, "_SPLIT_BYTES", split_bytes):
-                back = load_csv(f"{tmp}/d.csv", cfg)
-            assert back.ids == d.ids
-            for name in ("X", "Y", "mask", "coords"):
-                assert getattr(back, name).tobytes() == getattr(d, name).tobytes(), name
+        back = load_csv(f"{tmp}/d.csv", cfg)
+        assert back.ids == d.ids
+        for name in ("X", "Y", "mask", "coords"):
+            assert getattr(back, name).tobytes() == getattr(d, name).tobytes(), name
 
 
 @settings(max_examples=25, deadline=None)
 @given(d=datasets(), block_rows=st.integers(1, 5), data=st.data())
 def test_a_faulty_table_names_its_first_faulty_line(d, block_rows, data):
-    # 1-3 faults of mixed kinds on distinct lines: read in one process or
-    # two, across block boundaries, the error names the first faulty line
-    # and its fault
+    # 1-3 faults of mixed kinds on distinct lines: across block boundaries,
+    # the error names the first faulty line and its fault
     cfg = IngestConfig(id_col="id", covariates=d.covariate_names[1:],
                        responses=d.response_names, lon_col="lon", lat_col="lat")
     kinds = ["coordinate", "response", "short", "extra", "byte"]
     kinds += ["covariate"] if cfg.covariates else []
     with tempfile.TemporaryDirectory() as tmp, \
-            mock.patch.object(dataset, "_BLOCK_ROWS", block_rows), \
-            mock.patch.object(dataset, "_cores", lambda: 2):
+            mock.patch.object(dataset, "_BLOCK_ROWS", block_rows):
         path = f"{tmp}/d.csv"
         write_csv(d, path, cfg)
         with open(path, newline="", encoding="utf-8") as fh:
@@ -192,11 +186,9 @@ def test_a_faulty_table_names_its_first_faulty_line(d, block_rows, data):
         with open(path, "w", newline="", encoding="utf-8", errors="surrogateescape") as fh:
             csv.writer(fh).writerows([header, *rows])
         first = min(expected)
-        for split_bytes in (float("inf"), 0):
-            with mock.patch.object(dataset, "_SPLIT_BYTES", split_bytes), \
-                    pytest.raises(ValueError) as exc:
-                load_csv(path, cfg)
-            assert str(exc.value) == f"{path}:{first}: {expected[first]}"
+        with pytest.raises(ValueError) as exc:
+            load_csv(path, cfg)
+        assert str(exc.value) == f"{path}:{first}: {expected[first]}"
 
 
 @st.composite
