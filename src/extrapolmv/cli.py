@@ -14,7 +14,20 @@ fit recorded in meta.json; ``tree`` and ``report`` read the config and
 measures the score recorded in its manifest.json. ``report`` reads
 nothing else of a score: the manifest's cutoff_summary holds the
 location count and each primary cutoff's value and flag counts, so
-scores.csv is not parsed again.
+scores.csv is not parsed again. Neither writes into the score
+directory it reads, nor ``report`` into the tree directory it reads.
+
+``tree`` has two sources for its labels. ``score`` writes each primary
+cutoff's flags, in dataset row order, to flags.npz beside scores.csv,
+with the hash of the scores.csv it wrote. ``tree`` reads the flags from
+there when ``--data`` is the file the score manifest names by its hash,
+the record holds ``--label`` and scores.csv still has the recorded
+hash: both commands read the same table, so no id join is needed. Else
+(an edited scores.csv, another ``--data``, a label that is not a flag
+column, a score directory without flags.npz) it parses ``id`` and the
+label column of scores.csv and joins the labels by id. A flags.npz that
+cannot be read, or whose arrays are not one bool per row, is an error.
+The tree manifest's label_source says which source ran.
 
 A dataset CSV is parsed at most once. ``simulate`` records the table it
 writes to dataset.csv in dataset.npz beside it, and ``fit`` reads that
@@ -48,11 +61,13 @@ from extrapolmv.dataset import (
     SynthSpec,
     TransformSpec,
     _atomic_open,
+    _check_arrays,
     _cores,
     _from_json,
     _load_json,
     _open_table,
     _parse_rows,
+    _read_archive,
     _to_json,
     _write_json,
     apply_transforms,
@@ -83,6 +98,7 @@ from extrapolmv.sampler import (
 )
 
 RECORD_FILE = "dataset.npz"  # a parsed table: beside simulate's CSV, in a fit directory
+FLAGS_FILE = "flags.npz"  # a score's flags, which tree reads in place of scores.csv
 BLAS_ENV = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS",
             "BLIS_NUM_THREADS", "VECLIB_MAXIMUM_THREADS")
 RHAT_WARN = 1.1
@@ -149,6 +165,17 @@ def _load_raw(data_path, config: IngestConfig, record=None, data_hash=None):
         if d is not None:
             return d, "fit record"
     return load_csv(data_path, config), "csv"
+
+
+def _refuse_input_dir(out, inputs: dict) -> None:
+    """CliError when the output directory ``out`` exists and is one of the
+    input directories ``inputs`` (option -> path or None): writing there
+    would overwrite that input's manifest.json."""
+    for option, path in inputs.items():
+        if path is not None and os.path.isdir(out) and os.path.isdir(path) \
+                and os.path.samefile(out, path):
+            raise CliError(f"--out {out} is the {option} directory {path}; "
+                           "choose another output directory")
 
 
 def _check_transforms(config: IngestConfig) -> None:
@@ -258,6 +285,15 @@ def _fit_record(fitdir):
     return draws, meta["dataset_hash"], config, constants
 
 
+def _write_flags(report, outdir, scores_sha256: str) -> None:
+    """Write flags.npz: each primary cutoff's flags as a bool array named by
+    its scores.csv column, in dataset row order, and ``scores_sha256``, the
+    hash of the scores.csv they were written with."""
+    flags = {f"e_{c.name}": c.e.astype(bool) for c in report.primary.cutoffs}
+    with _atomic_open(os.path.join(outdir, FLAGS_FILE), binary=True) as fh:
+        np.savez(fh, **flags, scores_sha256=np.array(scores_sha256))
+
+
 def _cmd_score(args) -> int:
     start = time.perf_counter()
     draws, recorded, config, constants = _fit_record(args.draws)
@@ -278,7 +314,9 @@ def _cmd_score(args) -> int:
 
     start = time.perf_counter()
     os.makedirs(args.out, exist_ok=True)
-    write_scores_csv(report, os.path.join(args.out, "scores.csv"))
+    scores_path = os.path.join(args.out, "scores.csv")
+    write_scores_csv(report, scores_path)
+    _write_flags(report, args.out, _sha256_file(scores_path))
     timings["write"] = time.perf_counter() - start
 
     params = {"draws": os.path.abspath(args.draws), "data": str(args.data),
@@ -320,44 +358,71 @@ def _read_score_manifest(scores) -> tuple[dict, IngestConfig, str]:
     return manifest, config, manifest_path
 
 
-def _read_scores(scores, label: str) -> tuple[list[str], list[int], IngestConfig, dict]:
-    """The ids and the 0/1 labels in column ``label`` of a score output
-    directory's scores.csv, read by the table parser (a blank label is a
-    missing one), and its checked manifest and ingestion config."""
-    manifest, config, _ = _read_score_manifest(scores)
+def _read_flags(scores, label: str, rows: int) -> np.ndarray | None:
+    """The flags in column ``label`` of a score output directory's
+    scores.csv, from the flags.npz beside it: None when there is none, it
+    holds no ``label`` or scores.csv is not the file it was written with.
+    A flags.npz that cannot be read, or that holds anything but the hash
+    and arrays of ``rows`` bools, raises ValueError naming it."""
+    path = os.path.join(scores, FLAGS_FILE)
+    if not os.path.exists(path):
+        return None
+    a = _read_archive(path, writer="score")
+    try:
+        _check_arrays(a, {"scores_sha256": (np.str_, ()),
+                          **{key: (np.bool_, (rows,)) for key in a if key != "scores_sha256"}})
+    except ValueError as exc:
+        raise ValueError(f"{path}: malformed flags record ({exc}); "
+                         "re-run score to rewrite it") from None
+    recorded = str(a.pop("scores_sha256"))
+    if label not in a or recorded != _sha256_file(os.path.join(scores, "scores.csv")):
+        return None
+    return a[label]
+
+
+def _read_scores(scores, label: str, ids: list[str]) -> np.ndarray:
+    """The 0/1 labels in column ``label`` of a score output directory's
+    scores.csv, read by the table parser (a blank label is a missing one),
+    joined by id onto ``ids``."""
     path = os.path.join(scores, "scores.csv")
     with _open_table(path, ["id", label]) as (fh, header):
-        ids, values, _ = _parse_rows(fh, 2, path, len(header), header.index("id"),
-                                     [header.index(label)], [f"label {label!r}"], "",
-                                     required=1, numeric=0)
+        keys, values, _ = _parse_rows(fh, 2, path, len(header), header.index("id"),
+                                      [header.index(label)], [f"label {label!r}"], "",
+                                      required=1, numeric=0)
     bad = np.flatnonzero((values != 0) & (values != 1))
     if bad.size:  # the first such row, named by its line as the parser names one
         i = int(bad[0])
         raise CliError(f"{path}:{i + 2}: label column {label!r} holds {float(values[i, 0])!r}; "
                        "a tree label must be 0 or 1")
-    return ids, values[:, 0].astype(int).tolist(), config, manifest
+    labels_by_id = dict(zip(keys, values[:, 0].astype(int).tolist()))
+    if len(labels_by_id) < len(keys):
+        repeated = next(i for i, k in collections.Counter(keys).items() if k > 1)
+        raise CliError(f"id {repeated!r} appears more than once in {path}")
+    try:
+        return np.array([labels_by_id[i] for i in ids], dtype=int)
+    except KeyError as exc:
+        raise CliError(f"scores file has no row for id {exc.args[0]!r}") from None
 
 
 def _cmd_tree(args) -> int:
     marks = [time.perf_counter()]
     params = TreeParams(max_depth=args.max_depth, min_leaf=args.min_leaf,
                         min_split_gain=args.min_gain)
-    ids, flags, config, manifest = _read_scores(args.scores, args.label)
-    labels_by_id = dict(zip(ids, flags))
-    if len(labels_by_id) < len(ids):
-        repeated = next(i for i, k in collections.Counter(ids).items() if k > 1)
-        raise CliError(f"id {repeated!r} appears more than once in "
-                       f"{os.path.join(args.scores, 'scores.csv')}")
+    _refuse_input_dir(args.out, {"--scores": args.scores})
+    manifest, config, _ = _read_score_manifest(args.scores)
 
     # raw covariates: thresholds stay in original units
     dataset_hash = _sha256_file(args.data)
     fitdir = manifest["params"].get("draws")
     record = os.path.join(fitdir, RECORD_FILE) if isinstance(fitdir, str) else None
     d, source = _load_raw(args.data, config, record, dataset_hash)
-    try:
-        labels = np.array([labels_by_id[i] for i in d.ids], dtype=int)
-    except KeyError as exc:
-        raise CliError(f"scores file has no row for id {exc.args[0]!r}") from None
+    flags = None
+    if dataset_hash == manifest.get("dataset_hash"):  # score's rows are d's rows
+        flags = _read_flags(args.scores, args.label, d.n_rows)
+    if flags is not None:
+        labels, label_source = flags.astype(int), "flags record"
+    else:
+        labels, label_source = _read_scores(args.scores, args.label, d.ids), "scores.csv"
 
     os.makedirs(args.out, exist_ok=True)
     constant = labels.min() == labels.max()
@@ -378,7 +443,8 @@ def _cmd_tree(args) -> int:
                      "min_leaf": args.min_leaf, "min_gain": args.min_gain},
                     timings=dict(zip(("load", "grow", "write"), np.diff(marks))),
                     dataset_hash=dataset_hash,
-                    config_hash=_sha256_json(_to_json(config)), data_source=source)
+                    config_hash=_sha256_json(_to_json(config)), data_source=source,
+                    label_source=label_source)
     if dataset_hash != manifest.get("dataset_hash"):
         print(f"warning: --data {args.data} is not the file the scores in {args.scores} "
               f"were computed from ({manifest['params'].get('data')}); labels were "
@@ -450,6 +516,8 @@ def _read_cutoff_summary(manifest: dict, path) -> tuple[int, list[dict]]:
 
 def _cmd_report(args) -> int:
     marks = [time.perf_counter()]
+    tree_dir = args.tree if args.tree and os.path.isdir(args.tree) else None
+    _refuse_input_dir(args.out, {"--scores": args.scores, "--tree": tree_dir})
     manifest, _config, path = _read_score_manifest(args.scores)
     measures = manifest["params"]["measures"]
     locations, cutoffs = _read_cutoff_summary(manifest, path)

@@ -43,7 +43,7 @@ or the one load_csv parsed (a fit's), which are the same bytes.
 load_record gives the same Dataset back when both hashes match, so a
 CSV the package wrote is never parsed, and any other is parsed once and
 read from its record after that. _read_archive reads every .npz (a record, a
-fit's draws.npz) and opens the file itself: np.load leaves the file it
+fit's draws.npz, a score's flags.npz) and opens the file itself: np.load leaves the file it
 opens open when the archive is cut short. _check_arrays checks the arrays
 against the dtypes and shapes they were written with.
 
@@ -635,9 +635,10 @@ def write_record(d: Dataset, path, source_sha256: str, config_sha256: str) -> No
         np.savez(fh, **arrays)
 
 
-def _read_archive(path, keys=None) -> dict:
+def _read_archive(path, keys=None, writer: str = "fit") -> dict:
     """The arrays of the .npz archive ``path`` (those in ``keys``, when
-    given); ValueError naming ``path`` when it cannot be read."""
+    given); ValueError naming ``path``, and the command ``writer`` that
+    rewrites it, when it cannot be read."""
     try:
         with open(path, "rb") as fh:
             npz = np.load(fh, allow_pickle=False)
@@ -647,7 +648,8 @@ def _read_archive(path, keys=None) -> dict:
                 return {key: npz[key] for key in npz.files if keys is None or key in keys}
     # what np.load and reading an array raise for a cut or corrupt archive
     except (ValueError, KeyError, OSError, EOFError, zipfile.BadZipFile) as exc:
-        raise ValueError(f"{path}: unreadable archive ({exc}); re-run fit to rewrite it") from None
+        raise ValueError(f"{path}: unreadable archive ({exc}); "
+                         f"re-run {writer} to rewrite it") from None
 
 
 def _check_arrays(arrays: dict, want: dict) -> None:

@@ -729,6 +729,129 @@ def test_repeated_id_in_scores_is_one_error_line(pipeline, tmp_path, capsys):
     assert not (tmp_path / "t").exists()
 
 
+def _tree(scores, data, out, label="e_q95"):
+    """tree as the pipeline fixture runs it; its exit code and the
+    label_source its manifest records."""
+    rc = run("tree", "--scores", scores, "--data", data, "--label", label,
+             "--min-leaf", 10, "--out", out)
+    return rc, json.loads((out / "manifest.json").read_text())["label_source"]
+
+
+def test_flags_record_holds_the_flag_columns_of_scores_csv(pipeline):
+    header, rows = read_csv(pipeline["scores"] / "scores.csv")
+    with np.load(pipeline["scores"] / "flags.npz") as npz:
+        flags = dict(npz)
+    assert str(flags.pop("scores_sha256")) == cli._sha256_file(pipeline["scores"] / "scores.csv")
+    assert list(flags) == [name for name in header if name.startswith("e_")]
+    assert len(flags) == 4
+    for name, column in flags.items():
+        assert column.dtype == bool
+        assert column.tolist() == [r[header.index(name)] == "1" for r in rows], name
+
+
+@pytest.mark.parametrize("label", ["e_max", "e_lev", "e_q99", "e_q95"])
+def test_flags_record_and_scores_csv_give_the_same_tree(pipeline, tmp_path, label):
+    # the CSV path is forced by a score directory without flags.npz
+    data = pipeline["sim"] / "dataset.csv"
+    bare = tmp_path / "bare"
+    shutil.copytree(pipeline["scores"], bare)
+    (bare / "flags.npz").unlink()
+    record = _tree(pipeline["scores"], data, tmp_path / "record", label)
+    parsed = _tree(bare, data, tmp_path / "parsed", label)
+    assert record[1] == "flags record" and parsed[1] == "scores.csv"
+    assert record[0] == parsed[0]
+    for name in ("tree.json", "tree.txt"):
+        assert (tmp_path / "record" / name).read_bytes() == \
+            (tmp_path / "parsed" / name).read_bytes(), name
+
+
+def test_tree_reads_an_edited_scores_csv(pipeline, tmp_path):
+    # one flipped label: scores.csv no longer has the hash flags.npz
+    # records, so tree parses it, and the root counts the edited label
+    data = pipeline["sim"] / "dataset.csv"
+    scores = tmp_path / "scores"
+    shutil.copytree(pipeline["scores"], scores)
+    header, rows = read_csv(scores / "scores.csv")
+    i = header.index("e_q95")
+    j = next(k for k, r in enumerate(rows) if r[i] == "0")
+    rows[j][i] = "1"
+    with open(scores / "scores.csv", "w", newline="", encoding="utf-8") as fh:
+        csv.writer(fh).writerows([header] + rows)
+    assert _tree(pipeline["scores"], data, tmp_path / "before") == (0, "flags record")
+    assert _tree(scores, data, tmp_path / "after") == (0, "scores.csv")
+    before, after = (json.loads((tmp_path / d / "tree.json").read_text())
+                     for d in ("before", "after"))
+    assert (after["n0"], after["n1"]) == (before["n0"] - 1, before["n1"] + 1)
+
+
+@pytest.mark.parametrize("case", ["truncated", "foreign", "npy", "short_e_q95", "int_e_max",
+                                  "without_hash"])
+def test_malformed_flags_record_is_one_error_line(pipeline, tmp_path, capsys, case):
+    # --data and scores.csv are the scored ones, so flags.npz is meant for
+    # them, but it is cut short, not score's, or not one bool per row
+    scores = tmp_path / "scores"
+    shutil.copytree(pipeline["scores"], scores)
+    path = scores / "flags.npz"
+    with np.load(path) as npz:
+        arrays = dict(npz)
+    if case == "truncated":
+        path.write_bytes(path.read_bytes()[:300])
+    elif case == "foreign":
+        np.savez(path, a=np.arange(3))
+    elif case == "npy":
+        with open(path, "wb") as fh:
+            np.save(fh, arrays["e_q95"])
+    else:
+        if case == "short_e_q95":
+            arrays["e_q95"] = arrays["e_q95"][:-1]
+        elif case == "int_e_max":
+            arrays["e_max"] = arrays["e_max"].astype(int)
+        else:
+            del arrays["scores_sha256"]
+        np.savez(path, **arrays)
+    capsys.readouterr()
+    assert run("tree", "--scores", scores, "--data", pipeline["sim"] / "dataset.csv",
+               "--out", tmp_path / "t") == 1
+    [line] = capsys.readouterr().err.splitlines()
+    assert line.startswith(f"error: {path}: "), line
+    assert "; re-run score" in line, line
+    assert not (tmp_path / "t").exists()
+
+
+def _snapshot(directory):
+    return {p.name: p.read_bytes() for p in directory.iterdir()}
+
+
+def test_tree_refuses_its_scores_directory_as_out(pipeline, tmp_path, capsys):
+    scores = tmp_path / "scores"
+    shutil.copytree(pipeline["scores"], scores)
+    before = _snapshot(scores)
+    same = scores / ".." / "scores"
+    capsys.readouterr()
+    assert run("tree", "--scores", scores, "--data", pipeline["sim"] / "dataset.csv",
+               "--out", same) == 1
+    [line] = capsys.readouterr().err.splitlines()
+    assert line == (f"error: --out {same} is the --scores directory {scores}; "
+                    "choose another output directory")
+    assert _snapshot(scores) == before
+
+
+@pytest.mark.parametrize("option", ["--scores", "--tree"])
+def test_report_refuses_an_input_directory_as_out(pipeline, tmp_path, capsys, option):
+    inputs = {"--scores": tmp_path / "scores", "--tree": tmp_path / "tree"}
+    shutil.copytree(pipeline["scores"], inputs["--scores"])
+    shutil.copytree(pipeline["tree"], inputs["--tree"])
+    before = {o: _snapshot(p) for o, p in inputs.items()}
+    same = inputs[option] / ".." / inputs[option].name
+    capsys.readouterr()
+    assert run("report", "--scores", inputs["--scores"], "--tree", inputs["--tree"],
+               "--out", same) == 1
+    [line] = capsys.readouterr().err.splitlines()
+    assert line == (f"error: --out {same} is the {option} directory {inputs[option]}; "
+                    "choose another output directory")
+    assert {o: _snapshot(p) for o, p in inputs.items()} == before
+
+
 @pytest.mark.parametrize("option", [["--min-leaf", 0], ["--max-depth", 0],
                                     ["--min-gain", -1], ["--min-gain", "nan"]],
                          ids=["min_leaf_zero", "max_depth_zero", "min_gain_negative",
@@ -1096,3 +1219,5 @@ def test_readme_quick_start_runs(tmp_path, monkeypatch):
     monkeypatch.chdir(tmp_path)
     run_quick_start(run_main)
     assert (tmp_path / "report" / "report.md").stat().st_size > 0
+    manifest = json.loads((tmp_path / "tree" / "manifest.json").read_text())
+    assert manifest["label_source"] == "flags record"
