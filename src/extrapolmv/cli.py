@@ -296,6 +296,7 @@ def _write_flags(report, outdir, scores_sha256: str) -> None:
 
 def _cmd_score(args) -> int:
     start = time.perf_counter()
+    _refuse_input_dir(args.out, {"--draws": args.draws})
     draws, recorded, config, constants = _fit_record(args.draws)
     dataset_hash = _sha256_file(args.data)
     if recorded != dataset_hash and not args.force:
@@ -314,9 +315,8 @@ def _cmd_score(args) -> int:
 
     start = time.perf_counter()
     os.makedirs(args.out, exist_ok=True)
-    scores_path = os.path.join(args.out, "scores.csv")
-    write_scores_csv(report, scores_path)
-    _write_flags(report, args.out, _sha256_file(scores_path))
+    scores_sha256 = write_scores_csv(report, os.path.join(args.out, "scores.csv"))
+    _write_flags(report, args.out, scores_sha256)
     timings["write"] = time.perf_counter() - start
 
     params = {"draws": os.path.abspath(args.draws), "data": str(args.data),
@@ -473,13 +473,11 @@ def _cmd_simulate(args) -> int:
         lat_col="lat" if d.coords is not None else None,
         transforms={"responses": "none", "standardize": True},
     )
-    data_path = os.path.join(args.out, "dataset.csv")
-    write_csv(d, data_path, config)
+    dataset_hash = write_csv(d, os.path.join(args.out, "dataset.csv"), config)
     _write_json(os.path.join(args.out, "truth.json"), truth)
     config_json = _to_json(config)
     _write_json(os.path.join(args.out, "config.json"), config_json)
     # the table fit would parse from dataset.csv, so that fit reads it instead
-    dataset_hash = _sha256_file(data_path)
     write_record(d, os.path.join(args.out, RECORD_FILE), dataset_hash,
                  _sha256_json(config_json))
     marks.append(time.perf_counter())

@@ -27,15 +27,20 @@ renamed over its final name.
 Formatting floats with repr is most of a large write, so _write_table
 runs on two cores where _may_fork: os.fork exists, and the process runs
 one thread and may run on two cores or more. From _SPLIT_CELLS cells
-(rows x columns) a forked _Worker formats rows n//2..n and sends their
-bytes back through a pipe, while the parent formats and writes rows
-0..n//2, then copies the worker's bytes. Rows are formatted
-independently, so the file is the same bytes either way. The worker
-holds its half as encoded text (about half the file) until it is all
-formatted. Below _SPLIT_CELLS the fork and the pages both processes then
-copy on write cost more than the second core saves: inside score (20
-columns) on a shared 2-core machine the split lost at 10k rows and won
-from 25k. Every table is read on one core.
+(rows x columns) it forks a worker, before it opens the temp file, that
+formats rows n//2..n and sends their bytes back through a pipe, while
+it formats and writes rows 0..n//2 itself, then copies the worker's
+bytes. Rows are formatted independently, so the file is the same bytes
+either way. The worker holds its half as encoded text (about half the
+file) until it is all formatted. Below _SPLIT_CELLS the fork and the
+pages both processes then copy on write cost more than the second core
+saves: inside score (20 columns) on a shared 2-core machine the split
+lost at 10k rows and won from 25k. _write_table hashes each block as it
+writes it, its own as it formats them and the worker's as it copies
+them, and returns the file's sha256, which write_csv and
+write_scores_csv return: simulate records it as the CSV's hash in
+dataset.npz, and score as scores.csv's in flags.npz, so neither reads
+back a file it has just written. Every table is read on one core.
 
 write_record stores a table as an uncompressed .npz beside the CSV's
 and the config's hashes: the table write_csv wrote (simulate's record)
@@ -61,13 +66,12 @@ from __future__ import annotations
 
 import contextlib
 import csv
-import functools
+import hashlib
 import itertools
 import json
 import math
 import numbers
 import os
-import shutil
 import signal
 import threading
 import zipfile
@@ -705,14 +709,12 @@ def _quote(cell: str) -> str:
 
 
 def _text(column) -> list:
-    """One column block as %s arguments: numbers, whose str is their repr
-    (NaN's is nan); the cells of an object array as they are; and text,
-    quoted by _quote."""
-    if isinstance(column, np.ndarray) and column.dtype.kind in "biufO":
+    """One column block as %s arguments: a numpy array's cells as they are
+    (numbers, whose str is their repr, NaN's nan; or an object array's
+    cells), and a list's text, quoted by _quote."""
+    if isinstance(column, np.ndarray):
         return column.tolist()
-    cells = list(map(str, column.tolist())) if isinstance(column, np.ndarray) else column
-    joined = "".join(cells)
-    return list(map(_quote, cells)) if any(ch in joined for ch in _QUOTED) else cells
+    return list(map(_quote, column)) if any(ch in "".join(column) for ch in _QUOTED) else column
 
 
 def _cores() -> int:
@@ -724,7 +726,7 @@ def _cores() -> int:
 
 
 def _may_fork() -> bool:
-    """Whether a table may be split with a _Worker: os.fork exists, this
+    """Whether a table may be split with a forked worker: os.fork exists, this
     process may run on two cores or more, and it runs one thread (the
     child of a fork has only the forking thread: a lock another thread
     held then would never be released in it)."""
@@ -741,35 +743,37 @@ def _format_rows(columns, lo: int, hi: int):
         yield "".join([row % cells for cells in zip(*block)]).encode()
 
 
-class _Worker:
-    """A forked worker that runs ``task``, a callable that returns an
-    iterable of bytes, and sends the bytes back; ``what`` names its work in
-    errors ("writing rows 10..20").
+def _write_table(path, header: list[str], columns: list) -> str:
+    """Write equal-length columns (at least two) under ``header`` with the
+    bytes csv.writer would write, one _format_rows block per write, and
+    return the sha256 hex of those bytes.
 
-    It runs the task to the end before it sends anything, so a full pipe
-    never stalls the work, then sends b"\\0" and the bytes, or b"\\1" and
-    the error that stopped it. It leaves only through os._exit, so it runs
-    no atexit handler and flushes no buffer it inherited. On leaving the
-    with block the pipe is closed and the worker reaped, killed first
-    unless copy_into has already reaped it.
-    """
-
-    def __init__(self, task, what: str):
-        self.what = what
+    A table of at least _SPLIT_CELLS cells, where _may_fork, has rows
+    n//2..n formatted by a forked worker. The worker formats its half to
+    the end before it sends anything, so a full pipe never stalls the
+    work, then sends b"\\0" and the bytes, or b"\\1" and the error that
+    stopped it; it leaves only through os._exit, so it runs no atexit
+    handler and flushes no buffer it inherited. ChildProcessError names
+    ``path`` unless it sent every byte and exited with status 0. On any
+    failure the worker is killed and reaped, and no file is left."""
+    n = len(columns[0])
+    split = n * len(columns) >= _SPLIT_CELLS and _may_fork()
+    mid = n // 2 if split else n
+    if split:  # forked before the temp file is opened, so the worker holds no copy of it
         r, w = os.pipe()
         try:
-            self.pid = os.fork()
+            pid = os.fork()
         except OSError:
             os.close(r)
             os.close(w)
             raise
-        if self.pid == 0:
+        if pid == 0:
             status = 1
             try:
                 os.close(r)
                 with open(w, "wb") as out:
                     try:
-                        blocks = list(task())
+                        blocks = list(_format_rows(columns, mid, n))
                     except Exception as exc:
                         out.write(b"\1" + f"{type(exc).__name__}: {exc}".encode())
                     else:
@@ -779,53 +783,41 @@ class _Worker:
             finally:
                 os._exit(status)
         os.close(w)
-        self.pipe = open(r, "rb")
-
-    def __enter__(self):
-        return self
-
-    def copy_into(self, fh, path) -> None:
-        """Copy the worker's bytes to ``fh`` and reap it; ChildProcessError
-        naming ``path`` unless it sent them all and exited with status 0."""
-        sent = self.pipe.read(1) == b"\0"
-        if sent:
-            shutil.copyfileobj(self.pipe, fh, 1 << 20)
-        error = self.pipe.read().decode(errors="replace")
-        _, status = os.waitpid(self.pid, 0)
-        self.pid = None
-        code = os.waitstatus_to_exitcode(status)
-        if not sent or code:
-            why = error or (f"exit status {code}" if code > 0 else f"signal {-code}")
-            raise ChildProcessError(f"{path}: the worker {self.what} failed: {why}")
-
-    def __exit__(self, *exc_info):
-        self.pipe.close()
-        if self.pid is not None:
-            os.kill(self.pid, signal.SIGKILL)
-            os.waitpid(self.pid, 0)
-
-
-def _write_table(path, header: list[str], columns: list) -> None:
-    """Write equal-length columns (at least two) under ``header`` with the
-    bytes csv.writer would write, one _format_rows block per write. A
-    table of at least _SPLIT_CELLS cells, where _may_fork, has its second
-    half formatted by a _Worker."""
-    n = len(columns[0])
-    split = n * len(columns) >= _SPLIT_CELLS and _may_fork()
-    mid = n // 2 if split else n
-    # the worker is forked before the temp file is opened, so it holds no copy of it
-    with _Worker(functools.partial(_format_rows, columns, mid, n), f"writing rows {mid}..{n}") \
-            if split else contextlib.nullcontext() as worker, \
-            _atomic_open(path, binary=True) as fh:
-        fh.write((",".join(_text(header)) + "\r\n").encode())
-        fh.writelines(_format_rows(columns, 0, mid))
+        pipe = open(r, "rb")
+    digest = hashlib.sha256()
+    try:
+        with _atomic_open(path, binary=True) as fh:
+            head = [(",".join(_text(header)) + "\r\n").encode()]
+            for block in itertools.chain(head, _format_rows(columns, 0, mid)):
+                digest.update(block)
+                fh.write(block)
+                del block  # not held while the next block is formatted
+            if split:
+                sent = pipe.read(1) == b"\0"
+                while sent and (block := pipe.read(1 << 20)):
+                    digest.update(block)
+                    fh.write(block)
+                error = pipe.read().decode(errors="replace")
+                _, status = os.waitpid(pid, 0)
+                pid = None
+                code = os.waitstatus_to_exitcode(status)
+                if not sent or code:
+                    why = error or (f"exit status {code}" if code > 0 else f"signal {-code}")
+                    raise ChildProcessError(
+                        f"{path}: the worker writing rows {mid}..{n} failed: {why}")
+    finally:
         if split:
-            worker.copy_into(fh, path)
+            pipe.close()
+            if pid is not None:
+                os.kill(pid, signal.SIGKILL)
+                os.waitpid(pid, 0)
+    return digest.hexdigest()
 
 
-def write_csv(d: Dataset, path, config: IngestConfig) -> None:
-    """Write a dataset back to CSV, mirroring the ingestion schema; a missing
-    response is the config's token, quoted where csv.writer would quote it."""
+def write_csv(d: Dataset, path, config: IngestConfig) -> str:
+    """Write a dataset back to CSV, mirroring the ingestion schema, and
+    return the file's sha256 hex; a missing response is the config's
+    token, quoted where csv.writer would quote it."""
     header = [config.id_col]
     columns = [list(d.ids)]
     if d.coords is not None:
@@ -836,7 +828,7 @@ def write_csv(d: Dataset, path, config: IngestConfig) -> None:
     for y, observed in zip(d.Y.T, d.mask.T):  # object arrays: the floats and the token
         columns.append(y.astype(object))
         columns[-1][~observed] = _quote(config.missing_token)
-    _write_table(path, header, columns)
+    return _write_table(path, header, columns)
 
 
 # ---------------------------------------------------------------------------

@@ -479,8 +479,9 @@ def score_locations_analytic(d: Dataset, measures=DEFAULT_MEASURES,
 # ---------------------------------------------------------------------------
 
 
-def write_scores_csv(report: ExtrapolationReport, path) -> None:
-    """Write per-location scores; cutoff columns come from the primary measure.
+def write_scores_csv(report: ExtrapolationReport, path) -> str:
+    """Write per-location scores and return the file's sha256 hex; cutoff
+    columns come from the primary measure.
 
     Value columns appear in the value_order of the measures, independent
     of which measure is primary, so headers are stable across runs.
@@ -498,7 +499,7 @@ def write_scores_csv(report: ExtrapolationReport, path) -> None:
         columns += [[k_text(c.k)] * len(report.ids), c.e, c.r]
     header.append("first_flagging_cutoff")
     columns.append(primary.first_flagging)
-    _write_table(path, header, columns)
+    return _write_table(path, header, columns)
 
 
 def cutoff_summary(report: ExtrapolationReport) -> dict:

@@ -742,6 +742,9 @@ def test_flags_record_holds_the_flag_columns_of_scores_csv(pipeline):
     with np.load(pipeline["scores"] / "flags.npz") as npz:
         flags = dict(npz)
     assert str(flags.pop("scores_sha256")) == cli._sha256_file(pipeline["scores"] / "scores.csv")
+    # simulate records the hash of the CSV it wrote, as score does of scores.csv
+    with np.load(pipeline["sim"] / "dataset.npz") as npz:
+        assert str(npz["source_sha256"]) == cli._sha256_file(pipeline["sim"] / "dataset.csv")
     assert list(flags) == [name for name in header if name.startswith("e_")]
     assert len(flags) == 4
     for name, column in flags.items():
@@ -834,6 +837,20 @@ def test_tree_refuses_its_scores_directory_as_out(pipeline, tmp_path, capsys):
     assert line == (f"error: --out {same} is the --scores directory {scores}; "
                     "choose another output directory")
     assert _snapshot(scores) == before
+
+
+def test_score_refuses_its_draws_directory_as_out(pipeline, tmp_path, capsys):
+    fit = tmp_path / "fit"
+    shutil.copytree(pipeline["fit"], fit)
+    before = _snapshot(fit)
+    same = fit / ".." / "fit"
+    capsys.readouterr()
+    assert run("score", "--draws", fit, "--data", pipeline["sim"] / "dataset.csv",
+               "--out", same) == 1
+    [line] = capsys.readouterr().err.splitlines()
+    assert line == (f"error: --out {same} is the --draws directory {fit}; "
+                    "choose another output directory")
+    assert _snapshot(fit) == before
 
 
 @pytest.mark.parametrize("option", ["--scores", "--tree"])

@@ -2,6 +2,7 @@
 
 import csv
 import dataclasses
+import hashlib
 import io
 import tempfile
 from unittest import mock
@@ -302,9 +303,11 @@ def test_write_table_bytes_are_csv_writer_bytes(table):
                 mock.patch.object(dataset, "_BLOCK_ROWS", 4), \
                 mock.patch.object(dataset, "_SPLIT_CELLS", split_cells), \
                 mock.patch.object(dataset, "_cores", lambda: 2):
-            _write_table(f"{tmp}/t.csv", header, columns)
+            digest = _write_table(f"{tmp}/t.csv", header, columns)
             with open(f"{tmp}/t.csv", "rb") as fh:
-                assert fh.read() == ref.getvalue().encode("utf-8")
+                data = fh.read()
+            assert data == ref.getvalue().encode("utf-8")
+            assert digest == hashlib.sha256(data).hexdigest()
 
 
 @settings(max_examples=60, deadline=None)
